@@ -11,9 +11,15 @@ alternates:
   Hamiltonian right-hand sides, no discretization.
 
 The x and p blocks use the same structural coefficients and couple only
-through the physical equations, so their updates are independent within a
-sweep.  State arrays live in body space: shape (I, K) for K bodies in
-dimension I, with blocks stacked as (R, I, K).
+through the physical equations, so a block is one phase-space array ``Y`` of
+shape (2, L*(R+1), I, K): x then p, body space (K bodies in dimension I) last,
+and for the L levels Z, D (and, for ZDS, S) the rows
+
+    Z_0 | D_0, D_1..D_R | (S_0, S_1..S_R) | Z_1..Z_R
+
+(node 0 is the anchor).  The structural update applies the table's matrix C
+to the rows before Z_1..Z_R, for x and p together.  An anchor stacks its
+values as (2, L, I, K); the ``Zx`` .. ``Sp`` attributes are views.
 """
 
 from __future__ import annotations
@@ -79,29 +85,80 @@ class IterStats:
         self.pe2_calls += other.pe2_calls
 
 
-@dataclass
-class BlockAnchor:
-    """Known values at the block's entry node t_n (all body-space arrays)."""
+class _PhaseSpace:
+    """Views Zx .. Sp into a stacked array; ``level(s)`` gives (x, p) of level s."""
 
-    t: object
-    Zx: np.ndarray
-    Zp: np.ndarray
-    Dx: np.ndarray
-    Dp: np.ndarray
-    Sx: np.ndarray | None = None
-    Sp: np.ndarray | None = None
+    def _view(self, s: int, c: int):
+        return self.level(s)[c] if s < self.levels else None
+
+    Zx = property(lambda self: self._view(0, 0))
+    Zp = property(lambda self: self._view(0, 1))
+    Dx = property(lambda self: self._view(1, 0))
+    Dp = property(lambda self: self._view(1, 1))
+    Sx = property(lambda self: self._view(2, 0))
+    Sp = property(lambda self: self._view(2, 1))
 
 
-@dataclass
-class BlockState:
-    """The R future nodes of one block; arrays are (R, I, K)."""
+def _pairs(Zx, Zp, Dx, Dp, Sx, Sp):
+    return [(Zx, Zp), (Dx, Dp)] + ([(Sx, Sp)] if Sx is not None else [])
 
-    Zx: np.ndarray
-    Zp: np.ndarray
-    Dx: np.ndarray
-    Dp: np.ndarray
-    Sx: np.ndarray | None = None
-    Sp: np.ndarray | None = None
+
+class BlockAnchor(_PhaseSpace):
+    """Known values at the block's entry node t_n, stacked as ``W`` (2, L, I, K)."""
+
+    def __init__(self, t, Zx, Zp, Dx, Dp, Sx=None, Sp=None):
+        self.t = t
+        self.W = np.stack([np.stack(pair) for pair in _pairs(Zx, Zp, Dx, Dp, Sx, Sp)], axis=1)
+
+    @classmethod
+    def stacked(cls, t, W: np.ndarray) -> "BlockAnchor":
+        anchor = cls.__new__(cls)
+        anchor.t, anchor.W = t, W
+        return anchor
+
+    @property
+    def levels(self) -> int:
+        return self.W.shape[1]
+
+    def level(self, s: int) -> np.ndarray:
+        return self.W[:, s]
+
+
+class BlockState(_PhaseSpace):
+    """One block's stacked array ``Y`` (layout in the module docstring).
+
+    ``Z`` (2, R, I, K) and ``DS`` (2, L-1, R+1, I, K: per derivative level
+    the anchor, then the R nodes) are views into ``Y``.
+    """
+
+    def __init__(self, Zx, Zp, Dx, Dp, Sx=None, Sp=None):
+        pairs = _pairs(Zx, Zp, Dx, Dp, Sx, Sp)
+        self._allocate(len(pairs), len(Zx), Zx[0])
+        for s, pair in enumerate(pairs):
+            self.level(s)[...] = pair
+
+    @classmethod
+    def empty(cls, levels: int, R: int, like: np.ndarray) -> "BlockState":
+        """Unfilled block for node values shaped and typed like ``like``."""
+        state = cls.__new__(cls)
+        state._allocate(levels, R, like)
+        return state
+
+    def _allocate(self, levels, R, like):
+        self.levels = levels
+        self.Y = np.empty((2, levels * (R + 1)) + like.shape, dtype=like.dtype)
+        self.DS = self.Y[:, 1:-R].reshape((2, levels - 1, R + 1) + like.shape)
+        self.Z = self.Y[:, -R:]
+
+    def set_anchor(self, W: np.ndarray) -> None:
+        self.Y[:, 0], self.DS[:, :, 0] = W[:, 0], W[:, 1:]
+
+    def level(self, s: int) -> np.ndarray:
+        return self.DS[:, s - 1, 1:] if s else self.Z
+
+    def node(self, r: int) -> np.ndarray:
+        """Copy of the values at block node r (0-based), stacked like an anchor."""
+        return np.concatenate([self.Z[:, r, None], self.DS[:, :, r + 1]], axis=1)
 
 
 def make_anchor(problem, t, X, P, formulation) -> BlockAnchor:
@@ -114,13 +171,6 @@ def make_anchor(problem, t, X, P, formulation) -> BlockAnchor:
     return BlockAnchor(t=t, Zx=X, Zp=P, Dx=Dx, Dp=Dp, Sx=Sx, Sp=Sp)
 
 
-def _stack(arrays) -> np.ndarray:
-    out = np.empty((len(arrays),) + arrays[0].shape, dtype=arrays[0].dtype)
-    for i, a in enumerate(arrays):
-        out[i] = a
-    return out
-
-
 def init_block(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
     """Taylor predictor swept node by node, derivatives refreshed from the PE."""
     R = table.R
@@ -128,97 +178,61 @@ def init_block(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
     second = table.has_second
     half_dt2 = dt * dt * 0.5 if second else None
 
-    Zx, Zp, Dx, Dp = anchor.Zx, anchor.Zp, anchor.Dx, anchor.Dp
-    Sx, Sp = anchor.Sx, anchor.Sp
-    zx, zp, dx, dp = [], [], [], []
-    sx, sp = [], []
+    state = BlockState.empty(anchor.levels, R, anchor.Zx)
+    state.set_anchor(anchor.W)
+    Zb, DS = state.Z, state.DS
+    Z, D = anchor.level(0), anchor.level(1)
+    S = anchor.level(2) if second else None
     for r in range(R):
+        Z = Z + dt * D
         if second:
-            Zx = Zx + dt * Dx + half_dt2 * Sx
-            Zp = Zp + dt * Dp + half_dt2 * Sp
-        else:
-            Zx = Zx + dt * Dx
-            Zp = Zp + dt * Dp
-        if not (all_finite(Zx) and all_finite(Zp)):
+            Z = Z + half_dt2 * S
+        if not all_finite(Z):
             raise DivergenceError(f"non-finite predictor value at block node {r + 1}")
-        Dx, Dp = problem.first_rhs(Zx, Zp)
+        Zb[:, r] = Z
+        D = DS[:, 0, r + 1]
+        D[0], D[1] = problem.first_rhs(Z[0], Z[1])
         if second:
-            Sx, Sp = problem.second_rhs(Zx, Zp, Dx, Dp)
-            sx.append(Sx)
-            sp.append(Sp)
-        zx.append(Zx)
-        zp.append(Zp)
-        dx.append(Dx)
-        dp.append(Dp)
-    return BlockState(
-        Zx=_stack(zx),
-        Zp=_stack(zp),
-        Dx=_stack(dx),
-        Dp=_stack(dp),
-        Sx=_stack(sx) if second else None,
-        Sp=_stack(sp) if second else None,
-    )
+            S = DS[:, 1, r + 1]
+            S[0], S[1] = problem.second_rhs(Z[0], Z[1], D[0], D[1])
+    return state
 
 
-def _block_matvec(A: np.ndarray, blk: np.ndarray) -> np.ndarray:
-    # (R, R) x (R, I, K) -> (R, I, K), contraction over the block index
-    if blk.dtype != object:
-        return np.tensordot(A, blk, axes=(1, 0))
-    R = A.shape[0]
-    out = np.empty_like(blk)
-    for r in range(R):
-        acc = A[r, 0] * blk[0]
-        for m in range(1, R):
-            acc = acc + A[r, m] * blk[m]
-        out[r] = acc
-    return out
+def se_update(table: CoeffTable, anchor: BlockAnchor, state: BlockState) -> np.ndarray:
+    """New Z block from the structural equations (no physics evaluated).
 
-
-def _block_outer(vec: np.ndarray, value: np.ndarray) -> np.ndarray:
-    # (R,) x (I, K) -> (R, I, K)
-    return vec[:, None, None] * value[None, :, :]
-
-
-def se_update(table: CoeffTable, anchor: BlockAnchor, state: BlockState):
-    """New Z blocks from the structural equations (no physics evaluated).
-
-    The x and p updates are independent; they may run concurrently but
-    correctness does not rely on it.
+    Copies the anchor into the state's anchor rows and applies the table's
+    matrix C to ``Y``; the (2, R, I, K) result unpacks as ``Zx, Zp``.  The
+    products are summed strictly in column order by ``np.add.accumulate``:
+    matmul and sum may pair the terms differently depending on how Y lies in
+    memory, while this order gives the same bits every time and, at R = 1,
+    those of the term-by-term formula.
     """
-    def one(z0, d0, s0, Dblk, Sblk):
-        acc = _block_outer(table.b_z, z0) + _block_outer(table.b_d, d0)
-        acc = acc + _block_matvec(table.B_d, Dblk)
-        if table.has_second:
-            acc = acc + _block_outer(table.b_s, s0) + _block_matvec(table.B_s, Sblk)
-        return -acc
-
-    Zx_new = one(anchor.Zx, anchor.Dx, anchor.Sx, state.Dx, state.Sx)
-    Zp_new = one(anchor.Zp, anchor.Dp, anchor.Sp, state.Dp, state.Sp)
-    return Zx_new, Zp_new
+    state.set_anchor(anchor.W)
+    m = table.C.shape[1]
+    terms = table.C[:, :, None, None] * state.Y[:, None, :m]
+    return np.add.accumulate(terms, axis=2)[:, :, -1]
 
 
-def pe_update(problem, Zx_blk: np.ndarray, Zp_blk: np.ndarray, second: bool):
+def pe_update(problem, Zx_blk: np.ndarray, Zp_blk: np.ndarray, second: bool, out=None):
     """Derivative blocks refreshed node by node from the physical equations.
 
-    Nodes are independent (parallelizable); returns the per-level call count R.
+    Nodes are independent (parallelizable).  D (and, if ``second``, S) are
+    written into ``out`` -- (2, L-1, R, I, K), such as the node part of
+    ``BlockState.DS`` -- or into a new array.  Returns views (Dx, Dp, Sx,
+    Sp) into it and the per-level call count R.
     """
-    R = Zx_blk.shape[0]
-    dx, dp, sx, sp = [], [], [], []
+    R = len(Zx_blk)
+    if out is None:
+        out = np.empty((2, 1 + second) + Zx_blk.shape, dtype=Zx_blk.dtype)
     for r in range(R):
-        Dx, Dp = problem.first_rhs(Zx_blk[r], Zp_blk[r])
-        dx.append(Dx)
-        dp.append(Dp)
+        X, P = Zx_blk[r], Zp_blk[r]
+        Dx, Dp = problem.first_rhs(X, P)
+        out[0, 0, r], out[1, 0, r] = Dx, Dp
         if second:
-            Sx, Sp = problem.second_rhs(Zx_blk[r], Zp_blk[r], Dx, Dp)
-            sx.append(Sx)
-            sp.append(Sp)
-    return (
-        _stack(dx),
-        _stack(dp),
-        _stack(sx) if second else None,
-        _stack(sp) if second else None,
-        R,
-    )
+            out[0, 1, r], out[1, 1, r] = problem.second_rhs(X, P, Dx, Dp)
+    Sx, Sp = out[:, 1] if second else (None, None)
+    return out[0, 0], out[1, 0], Sx, Sp, R
 
 
 def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig):
@@ -232,51 +246,43 @@ def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverC
     """
     tol = config.resolved_tol()
     second = table.has_second
-    stats = IterStats()
+    stats = IterStats(pe1_calls=table.R, pe2_calls=table.R if second else 0)
 
     # overflow during a diverging sweep is expected and handled via the
     # finiteness checks; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _solve_block_inner(anchor, problem, table, config, tol, second, stats)
+        state = init_block(anchor, problem, table)
+        Z, derivs = state.Z, state.DS[:, :, 1:]
 
-
-def _solve_block_inner(anchor, problem, table, config, tol, second, stats):
-    state = init_block(anchor, problem, table)
-    stats.pe1_calls += table.R
-    if second:
-        stats.pe2_calls += table.R
-
-    scale_ref = max(max_abs(anchor.Zx), max_abs(anchor.Zp), 1.0)
-    prev_norm = max(max_abs(state.Zx), max_abs(state.Zp))
-
-    diff = None
-    for sweep in range(1, config.max_iter + 1):
-        Zx_new, Zp_new = se_update(table, anchor, state)
-        if not (all_finite(Zx_new) and all_finite(Zp_new)):
-            raise DivergenceError("non-finite block value during fixed-point sweep")
-        # both components enter the stopping norm: the x-block alone can
-        # stagnate for one sweep of the alternating map while p still moves
-        diff = max(max_abs(Zx_new - state.Zx), max_abs(Zp_new - state.Zp))
-        state.Zx, state.Zp = Zx_new, Zp_new
-        state.Dx, state.Dp, state.Sx, state.Sp, calls = pe_update(
-            problem, state.Zx, state.Zp, second
-        )
-        stats.pe1_calls += calls
-        if second:
-            stats.pe2_calls += calls
-        stats.iterations = sweep
-        if diff <= tol:
-            return state, stats
-        norm = max(max_abs(state.Zx), max_abs(state.Zp))
-        if norm > config.growth_limit * max(prev_norm, scale_ref):
-            raise DivergenceError(
-                f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
-            )
-        prev_norm = norm
+        scale_ref = max(max_abs(anchor.level(0)), 1.0)
+        prev_norm = max_abs(Z)
+        diff = None
+        for sweep in range(1, config.max_iter + 1):
+            Z_new = se_update(table, anchor, state)
+            if not all_finite(Z_new):
+                raise DivergenceError("non-finite block value during fixed-point sweep")
+            # both components enter the stopping norm: the x-block alone can
+            # stagnate for one sweep of the alternating map while p still moves
+            diff = max_abs(Z_new - Z)
+            Z[...] = Z_new
+            calls = pe_update(problem, Z[0], Z[1], second, out=derivs)[-1]
+            stats.pe1_calls += calls
+            if second:
+                stats.pe2_calls += calls
+            stats.iterations = sweep
+            if diff <= tol:
+                return state, stats
+            norm = max_abs(Z)
+            if norm > config.growth_limit * max(prev_norm, scale_ref):
+                raise DivergenceError(
+                    f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
+                )
+            prev_norm = norm
 
     raise NonConvergenceError(
-        f"fixed point not converged after {config.max_iter} sweeps "
-        f"(last Zx-block change {diff:.3e}, tol {tol:.1e})",
+        f"fixed point not converged after {config.max_iter} sweeps (last change "
+        f"{diff:.3e} in positions and momenta over all {table.R} block nodes, "
+        f"tol {tol:.1e})",
         residual=diff,
     )
 
@@ -309,7 +315,6 @@ def integrate(
     T: float,
     config: SolverConfig | None = None,
     observer=None,
-    block_observer=None,
     project=None,
     store_every: int = 1,
 ) -> Trajectory:
@@ -317,12 +322,11 @@ def integrate(
 
     The trajectory has N+1 nodes including t=0.  When R does not divide N the
     final block uses a freshly assembled table of size N mod R.  ``observer``
-    (if given) receives every accepted node as (step_index, t, X, P);
-    ``block_observer`` receives each block's IterStats.  ``project``, if set,
-    maps (X, P) -> (X, P) after each accepted node; the anchor of the next
-    block is then rebuilt from the projected state.  ``store_every``
-    decimates what the returned Trajectory keeps (metrics consumers should
-    stream through observers instead).
+    (if given) receives every accepted node as (step_index, t, X, P).
+    ``project``, if set, maps (X, P) -> (X, P) after each accepted node; the
+    anchor of the next block is then rebuilt from the projected state.
+    ``store_every`` decimates what the returned Trajectory keeps (metrics
+    consumers should stream through observers instead).
     """
     form = Formulation.parse(formulation)
     if config is None:
@@ -367,13 +371,12 @@ def integrate(
         try:
             state, stats = solve_block(anchor, problem, table, config)
         except (NonConvergenceError, DivergenceError) as err:
-            raise type(err)(f"block starting at step {step}: {err}") from err
+            err.args = (f"block starting at step {step}: {err}",)  # keeps .residual
+            raise
         traj.n_blocks += 1
         traj.total_sweeps += stats.iterations
         traj.pe1_calls += stats.pe1_calls
         traj.pe2_calls += stats.pe2_calls
-        if block_observer is not None:
-            block_observer(stats)
 
         Xl = Pl = None
         for r in range(1, r_this + 1):
@@ -392,13 +395,7 @@ def integrate(
             if form is Formulation.ZDS:
                 traj.pe2_calls += 1
         else:
-            anchor = BlockAnchor(
-                t=precision.real(step) * dt_scalar,
-                Zx=state.Zx[r_this - 1],
-                Zp=state.Zp[r_this - 1],
-                Dx=state.Dx[r_this - 1],
-                Dp=state.Dp[r_this - 1],
-                Sx=state.Sx[r_this - 1] if state.Sx is not None else None,
-                Sp=state.Sp[r_this - 1] if state.Sp is not None else None,
+            anchor = BlockAnchor.stacked(
+                precision.real(step) * dt_scalar, state.node(r_this - 1)
             )
     return traj

@@ -472,14 +472,14 @@ def max_abs(arr) -> float:
     """Max-norm of an array (or scalar) of either backend, as a float."""
     if isinstance(arr, np.ndarray):
         if arr.dtype == object:
-            return max(abs(float(v)) for v in arr.flat)
-        return float(np.max(np.abs(arr))) if arr.size else 0.0
+            return max((abs(float(v)) for v in arr.flat), default=0.0)
+        return float(np.abs(arr).max()) if arr.size else 0.0
     return abs(float(arr))
 
 
 def all_finite(arr) -> bool:
     if isinstance(arr, np.ndarray) and arr.dtype != object:
-        return bool(np.all(np.isfinite(arr)))
+        return bool(np.isfinite(arr).all())
     if isinstance(arr, np.ndarray):
         return all(math.isfinite(float(v)) for v in arr.flat)
     return math.isfinite(float(arr))

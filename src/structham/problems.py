@@ -327,8 +327,8 @@ def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianPr
     def second_rhs(X, P, DX, DP):
         r, r3 = _r3(X)
         r5 = r3 * r * r
-        dot = X[0, 0] * P[0, 0] + X[1, 0] * P[1, 0]
-        SP = -(P / r3) + X * (3 * dot / r5)
+        dot = X[0, 0] * DX[0, 0] + X[1, 0] * DX[1, 0]
+        SP = -(DX / r3) + X * (3 * dot / r5)
         return DP.copy(), SP
 
     def angular_momentum(X, P):

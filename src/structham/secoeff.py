@@ -254,7 +254,10 @@ class CoeffTable:
 
     for the block nodes r, m = 1..R with anchor values at node 0.  Arrays are
     realized in the requested backend (float64, or object dtype of
-    DoubleDouble); B_s and b_s are None for ZD.
+    DoubleDouble); B_s and b_s are None for ZD.  They are read-only views of
+    one R x (1 + (L-1)(R+1)) matrix [b_z | b_d, B_d | (b_s, B_s)] for L
+    levels, and ``C`` is its negative: the node values Z[1..R] are C applied
+    to the stacked rows [Z_n | D_n, D_1..D_R | (S_n, S_1..S_R)].
     """
 
     R: int
@@ -265,6 +268,7 @@ class CoeffTable:
     b_d: np.ndarray
     B_s: np.ndarray | None
     b_s: np.ndarray | None
+    C: np.ndarray
     condition_Az: float
     raw_rescaled: np.ndarray  # kernel basis with dt**s factors applied
     precision: Precision
@@ -327,26 +331,12 @@ def assemble_tables(basis: RawBasis, dt: float, precision: Precision = NATIVE) -
     S = form.levels
     V = basis.vectors_dd  # (R, S*(R+1))
 
-    def col(r, s):
-        return s * (R + 1) + r
-
-    A_z = np.empty((R, R), dtype=object)
-    rhs_cols: list[np.ndarray] = []
-    A_d = np.empty((R, R), dtype=object)
-    for m in range(R):
-        for r in range(1, R + 1):
-            A_z[m, r - 1] = V[m, col(r, 0)]
-            A_d[m, r - 1] = V[m, col(r, 1)]
-    a_z = np.array([[V[m, col(0, 0)]] for m in range(R)], dtype=object)
-    a_d = np.array([[V[m, col(0, 1)]] for m in range(R)], dtype=object)
-    rhs = np.concatenate([A_d, a_z, a_d], axis=1)
-    if S == 3:
-        A_s = np.empty((R, R), dtype=object)
-        for m in range(R):
-            for r in range(1, R + 1):
-                A_s[m, r - 1] = V[m, col(r, 2)]
-        a_s = np.array([[V[m, col(0, 2)]] for m in range(R)], dtype=object)
-        rhs = np.concatenate([rhs, A_s, a_s], axis=1)
+    # level-s value at block node r sits in column s*(R+1) + r.  The node
+    # values (columns 1..R) form A_z; the rest, in the same order, are the
+    # right-hand sides: [a_z | a_d, A_d | (a_s, A_s)], the order of CoeffTable.C.
+    A_z = V[:, 1:R + 1]
+    rhs = np.concatenate([V[:, :1], V[:, R + 1:]], axis=1)
+    levels = [0] + [s for s in range(1, S) for _ in range(R + 1)]
 
     cond = float(np.linalg.cond(np.array([[float(v) for v in row] for row in A_z])))
     log.debug("A_z condition for %s R=%d: %.3e", form.value, R, cond)
@@ -357,45 +347,22 @@ def assemble_tables(basis: RawBasis, dt: float, precision: Precision = NATIVE) -
 
     X = _dd_solve(A_z, rhs)
     dt_dd = DoubleDouble.from_any(dt)
-    dt2_dd = dt_dd * dt_dd
-
-    B_d = np.empty((R, R), dtype=object)
-    for i in range(R):
-        for j in range(R):
-            B_d[i, j] = X[i, j] * dt_dd
-    b_z = np.array([[X[i, R]] for i in range(R)], dtype=object)[:, 0]
-    b_d = np.array([[X[i, R + 1] * dt_dd] for i in range(R)], dtype=object)[:, 0]
-    B_s = b_s = None
-    if S == 3:
-        B_s = np.empty((R, R), dtype=object)
-        for i in range(R):
-            for j in range(R):
-                B_s[i, j] = X[i, R + 2 + j] * dt2_dd
-        b_s = np.array([[X[i, 2 * R + 2] * dt2_dd] for i in range(R)], dtype=object)[:, 0]
-
-    raw = np.empty_like(V)
-    for m in range(R):
-        for s in range(S):
-            factor = (DoubleDouble(1.0), dt_dd, dt2_dd)[s]
-            for r in range(R + 1):
-                raw[m, col(r, s)] = V[m, col(r, s)] * factor
-
-    def realize_vec(vec):
-        if precision.dtype == object:
-            return vec.copy()
-        return np.array([float(v) for v in vec], dtype=np.float64)
-
+    dt_pows = np.array([DoubleDouble(1.0), dt_dd, dt_dd * dt_dd][:S], dtype=object)
+    M = _realize(X * dt_pows[levels], precision)  # [b_z | b_d, B_d | (b_s, B_s)]
+    M.flags.writeable = False
+    second = S == 3
     return CoeffTable(
         R=R,
         formulation=form,
         dt=float(dt),
-        B_d=_realize(B_d, precision),
-        b_z=realize_vec(b_z),
-        b_d=realize_vec(b_d),
-        B_s=_realize(B_s, precision) if B_s is not None else None,
-        b_s=realize_vec(b_s) if b_s is not None else None,
+        B_d=M[:, 2:R + 2],
+        b_z=M[:, 0],
+        b_d=M[:, 1],
+        B_s=M[:, R + 3:] if second else None,
+        b_s=M[:, R + 2] if second else None,
+        C=-M,
         condition_Az=cond,
-        raw_rescaled=_realize(raw, precision),
+        raw_rescaled=_realize(V * dt_pows.repeat(R + 1), precision),
         precision=precision,
     )
 

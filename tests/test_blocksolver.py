@@ -7,6 +7,7 @@ import pytest
 
 from structham.blocksolver import (
     BlockAnchor,
+    BlockState,
     DivergenceError,
     NonConvergenceError,
     SolverConfig,
@@ -17,7 +18,7 @@ from structham.blocksolver import (
     se_update,
     solve_block,
 )
-from structham.numerics import NATIVE
+from structham.numerics import DDOUBLE, NATIVE, max_abs
 from structham.problems import (
     HamiltonianProblem,
     make_kepler,
@@ -105,6 +106,56 @@ class TestSeUpdate:
         assert Zx[1][0, 0] == pytest.approx(8.0, abs=1e-12)
 
 
+class TestStackedSeUpdate:
+    @staticmethod
+    def _random_block(rng, precision, R, second, shape=(2, 3)):
+        def draw(*lead):
+            return precision.asarray(rng.uniform(-1.0, 1.0, lead + shape))
+
+        names = ["Zx", "Zp", "Dx", "Dp"] + (["Sx", "Sp"] if second else [])
+        anchor = BlockAnchor(t=0.0, **{n: draw() for n in names})
+        state = BlockState(**{n: draw(R) for n in names})
+        return anchor, state
+
+    @pytest.mark.parametrize(
+        "precision,tol", [(NATIVE, 1e-14), (DDOUBLE, 1e-28)], ids=["double", "ddouble"]
+    )
+    @pytest.mark.parametrize("form", ["zd", "zds"])
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_matches_term_by_term(self, R, form, precision, tol):
+        table = coeff_table(R, form, 0.3, precision)
+        second = table.has_second
+        rng = np.random.default_rng(10 * R + second)
+        anchor, state = self._random_block(rng, precision, R, second)
+        Zx, Zp = se_update(table, anchor, state)
+        for new, c in ((Zx, "x"), (Zp, "p")):
+            z0, d0, D = (getattr(o, n + c) for o, n in ((anchor, "Z"), (anchor, "D"), (state, "D")))
+            for r in range(R):
+                ref = table.b_z[r] * z0 + table.b_d[r] * d0
+                for j in range(R):
+                    ref = ref + table.B_d[r, j] * D[j]
+                if second:
+                    s0, S = getattr(anchor, "S" + c), getattr(state, "S" + c)
+                    ref = ref + table.b_s[r] * s0
+                    for j in range(R):
+                        ref = ref + table.B_s[r, j] * S[j]
+                assert max_abs(new[r] + ref) <= tol
+
+    @pytest.mark.parametrize("precision", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("form", ["zd", "zds"])
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_matrix_holds_table_fields(self, R, form, precision):
+        table = coeff_table(R, form, 0.3, precision)
+        L = table.formulation.levels
+        C = table.C
+        assert C.shape == (R, L + (L - 1) * R)
+        parts = [(C[:, 0], table.b_z), (C[:, 1], table.b_d), (C[:, 2:R + 2], table.B_d)]
+        if table.has_second:
+            parts += [(C[:, R + 2], table.b_s), (C[:, R + 3:], table.B_s)]
+        for got, field in parts:
+            assert np.all(got == -field)
+
+
 class TestPeUpdate:
     def test_mass_spring_node_values(self):
         prob = make_mass_spring()
@@ -190,6 +241,21 @@ class TestSolveBlock:
         anchor = make_anchor(prob, 0.0, prob.x0, prob.p0, "zd")
         with pytest.raises(DivergenceError):
             solve_block(anchor, prob, coeff_table(1, "zd", 1e8), SolverConfig())
+
+    def test_nonconvergence_message_states_residual(self):
+        prob = make_pendulum()
+        anchor = make_anchor(prob, 0.0, prob.x0, prob.p0, "zds")
+        tol = 1e-14
+        with pytest.raises(NonConvergenceError) as info:
+            solve_block(anchor, prob, coeff_table(2, "zds", 0.1), SolverConfig(tol=tol, max_iter=2))
+        err = info.value
+        assert err.residual > tol
+        assert f"{err.residual:.3e} in positions and momenta" in str(err)
+        assert f"tol {tol:.1e}" in str(err)
+        with pytest.raises(NonConvergenceError) as info:
+            integrate(prob, "zds", 2, 4, 0.4, SolverConfig(tol=tol, max_iter=2))
+        assert info.value.residual == err.residual
+        assert str(info.value).startswith("block starting at step 0: ")
 
     def test_nonconvergence_detected(self):
         prob = make_mass_spring()

@@ -211,6 +211,8 @@ class TestPrecisionBackends:
         assert all_finite(a) and all_finite(d)
         a[0, 0] = np.inf
         assert not all_finite(a)
+        assert max_abs(NATIVE.zeros((0, 2))) == 0.0
+        assert max_abs(DDOUBLE.zeros((0, 2))) == 0.0
 
     def test_defaults(self):
         assert NATIVE.default_tol == 1e-14

@@ -313,6 +313,22 @@ class TestKepler:
         SX, _ = prob.second_rhs(prob.x0, prob.p0, DX, DP)
         assert np.allclose(np.asarray(SX, float), -np.asarray(prob.x0, float), atol=1e-14)
 
+    def test_second_rhs_is_jacobian_vector_product(self):
+        # off the trajectory (DX != P) second_rhs must still be the
+        # directional derivative of first_rhs along (DX, DP)
+        prob = make_kepler()
+        rng = np.random.default_rng(11)
+        h = 1e-6
+        for _ in range(10):
+            X = np.array([[0.4], [0.1]]) + 0.1 * rng.standard_normal((2, 1))
+            P, DX, DP = (rng.standard_normal((2, 1)) for _ in range(3))
+            SX, SP = prob.second_rhs(X, P, DX, DP)
+            plus = prob.first_rhs(X + h * DX, P + h * DP)
+            minus = prob.first_rhs(X - h * DX, P - h * DP)
+            for got, fp, fm in zip((SX, SP), plus, minus):
+                fd = (fp - fm) / (2 * h)
+                assert np.allclose(got, fd, rtol=1e-7, atol=1e-7)
+
     def test_singularity(self):
         prob = make_kepler()
         with pytest.raises(SingularityError):
