@@ -24,6 +24,7 @@ values as (2, L, I, K); the ``Zx`` .. ``Sp`` attributes are views.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,11 +79,6 @@ class IterStats:
     iterations: int = 0
     pe1_calls: int = 0
     pe2_calls: int = 0
-
-    def add(self, other: "IterStats") -> None:
-        self.iterations += other.iterations
-        self.pe1_calls += other.pe1_calls
-        self.pe2_calls += other.pe2_calls
 
 
 class _PhaseSpace:
@@ -336,8 +332,8 @@ def integrate(
             f"solver precision {config.precision.name} does not match "
             f"problem precision {problem.precision.name}"
         )
-    if N < 1 or T <= 0:
-        raise ConfigurationError(f"need N >= 1 and T > 0, got N={N}, T={T}")
+    if N < 1 or not 0 < float(T) < math.inf:
+        raise ConfigurationError(f"need N >= 1 and finite T > 0, got N={N}, T={T}")
     if N < R:
         raise ConfigurationError(f"need N >= R, got N={N}, R={R}")
 

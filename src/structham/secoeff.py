@@ -4,38 +4,42 @@ A structural equation is a linear relation among the values and derivative
 approximations of a smooth function on a block of R+1 uniformly spaced grid
 nodes, built so that the relation annihilates every polynomial up to a
 formulation-dependent degree.  The coefficients carry all discretization
-information and no physics; they are generated once per (R, formulation,
-step) and shared by every solver instance.
+information and no physics; they are exact rationals on the unit grid, found
+once per (R, formulation) and shared by every step size and solver instance.
 
 Pipeline
 --------
 1. ``exactness_matrix`` tabulates monomial derivatives on the unit grid
    (nodes 0..R, step 1).  Entries are exact integers.
-2. ``kernel_basis`` drops the R highest-degree rows and extracts the
-   R-dimensional null space of what remains -- exactly, by rational
-   Gauss-Jordan elimination -- then orthonormalizes in double-double with a
-   deterministic order and sign convention.
-3. ``assemble_tables`` converts a basis into the solver-ready form
-   (B_d, B_s, b_z, b_d, b_s) by R x R linear solves carried out in
-   double-double, rescales from the unit grid to the physical step, and
-   rounds once into the requested backend.
+2. Dropping the R highest-degree rows leaves a system whose R-dimensional
+   null space holds the structural equations.  ``_rational_kernel`` finds
+   it exactly, by fraction-free (Bareiss) Gauss-Jordan elimination over
+   Python integers.
+3. ``assemble_tables`` runs that elimination once per (R, formulation) with
+   the node values Z_1..Z_R as the last columns, which yields the table
+   normalized by the A_z slice, (B_d, B_s, b_z, b_d, b_s), as exact
+   rationals.  For a step dt it multiplies derivative-order-s entries by
+   dt**s, exactly, and rounds once into the requested backend.
+4. ``kernel_basis`` orthonormalizes the same kernel in double-double with a
+   deterministic order and sign convention; it serves the CSV dump and
+   checks against the printed equations, not the solver tables.
 
-Working on the unit grid and rescaling afterwards (entries of derivative
-order s pick up a factor dt**s) avoids the severe ill-conditioning of the
-Vandermonde-type system at small physical steps.
+Working on the unit grid and rescaling afterwards avoids the severe
+ill-conditioning of the Vandermonde-type system at small physical steps.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import NATIVE, DoubleDouble, Precision
+from .numerics import NATIVE, PRECISIONS, DoubleDouble, Precision
 
 __all__ = [
     "Formulation",
@@ -145,47 +149,45 @@ class RawBasis:
         """float64 view of the basis."""
         return np.array([[float(v) for v in row] for row in self.vectors_dd])
 
-    def rotated(self, mix: np.ndarray) -> "RawBasis":
-        """Basis re-mixed by an invertible R x R matrix (for invariance checks)."""
-        mixed = np.empty_like(self.vectors_dd)
-        for i in range(self.R):
-            acc = [DoubleDouble(0.0)] * self.vectors_dd.shape[1]
-            for j in range(self.R):
-                w = float(mix[i, j])
-                for c in range(self.vectors_dd.shape[1]):
-                    acc[c] = acc[c] + self.vectors_dd[j, c] * w
-            mixed[i, :] = acc
-        return RawBasis(self.R, self.formulation, mixed)
 
+def _rational_kernel(reduced: np.ndarray) -> tuple[list[int], list[list[Fraction]]]:
+    """Exact null space of an integer matrix by fraction-free Gauss-Jordan.
 
-def _rational_kernel(reduced: np.ndarray) -> list[list[Fraction]]:
-    """Exact null-space basis of an integer matrix via Gauss-Jordan over Q."""
+    Bareiss's elimination keeps every entry an integer (a minor of the
+    input): each step replaces row i by (p * row_i - a_ic * pivot_row) / p',
+    with p the new pivot and p' the previous one, and the division is exact.
+    At the end every pivot row holds the last pivot d on its pivot column,
+    so the reduced row echelon form is the integer matrix divided by d.
+    Returns the free columns and, for each free column f, the kernel vector
+    with 1 at f, 0 at the other free columns and -rref[i][f] at pivot i.
+    """
     rows, cols = reduced.shape
-    A = [[Fraction(int(reduced[i, j])) for j in range(cols)] for i in range(rows)]
+    A = [[int(v) for v in row] for row in reduced]
     pivot_cols: list[int] = []
-    rank = 0
+    prev = 1
     for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if A[i][col] != 0), None)
+        rank = len(pivot_cols)
+        pivot = next((i for i in range(rank, rows) if A[i][col]), None)
         if pivot is None:
             continue
         A[rank], A[pivot] = A[pivot], A[rank]
-        inv = 1 / A[rank][col]
-        A[rank] = [v * inv for v in A[rank]]
+        top = A[rank]
+        p = top[col]
         for i in range(rows):
-            if i != rank and A[i][col] != 0:
-                factor = A[i][col]
-                A[i] = [a - factor * b for a, b in zip(A[i], A[rank])]
+            if i != rank:
+                f = A[i][col]
+                A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], top)]
+        prev = p
         pivot_cols.append(col)
-        rank += 1
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     kernel = []
     for f in free_cols:
         v = [Fraction(0)] * cols
         v[f] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = -A[i][f]
+        for row, pc in zip(A, pivot_cols):
+            v[pc] = Fraction(-row[f], prev)
         kernel.append(v)
-    return kernel
+    return free_cols, kernel
 
 
 def _orthonormalize_dd(vectors: list[list[Fraction]]) -> np.ndarray:
@@ -217,17 +219,21 @@ def _orthonormalize_dd(vectors: list[list[Fraction]]) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _kernel_basis_cached(R: int, form: Formulation) -> RawBasis:
-    M = exactness_matrix(R, form)
+def _structural_kernel(R: int, form: Formulation, order) -> tuple[list[int], list[list[Fraction]]]:
+    """Exact kernel of the retained exactness rows with columns taken in ``order``."""
     keep = form.levels * (R + 1) - R
-    reduced = M[:keep, :]
-    kernel = _rational_kernel(reduced)
+    free, kernel = _rational_kernel(exactness_matrix(R, form)[:keep, order])
     if len(kernel) != R:
         raise KernelRankError(
             f"kernel dimension {len(kernel)} != R={R} for {form.value} "
             f"(retained rows are rank deficient)"
         )
+    return free, kernel
+
+
+@lru_cache(maxsize=None)
+def _kernel_basis_cached(R: int, form: Formulation) -> RawBasis:
+    _, kernel = _structural_kernel(R, form, slice(None))
     vectors = _orthonormalize_dd(kernel)
     return RawBasis(R, form, vectors)
 
@@ -252,12 +258,15 @@ class CoeffTable:
         Z[r] + sum_m B_d[r,m] D[m] (+ sum_m B_s[r,m] S[m])
              + b_z[r] Z_n + b_d[r] D_n (+ b_s[r] S_n) = 0
 
-    for the block nodes r, m = 1..R with anchor values at node 0.  Arrays are
-    realized in the requested backend (float64, or object dtype of
-    DoubleDouble); B_s and b_s are None for ZD.  They are read-only views of
-    one R x (1 + (L-1)(R+1)) matrix [b_z | b_d, B_d | (b_s, B_s)] for L
-    levels, and ``C`` is its negative: the node values Z[1..R] are C applied
-    to the stacked rows [Z_n | D_n, D_1..D_R | (S_n, S_1..S_R)].
+    for the block nodes r, m = 1..R with anchor values at node 0.  Each entry
+    is the exact rational unit-grid coefficient times dt**s (s the derivative
+    order of its column), rounded once into the requested backend (float64,
+    or object dtype of DoubleDouble); exact zeros stay 0.  B_s and b_s are
+    None for ZD.  They are read-only views of one R x (1 + (L-1)(R+1))
+    matrix [b_z | b_d, B_d | (b_s, B_s)] for L levels, and ``C`` is its
+    negative: the node values Z[1..R] are C applied to the stacked rows
+    [Z_n | D_n, D_1..D_R | (S_n, S_1..S_R)].  ``condition_Az`` is the
+    2-norm condition number of A_z in any orthonormal kernel basis.
     """
 
     R: int
@@ -270,7 +279,6 @@ class CoeffTable:
     b_s: np.ndarray | None
     C: np.ndarray
     condition_Az: float
-    raw_rescaled: np.ndarray  # kernel basis with dt**s factors applied
     precision: Precision
 
     @property
@@ -278,83 +286,59 @@ class CoeffTable:
         return self.B_s is not None
 
 
-def _dd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting on double-double arrays."""
-    n = A.shape[0]
-    m = B.shape[1]
-    a = A.copy()
-    b = B.copy()
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(float(a[i, col])))
-        if float(a[piv, col]) == 0.0:
-            raise ConfigurationError("singular A_z slice in structural basis")
-        if piv != col:
-            a[[col, piv], :] = a[[piv, col], :]
-            b[[col, piv], :] = b[[piv, col], :]
-        inv = DoubleDouble(1.0) / a[col, col]
-        for i in range(col + 1, n):
-            f = a[i, col] * inv
-            if float(f) != 0.0:
-                for j in range(col, n):
-                    a[i, j] = a[i, j] - f * a[col, j]
-                for j in range(m):
-                    b[i, j] = b[i, j] - f * b[col, j]
-    x = np.empty((n, m), dtype=object)
-    for i in range(n - 1, -1, -1):
-        inv = DoubleDouble(1.0) / a[i, i]
-        for j in range(m):
-            acc = b[i, j]
-            for k in range(i + 1, n):
-                acc = acc - a[i, k] * x[k, j]
-            x[i, j] = acc * inv
-    return x
+@lru_cache(maxsize=None)
+def _unit_table(R: int, form: Formulation) -> tuple[tuple[tuple[Fraction, ...], ...], float]:
+    """Exact normalized table [b_z | b_d, B_d | (b_s, B_s)] at dt = 1, and cond(A_z).
 
-
-def _realize(arr_dd: np.ndarray, precision: Precision) -> np.ndarray:
-    if precision.dtype == object:
-        return arr_dd.copy()
-    return np.array([[float(v) for v in row] for row in arr_dd], dtype=np.float64)
-
-
-def assemble_tables(basis: RawBasis, dt: float, precision: Precision = NATIVE) -> CoeffTable:
-    """Solve for the normalized coefficient matrices and rescale to step dt.
-
-    The linear solves run in double-double regardless of the target backend;
-    the result is rounded once at the end.  Rescaling from the unit grid
-    multiplies derivative-order-s entries by dt**s, i.e. B_d and b_d by dt,
-    B_s and b_s by dt**2, leaving b_z unchanged.
+    The reduced exactness matrix, with its columns reordered so that the
+    node values Z_1..Z_R come last, has those R columns free exactly when
+    A_z is invertible; the kernel vector of free column Z_r is then [T_r | e_r]
+    with T_r row r of the table.  Any orthonormal kernel basis is G [T | I]
+    with G^T G = (I + T T^T)^-1 and A_z = G, so cond(A_z)**2 = cond(I + T T^T)
+    = (1 + s_max**2) / (1 + s_min**2) over the singular values s of T.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"step dt={dt} must be positive")
-    R = basis.R
-    form = basis.formulation
     S = form.levels
-    V = basis.vectors_dd  # (R, S*(R+1))
-
-    # level-s value at block node r sits in column s*(R+1) + r.  The node
-    # values (columns 1..R) form A_z; the rest, in the same order, are the
-    # right-hand sides: [a_z | a_d, A_d | (a_s, A_s)], the order of CoeffTable.C.
-    A_z = V[:, 1:R + 1]
-    rhs = np.concatenate([V[:, :1], V[:, R + 1:]], axis=1)
-    levels = [0] + [s for s in range(1, S) for _ in range(R + 1)]
-
-    cond = float(np.linalg.cond(np.array([[float(v) for v in row] for row in A_z])))
+    keep = S * (R + 1) - R
+    order = [0, *range(R + 1, S * (R + 1)), *range(1, R + 1)]
+    free, kernel = _structural_kernel(R, form, order)
+    if free != list(range(keep, keep + R)):
+        raise ConfigurationError(f"singular A_z slice for formulation {form.value}, R={R}")
+    T = tuple(tuple(v[:keep]) for v in kernel)
+    sv = np.linalg.svd(np.array(T, dtype=float), compute_uv=False)
+    cond = math.sqrt((1 + sv[0] ** 2) / (1 + sv[-1] ** 2))
     log.debug("A_z condition for %s R=%d: %.3e", form.value, R, cond)
     if not np.isfinite(cond) or cond > 1e12:
         raise ConfigurationError(
             f"A_z ill-conditioned (cond={cond:.2e}) for formulation {form.value}, R={R}"
         )
+    return T, cond
 
-    X = _dd_solve(A_z, rhs)
-    dt_dd = DoubleDouble.from_any(dt)
-    dt_pows = np.array([DoubleDouble(1.0), dt_dd, dt_dd * dt_dd][:S], dtype=object)
-    M = _realize(X * dt_pows[levels], precision)  # [b_z | b_d, B_d | (b_s, B_s)]
+
+def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIVE) -> CoeffTable:
+    """Rescale the exact unit-grid table to step dt and round it into a backend.
+
+    Derivative-order-s entries are multiplied by dt**s in exact rational
+    arithmetic (B_d and b_d by dt, B_s and b_s by dt**2, b_z unchanged), then
+    rounded once: correctly to float64, or to within 2**-104 relative for
+    double-double.
+    """
+    form = Formulation.parse(formulation)
+    _check_block_size(R)
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"step dt={dt} must be positive and finite")
+    unit, cond = _unit_table(R, form)
+    S = form.levels
+    pows = [Fraction(dt) ** s for s in range(S)]
+    scale = [pows[0]] + [pows[s] for s in range(1, S) for _ in range(R + 1)]
+    round_ = DoubleDouble.from_fraction if precision.dtype == object else float
+    M = np.array([[round_(x * f) for x, f in zip(row, scale)] for row in unit], dtype=precision.dtype)
     M.flags.writeable = False
     second = S == 3
     return CoeffTable(
         R=R,
         formulation=form,
-        dt=float(dt),
+        dt=dt,
         B_d=M[:, 2:R + 2],
         b_z=M[:, 0],
         b_d=M[:, 1],
@@ -362,16 +346,13 @@ def assemble_tables(basis: RawBasis, dt: float, precision: Precision = NATIVE) -
         b_s=M[:, R + 2] if second else None,
         C=-M,
         condition_Az=cond,
-        raw_rescaled=_realize(V * dt_pows.repeat(R + 1), precision),
         precision=precision,
     )
 
 
 @lru_cache(maxsize=None)
 def _coeff_table_cached(R: int, form: Formulation, dt: float, prec_name: str) -> CoeffTable:
-    from .numerics import PRECISIONS
-
-    return assemble_tables(kernel_basis(R, form), dt, PRECISIONS[prec_name])
+    return assemble_tables(R, form, dt, PRECISIONS[prec_name])
 
 
 def coeff_table(R: int, formulation, dt: float, precision: Precision = NATIVE) -> CoeffTable:
@@ -406,14 +387,12 @@ def exactness_residual(table: CoeffTable, degree: int) -> float:
         t = r * dt
         return fall * t**power if power > 0 else fall
 
-    B_d = np.asarray(table.B_d, dtype=float) if table.B_d.dtype == object else table.B_d
-    b_z = np.asarray([float(v) for v in table.b_z])
-    b_d = np.asarray([float(v) for v in table.b_d])
+    B_d = np.asarray(table.B_d, dtype=float)
+    b_z = np.asarray(table.b_z, dtype=float)
+    b_d = np.asarray(table.b_d, dtype=float)
     if table.has_second:
-        B_s = np.array([[float(v) for v in row] for row in table.B_s])
-        b_s = np.asarray([float(v) for v in table.b_s])
-    if table.B_d.dtype == object:
-        B_d = np.array([[float(v) for v in row] for row in table.B_d])
+        B_s = np.asarray(table.B_s, dtype=float)
+        b_s = np.asarray(table.b_s, dtype=float)
 
     phi0 = np.array([phi(r, 0) for r in range(R + 1)])
     phi1 = np.array([phi(r, 1) for r in range(R + 1)])
@@ -438,16 +417,22 @@ def exactness_residual(table: CoeffTable, degree: int) -> float:
 
 
 def dump_coeff_csv(table: CoeffTable, stream) -> None:
-    """Write the dt-rescaled raw kernel basis as CSV (32 significant digits)."""
+    """Write the dt-rescaled orthonormal kernel basis as CSV (32 significant digits).
+
+    Basis entries of derivative order s are multiplied by dt**s in
+    double-double, then rounded to the table's backend before printing.
+    """
     stream.write("formulation,R,m,r,s,value\n")
     R = table.R
     S = table.formulation.levels
+    V = kernel_basis(R, table.formulation).vectors_dd
+    dt = DoubleDouble.from_any(table.dt)
+    pows = [DoubleDouble(1.0), dt, dt * dt]
     for m in range(R):
         for s in range(S):
             for r in range(R + 1):
-                v = table.raw_rescaled[m, s * (R + 1) + r]
-                if isinstance(v, DoubleDouble):
-                    text = v.to_decimal_string(32)
-                else:
-                    text = DoubleDouble(float(v)).to_decimal_string(32)
+                v = V[m, s * (R + 1) + r] * pows[s]
+                if table.precision.dtype != object:
+                    v = DoubleDouble(float(v))
+                text = v.to_decimal_string(32)
                 stream.write(f"{table.formulation.value},{R},{m + 1},{r},{s},{text}\n")

@@ -26,7 +26,7 @@ from structham.problems import (
     make_pendulum,
     make_two_spring,
 )
-from structham.secoeff import ConfigurationError, Formulation, assemble_tables, coeff_table, kernel_basis
+from structham.secoeff import ConfigurationError, Formulation, coeff_table
 
 from oracles import dense_block_oracle
 
@@ -319,6 +319,11 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError):
             integrate(prob, "zd", 4, 2, 1.0, SolverConfig())
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_non_finite_span_rejected(self, T):
+        with pytest.raises(ConfigurationError):
+            integrate(make_mass_spring(), "zds", 2, 10, T, SolverConfig())
+
     def test_run_accounting_identity(self):
         prob = make_pendulum()
         traj = integrate(prob, "zds", 2, 100, 10.0, SolverConfig())
@@ -420,17 +425,3 @@ class TestSymmetryAndInvariance:
         for Xb, Pb, Xt, Pt in zip(t1.xs, t1.ps, t2.xs, t2.ps):
             worst = max(worst, float(np.max(np.abs(Xt - (-Pb)))), float(np.max(np.abs(Pt - Xb))))
         assert worst <= 100 * tol
-
-    def test_basis_rotation_invariance(self):
-        prob = make_mass_spring()
-        tol = 1e-14
-        anchor = make_anchor(prob, 0.0, prob.x0, prob.p0, "zd")
-        theta = 0.7
-        rot = np.array([[math.cos(theta), math.sin(theta)],
-                        [-math.sin(theta), math.cos(theta)]])
-        table_a = assemble_tables(kernel_basis(2, "zd"), 0.1)
-        table_b = assemble_tables(kernel_basis(2, "zd").rotated(rot), 0.1)
-        sa, _ = solve_block(anchor, prob, table_a, SolverConfig(tol=tol))
-        sb, _ = solve_block(anchor, prob, table_b, SolverConfig(tol=tol))
-        assert np.max(np.abs(sa.Zx - sb.Zx)) <= 100 * tol
-        assert np.max(np.abs(sa.Zp - sb.Zp)) <= 100 * tol

@@ -1,14 +1,17 @@
 """Tests for structural-equation generation: kernels, tables, exactness."""
 
 import io
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from structham.numerics import DDOUBLE, NATIVE
+from structham.numerics import DDOUBLE, NATIVE, DoubleDouble
 from structham.secoeff import (
     ConfigurationError,
     Formulation,
+    _unit_table,
     assemble_tables,
     coeff_table,
     dump_coeff_csv,
@@ -154,20 +157,113 @@ class TestAssembleTables:
                 assert t.condition_Az < 1e12
 
     def test_deterministic_tables(self):
-        a = assemble_tables(kernel_basis(5, "zd"), 0.125)
-        b = assemble_tables(kernel_basis(5, "zd"), 0.125)
+        a = assemble_tables(5, "zd", 0.125)
+        b = assemble_tables(5, "zd", 0.125)
         assert np.array_equal(a.B_d, b.B_d)
         assert np.array_equal(a.b_z, b.b_z)
 
     def test_bad_dt(self):
         with pytest.raises(ConfigurationError):
-            assemble_tables(kernel_basis(1, "zd"), 0.0)
+            assemble_tables(1, "zd", 0.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ConfigurationError):
+            assemble_tables(2, "zds", dt)
+        with pytest.raises(ConfigurationError):
+            coeff_table(2, "zds", dt)
+        with pytest.raises(ConfigurationError):
+            coeff_table(2, "zds", dt, DDOUBLE)
 
     def test_ddouble_realization(self):
         t = coeff_table(2, "zds", 0.5, DDOUBLE)
         assert t.B_d.dtype == object
         tn = coeff_table(2, "zds", 0.5, NATIVE)
         assert np.allclose([[float(v) for v in row] for row in t.B_d], tn.B_d, rtol=1e-15)
+
+
+def exact_solve(A, B):
+    """A^-1 B by Gauss-Jordan over Fractions."""
+    n = len(A)
+    M = [list(a) + list(b) for a, b in zip(A, B)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if M[i][c] != 0)
+        M[c], M[p] = M[p], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for i in range(n):
+            if i != c and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    return [row[n:] for row in M]
+
+
+class TestExactTables:
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("R", range(1, 13))
+    def test_unit_table_annihilates_retained_rows(self, R, form):
+        # columns reordered [Z_0 | D_0..D_R | (S_0..S_R) | Z_1..Z_R]: the
+        # reduced exactness matrix times [T | I]^T is exactly zero
+        T, cond = _unit_table(R, form)
+        S = form.levels
+        keep = S * (R + 1) - R
+        order = [0, *range(R + 1, S * (R + 1)), *range(1, R + 1)]
+        M = exactness_matrix(R, form)[:keep, order]
+        K = [list(row) + [Fraction(int(m == r)) for m in range(R)] for r, row in enumerate(T)]
+        assert all(isinstance(x, Fraction) for row in T for x in row)
+        assert all(sum(int(a) * b for a, b in zip(mrow, k)) == 0 for mrow in M for k in K)
+        assert 1.0 <= cond < 1e12
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("R", range(1, 13))
+    def test_rounded_once_from_exact(self, R, form):
+        dt = 0.0123
+        T, _ = _unit_table(R, form)
+        # exact dt**s factor of each column [Z_0 | D_0..D_R | (S_0..S_R)]
+        scale = [Fraction(1)] + [Fraction(dt) ** s for s in range(1, form.levels) for _ in range(R + 1)]
+        native = -coeff_table(R, form, dt).C
+        dd = -coeff_table(R, form, dt, DDOUBLE).C
+        for i, row in enumerate(T):
+            for j, x in enumerate(row):
+                exact = x * scale[j]
+                assert native[i, j] == float(exact)
+                got = dd[i, j].as_fraction()
+                if exact == 0:
+                    assert got == 0 and native[i, j] == 0.0
+                else:
+                    assert abs(got - exact) <= abs(exact) * Fraction(1, 2**104)
+
+    def test_exact_zero_stays_zero(self):
+        # the former double-double pipeline left residue near 1e-26 here
+        assert _unit_table(12, Formulation.ZDS)[0][11][20] == 0
+        for prec in (NATIVE, DDOUBLE):
+            v = coeff_table(12, "zds", 0.01, prec).C[11, 20]
+            assert float(v) == 0.0
+            if prec is DDOUBLE:
+                assert v.hi == 0.0 and v.lo == 0.0
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("R", range(1, 9))
+    def test_basis_rotation_invariance(self, R, form):
+        # A_z^-1 [a_z | a_d, A_d | (a_s, A_s)] does not depend on the kernel
+        # basis: solve it exactly from the orthonormal basis and from a
+        # double-double rotation of it, and compare with the table
+        table = -coeff_table(R, form, 1.0, DDOUBLE).C
+        V = kernel_basis(R, form).vectors_dd
+        mix, _ = np.linalg.qr(np.random.default_rng(R).standard_normal((R, R)))
+        rotated = np.empty_like(V)
+        for i in range(R):
+            for c in range(V.shape[1]):
+                acc = DoubleDouble(0.0)
+                for j in range(R):
+                    acc = acc + V[j, c] * float(mix[i, j])
+                rotated[i, c] = acc
+        for W in (V, rotated):
+            F = [[v.as_fraction() for v in row] for row in W]
+            X = exact_solve([row[1:R + 1] for row in F], [row[:1] + row[R + 1:] for row in F])
+            for xrow, trow in zip(X, table):
+                ref = [t.as_fraction() for t in trow]
+                err = max(abs(x - t) for x, t in zip(xrow, ref))
+                assert err <= Fraction(1e-28) * max(abs(t) for t in ref)
 
 
 class TestExactnessResidual:
