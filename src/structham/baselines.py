@@ -9,6 +9,7 @@ Yoshida triple jump applied recursively, so stage counts are 3, 9 and 27.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +152,8 @@ def integrate_sv(
     path) and pe1_calls the right-hand-side evaluations.
     """
     schedule = yoshida_schedule(order)
-    if N < 1 or T <= 0:
-        raise ConfigurationError(f"need N >= 1 and T > 0, got N={N}, T={T}")
+    if N < 1 or not 0 < float(T) < math.inf:
+        raise ConfigurationError(f"need N >= 1 and finite T > 0, got N={N}, T={T}")
     precision = problem.precision
     if tol is None:
         tol = precision.default_tol

@@ -76,8 +76,8 @@ class RunConfig:
             raise ConfigurationError(f"scheme {self.scheme} does not take a block size R")
         if self.N < 1:
             raise ConfigurationError(f"need N >= 1, got N={self.N}")
-        if not self.T > 0:
-            raise ConfigurationError(f"need T > 0, got T={self.T}")
+        if not 0 < self.T < math.inf:
+            raise ConfigurationError(f"need finite T > 0, got T={self.T}")
         if self.precision not in PRECISIONS:
             raise ConfigurationError(f"unknown precision {self.precision!r}")
         if self.project_lrl and self.problem != "kepler":

@@ -9,14 +9,20 @@ package:
 
 The double-double layer is built on the classical error-free transforms
 (two_sum / two_prod with Dekker splitting, since ``math.fma`` is not
-available on this interpreter).  Elementary functions use range reduction
-with two-word constants followed by truncated Taylor / atanh series.
+available on this interpreter).  The arithmetic of :class:`DoubleDouble`
+inlines them and renormalizes each result once.  Elementary functions use
+range reduction with two-word constants followed by truncated Taylor /
+atanh series; sin and cos share one reduction and one pair of series whose
+term ratios come from a table of double-double reciprocals.
 
 Arrays of either backend are ordinary numpy arrays: float64 for the native
 backend, ``dtype=object`` holding :class:`DoubleDouble` instances for the
 extended one.  Numpy ufuncs on object arrays dispatch to the methods
 ``sqrt``, ``sin``, ``cos``, ``log`` and the arithmetic dunders, so the same
-array code runs under both precisions.
+array code runs under both precisions.  Object arrays are the faster layout
+for narrow states: a vectorized (hi, lo) pair of float64 arrays pays about
+a dozen numpy calls per operation, which only arrays of more than about 16
+entries amortize.
 """
 
 from __future__ import annotations
@@ -37,12 +43,14 @@ __all__ = [
     "sqrt",
     "sin",
     "cos",
+    "sin_cos",
     "log",
     "max_abs",
     "all_finite",
 ]
 
 _SPLITTER = 134217729.0  # 2**27 + 1, exact in binary64
+_TWO53 = 2**53  # ints below this in magnitude convert to float exactly
 
 
 def two_sum(a: float, b: float) -> tuple[float, float]:
@@ -51,12 +59,6 @@ def two_sum(a: float, b: float) -> tuple[float, float]:
     bb = s - a
     e = (a - (s - bb)) + (b - bb)
     return s, e
-
-
-def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
 
 
 def _split(a: float) -> tuple[float, float]:
@@ -86,6 +88,10 @@ class DoubleDouble:
     Invariant: hi = fl(hi + lo), i.e. |lo| <= ulp(hi)/2 after renormalization.
     All operations return renormalized values; relative accuracy of +,-,*,/
     is a few units of 2**-104.
+
+    The arithmetic dunders inline two_sum, the Dekker split, two_prod and
+    quick_two_sum in the order of the textbook formulas, and build their
+    result with ``_dd``, which skips the constructor's second two_sum.
     """
 
     __slots__ = ("hi", "lo")
@@ -110,14 +116,19 @@ class DoubleDouble:
 
     @classmethod
     def from_any(cls, value) -> "DoubleDouble":
-        if isinstance(value, DoubleDouble):
+        t = type(value)
+        if t is DoubleDouble:
             return value
+        if t is float:
+            return cls(value)
+        if t is int and -_TWO53 < value < _TWO53:
+            return cls(float(value))
         if isinstance(value, str):
             return cls.from_fraction(Fraction(value))
         if isinstance(value, Fraction):
             return cls.from_fraction(value)
         if isinstance(value, int):
-            if abs(value) < 2**53:
+            if abs(value) < _TWO53:
                 return cls(float(value))
             return cls.from_fraction(Fraction(value))
         return cls(float(value))
@@ -148,78 +159,106 @@ class DoubleDouble:
         with decimal.localcontext() as ctx:
             ctx.prec = ndigits + 10
             d = decimal.Decimal(self.hi) + decimal.Decimal(self.lo)
-            return f"{d:.{ndigits - 1}E}"
+            text = f"{d:.{ndigits - 1}E}"
+        if d.is_zero():  # Decimal renders a zero with exponent +(ndigits - 1)
+            text = text[: text.index("E")] + "E+0"
+        return text
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, DoubleDouble):
-            return other
-        if isinstance(other, (int, float)):
-            return DoubleDouble.from_any(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
-        s1, s2 = two_sum(self.hi, o.hi)
-        t1, t2 = two_sum(self.lo, o.lo)
-        s2 += t1
-        s1, s2 = _quick_two_sum(s1, s2)
-        s2 += t2
-        hi, lo = _quick_two_sum(s1, s2)
-        return DoubleDouble(hi, lo)
+        a, b = self.hi, o.hi
+        s = a + b
+        bb = s - a
+        e = (a - (s - bb)) + (b - bb)
+        a, b = self.lo, o.lo
+        t = a + b
+        bb = t - a
+        f = (a - (t - bb)) + (b - bb)
+        e += t
+        hi = s + e
+        e -= hi - s
+        e += f
+        s = hi + e
+        return _dd(s, e - (s - hi))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DoubleDouble(-self.hi, -self.lo)
+        return _dd(-self.hi, -self.lo)
 
     def __pos__(self):
         return self
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        # __add__ on the negated words of other
+        o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
-        return self.__add__(-o)
+        a, b = self.hi, -o.hi
+        s = a + b
+        bb = s - a
+        e = (a - (s - bb)) + (b - bb)
+        a, b = self.lo, -o.lo
+        t = a + b
+        bb = t - a
+        f = (a - (t - bb)) + (b - bb)
+        e += t
+        hi = s + e
+        e -= hi - s
+        e += f
+        s = hi + e
+        return _dd(s, e - (s - hi))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o.__add__(-self)
+        return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
-        p1, p2 = two_prod(self.hi, o.hi)
-        p2 += self.hi * o.lo + self.lo * o.hi + self.lo * o.lo
-        hi, lo = _quick_two_sum(p1, p2)
-        return DoubleDouble(hi, lo)
+        a, b = self.hi, o.hi
+        p = a * b
+        c = _SPLITTER * a
+        ah = c - (c - a)
+        al = a - ah
+        c = _SPLITTER * b
+        bh = c - (c - b)
+        bl = b - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        e += a * o.lo + self.lo * b + self.lo * o.lo
+        hi = p + e
+        return _dd(hi, e - (hi - p))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        # long division: q1 from the high words, then q2 and q3 from the
+        # remainders self - other*q1 and (self - other*q1) - other*q2
+        o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
-        q1 = self.hi / o.hi
-        r = self - o * q1
-        q2 = r.hi / o.hi
-        r = r - o * q2
-        q3 = r.hi / o.hi
-        hi, lo = _quick_two_sum(q1, q2)
-        return DoubleDouble(hi, lo) + q3
+        b = o.hi
+        c = _SPLITTER * b
+        bh = c - (c - b)
+        q1 = self.hi / b
+        rh, rl = _remainder(self.hi, self.lo, o, bh, q1)
+        q2 = rh / b
+        rh, _ = _remainder(rh, rl, o, bh, q2)
+        hi = q1 + q2
+        return _dd(hi, q2 - (hi - q1)) + rh / b
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o.__truediv__(self)
+        return o / self
 
     def __abs__(self):
         return -self if self.hi < 0.0 else self
@@ -241,7 +280,7 @@ class DoubleDouble:
     # -- comparisons (lexicographic on renormalized words) -------------------
 
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
+        o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
         if self.hi != o.hi:
@@ -291,15 +330,17 @@ class DoubleDouble:
     def _scale_pow2(self, k: int) -> "DoubleDouble":
         return DoubleDouble(math.ldexp(self.hi, k), math.ldexp(self.lo, k))
 
-    def sin(self):
+    def sin_cos(self):
+        """(sin x, cos x) from one range reduction and one pair of series."""
         r, q = _reduce_half_pi(self)
         s, c = _sin_cos_taylor(r)
-        return (s, c, -s, -c)[q]
+        return ((s, c), (c, -s), (-s, -c), (-c, s))[q]
+
+    def sin(self):
+        return self.sin_cos()[0]
 
     def cos(self):
-        r, q = _reduce_half_pi(self)
-        s, c = _sin_cos_taylor(r)
-        return (c, -s, -c, s)[q]
+        return self.sin_cos()[1]
 
     def log(self):
         if self.hi <= 0.0:
@@ -325,13 +366,88 @@ class DoubleDouble:
         return total * 2.0 + _LN2 * e
 
 
+_new = object.__new__
+_set_hi = DoubleDouble.hi.__set__
+_set_lo = DoubleDouble.lo.__set__
+
+
+def _dd(hi: float, lo: float) -> DoubleDouble:
+    """``DoubleDouble(hi, lo)``, bit for bit, without a second two_sum.
+
+    For finite hi = fl(hi + lo), which every quick_two_sum result
+    satisfies, two_sum(hi, lo) returns (hi + lo, lo + 0.0): the words
+    themselves, with a zero lo made +0.0.  Any other pair (not normalized,
+    infinite or NaN) goes through the renormalizing constructor.
+    """
+    s = hi + lo
+    if s - hi == 0.0:
+        x = _new(DoubleDouble)
+        _set_hi(x, s)
+        _set_lo(x, lo + 0.0)
+        return x
+    return DoubleDouble(hi, lo)
+
+
+def _coerce(value):
+    """The DoubleDouble value of an int or float operand; None for other types."""
+    if type(value) is float:
+        return DoubleDouble(value)
+    if isinstance(value, (int, float)):
+        return DoubleDouble.from_any(value)
+    return None
+
+
+def _remainder(rh: float, rl: float, o: DoubleDouble, bh: float, q: float) -> tuple[float, float]:
+    """Words of (rh + rl) - o * q, as ``__sub__`` of ``__mul__`` forms them.
+
+    ``bh`` is the high half of the Dekker split of ``o.hi``.  The product is
+    not renormalized before it is subtracted: that would change only the
+    sign of zero words, and a zero remainder reaches the quotient only as a
+    zero correction, which the final ``__add__`` makes +0.0.
+    """
+    b = o.hi
+    bl = b - bh
+    p = b * q
+    c = _SPLITTER * q
+    qh = c - (c - q)
+    ql = q - qh
+    e = ((bh * qh - p) + bh * ql + bl * qh) + bl * ql
+    e += o.lo * q
+    ph = p + e
+    pl = e - (ph - p)
+    a, b = rh, -ph
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb)
+    a, b = rl, -pl
+    t = a + b
+    bb = t - a
+    f = (a - (t - bb)) + (b - bb)
+    e += t
+    hi = s + e
+    e -= hi - s
+    e += f
+    s = hi + e
+    return s, e - (s - hi)
+
+
 _SQRT2 = 1.4142135623730951
 _SERIES_CUTOFF = 1e-35  # truncate series once a term falls below this of the sum
+_TAYLOR_TERMS = 40
 
 PI_DD = DoubleDouble(3.141592653589793, 1.2246467991473532e-16)
 _HALF_PI = DoubleDouble(1.5707963267948966, 6.123233995736766e-17)
 _QUARTER_PI = 0.7853981633974484
 _LN2 = DoubleDouble(0.6931471805599453, 2.3190468138462996e-17)
+
+# ratios of successive Taylor terms: sin's k-th term is the previous one
+# times -r^2/((2k)(2k+1)), cos's times -r^2/((2k-1)(2k)); k = 1..40
+_SIN_RECIP = tuple(
+    DoubleDouble.from_fraction(Fraction(-1, (2 * k) * (2 * k + 1))) for k in range(1, _TAYLOR_TERMS + 1)
+)
+_COS_RECIP = tuple(
+    DoubleDouble.from_fraction(Fraction(-1, (2 * k - 1) * (2 * k))) for k in range(1, _TAYLOR_TERMS + 1)
+)
 
 
 def _reduce_half_pi(x: DoubleDouble) -> tuple[DoubleDouble, int]:
@@ -356,21 +472,17 @@ def _sin_cos_taylor(r: DoubleDouble) -> tuple[DoubleDouble, DoubleDouble]:
     r2 = r * r
     term = r
     s = r
-    k = 1
-    while True:
-        term = term * r2 / (-(2 * k) * (2 * k + 1))
+    for recip in _SIN_RECIP:
+        term = term * r2 * recip
         s = s + term
-        k += 1
-        if abs(term.hi) < _SERIES_CUTOFF * max(abs(s.hi), 1e-300) or k > 40:
+        if abs(term.hi) < _SERIES_CUTOFF * max(abs(s.hi), 1e-300):
             break
     term = DoubleDouble(1.0)
-    c = DoubleDouble(1.0)
-    k = 1
-    while True:
-        term = term * r2 / (-(2 * k - 1) * (2 * k))
+    c = term
+    for recip in _COS_RECIP:
+        term = term * r2 * recip
         c = c + term
-        k += 1
-        if abs(term.hi) < _SERIES_CUTOFF * max(abs(c.hi), 1e-300) or k > 40:
+        if abs(term.hi) < _SERIES_CUTOFF * max(abs(c.hi), 1e-300):
             break
     return s, c
 
@@ -458,6 +570,15 @@ def cos(x):
     if isinstance(x, np.ndarray):
         return np.cos(x)
     return math.cos(x)
+
+
+def sin_cos(x):
+    """(sin x, cos x); a DoubleDouble reduces and expands its argument once."""
+    if isinstance(x, DoubleDouble):
+        return x.sin_cos()
+    if isinstance(x, np.ndarray):
+        return np.sin(x), np.cos(x)
+    return math.sin(x), math.cos(x)
 
 
 def log(x):

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import NATIVE, Precision, cos as ncos, log as nlog, sin as nsin, sqrt as nsqrt
+from .numerics import NATIVE, Precision, cos as ncos, log as nlog, sin_cos, sqrt as nsqrt
 
 __all__ = [
     "HamiltonianProblem",
@@ -109,7 +109,7 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
         return DP / m_, -(k_ * DX)
 
     def exact(t):
-        c, s = ncos(t * omega), nsin(t * omega)
+        s, c = sin_cos(t * omega)
         x = x0_ * c + (p0_ / (m_ * omega)) * s
         p = p0_ * c - (m_ * omega * x0_) * s
         return precision.asarray([[x]]), precision.asarray([[p]])
@@ -196,8 +196,8 @@ def make_two_spring(
     def exact(t):
         ph1 = w1 * t + a1_
         ph2 = w2 * t + a2_
-        c_1, s_1 = ncos(ph1), nsin(ph1)
-        c_2, s_2 = ncos(ph2), nsin(ph2)
+        s_1, c_1 = sin_cos(ph1)
+        s_2, c_2 = sin_cos(ph2)
         x1 = A_ * c_1 + B_ * c_2
         x2 = A_ * c1 * c_1 + B_ * c2 * c_2
         p1 = -m1_ * (A_ * w1 * s_1 + B_ * w2 * s_2)
@@ -633,9 +633,9 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
             p0 = (0, 0, -1)
 
         def _trig(x):
-            s1, c1 = nsin(x[0]), ncos(x[0])
-            s2, c2 = nsin(x[1]), ncos(x[1])
-            s3, c3 = nsin(x[2]), ncos(x[2])
+            s1, c1 = sin_cos(x[0])
+            s2, c2 = sin_cos(x[1])
+            s3, c3 = sin_cos(x[2])
             return s1, c1, s2, c2, s3, c3
 
         def phi(x):

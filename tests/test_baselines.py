@@ -219,3 +219,8 @@ class TestIntegrateSV:
             integrate_sv(prob, 2, 0, 1.0)
         with pytest.raises(ConfigurationError):
             integrate_sv(prob, 5, 10, 1.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_span_rejected(self, T):
+        with pytest.raises(ConfigurationError, match="finite T"):
+            integrate_sv(make_mass_spring(), 6, 10, T)

@@ -31,6 +31,8 @@ class TestRunConfig:
             dict(problem="kepler", scheme="sv2", N=10, T=1.0, R=2),  # R with sv
             dict(problem="kepler", scheme="zd", N=0, T=1.0, R=1),
             dict(problem="kepler", scheme="zd", N=10, T=-1.0, R=1),
+            dict(problem="kepler", scheme="zd", N=10, T=math.inf, R=1),
+            dict(problem="kepler", scheme="sv4", N=10, T=math.nan),
             dict(problem="kepler", scheme="zd", N=10, T=1.0, R=1, precision="quad"),
             dict(problem="pendulum", scheme="zd", N=10, T=1.0, R=1, project_lrl=True),
         ],

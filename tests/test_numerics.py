@@ -11,11 +11,14 @@ from structham.numerics import (
     DDOUBLE,
     NATIVE,
     DoubleDouble,
+    _dd,
     all_finite,
     max_abs,
+    sin_cos,
     two_prod,
     two_sum,
 )
+from structham.problems import make_mass_spring
 
 
 def dd_to_fraction(x: DoubleDouble) -> Fraction:
@@ -131,6 +134,145 @@ class TestDoubleDoubleArithmetic:
         assert abs(float(x**-2 - DoubleDouble(1.0) / (x * x))) < 1e-30
 
 
+# Reference double-double arithmetic from the public error-free transforms:
+# the textbook formulas, with every intermediate result renormalized by the
+# constructor's two_sum.  Pairs are (hi, lo) tuples.
+
+def _quick(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def ref_add(a, b):
+    s1, s2 = two_sum(a[0], b[0])
+    t1, t2 = two_sum(a[1], b[1])
+    s2 += t1
+    s1, s2 = _quick(s1, s2)
+    s2 += t2
+    return two_sum(*_quick(s1, s2))
+
+
+def ref_sub(a, b):
+    return ref_add(a, two_sum(-b[0], -b[1]))
+
+
+def ref_mul(a, b):
+    p1, p2 = two_prod(a[0], b[0])
+    p2 += a[0] * b[1] + a[1] * b[0] + a[1] * b[1]
+    return two_sum(*_quick(p1, p2))
+
+
+def ref_div(a, b):
+    q1 = a[0] / b[0]
+    r = ref_sub(a, ref_mul(b, two_sum(q1, 0.0)))
+    q2 = r[0] / b[0]
+    r = ref_sub(r, ref_mul(b, two_sum(q2, 0.0)))
+    q3 = r[0] / b[0]
+    return ref_add(two_sum(*_quick(q1, q2)), two_sum(q3, 0.0))
+
+
+def words(x):
+    """Bit pattern of a DoubleDouble or (hi, lo) pair; every NaN reads the same."""
+    if isinstance(x, DoubleDouble):
+        x = (x.hi, x.lo)
+    return tuple("nan" if v != v else v.hex() for v in x)
+
+
+def _apply(fn, *args):
+    try:
+        return words(fn(*args))
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+
+
+class TestFastKernel:
+    SPECIAL = (0.0, -0.0, 1.0, -3.0, 0.5, 6.0, 0.1, 1e-300, -1e300, 5e-324, 1.7e308,
+               math.inf, -math.inf, math.nan)
+
+    @staticmethod
+    def random_pairs(n, seed):
+        # normalized pairs, exponents across +-300; one in four has lo = 0
+        rng = random.Random(seed)
+        out = []
+        for _ in range(n):
+            e = rng.randint(-300, 300)
+            hi = rng.uniform(-1, 1) * 2.0**e
+            lo = rng.choice((0.0, 1.0, 1.0, 1.0)) * rng.uniform(-1, 1) * 2.0 ** (e - 53)
+            out.append(two_sum(hi, lo))
+        return out
+
+    def check(self, a, b):
+        x, y = DoubleDouble(*a), DoubleDouble(*b)
+        for op, ref in ((x.__add__, ref_add), (x.__sub__, ref_sub),
+                        (x.__mul__, ref_mul), (x.__truediv__, ref_div)):
+            assert _apply(op, y) == _apply(ref, a, b), (op.__name__, a, b)
+        v = b[0]
+        fv = two_sum(v, 0.0)
+        for got, want in ((lambda: x + v, lambda: ref_add(a, fv)),
+                          (lambda: v + x, lambda: ref_add(a, fv)),
+                          (lambda: x - v, lambda: ref_sub(a, fv)),
+                          (lambda: v - x, lambda: ref_sub(fv, a)),
+                          (lambda: x * v, lambda: ref_mul(a, fv)),
+                          (lambda: v * x, lambda: ref_mul(a, fv)),
+                          (lambda: x / v, lambda: ref_div(a, fv)),
+                          (lambda: v / x, lambda: ref_div(fv, a))):
+            assert _apply(got) == _apply(want), (a, v)
+
+    def test_bitwise_equal_to_reference_random(self):
+        pairs = self.random_pairs(12_000, 31)
+        rng = random.Random(37)
+        for a in pairs:
+            self.check(a, rng.choice(pairs))
+
+    def test_bitwise_equal_to_reference_special(self):
+        pairs = [two_sum(h, lo) for h in self.SPECIAL for lo in (0.0, 1e-17)]
+        pairs += self.random_pairs(20, 41)
+        for a in pairs:
+            for b in pairs:
+                self.check(a, b)
+
+    def test_int_operands(self):
+        rng = random.Random(43)
+        for a in self.random_pairs(2000, 47):
+            n = rng.choice((0, 1, -2, 3, 10**6, -(2**52), 2**53 - 1))
+            x, fn = DoubleDouble(*a), two_sum(float(n), 0.0)
+            assert words(x + n) == words(ref_add(a, fn))
+            assert words(n - x) == words(ref_sub(fn, a))
+            assert words(x * n) == words(ref_mul(a, fn))
+            if n:
+                assert words(x / n) == words(ref_div(a, fn))
+        # beyond 2**53 an int is parsed exactly, in two words
+        big = 2**60 + 1
+        assert words(DoubleDouble(1.0) * big) == (float(2**60).hex(), (1.0).hex())
+
+    def test_results_are_normalized(self):
+        pairs = [(h, lo) for h in self.SPECIAL for lo in (0.0, -0.0, 1.0, -1e-20, math.inf, math.nan)]
+        for h, lo in pairs:
+            # _dd is the constructor, bit for bit, also for pairs it must renormalize
+            assert words(_dd(h, lo)) == words(DoubleDouble(h, lo)), (h, lo)
+        values = [DoubleDouble(h, lo) for h, lo in pairs]
+        for x in values:
+            for y in values[::5]:
+                for z in (x + y, x - y, x * y, -x):
+                    assert z.hi != z.hi or z.hi == z.hi + z.lo
+
+    def test_immutable(self):
+        x = DoubleDouble(1.0) + DoubleDouble(2.0**-60)
+        with pytest.raises(AttributeError):
+            x.hi = 0.0
+
+    def test_unsupported_operand(self):
+        with pytest.raises(TypeError):
+            DoubleDouble(1.0) + Fraction(1, 3)
+
+    def test_zero_decimal_string(self):
+        assert DoubleDouble(0.0).to_decimal_string() == "0." + "0" * 31 + "E+0"
+        assert str(DoubleDouble(-0.0)) == "0." + "0" * 31 + "E+0"
+        assert DoubleDouble(0.0).to_decimal_string(5) == "0.0000E+0"
+        assert str(DoubleDouble(1.5)) == "1.5" + "0" * 30 + "E+0"
+        assert DoubleDouble(-0.25).to_decimal_string(3) == "-2.50E-1"
+
+
 class TestElementary:
     def test_sqrt_exact_square(self):
         r = DoubleDouble(4.0).sqrt()
@@ -184,6 +326,35 @@ class TestElementary:
             s, c = x.sin(), x.cos()
             worst = max(worst, abs(float(s * s + c * c - 1)))
         assert worst <= 1e-27
+
+
+    def test_sin_cos_pair(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            x = DoubleDouble(rng.uniform(-20, 20), rng.uniform(-1e-16, 1e-16))
+            s, c = sin_cos(x)
+            assert words(s) == words(x.sin()) and words(c) == words(x.cos())
+        assert sin_cos(0.3) == (math.sin(0.3), math.cos(0.3))
+        arr = np.linspace(-3, 3, 7)
+        s, c = sin_cos(arr)
+        assert np.array_equal(s, np.sin(arr)) and np.array_equal(c, np.cos(arr))
+
+    def test_mass_spring_exact_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 45
+        prob = make_mass_spring(m=2.0, kappa=3.0, x0=0.7, p0=-0.4, precision=DDOUBLE)
+        m, k = mpmath.mpf(2), mpmath.mpf(3)
+        w = mpmath.sqrt(k / m)
+        x0, p0 = mpmath.mpf(0.7), mpmath.mpf(-0.4)
+        rng = random.Random(53)
+        for tf in [0.0, 1e-3, 1.0, 12.5] + [rng.uniform(0, 100) for _ in range(20)]:
+            X, P = prob.exact_solution(DDOUBLE.real(tf))
+            t = mpmath.mpf(tf)
+            x_ref = x0 * mpmath.cos(w * t) + p0 / (m * w) * mpmath.sin(w * t)
+            p_ref = p0 * mpmath.cos(w * t) - m * w * x0 * mpmath.sin(w * t)
+            for got, ref in ((X[0, 0], x_ref), (P[0, 0], p_ref)):
+                fr = dd_to_fraction(got)
+                assert abs(mpmath.mpf(fr.numerator) / fr.denominator - ref) <= 1e-28, tf
 
 
 class TestPrecisionBackends:
