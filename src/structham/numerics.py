@@ -593,7 +593,8 @@ def max_abs(arr) -> float:
     """Max-norm of an array (or scalar) of either backend, as a float."""
     if isinstance(arr, np.ndarray):
         if arr.dtype == object:
-            return max((abs(float(v)) for v in arr.flat), default=0.0)
+            vals = [abs(float(v)) for v in arr.flat]  # max() alone drops a NaN that is not first
+            return math.nan if math.isnan(sum(vals)) else max(vals, default=0.0)
         return float(np.abs(arr).max()) if arr.size else 0.0
     return abs(float(arr))
 

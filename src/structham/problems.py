@@ -411,7 +411,9 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
 
     H = sum_k |p^k|^2/(2 m_k) - sum_{k != l} G m_k m_l / (2 |x^k - x^l|).
     The angular momentum invariant is a scalar for I = 2 and the full
-    3-vector for I = 3 (monitored in max-norm).
+    3-vector for I = 3 (monitored in max-norm).  No diagonal fill: self terms
+    vanish on the zero diagonal of the differences, and the pair-by-pair
+    collision check runs only when some squared distance is exactly zero.
     """
     m = precision.asarray(masses)
     K = m.shape[0]
@@ -425,61 +427,55 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
     I = X0.shape[0]
     if I not in (2, 3):
         raise ValueError("n-body supports I = 2 or 3")
-    mm = m[:, None] * m[None, :]  # (K, K)
-    one = precision.real(1)
+    if X0.shape != (I, K) or P0.shape != (I, K):
+        raise ValueError(f"X0 and P0 must have shape ({I}, {K}), got {X0.shape} and {P0.shape}")
+    m_row = m[None, :]
+    m2 = 2 * m
+    GMM = G_ * (m[:, None] * m_row)  # (K, K)
+    GMM3 = 3 * GMM
+    EYE = precision.asarray(np.eye(K))
+    iu, ju = np.triu_indices(K, 1)
+    GMMp = (G_ * m[iu]) * m[ju]  # the pairs k < l, row-major
 
     def _pair_geometry(X):
         diff = X[:, None, :] - X[:, :, None]  # diff[i, k, l] = x^l_i - x^k_i
-        d2 = (diff * diff).sum(axis=0)  # (K, K)
-        for k in range(K):
-            for l in range(k + 1, K):
-                if float(d2[k, l]) == 0.0:
-                    raise SingularityError(f"bodies {k} and {l} collide")
-        d2 = d2.copy()
-        np.fill_diagonal(d2, one)
+        d2 = (diff * diff).sum(axis=0) + EYE  # (K, K), 1 on the diagonal
+        if np.count_nonzero(d2) < K * K:
+            for k in range(K):
+                for l in range(k + 1, K):
+                    if float(d2[k, l]) == 0.0:
+                        raise SingularityError(f"bodies {k} and {l} collide")
         return diff, d2
 
     def hamiltonian(X, P):
-        kin = ((P * P).sum(axis=0) / (2 * m)).sum()
-        pot = 0 * kin
-        for k in range(K):
-            for l in range(k + 1, K):
-                dx = X[:, k] - X[:, l]
-                pot = pot - G_ * m[k] * m[l] / nsqrt((dx * dx).sum())
+        kin = ((P * P).sum(axis=0) / m2).sum()
+        dx = X.take(iu, 1) - X.take(ju, 1)
+        # negation is exact: 0 - (t_1 + ... + t_n), summed in order, is 0 - t_1 - ... - t_n
+        pot = 0 * kin - np.add.accumulate(GMMp / np.sqrt((dx * dx).sum(axis=0)))[-1]
         return kin + pot
 
     def first_rhs(X, P):
         diff, d2 = _pair_geometry(X)
-        d = np.sqrt(d2)
-        w = (G_ * mm) / (d2 * d)  # (K, K)
-        np.fill_diagonal(w, 0 * one)
-        DP = (w[None, :, :] * diff).sum(axis=2)  # (I, K)
-        return P / m[None, :], DP
+        w = GMM / (d2 * np.sqrt(d2))  # (K, K)
+        DP = (w * diff).sum(axis=2)  # (I, K)
+        return P / m_row, DP
 
     def second_rhs(X, P, DX, DP):
         diff, d2 = _pair_geometry(X)
-        d = np.sqrt(d2)
-        d3 = d2 * d
+        d3 = d2 * np.sqrt(d2)
         vdiff = DX[:, None, :] - DX[:, :, None]
-        w3 = (G_ * mm) / d3
-        np.fill_diagonal(w3, 0 * one)
         inner = (diff * vdiff).sum(axis=0)  # <u, v> per pair
-        w5 = 3 * (G_ * mm) * inner / (d3 * d2)
-        np.fill_diagonal(w5, 0 * one)
-        SP = (w3[None, :, :] * vdiff - w5[None, :, :] * diff).sum(axis=2)
-        return DP / m[None, :], SP
+        SP = ((GMM / d3) * vdiff - (GMM3 * inner / (d3 * d2)) * diff).sum(axis=2)
+        return DP / m_row, SP
 
     if I == 2:
         def angular_momentum(X, P):
             return (X[0, :] * P[1, :] - X[1, :] * P[0, :]).sum()
     else:
+        i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])  # L_i = x_{i+1} p_{i+2} - x_{i+2} p_{i+1}
+
         def angular_momentum(X, P):
-            lx = (X[1, :] * P[2, :] - X[2, :] * P[1, :]).sum()
-            ly = (X[2, :] * P[0, :] - X[0, :] * P[2, :]).sum()
-            lz = (X[0, :] * P[1, :] - X[1, :] * P[0, :]).sum()
-            out = np.empty(3, dtype=X.dtype)
-            out[0], out[1], out[2] = lx, ly, lz
-            return out
+            return (X.take(i1, 0) * P.take(i2, 0) - X.take(i2, 0) * P.take(i1, 0)).sum(axis=1)
 
     return HamiltonianProblem(
         name=name,

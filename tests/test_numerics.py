@@ -385,6 +385,16 @@ class TestPrecisionBackends:
         assert max_abs(NATIVE.zeros((0, 2))) == 0.0
         assert max_abs(DDOUBLE.zeros((0, 2))) == 0.0
 
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("rows", [
+        [[math.nan], [1.0]],
+        [[1.0], [math.nan]],
+        [[-2.0, 5.0], [math.nan, 3.0]],
+        [[1e300, 1.0], [2.0, math.nan]],
+    ], ids=["nan-first", "nan-last", "nan-middle", "nan-after-large"])
+    def test_max_abs_nan_wins(self, prec, rows):
+        assert math.isnan(max_abs(prec.asarray(rows)))
+
     def test_defaults(self):
         assert NATIVE.default_tol == 1e-14
         assert DDOUBLE.default_tol == 1e-30

@@ -437,6 +437,130 @@ class TestNBody:
             make_nbody([1.0], 1.0, [[0.0]], [[0.0]])
         with pytest.raises(ValueError):
             make_nbody([1.0, -1.0], 1.0, [[0.0, 1.0]], [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="shape"):  # P0 would broadcast P / m to (2, 2)
+            make_nbody([1, 1], 1, [[0, 1], [0, 0]], [[0], [0]])
+        with pytest.raises(ValueError, match="shape"):  # fewer columns than masses
+            make_nbody([1, 1, 1], 1, [[0, 1], [0, 0]], [[0, 0], [0, 0]])
+        with pytest.raises(ValueError, match="shape"):  # more columns than masses
+            make_nbody([1, 1], 1, [[0, 1, 2], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="shape"):  # P0 in another dimension
+            make_nbody([1, 1], 1, [[0, 1], [0, 0]], [[0, 0], [0, 0], [0, 0]])
+
+
+def reference_nbody(masses, G, precision):
+    """The n-body maps term by term: diagonal fills and Python pair loops."""
+    m = precision.asarray(masses)
+    K = m.shape[0]
+    G_ = precision.real(G)
+    mm = m[:, None] * m[None, :]
+    one = precision.real(1)
+
+    def geometry(X):
+        diff = X[:, None, :] - X[:, :, None]
+        d2 = (diff * diff).sum(axis=0)
+        for k in range(K):
+            for l in range(k + 1, K):
+                if float(d2[k, l]) == 0.0:
+                    raise SingularityError(f"bodies {k} and {l} collide")
+        d2 = d2.copy()
+        np.fill_diagonal(d2, one)
+        return diff, d2
+
+    def hamiltonian(X, P):
+        kin = ((P * P).sum(axis=0) / (2 * m)).sum()
+        pot = 0 * kin
+        for k in range(K):
+            for l in range(k + 1, K):
+                dx = X[:, k] - X[:, l]
+                r2 = (dx * dx).sum()
+                pot = pot - G_ * m[k] * m[l] / (r2.sqrt() if precision is DDOUBLE else math.sqrt(r2))
+        return kin + pot
+
+    def first_rhs(X, P):
+        diff, d2 = geometry(X)
+        d = np.sqrt(d2)
+        w = (G_ * mm) / (d2 * d)
+        np.fill_diagonal(w, 0 * one)
+        return P / m[None, :], (w[None, :, :] * diff).sum(axis=2)
+
+    def second_rhs(X, P, DX, DP):
+        diff, d2 = geometry(X)
+        d = np.sqrt(d2)
+        d3 = d2 * d
+        vdiff = DX[:, None, :] - DX[:, :, None]
+        w3 = (G_ * mm) / d3
+        np.fill_diagonal(w3, 0 * one)
+        inner = (diff * vdiff).sum(axis=0)
+        w5 = 3 * (G_ * mm) * inner / (d3 * d2)
+        np.fill_diagonal(w5, 0 * one)
+        return DP / m[None, :], (w3[None, :, :] * vdiff - w5[None, :, :] * diff).sum(axis=2)
+
+    def angular_momentum(X, P):
+        if X.shape[0] == 2:
+            return (X[0, :] * P[1, :] - X[1, :] * P[0, :]).sum()
+        out = np.empty(3, dtype=X.dtype)
+        out[0] = (X[1, :] * P[2, :] - X[2, :] * P[1, :]).sum()
+        out[1] = (X[2, :] * P[0, :] - X[0, :] * P[2, :]).sum()
+        out[2] = (X[0, :] * P[1, :] - X[1, :] * P[0, :]).sum()
+        return out
+
+    return hamiltonian, first_rhs, second_rhs, angular_momentum
+
+
+def words(value):
+    """Every float64 word of a result as hex, signed zeros included: (hi, lo) for double-double."""
+    out = []
+    for v in np.ravel(np.asarray(value, dtype=object)):
+        out.append((v.hi.hex(), v.lo.hex()) if isinstance(v, DoubleDouble) else float(v).hex())
+    return out
+
+
+class TestNBodyKernel:
+    """The vectorized kernel against the term-by-term reference, bit for bit."""
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("I", [2, 3])
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+    def test_bit_identical_to_reference(self, prec, I, K):
+        rng = np.random.default_rng(100 * K + I)
+
+        def state():
+            A = prec.asarray(rng.standard_normal((I, K)) * rng.uniform(0.1, 10))
+            if prec is DDOUBLE:  # nonzero low words
+                A = A + prec.asarray(rng.standard_normal((I, K)) * 1e-17)
+            return A
+
+        for _ in range(12 if prec is NATIVE else 2):
+            masses = list(rng.uniform(0.01, 3.0, K))
+            G = rng.uniform(0.1, 2.0)
+            prob = make_nbody(masses, G, state(), state(), precision=prec)
+            ref_h, ref_f, ref_s, ref_l = reference_nbody(masses, G, prec)
+            X, P, DX, DP = state(), state(), state(), state()
+            Z = prec.zeros((I, K))  # H is then the potential alone, whose sum order shows
+            assert words(prob.hamiltonian(X, Z)) == words(ref_h(X, Z))
+            assert words(prob.hamiltonian(X, P)) == words(ref_h(X, P))
+            assert words(prob.invariants[1].evaluator(X, P)) == words(ref_l(X, P))
+            for got, want in zip(prob.first_rhs(X, P), ref_f(X, P)):
+                assert words(got) == words(want)
+            for got, want in zip(prob.second_rhs(X, P, DX, DP), ref_s(X, P, DX, DP)):
+                assert words(got) == words(want)
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("columns, pair", [
+        ((0, 1, 0), (0, 2)),
+        ((0, 1, 1), (1, 2)),
+        ((0, 0, 0), (0, 1)),
+    ])
+    def test_collision_names_first_pair(self, prec, columns, pair):
+        base = np.array([[0.5, -1.0, 2.0], [0.25, 1.5, -0.75], [1.0, 0.0, -2.0]])
+        prob = make_nbody([1.0, 2.0, 3.0], 1.0, base, np.zeros((3, 3)), precision=prec)
+        X = prec.asarray(base[:, list(columns)])
+        Z = prec.zeros((3, 3))
+        message = f"bodies {pair[0]} and {pair[1]} collide"
+        with pytest.raises(SingularityError, match=message):
+            prob.first_rhs(X, Z)
+        with pytest.raises(SingularityError, match=message):
+            prob.second_rhs(X, Z, Z, Z)
 
 
 class TestOuterSolar:
