@@ -8,7 +8,8 @@ alternates:
 * a structural update -- new Z blocks from the coefficient table, pure
   linear algebra, no physics;
 * a physical update -- derivative blocks refreshed from the problem's
-  Hamiltonian right-hand sides, no discretization.
+  Hamiltonian right-hand sides, no discretization; one call per level
+  evaluates all R nodes.
 
 The x and p blocks use the same structural coefficients and couple only
 through the physical equations, so a block is one phase-space array ``Y`` of
@@ -78,7 +79,11 @@ class IterStats:
 
     iterations: int = 0
     pe1_calls: int = 0
-    pe2_calls: int = 0
+    second: bool = False  # second derivatives evaluated (ZDS)
+
+    @property
+    def pe2_calls(self) -> int:
+        return self.pe1_calls if self.second else 0
 
 
 class _PhaseSpace:
@@ -211,24 +216,37 @@ def se_update(table: CoeffTable, anchor: BlockAnchor, state: BlockState) -> np.n
 
 
 def pe_update(problem, Zx_blk: np.ndarray, Zp_blk: np.ndarray, second: bool, out=None):
-    """Derivative blocks refreshed node by node from the physical equations.
+    """Derivative blocks refreshed from the physical equations at all R nodes.
 
-    Nodes are independent (parallelizable).  D (and, if ``second``, S) are
-    written into ``out`` -- (2, L-1, R, I, K), such as the node part of
-    ``BlockState.DS`` -- or into a new array.  Returns views (Dx, Dp, Sx,
-    Sp) into it and the per-level call count R.
+    One ``first_rhs`` call (and, if ``second``, one ``second_rhs`` call)
+    takes the (R, I, K) node blocks at once; the right-hand sides act node
+    by node.  D (and S) are written into ``out`` -- (2, L-1, R, I, K), such
+    as the node part of ``BlockState.DS`` -- or into a new array.  Returns
+    views (Dx, Dp, Sx, Sp) into it and the node evaluations per level, R.
     """
-    R = len(Zx_blk)
     if out is None:
         out = np.empty((2, 1 + second) + Zx_blk.shape, dtype=Zx_blk.dtype)
-    for r in range(R):
-        X, P = Zx_blk[r], Zp_blk[r]
-        Dx, Dp = problem.first_rhs(X, P)
-        out[0, 0, r], out[1, 0, r] = Dx, Dp
-        if second:
-            out[0, 1, r], out[1, 1, r] = problem.second_rhs(X, P, Dx, Dp)
+    shape = Zx_blk.shape
+    Dx, Dp = problem.first_rhs(Zx_blk, Zp_blk)
+    if getattr(Dx, "shape", None) != shape or getattr(Dp, "shape", None) != shape:
+        _refuse_node_block(problem, "first_rhs", shape, Dx, Dp)
+    out[0, 0], out[1, 0] = Dx, Dp
+    if second:
+        Sx, Sp = problem.second_rhs(Zx_blk, Zp_blk, Dx, Dp)
+        if getattr(Sx, "shape", None) != shape or getattr(Sp, "shape", None) != shape:
+            _refuse_node_block(problem, "second_rhs", shape, Sx, Sp)
+        out[0, 1], out[1, 1] = Sx, Sp
     Sx, Sp = out[:, 1] if second else (None, None)
-    return out[0, 0], out[1, 0], Sx, Sp, R
+    return out[0, 0], out[1, 0], Sx, Sp, len(Zx_blk)
+
+
+def _refuse_node_block(problem, name: str, shape: tuple, a, b):
+    # a right-hand side written for one (I, K) node would broadcast node 0's
+    # values over the whole block
+    raise ConfigurationError(
+        f"{problem.name} {name} returned shapes {np.shape(a)} and {np.shape(b)} for "
+        f"node block {shape}: right-hand sides must act node by node on (..., I, K) states"
+    )
 
 
 def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig):
@@ -242,7 +260,7 @@ def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverC
     """
     tol = config.resolved_tol()
     second = table.has_second
-    stats = IterStats(pe1_calls=table.R, pe2_calls=table.R if second else 0)
+    stats = IterStats(pe1_calls=table.R, second=second)
 
     # overflow during a diverging sweep is expected and handled via the
     # finiteness checks; keep numpy quiet about it
@@ -261,10 +279,7 @@ def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverC
             # stagnate for one sweep of the alternating map while p still moves
             diff = max_abs(Z_new - Z)
             Z[...] = Z_new
-            calls = pe_update(problem, Z[0], Z[1], second, out=derivs)[-1]
-            stats.pe1_calls += calls
-            if second:
-                stats.pe2_calls += calls
+            stats.pe1_calls += pe_update(problem, Z[0], Z[1], second, out=derivs)[-1]
             stats.iterations = sweep
             if diff <= tol:
                 return state, stats
@@ -295,7 +310,12 @@ class Trajectory:
     n_blocks: int = 0
     total_sweeps: int = 0
     pe1_calls: int = 0
-    pe2_calls: int = 0
+    second: bool = False  # second derivatives evaluated (ZDS)
+
+    @property
+    def pe2_calls(self) -> int:
+        """Second right-hand-side evaluations: ``pe1_calls`` for ZDS, else 0."""
+        return self.pe1_calls if self.second else 0
 
     @property
     def total_iter(self) -> int:
@@ -345,10 +365,7 @@ def integrate(
     X = problem.x0
     P = problem.p0
     anchor = make_anchor(problem, precision.real(0), X, P, form)
-    traj = Trajectory(n_steps=N, r_block=R)
-    traj.pe1_calls += 1
-    if form is Formulation.ZDS:
-        traj.pe2_calls += 1
+    traj = Trajectory(n_steps=N, r_block=R, pe1_calls=1, second=form is Formulation.ZDS)
 
     def record(idx, t, Xv, Pv):
         if observer is not None:
@@ -372,7 +389,6 @@ def integrate(
         traj.n_blocks += 1
         traj.total_sweeps += stats.iterations
         traj.pe1_calls += stats.pe1_calls
-        traj.pe2_calls += stats.pe2_calls
 
         Xl = Pl = None
         for r in range(1, r_this + 1):
@@ -388,8 +404,6 @@ def integrate(
         if project is not None:
             anchor = make_anchor(problem, precision.real(step) * dt_scalar, Xl, Pl, form)
             traj.pe1_calls += 1
-            if form is Formulation.ZDS:
-                traj.pe2_calls += 1
         else:
             anchor = BlockAnchor.stacked(
                 precision.real(step) * dt_scalar, state.node(r_this - 1)

@@ -98,6 +98,8 @@ class DoubleDouble:
 
     def __init__(self, hi: float = 0.0, lo: float = 0.0):
         s, e = two_sum(float(hi), float(lo))
+        if e != e and s == s:  # an infinite s leaves inf - inf in e: store (±inf, 0.0)
+            e = 0.0
         object.__setattr__(self, "hi", s)
         object.__setattr__(self, "lo", e)
 
@@ -108,9 +110,10 @@ class DoubleDouble:
 
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "DoubleDouble":
-        hi = float(fr)
-        if not math.isfinite(hi):
-            return cls(hi)
+        try:
+            hi = float(fr)
+        except OverflowError:
+            return cls(math.inf if fr > 0 else -math.inf)
         lo = float(fr - Fraction(hi))
         return cls(hi, lo)
 
@@ -182,8 +185,8 @@ class DoubleDouble:
         hi = s + e
         e -= hi - s
         e += f
-        s = hi + e
-        return _dd(s, e - (s - hi))
+        x = hi + e
+        return _dd(x, e - (x - hi), s)
 
     __radd__ = __add__
 
@@ -210,8 +213,8 @@ class DoubleDouble:
         hi = s + e
         e -= hi - s
         e += f
-        s = hi + e
-        return _dd(s, e - (s - hi))
+        x = hi + e
+        return _dd(x, e - (x - hi), s)
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -234,7 +237,7 @@ class DoubleDouble:
         e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
         e += a * o.lo + self.lo * b + self.lo * o.lo
         hi = p + e
-        return _dd(hi, e - (hi - p))
+        return _dd(hi, e - (hi - p), p)
 
     __rmul__ = __mul__
 
@@ -245,14 +248,19 @@ class DoubleDouble:
         if o is None:
             return NotImplemented
         b = o.hi
+        try:
+            q1 = self.hi / b
+        except ZeroDivisionError:  # float64's quotient: NaN for 0/0 and NaN/0, else ±inf
+            nan = self.hi == 0.0 or self.hi != self.hi
+            return _word(math.nan if nan else math.copysign(math.inf, self.hi) * math.copysign(1.0, b))
         c = _SPLITTER * b
         bh = c - (c - b)
-        q1 = self.hi / b
         rh, rl = _remainder(self.hi, self.lo, o, bh, q1)
         q2 = rh / b
         rh, _ = _remainder(rh, rl, o, bh, q2)
         hi = q1 + q2
-        return _dd(hi, q2 - (hi - q1)) + rh / b
+        out = _dd(hi, q2 - (hi - q1)) + rh / b
+        return out if out.hi == out.hi else _word(q1)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -371,13 +379,15 @@ _set_hi = DoubleDouble.hi.__set__
 _set_lo = DoubleDouble.lo.__set__
 
 
-def _dd(hi: float, lo: float) -> DoubleDouble:
+def _dd(hi: float, lo: float, plain: float = math.nan) -> DoubleDouble:
     """``DoubleDouble(hi, lo)``, bit for bit, without a second two_sum.
 
     For finite hi = fl(hi + lo), which every quick_two_sum result
     satisfies, two_sum(hi, lo) returns (hi + lo, lo + 0.0): the words
     themselves, with a zero lo made +0.0.  Any other pair (not normalized,
-    infinite or NaN) goes through the renormalizing constructor.
+    infinite or NaN) goes through the renormalizing constructor.  Where an
+    infinite word or an overflow made the transforms NaN, the result is
+    ``plain``, float64's value for the high words: an overflow reads inf.
     """
     s = hi + lo
     if s - hi == 0.0:
@@ -385,7 +395,16 @@ def _dd(hi: float, lo: float) -> DoubleDouble:
         _set_hi(x, s)
         _set_lo(x, lo + 0.0)
         return x
-    return DoubleDouble(hi, lo)
+    return DoubleDouble(hi, lo) if s == s else _word(plain)
+
+
+def _word(v: float) -> DoubleDouble:
+    # (v, 0.0) with v's sign of zero kept, or (nan, nan); no arithmetic on an
+    # infinite v, whose inf - inf would raise numpy's invalid-operation flag
+    x = _new(DoubleDouble)
+    _set_hi(x, v)
+    _set_lo(x, 0.0 if v == v else v)
+    return x
 
 
 def _coerce(value):
@@ -577,15 +596,23 @@ def sin_cos(x):
     if isinstance(x, DoubleDouble):
         return x.sin_cos()
     if isinstance(x, np.ndarray):
+        if x.dtype == object:
+            return _SIN_COS(x)
         return np.sin(x), np.cos(x)
     return math.sin(x), math.cos(x)
+
+
+_SIN_COS = np.frompyfunc(DoubleDouble.sin_cos, 1, 2)
+# numpy's own log can differ from libm's in the last bit, so float arrays take
+# libm's too: an array entry then equals the scalar result for that entry
+_LOG = np.frompyfunc(math.log, 1, 1)
 
 
 def log(x):
     if isinstance(x, DoubleDouble):
         return x.log()
     if isinstance(x, np.ndarray):
-        return np.log(x)
+        return np.log(x) if x.dtype == object else np.float64(_LOG(x))
     return math.log(x)
 
 

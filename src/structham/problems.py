@@ -11,6 +11,15 @@ States are body-space matrices of shape (I, K): K bodies in dimension I,
 one column per body.  Scalar problems use (1, 1).  All numeric constants go
 through the problem's precision backend so the same definitions run in
 double or double-double arithmetic.
+
+The right-hand sides act node by node on states with any leading axes,
+(..., I, K): the block solver passes a block's R nodes as (R, I, K) in one
+call, and each node gets the bits a call on it alone gives.  Index entries
+from the end, as X[..., i, k], and let numpy broadcast; for H = |p|^2/2 +
+sum x^4/4::
+
+    first_rhs = lambda X, P: (P.copy(), -(X * X * X))
+    second_rhs = lambda X, P, DX, DP: (DP.copy(), -(3 * X * X * DX))
 """
 
 from __future__ import annotations
@@ -64,6 +73,10 @@ class ReferenceValue(NamedTuple):
 
 @dataclass
 class HamiltonianProblem:
+    """``first_rhs`` and ``second_rhs`` act node by node on (..., I, K) states
+    (see the module docstring); ``hamiltonian`` and the invariants take one
+    (I, K) node."""
+
     name: str
     dim: int  # I
     nbodies: int  # K
@@ -82,6 +95,24 @@ class HamiltonianProblem:
 
 def _scalar_state(precision, value):
     return precision.asarray([[value]])
+
+
+def _at(A, *index):
+    # entry ``index`` of the trailing axes at every node, shaped (...); a
+    # single node's entry is a numpy or DoubleDouble scalar, whose arithmetic
+    # costs a fraction of an array operation's
+    v = A[(...,) + index]
+    return v[(0,) * v.ndim] if v.size == 1 else v
+
+
+def _has_zero(v):
+    # whether any node's value of v (as _at gives it) is exactly zero
+    return np.count_nonzero(v) < v.size if isinstance(v, np.ndarray) else v == 0
+
+
+def _lift(c, n):
+    # per-node values c (as _at gives them) broadcast over n trailing axes
+    return c[(...,) + (None,) * n] if isinstance(c, np.ndarray) else c
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +198,7 @@ def make_two_spring(
         raise ValueError("degenerate two-spring configuration: k2 == m2 w2^2")
     c1 = (k1_ + k2_ - m1_ * w1 * w1) / k2_  # mode-1 amplitude ratio x2/x1
     c2 = k2_ / denom2  # mode-2 amplitude ratio x2/x1
+    masses = precision.asarray([[m1_, m2_]])
 
     def hamiltonian(X, P):
         x1, x2 = X[0, 0], X[0, 1]
@@ -175,23 +207,18 @@ def make_two_spring(
         return p1 * p1 / (2 * m1_) + p2 * p2 / (2 * m2_) + k1_ * x1 * x1 * 0.5 + k2_ * d * d * 0.5
 
     def first_rhs(X, P):
-        x1, x2 = X[0, 0], X[0, 1]
-        DX = np.empty_like(X)
-        DX[0, 0] = P[0, 0] / m1_
-        DX[0, 1] = P[0, 1] / m2_
+        x1, x2 = _at(X, 0, 0), _at(X, 0, 1)
         DP = np.empty_like(P)
-        DP[0, 0] = -(k1_ * x1 + k2_ * (x1 - x2))
-        DP[0, 1] = -(k2_ * (x2 - x1))
-        return DX, DP
+        DP[..., 0, 0] = -(k1_ * x1 + k2_ * (x1 - x2))
+        DP[..., 0, 1] = -(k2_ * (x2 - x1))
+        return P / masses, DP
 
     def second_rhs(X, P, DX, DP):
-        SX = np.empty_like(X)
-        SX[0, 0] = DP[0, 0] / m1_
-        SX[0, 1] = DP[0, 1] / m2_
+        v1, v2 = _at(DX, 0, 0), _at(DX, 0, 1)
         SP = np.empty_like(P)
-        SP[0, 0] = -(k1_ * DX[0, 0] + k2_ * (DX[0, 0] - DX[0, 1]))
-        SP[0, 1] = -(k2_ * (DX[0, 1] - DX[0, 0]))
-        return SX, SP
+        SP[..., 0, 0] = -(k1_ * v1 + k2_ * (v1 - v2))
+        SP[..., 0, 1] = -(k2_ * (v2 - v1))
+        return DP / masses, SP
 
     def exact(t):
         ph1 = w1 * t + a1_
@@ -310,25 +337,27 @@ def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianPr
         raise ValueError("Kepler initial position must be nonzero")
 
     def _r3(X):
-        r2 = X[0, 0] * X[0, 0] + X[1, 0] * X[1, 0]
-        if float(r2) == 0.0:
+        # position components, r and r^3 per node
+        x1, x2 = _at(X, 0, 0), _at(X, 1, 0)
+        r2 = x1 * x1 + x2 * x2
+        if _has_zero(r2):
             raise SingularityError("Kepler evaluation at |x| = 0")
         r = nsqrt(r2)
-        return r, r2 * r
+        return x1, x2, r, r2 * r
 
     def hamiltonian(X, P):
-        r, _ = _r3(X)
+        r = _r3(X)[2]
         return (P[0, 0] * P[0, 0] + P[1, 0] * P[1, 0]) * 0.5 - 1 / r
 
     def first_rhs(X, P):
-        _, r3 = _r3(X)
-        return P.copy(), -(X / r3)
+        r3 = _r3(X)[3]
+        return P.copy(), -(X / _lift(r3, 2))
 
     def second_rhs(X, P, DX, DP):
-        r, r3 = _r3(X)
+        x1, x2, r, r3 = _r3(X)
         r5 = r3 * r * r
-        dot = X[0, 0] * DX[0, 0] + X[1, 0] * DX[1, 0]
-        SP = -(DX / r3) + X * (3 * dot / r5)
+        dot = x1 * _at(DX, 0, 0) + x2 * _at(DX, 1, 0)
+        SP = -(DX / _lift(r3, 2)) + X * _lift(3 * dot / r5, 2)
         return DP.copy(), SP
 
     def angular_momentum(X, P):
@@ -438,13 +467,11 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
     GMMp = (G_ * m[iu]) * m[ju]  # the pairs k < l, row-major
 
     def _pair_geometry(X):
-        diff = X[:, None, :] - X[:, :, None]  # diff[i, k, l] = x^l_i - x^k_i
-        d2 = (diff * diff).sum(axis=0) + EYE  # (K, K), 1 on the diagonal
-        if np.count_nonzero(d2) < K * K:
-            for k in range(K):
-                for l in range(k + 1, K):
-                    if float(d2[k, l]) == 0.0:
-                        raise SingularityError(f"bodies {k} and {l} collide")
+        diff = X[..., :, None, :] - X[..., :, :, None]  # diff[..., i, k, l] = x^l_i - x^k_i
+        d2 = (diff * diff).sum(axis=-3) + EYE  # (..., K, K), 1 on the diagonal
+        if np.count_nonzero(d2) < d2.size:  # the first node's first pair k < l
+            k, l = np.argwhere(d2 == 0)[0][-2:]
+            raise SingularityError(f"bodies {k} and {l} collide")
         return diff, d2
 
     def hamiltonian(X, P):
@@ -456,16 +483,18 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
 
     def first_rhs(X, P):
         diff, d2 = _pair_geometry(X)
-        w = GMM / (d2 * np.sqrt(d2))  # (K, K)
-        DP = (w * diff).sum(axis=2)  # (I, K)
+        w = GMM / (d2 * np.sqrt(d2))  # (..., K, K)
+        DP = (w[..., None, :, :] * diff).sum(axis=-1)  # (..., I, K)
         return P / m_row, DP
 
     def second_rhs(X, P, DX, DP):
         diff, d2 = _pair_geometry(X)
         d3 = d2 * np.sqrt(d2)
-        vdiff = DX[:, None, :] - DX[:, :, None]
-        inner = (diff * vdiff).sum(axis=0)  # <u, v> per pair
-        SP = ((GMM / d3) * vdiff - (GMM3 * inner / (d3 * d2)) * diff).sum(axis=2)
+        vdiff = DX[..., :, None, :] - DX[..., :, :, None]
+        inner = (diff * vdiff).sum(axis=-3)  # <u, v> per pair
+        u = (GMM / d3)[..., None, :, :]
+        v = (GMM3 * inner / (d3 * d2))[..., None, :, :]
+        SP = (u * vdiff - v * diff).sum(axis=-1)
         return DP / m_row, SP
 
     if I == 2:
@@ -555,8 +584,19 @@ def make_outer_solar(precision=NATIVE) -> HamiltonianProblem:
 # ---------------------------------------------------------------------------
 
 def _mv(M, v):
-    # (3,3) @ (3,) for either dtype
-    return (M * v[None, :]).sum(axis=1)
+    # (..., 3, 3) @ (..., 3) per node, for either dtype
+    return (M * v[..., None, :]).sum(axis=-1)
+
+
+def _vec(x, *components):
+    # (..., 3) like x from three per-node components (scalars broadcast)
+    v = np.empty_like(x)
+    for i, c in enumerate(components):
+        v[..., i] = c
+    return v
+
+
+_EYE3 = np.eye(3, dtype=bool)
 
 
 def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NATIVE) -> HamiltonianProblem:
@@ -571,6 +611,7 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
       defaults x0 = (0.5, -0.25, -0.25), p0 = (0, 0, -1).
 
     Both variants are static (the explicit time derivative of A vanishes).
+    The potentials take positions x shaped (..., 3), one row per node.
     """
     if variant not in ("scb", "challenging"):
         raise ValueError(f"unknown EM variant {variant!r}")
@@ -587,40 +628,37 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
         soft = precision.real("0.1")
         big = precision.real(1000)
 
+        def _r2(x):
+            x1, x2, x3 = _at(x, 0), _at(x, 1), _at(x, 2)
+            return x1 * x1 + x2 * x2 + x3 * x3
+
         def phi(x):
-            r = nsqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+            r = nsqrt(_r2(x))
             return -(1 / (soft + r))
 
         def grad_phi(x):
-            r = nsqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+            r = nsqrt(_r2(x))
             c = 1 / (r * (soft + r) * (soft + r))
-            return np.array([x[0] * c, x[1] * c, x[2] * c], dtype=x.dtype)
+            return x * _lift(c, 1)
 
         def hess_phi(x):
-            r2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+            r2 = _r2(x)
             r = nsqrt(r2)
             sr = soft + r
             diag = 1 / (r * sr * sr)
             mix = 1 / (r2 * r * sr * sr) + 2 / (r2 * sr * sr * sr)
-            H = np.empty((3, 3), dtype=x.dtype)
-            for i in range(3):
-                for j in range(3):
-                    H[i, j] = (diag if i == j else zero) - x[i] * x[j] * mix
-            return H
+            return np.where(_EYE3, _lift(diag, 2), zero) - x[..., :, None] * x[..., None, :] * _lift(mix, 2)
 
         def vec_A(x):
-            return np.array([zero, big * x[0], zero], dtype=x.dtype)
+            return _vec(x, zero, big * x[..., 0], zero)
 
         def jac_A(x):
-            J = np.empty((3, 3), dtype=x.dtype)
-            J[...] = zero
-            J[1, 0] = big
+            J = np.full(x.shape + (3,), zero, x.dtype)
+            J[..., 1, 0] = big
             return J
 
         def hess_A(x):
-            H = np.empty((3, 3, 3), dtype=x.dtype)
-            H[...] = zero
-            return H
+            return np.full(x.shape + (3, 3), zero, x.dtype)
 
     else:
         if x0 is None:
@@ -629,9 +667,10 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
             p0 = (0, 0, -1)
 
         def _trig(x):
-            s1, c1 = sin_cos(x[0])
-            s2, c2 = sin_cos(x[1])
-            s3, c3 = sin_cos(x[2])
+            x1, x2, x3 = _at(x, 0), _at(x, 1), _at(x, 2)
+            s1, c1 = sin_cos(x1)
+            s2, c2 = sin_cos(x2)
+            s3, c3 = sin_cos(x3)
             return s1, c1, s2, c2, s3, c3
 
         def phi(x):
@@ -641,9 +680,8 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
         def grad_phi(x):
             s1, c1, s2, c2, s3, c3 = _trig(x)
             g = s2 * c2 + s3 * c3
-            return np.array(
-                [2 * s1 * c1 * (g - 2), s1 * s1 * (c2 * c2 - s2 * s2), s1 * s1 * (c3 * c3 - s3 * s3)],
-                dtype=x.dtype,
+            return _vec(
+                x, 2 * s1 * c1 * (g - 2), s1 * s1 * (c2 * c2 - s2 * s2), s1 * s1 * (c3 * c3 - s3 * s3)
             )
 
         def hess_phi(x):
@@ -652,59 +690,58 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
             sin2x1 = 2 * s1 * c1
             cos2x2 = c2 * c2 - s2 * s2
             cos2x3 = c3 * c3 - s3 * s3
-            H = np.empty((3, 3), dtype=x.dtype)
-            H[0, 0] = 2 * (c1 * c1 - s1 * s1) * (g - 2)
-            H[0, 1] = H[1, 0] = sin2x1 * cos2x2
-            H[0, 2] = H[2, 0] = sin2x1 * cos2x3
-            H[1, 1] = -2 * s1 * s1 * (2 * s2 * c2)
-            H[1, 2] = H[2, 1] = zero
-            H[2, 2] = -2 * s1 * s1 * (2 * s3 * c3)
+            H = np.empty(x.shape + (3,), x.dtype)
+            H[..., 0, 0] = 2 * (c1 * c1 - s1 * s1) * (g - 2)
+            H[..., 0, 1] = H[..., 1, 0] = sin2x1 * cos2x2
+            H[..., 0, 2] = H[..., 2, 0] = sin2x1 * cos2x3
+            H[..., 1, 1] = -2 * s1 * s1 * (2 * s2 * c2)
+            H[..., 1, 2] = H[..., 2, 1] = zero
+            H[..., 2, 2] = -2 * s1 * s1 * (2 * s3 * c3)
             return H
 
         def _q(x):
-            if float(x[0]) == 0.0:
+            x1, x2, x3 = _at(x, 0), _at(x, 1), _at(x, 2)
+            if _has_zero(x1):
                 raise SingularityError("EM challenging potential at x1 = 0")
-            return x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+            return x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3
 
         def vec_A(x):
-            q = _q(x)
-            return np.array([q, q * x[1] / x[0], -2 * nlog(1 + q)], dtype=x.dtype)
+            x1, x2, _, q = _q(x)
+            return _vec(x, q, q * x2 / x1, -2 * nlog(1 + q))
 
         def jac_A(x):
-            q = _q(x)
-            x1sq = x[0] * x[0]
-            tail = x[1] * x[1] + x[2] * x[2]
+            x1, x2, x3, q = _q(x)
+            x1sq = x1 * x1
+            tail = x2 * x2 + x3 * x3
             c = -4 / (1 + q)
-            J = np.empty((3, 3), dtype=x.dtype)
-            J[0, 0], J[0, 1], J[0, 2] = 2 * x[0], 2 * x[1], 2 * x[2]
-            J[1, 0] = x[1] - x[1] * tail / x1sq
-            J[1, 1] = (q + 2 * x[1] * x[1]) / x[0]
-            J[1, 2] = 2 * x[1] * x[2] / x[0]
-            J[2, 0], J[2, 1], J[2, 2] = c * x[0], c * x[1], c * x[2]
+            J = np.empty(x.shape + (3,), x.dtype)
+            J[..., 0, :] = 2 * x
+            J[..., 1, 0] = x2 - x2 * tail / x1sq
+            J[..., 1, 1] = (q + 2 * x2 * x2) / x1
+            J[..., 1, 2] = 2 * x2 * x3 / x1
+            J[..., 2, :] = _lift(c, 1) * x
             return J
 
         def hess_A(x):
-            q = _q(x)
-            x1sq = x[0] * x[0]
-            H = np.empty((3, 3, 3), dtype=x.dtype)
+            x1, x2, x3, q = _q(x)
+            x1sq = x1 * x1
+            H = np.empty(x.shape + (3, 3), x.dtype)
             # A1 = r^2
-            H[0, ...] = zero
-            H[0, 0, 0] = H[0, 1, 1] = H[0, 2, 2] = 2 * one
+            H[..., 0, :, :] = zero
+            H[..., 0, 0, 0] = H[..., 0, 1, 1] = H[..., 0, 2, 2] = 2 * one
             # A2 = r^2 x2 / x1
-            tail = x[1] * x[1] + x[2] * x[2]
-            H[1, 0, 0] = 2 * x[1] * tail / (x1sq * x[0])
-            H[1, 0, 1] = H[1, 1, 0] = one - (3 * x[1] * x[1] + x[2] * x[2]) / x1sq
-            H[1, 0, 2] = H[1, 2, 0] = -2 * x[1] * x[2] / x1sq
-            H[1, 1, 1] = 6 * x[1] / x[0]
-            H[1, 1, 2] = H[1, 2, 1] = 2 * x[2] / x[0]
-            H[1, 2, 2] = 2 * x[1] / x[0]
+            tail = x2 * x2 + x3 * x3
+            H[..., 1, 0, 0] = 2 * x2 * tail / (x1sq * x1)
+            H[..., 1, 0, 1] = H[..., 1, 1, 0] = one - (3 * x2 * x2 + x3 * x3) / x1sq
+            H[..., 1, 0, 2] = H[..., 1, 2, 0] = -2 * x2 * x3 / x1sq
+            H[..., 1, 1, 1] = 6 * x2 / x1
+            H[..., 1, 1, 2] = H[..., 1, 2, 1] = 2 * x3 / x1
+            H[..., 1, 2, 2] = 2 * x2 / x1
             # A3 = -2 log(1 + r^2)
             u = 1 + q
             a = -4 / u
             b = 8 / (u * u)
-            for i in range(3):
-                for j in range(3):
-                    H[2, i, j] = (a if i == j else zero) + b * x[i] * x[j]
+            H[..., 2, :, :] = np.where(_EYE3, _lift(a, 2), zero) + _lift(b, 2) * x[..., :, None] * x[..., None, :]
             return H
 
     X0 = precision.asarray([[x0[0]], [x0[1]], [x0[2]]])
@@ -716,27 +753,25 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
         return (v * v).sum() / (2 * m_) + e_ * phi(x)
 
     def first_rhs(X, P):
-        x = X[:, 0]
-        dx = (P[:, 0] - e_ * vec_A(x)) / m_
+        x = X[..., 0]
+        dx = (P[..., 0] - e_ * vec_A(x)) / m_
         J = jac_A(x)
-        dp = e_ * (_mv(J.T, dx) - grad_phi(x))
-        return dx[:, None], dp[:, None]
+        dp = e_ * (_mv(J.swapaxes(-1, -2), dx) - grad_phi(x))
+        return dx[..., None], dp[..., None]
 
     def second_rhs(X, P, DX, DP):
-        x = X[:, 0]
-        dx = DX[:, 0]
+        x = X[..., 0]
+        dx = DX[..., 0]
         J = jac_A(x)
-        sx = (DP[:, 0] - e_ * _mv(J, dx)) / m_
+        sx = (DP[..., 0] - e_ * _mv(J, dx)) / m_
         HA = hess_A(x)
-        w = np.empty(3, dtype=x.dtype)
-        for ell in range(3):
-            acc = zero
-            for i in range(3):
-                for j in range(3):
-                    acc = acc + HA[j, ell, i] * dx[i] * dx[j]
-            w[ell] = acc
-        sp = e_ * (_mv(J.T, sx) + w - _mv(hess_phi(x), dx))
-        return sx[:, None], sp[:, None]
+        # w_ell: HA[j, ell, i] dx_i dx_j added onto zero over i, then j, in that order
+        terms = HA.swapaxes(-3, -2).swapaxes(-2, -1) * dx[..., None, :, None] * dx[..., None, None, :]
+        terms = terms.reshape(x.shape + (9,))
+        terms[..., 0] = zero + terms[..., 0]
+        w = np.add.accumulate(terms, axis=-1)[..., -1]
+        sp = e_ * (_mv(J.swapaxes(-1, -2), sx) + w - _mv(hess_phi(x), dx))
+        return sx[..., None], sp[..., None]
 
     return HamiltonianProblem(
         name=f"em_{variant}",

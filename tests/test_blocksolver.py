@@ -192,6 +192,35 @@ class TestPeUpdate:
         assert Sx[0][0, 0] == pytest.approx(-math.sqrt(2) / 2)
         assert Sp[0][0, 0] == 0.0
 
+    def test_one_call_per_level_for_all_nodes(self):
+        prob = make_two_spring()
+        seen = []
+        first, second = prob.first_rhs, prob.second_rhs
+        prob.first_rhs = lambda X, P: seen.append(("first", X.shape)) or first(X, P)
+        prob.second_rhs = lambda X, P, DX, DP: seen.append(("second", X.shape)) or second(X, P, DX, DP)
+        Z = np.stack([prob.x0 * (1 + r) for r in range(3)])
+        Dx, Dp, Sx, Sp, calls = pe_update(prob, Z, -Z, second=True)
+        assert seen == [("first", (3, 1, 2)), ("second", (3, 1, 2))]
+        assert calls == 3  # node evaluations per level
+        for r in range(3):
+            D = first(Z[r], -Z[r])
+            assert np.array_equal(Dx[r], D[0]) and np.array_equal(Dp[r], D[1])
+            S = second(Z[r], -Z[r], *D)
+            assert np.array_equal(Sx[r], S[0]) and np.array_equal(Sp[r], S[1])
+
+    @pytest.mark.parametrize("level", ["first_rhs", "second_rhs"])
+    def test_node_only_rhs_rejected(self, level):
+        # written for one (I, K) node, such a right-hand side would broadcast
+        # node 0's derivatives over the whole block
+        def node_only(X, P, *_):
+            return np.array([[P[0, 0]]]), np.array([[0.0]])
+
+        prob = make_mass_spring()
+        setattr(prob, level, node_only)
+        Z = np.linspace(0.5, 1.5, 3).reshape(3, 1, 1)
+        with pytest.raises(ConfigurationError, match=f"{level} returned shapes .* node by node"):
+            pe_update(prob, Z, Z, second=True)
+
 
 class TestSolveBlock:
     @pytest.mark.parametrize("form", ["zd", "zds"])
@@ -235,6 +264,21 @@ class TestSolveBlock:
             assert stats.pe2_calls == stats.pe1_calls
         else:
             assert stats.pe2_calls == 0
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_zero_divisor_diverges_in_both_backends(self, prec):
+        # dp/dt = 1 / (x - 2) from (x, p) = (1, 1); with dt = 1 the predictor
+        # puts node 1 at x = 2 exactly, where the right-hand side divides by 0
+        prob = HamiltonianProblem(
+            name="pole", dim=1, nbodies=1,
+            x0=prec.asarray([[1.0]]), p0=prec.asarray([[1.0]]),
+            separable=True,
+            first_rhs=lambda X, P: (P.copy(), 1 / (X - 2)),
+            second_rhs=lambda X, P, DX, DP: (DP.copy(), -(DX / ((X - 2) * (X - 2)))),
+            precision=prec,
+        )
+        with pytest.raises(DivergenceError):
+            integrate(prob, "zd", 1, 1, 1.0)
 
     def test_divergence_detected(self):
         prob = make_mass_spring()
@@ -368,10 +412,10 @@ class TestPolynomialReproduction:
         ddq = dq.deriv()
 
         def first_rhs(X, P):
-            return np.array([[dq(P[0, 0])]]), np.array([[1.0]])
+            return dq(P), np.ones_like(X)
 
         def second_rhs(X, P, DX, DP):
-            return np.array([[ddq(P[0, 0]) * DP[0, 0]]]), np.array([[0.0]])
+            return ddq(P) * DP, np.zeros_like(X)
 
         return HamiltonianProblem(
             name="poly", dim=1, nbodies=1,

@@ -185,6 +185,27 @@ def _apply(fn, *args):
         return "ZeroDivisionError"
 
 
+def _expected(want, plain):
+    """Words the kernel must give for the reference result ``want()``.
+
+    Where the textbook formulas break down -- a zero divisor, or a NaN low
+    word from an infinite or overflowing intermediate -- the kernel gives
+    float64's result on the high words, ``plain``, as (plain, 0.0).
+    """
+    try:
+        r = want()
+    except ZeroDivisionError:
+        r = (math.nan, math.nan)
+    if r[1] != r[1] and plain == plain:
+        return words((plain, 0.0))
+    return words(r)
+
+
+def _f64(op, a, b):
+    with np.errstate(all="ignore"):
+        return float(op(np.float64(a), np.float64(b)))
+
+
 class TestFastKernel:
     SPECIAL = (0.0, -0.0, 1.0, -3.0, 0.5, 6.0, 0.1, 1e-300, -1e300, 5e-324, 1.7e308,
                math.inf, -math.inf, math.nan)
@@ -203,20 +224,22 @@ class TestFastKernel:
 
     def check(self, a, b):
         x, y = DoubleDouble(*a), DoubleDouble(*b)
-        for op, ref in ((x.__add__, ref_add), (x.__sub__, ref_sub),
-                        (x.__mul__, ref_mul), (x.__truediv__, ref_div)):
-            assert _apply(op, y) == _apply(ref, a, b), (op.__name__, a, b)
+        for op, ref, f in ((x.__add__, ref_add, np.add), (x.__sub__, ref_sub, np.subtract),
+                           (x.__mul__, ref_mul, np.multiply), (x.__truediv__, ref_div, np.divide)):
+            want = _expected(lambda: ref(a, b), _f64(f, x.hi, y.hi))
+            assert _apply(op, y) == want, (op.__name__, a, b)
         v = b[0]
         fv = two_sum(v, 0.0)
-        for got, want in ((lambda: x + v, lambda: ref_add(a, fv)),
-                          (lambda: v + x, lambda: ref_add(a, fv)),
-                          (lambda: x - v, lambda: ref_sub(a, fv)),
-                          (lambda: v - x, lambda: ref_sub(fv, a)),
-                          (lambda: x * v, lambda: ref_mul(a, fv)),
-                          (lambda: v * x, lambda: ref_mul(a, fv)),
-                          (lambda: x / v, lambda: ref_div(a, fv)),
-                          (lambda: v / x, lambda: ref_div(fv, a))):
-            assert _apply(got) == _apply(want), (a, v)
+        w = DoubleDouble(v).hi  # the coerced operand (a float -0.0 becomes +0.0)
+        for got, want, plain in ((lambda: x + v, lambda: ref_add(a, fv), _f64(np.add, x.hi, w)),
+                                 (lambda: v + x, lambda: ref_add(a, fv), _f64(np.add, x.hi, w)),
+                                 (lambda: x - v, lambda: ref_sub(a, fv), _f64(np.subtract, x.hi, w)),
+                                 (lambda: v - x, lambda: ref_sub(fv, a), _f64(np.subtract, w, x.hi)),
+                                 (lambda: x * v, lambda: ref_mul(a, fv), _f64(np.multiply, x.hi, w)),
+                                 (lambda: v * x, lambda: ref_mul(a, fv), _f64(np.multiply, x.hi, w)),
+                                 (lambda: x / v, lambda: ref_div(a, fv), _f64(np.divide, x.hi, w)),
+                                 (lambda: v / x, lambda: ref_div(fv, a), _f64(np.divide, w, x.hi))):
+            assert _apply(got) == _expected(want, plain), (a, v)
 
     def test_bitwise_equal_to_reference_random(self):
         pairs = self.random_pairs(12_000, 31)
@@ -271,6 +294,54 @@ class TestFastKernel:
         assert DoubleDouble(0.0).to_decimal_string(5) == "0.0000E+0"
         assert str(DoubleDouble(1.5)) == "1.5" + "0" * 30 + "E+0"
         assert DoubleDouble(-0.25).to_decimal_string(3) == "-2.50E-1"
+
+
+class TestNonFinite:
+    """Overflow and zero divisors give float64's inf or NaN, never an exception."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinity_is_stored_with_zero_low_word(self, sign):
+        inf = sign * math.inf
+        for x in (DoubleDouble(inf), DDOUBLE.real(inf), DDOUBLE.real(f"{sign:+}e400"),
+                  DoubleDouble.from_fraction(int(sign) * Fraction(10**400))):
+            assert words(x) == words((inf, 0.0))
+            assert float(x) == inf
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_reads_inf(self, sign):
+        big = DoubleDouble(sign * 1e308)
+        for x in (big * 10, 10 * big, big * big * sign, big + big, big - (-big), big * DoubleDouble(10.0)):
+            assert words(x) == words((sign * math.inf, 0.0))
+        assert words(DoubleDouble(math.inf) + 1.0) == words((math.inf, 0.0))
+        assert words(-DoubleDouble(math.inf)) == words((-math.inf, 0.0))
+        assert math.isnan(float(DoubleDouble(math.inf) - DoubleDouble(math.inf)))
+        assert math.isnan(float(DoubleDouble(math.inf) * 0))
+
+    @pytest.mark.parametrize("rows", [[[1e308, -2.0]], [[-1e308, 3.0]], [[math.inf]], [[-math.inf, 1.0]]])
+    def test_max_abs_matches_float64(self, rows):
+        # the double-double transforms meet inf - inf on the way, so numpy
+        # reports an invalid operation where float64 reports an overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = max_abs(NATIVE.asarray(rows) * 10)
+            got = max_abs(DDOUBLE.asarray(rows) * 10)
+        assert want == math.inf and got == math.inf
+
+    @pytest.mark.parametrize("a", [1.0, -2.5, 0.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    def test_zero_divisor_like_float64(self, a, negative_zero):
+        zero = -DoubleDouble(0.0) if negative_zero else DoubleDouble(0.0)
+        assert math.copysign(1.0, zero.hi) == (-1.0 if negative_zero else 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = float(np.float64(a) / np.float64(zero.hi))
+        got = DoubleDouble(a) / zero
+        assert words(got) == words((want, 0.0 if want == want else want))
+        if a == 1.0:
+            assert words(1 / zero) == words(got)
+
+    def test_zero_divisor_in_object_arrays(self):
+        q = DDOUBLE.asarray([[1.0]]) / DDOUBLE.asarray([[0.0]])
+        assert q.shape == (1, 1) and words(q[0, 0]) == words((math.inf, 0.0))
+        assert max_abs(q) == math.inf and not all_finite(q)
 
 
 class TestElementary:

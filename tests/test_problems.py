@@ -654,3 +654,74 @@ class TestCatalog:
             assert prob.x0.dtype == object
             H = prob.hamiltonian(prob.x0, prob.p0)
             assert isinstance(H, DoubleDouble)
+
+
+def node_stack(problem, n, rng):
+    """n random nodes near the initial state, stacked as (n, I, K).
+
+    In double-double every entry gets a nonzero low word.
+    """
+    prec = problem.precision
+    Xs, Ps = [], []
+    for X, P in random_states(problem, n, rng):
+        for A, out in ((X, Xs), (P, Ps)):
+            A_ = prec.asarray(A)
+            if prec is DDOUBLE:
+                A_ = A_ + prec.asarray(A * 1e-17 * rng.uniform(0.5, 1.0, A.shape))
+            out.append(A_)
+    return np.stack(Xs), np.stack(Ps)
+
+
+class TestBatchedContract:
+    """The right-hand sides act node by node on (..., I, K) states."""
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("name", ALL_PROBLEMS)
+    def test_stack_equals_per_node_calls(self, name, prec):
+        prob = build_problem(name, precision=prec)
+        rng = np.random.default_rng([len(name), 7])
+        for n in range(1, 5):
+            X, P = node_stack(prob, n, rng)
+            D = prob.first_rhs(X, P)
+            S = prob.second_rhs(X, P, *D)
+            nodes = [prob.first_rhs(X[r], P[r]) for r in range(n)]
+            for c in range(2):
+                assert D[c].shape == X.shape and S[c].shape == X.shape
+                assert words(D[c]) == words(np.stack([pair[c] for pair in nodes]))
+            nodes = [prob.second_rhs(X[r], P[r], D[0][r], D[1][r]) for r in range(n)]
+            for c in range(2):
+                assert words(S[c]) == words(np.stack([pair[c] for pair in nodes]))
+        # more than one leading axis: the same values, node for node
+        shape = (2, 2) + X.shape[1:]
+        X2, P2 = X.reshape(shape), P.reshape(shape)
+        for got, want in zip(prob.first_rhs(X2, P2), D):
+            assert words(got) == words(want)
+        for got, want in zip(prob.second_rhs(X2, P2, D[0].reshape(shape), D[1].reshape(shape)), S):
+            assert words(got) == words(want)
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_collision_at_a_later_node_names_its_pair(self, prec):
+        prob = make_three_body_eight(precision=prec)
+        X = np.stack([prob.x0] * 3)
+        X[1, :, 2] = X[1, :, 1]  # node 1: bodies 1 and 2
+        X[2, :, 1] = X[2, :, 0]  # node 2: bodies 0 and 1
+        P = np.stack([prob.p0] * 3)
+        with pytest.raises(SingularityError, match="^bodies 1 and 2 collide$"):
+            prob.first_rhs(X, P)
+        with pytest.raises(SingularityError, match="^bodies 1 and 2 collide$"):
+            prob.second_rhs(X, P, P, P)
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("name, node, message", [
+        ("kepler", 1, r"^Kepler evaluation at \|x\| = 0$"),
+        ("em_challenging", 2, "^EM challenging potential at x1 = 0$"),
+    ])
+    def test_pole_at_a_later_node(self, prec, name, node, message):
+        prob = build_problem(name, precision=prec)
+        X = np.stack([prob.x0] * 3)
+        X[node, 0] = prec.real(0)
+        P = np.stack([prob.p0] * 3)
+        with pytest.raises(SingularityError, match=message):
+            prob.first_rhs(X, P)
+        with pytest.raises(SingularityError, match=message):
+            prob.second_rhs(X, P, P, P)
