@@ -154,6 +154,8 @@ def integrate_sv(
     schedule = yoshida_schedule(order)
     if N < 1 or not 0 < float(T) < math.inf:
         raise ConfigurationError(f"need N >= 1 and finite T > 0, got N={N}, T={T}")
+    if store_every < 1:
+        raise ConfigurationError(f"need store_every >= 1, got store_every={store_every}")
     precision = problem.precision
     if tol is None:
         tol = precision.default_tol

@@ -356,6 +356,8 @@ def integrate(
         raise ConfigurationError(f"need N >= 1 and finite T > 0, got N={N}, T={T}")
     if N < R:
         raise ConfigurationError(f"need N >= R, got N={N}, R={R}")
+    if store_every < 1:
+        raise ConfigurationError(f"need store_every >= 1, got store_every={store_every}")
 
     precision = problem.precision
     dt = float(T) / N

@@ -78,6 +78,8 @@ class RunConfig:
             raise ConfigurationError(f"need N >= 1, got N={self.N}")
         if not 0 < self.T < math.inf:
             raise ConfigurationError(f"need finite T > 0, got T={self.T}")
+        if self.decimation is not None and self.decimation < 1:
+            raise ConfigurationError(f"need decimation >= 1, got decimation={self.decimation}")
         if self.precision not in PRECISIONS:
             raise ConfigurationError(f"unknown precision {self.precision!r}")
         if self.project_lrl and self.problem != "kepler":

@@ -363,13 +363,11 @@ class DoubleDouble:
         s2 = s * s
         term = s
         total = s
-        k = 1
-        while True:
+        for recip in _ATANH_RECIP:
             term = term * s2
-            contrib = term / (2 * k + 1)
+            contrib = term * recip
             total = total + contrib
-            k += 1
-            if abs(contrib.hi) < _SERIES_CUTOFF * abs(total.hi) or k > 60:
+            if abs(contrib.hi) <= _SERIES_CUTOFF * abs(total.hi):
                 break
         return total * 2.0 + _LN2 * e
 
@@ -467,6 +465,9 @@ _SIN_RECIP = tuple(
 _COS_RECIP = tuple(
     DoubleDouble.from_fraction(Fraction(-1, (2 * k - 1) * (2 * k))) for k in range(1, _TAYLOR_TERMS + 1)
 )
+
+# factors 1/(2k+1) of atanh's series term s^(2k+1)/(2k+1); k = 1..60
+_ATANH_RECIP = tuple(DoubleDouble.from_fraction(Fraction(1, 2 * k + 1)) for k in range(1, 61))
 
 
 def _reduce_half_pi(x: DoubleDouble) -> tuple[DoubleDouble, int]:

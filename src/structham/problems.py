@@ -20,6 +20,11 @@ sum x^4/4::
 
     first_rhs = lambda X, P: (P.copy(), -(X * X * X))
     second_rhs = lambda X, P, DX, DP: (DP.copy(), -(3 * X * X * DX))
+
+Right-hand sides are pure functions of the values passed in, and return
+arrays that the caller owns.  A kernel may therefore keep what it computed
+at the last state and reuse it for a call at equal values, as the n-body
+kernel does; a caller may mutate its arrays between calls.
 """
 
 from __future__ import annotations
@@ -443,6 +448,12 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
     3-vector for I = 3 (monitored in max-norm).  No diagonal fill: self terms
     vanish on the zero diagonal of the differences, and the pair-by-pair
     collision check runs only when some squared distance is exactly zero.
+
+    The pair geometry (differences, distances) and force of the last
+    position state evaluated are kept and reused by the next call at the
+    same positions: ``second_rhs`` after ``first_rhs`` on a block, and the
+    leapfrog's kicks at one X.  States match by shape, dtype and bytes.  The
+    returned arrays are always fresh, never views of what is kept.
     """
     m = precision.asarray(masses)
     K = m.shape[0]
@@ -466,13 +477,22 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
     iu, ju = np.triu_indices(K, 1)
     GMMp = (G_ * m[iu]) * m[ju]  # the pairs k < l, row-major
 
+    memo = {"key": None}  # the last position state evaluated and its pair geometry
+
     def _pair_geometry(X):
-        diff = X[..., :, None, :] - X[..., :, :, None]  # diff[..., i, k, l] = x^l_i - x^k_i
-        d2 = (diff * diff).sum(axis=-3) + EYE  # (..., K, K), 1 on the diagonal
-        if np.count_nonzero(d2) < d2.size:  # the first node's first pair k < l
-            k, l = np.argwhere(d2 == 0)[0][-2:]
-            raise SingularityError(f"bodies {k} and {l} collide")
-        return diff, d2
+        # object arrays compare by entry pointers: memo["X"] keeps the last
+        # state's immutable DoubleDouble entries alive, so equal bytes mean
+        # the same values
+        key = (X.shape, X.dtype, X.tobytes())
+        if key != memo["key"]:
+            diff = X[..., :, None, :] - X[..., :, :, None]  # diff[..., i, k, l] = x^l_i - x^k_i
+            d2 = (diff * diff).sum(axis=-3) + EYE  # (..., K, K), 1 on the diagonal
+            if np.count_nonzero(d2) < d2.size:  # the first node's first pair k < l
+                k, l = np.argwhere(d2 == 0)[0][-2:]
+                raise SingularityError(f"bodies {k} and {l} collide")
+            d3 = d2 * np.sqrt(d2)
+            memo.update(key=key, X=X.copy(), diff=diff, d2=d2, d3=d3, w=GMM / d3, DP=None)
+        return memo
 
     def hamiltonian(X, P):
         kin = ((P * P).sum(axis=0) / m2).sum()
@@ -482,17 +502,17 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
         return kin + pot
 
     def first_rhs(X, P):
-        diff, d2 = _pair_geometry(X)
-        w = GMM / (d2 * np.sqrt(d2))  # (..., K, K)
-        DP = (w[..., None, :, :] * diff).sum(axis=-1)  # (..., I, K)
-        return P / m_row, DP
+        g = _pair_geometry(X)
+        if g["DP"] is None:
+            g["DP"] = (g["w"][..., None, :, :] * g["diff"]).sum(axis=-1)  # (..., I, K)
+        return P / m_row, g["DP"].copy()
 
     def second_rhs(X, P, DX, DP):
-        diff, d2 = _pair_geometry(X)
-        d3 = d2 * np.sqrt(d2)
+        g = _pair_geometry(X)
+        diff, d2, d3 = g["diff"], g["d2"], g["d3"]
         vdiff = DX[..., :, None, :] - DX[..., :, :, None]
         inner = (diff * vdiff).sum(axis=-3)  # <u, v> per pair
-        u = (GMM / d3)[..., None, :, :]
+        u = g["w"][..., None, :, :]
         v = (GMM3 * inner / (d3 * d2))[..., None, :, :]
         SP = (u * vdiff - v * diff).sum(axis=-1)
         return DP / m_row, SP

@@ -224,3 +224,8 @@ class TestIntegrateSV:
     def test_non_finite_span_rejected(self, T):
         with pytest.raises(ConfigurationError, match="finite T"):
             integrate_sv(make_mass_spring(), 6, 10, T)
+
+    @pytest.mark.parametrize("store_every", [0, -1])
+    def test_store_every_below_one_rejected(self, store_every):
+        with pytest.raises(ConfigurationError, match="store_every >= 1"):
+            integrate_sv(make_mass_spring(), 2, 10, 1.0, store_every=store_every)

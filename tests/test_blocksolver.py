@@ -368,6 +368,11 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError):
             integrate(make_mass_spring(), "zds", 2, 10, T, SolverConfig())
 
+    @pytest.mark.parametrize("store_every", [0, -1])
+    def test_store_every_below_one_rejected(self, store_every):
+        with pytest.raises(ConfigurationError, match="store_every >= 1"):
+            integrate(make_mass_spring(), "zds", 2, 10, 1.0, SolverConfig(), store_every=store_every)
+
     def test_run_accounting_identity(self):
         prob = make_pendulum()
         traj = integrate(prob, "zds", 2, 100, 10.0, SolverConfig())

@@ -389,6 +389,32 @@ class TestElementary:
             rel = abs(mpmath.mpf(got.numerator) / got.denominator - ref) / abs(ref)
             assert rel <= 1e-28, f"{fn}({xf}) off by {rel}"
 
+    def test_log_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        rng = random.Random(31)
+        xs = []
+        for _ in range(300):  # x in [1e-300, 1e6] with a nonzero low word
+            x = Fraction(10.0 ** rng.uniform(-300, 6)) * (1 + Fraction(rng.random()) / 2**60)
+            xs.append(DoubleDouble.from_fraction(x))
+        for e in range(-60, 20):  # at and on both sides of powers of 2
+            p = 2.0**e
+            xs += [DoubleDouble(p), DoubleDouble(p, p * 2.0**-60), DoubleDouble(p, -p * 2.0**-60),
+                   DoubleDouble(p * (1 + 2.0**-30)), DoubleDouble(p * (1 - 2.0**-30))]
+        for d in (2.0**-20, 2.0**-52, 2.0**-53, 1e-3, 0.3):  # near 1, where log is small
+            xs += [DoubleDouble(1.0, d * 2.0**-53), DoubleDouble(1.0 + d), DoubleDouble(1.0 - d),
+                   DoubleDouble(1.0 - d, 1e-40)]
+        xs += [DoubleDouble(1e6), DoubleDouble(1e6, -1e-11), DoubleDouble(math.sqrt(2.0))]
+        for x in xs:
+            got = dd_to_fraction(x.log())
+            arg = dd_to_fraction(x)
+            ref = mpmath.log(mpmath.mpf(arg.numerator) / arg.denominator)
+            if ref == 0:
+                assert got == 0
+                continue
+            rel = abs(mpmath.mpf(got.numerator) / got.denominator - ref) / abs(ref)
+            assert rel <= 1e-30, f"log({x!r}) off by {rel}"
+
     def test_pythagorean_identity_bulk(self):
         rng = random.Random(23)
         worst = 0.0

@@ -1,12 +1,16 @@
 """Problem catalog tests: derivative oracles, invariants, closed forms."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from structham.baselines import integrate_sv
+from structham.blocksolver import integrate
+from structham.harness import RunConfig, run
 from structham.numerics import DDOUBLE, NATIVE, DoubleDouble, max_abs
 from structham.problems import (
     PROBLEM_NAMES,
@@ -561,6 +565,151 @@ class TestNBodyKernel:
             prob.first_rhs(X, Z)
         with pytest.raises(SingularityError, match=message):
             prob.second_rhs(X, Z, Z, Z)
+
+    # The kernel keeps the pair geometry and force of the last position state
+    # it evaluated.  Every call below is checked against the reference, which
+    # keeps nothing, so a stale or aliased memo entry shows as a changed word.
+
+    @staticmethod
+    def kernel(prec, seed, I=3, K=4):
+        rng = np.random.default_rng(seed)
+        masses = list(rng.uniform(0.1, 3.0, K))
+        G = rng.uniform(0.1, 2.0)
+
+        def state(*lead):
+            A = prec.asarray(rng.standard_normal(lead + (I, K)))
+            if prec is DDOUBLE:  # nonzero low words
+                A = A + prec.asarray(rng.standard_normal(lead + (I, K)) * 1e-17)
+            return A
+
+        prob = make_nbody(masses, G, state(), state(), precision=prec)
+        _, ref_f, ref_s, _ = reference_nbody(masses, G, prec)
+
+        def check(got, ref, *args):
+            # got against ref called node by node on (..., I, K) arguments
+            lead = args[0].shape[:-2]
+            nodes = [ref(*(A[idx] for A in args)) for idx in np.ndindex(lead)]
+            for c in range(2):
+                want = np.stack([pair[c] for pair in nodes]).reshape(args[0].shape)
+                assert got[c].shape == want.shape
+                assert words(got[c]) == words(want)
+            return got
+
+        def first(X, P):
+            return check(prob.first_rhs(X, P), ref_f, X, P)
+
+        def second(X, P, DX, DP):
+            return check(prob.second_rhs(X, P, DX, DP), ref_s, X, P, DX, DP)
+
+        return state, first, second
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_memo_leapfrog_pattern(self, prec):
+        state, first, _ = self.kernel(prec, 1)
+        X, P = state(), state()
+        h = prec.real(0.01)
+        for _ in range(3):  # (X, P), (X, Ph), (Xn, Ph), then the next stage at (Xn, Pn)
+            _, F0 = first(X, P)
+            Ph = P + h * F0
+            V, _ = first(X, Ph)
+            X = X + h * V
+            _, F1 = first(X, Ph)
+            P = Ph + h * F1
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_memo_block_pattern(self, prec):
+        state, first, second = self.kernel(prec, 2)
+        X, P = state(3), state(3)
+        D = first(X, P)
+        second(X, P, *D)
+        second(X, P, state(3), state(3))  # same positions, other directions
+        first(X, state(3))
+        X2, P2 = X.reshape((1, 3) + X.shape[1:]), P.reshape((1, 3) + X.shape[1:])
+        second(X2, P2, *first(X2, P2))  # the same bytes under another shape
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_memo_node_call_between_block_calls(self, prec):
+        state, first, second = self.kernel(prec, 3)
+        X, P = state(2), state(2)
+        D = first(X, P)
+        first(X[1], P[1])
+        second(X, P, *D)
+        second(X[0], P[0], D[0][0], D[1][0])
+        first(X, P)
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_memo_misses_after_in_place_change(self, prec):
+        state, first, second = self.kernel(prec, 4)
+        X, P = state(2), state(2)
+        D = first(X, P)
+        X[1, 0, 2] = X[1, 0, 2] + prec.real(0.5)  # the same array, one entry new
+        second(X, P, *D)
+        first(X, P)
+        X[...] = state(2)  # every entry new
+        first(X, P)
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_memo_returns_fresh_arrays(self, prec):
+        state, first, second = self.kernel(prec, 5)
+        X, P = state(), state()
+        V, F = first(X, P)
+        V[...] = prec.real(7)
+        F[...] = prec.real(7)
+        _, F2 = first(X, P)
+        F2 += prec.real(1)
+        D = first(X, P)
+        assert not np.shares_memory(D[1], F2)
+        second(X, P, *D)
+
+    def test_memo_ddouble_state_rebuilt_from_equal_values(self):
+        state, first, second = self.kernel(DDOUBLE, 6)
+        P = state()
+        X = state()
+        D = first(X, P)
+        rebuilt = DDOUBLE.asarray([[DoubleDouble(v.hi, v.lo) for v in row] for row in X])
+        for got, want in zip(first(rebuilt, P), D):
+            assert words(got) == words(want)
+        second(rebuilt, P, *D)
+
+    def test_memo_keeps_the_last_ddouble_state_alive(self):
+        # object arrays are keyed by entry pointers, which is sound only while
+        # the entries keyed on cannot be freed and their addresses reused
+        state, first, _ = self.kernel(DDOUBLE, 8)
+        X, P, Y = state(), state(), state()
+        refs = [sys.getrefcount(v) for v in X.flat]
+        first(X, P)
+        assert [sys.getrefcount(v) for v in X.flat] == [r + 1 for r in refs]
+        first(Y, P)
+        assert [sys.getrefcount(v) for v in X.flat] == refs
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_memo_untouched_by_a_collision(self, prec):
+        state, first, second = self.kernel(prec, 7)
+        X, P = state(), state()
+        D = first(X, P)
+        Xc = X.copy()
+        Xc[:, 3] = Xc[:, 1]
+        for _ in range(2):
+            with pytest.raises(SingularityError, match="^bodies 1 and 3 collide$"):
+                first(Xc, P)
+            with pytest.raises(SingularityError, match="^bodies 1 and 3 collide$"):
+                second(Xc, P, *D)
+        second(X, P, *D)
+        first(X, P)
+        Y = state()
+        second(Y, P, *first(Y, P))
+
+    @pytest.mark.parametrize("scheme, R, pe1_calls, nb_call_avg", [
+        ("sv6", None, 2592, 27.0),
+        ("zds", 2, 1501, 15.625),
+    ])
+    def test_call_counts_unchanged_by_memo(self, scheme, R, pe1_calls, nb_call_avg):
+        # every right-hand-side call is counted, hit or miss
+        prob = make_three_body_eight()
+        T = prob.parameters["period"]
+        traj = integrate(prob, scheme, R, 96, T) if R else integrate_sv(prob, 6, 96, T)
+        assert traj.pe1_calls == pe1_calls
+        assert run(RunConfig("three_body_eight", scheme, 96, T, R=R)).nb_call_avg == nb_call_avg
 
 
 class TestOuterSolar:
