@@ -21,6 +21,13 @@ and for the L levels Z, D (and, for ZDS, S) the rows
 (node 0 is the anchor).  The structural update applies the table's matrix C
 to the rows before Z_1..Z_R, for x and p together.  An anchor stacks its
 values as (2, L, I, K); the ``Zx`` .. ``Sp`` attributes are views.
+
+A block writes its anchor rows once, in the predictor; no sweep touches
+them.  Each sweep takes one max-norm of the change of Z, which is also its
+finiteness test: Z is finite on entry (the predictor and every accepted
+sweep checked it), so a finite norm proves the new Z finite.  Only a
+non-finite norm, which an overflowing difference of finite values also
+gives, needs a scan of the new Z.
 """
 
 from __future__ import annotations
@@ -199,17 +206,17 @@ def init_block(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
     return state
 
 
-def se_update(table: CoeffTable, anchor: BlockAnchor, state: BlockState) -> np.ndarray:
+def se_update(table: CoeffTable, state: BlockState) -> np.ndarray:
     """New Z block from the structural equations (no physics evaluated).
 
-    Copies the anchor into the state's anchor rows and applies the table's
-    matrix C to ``Y``; the (2, R, I, K) result unpacks as ``Zx, Zp``.  The
+    Applies the table's matrix C to ``Y``; the (2, R, I, K) result unpacks
+    as ``Zx, Zp``.  The anchor rows of ``Y`` are written once per block, by
+    ``init_block`` (or ``set_anchor``), and no sweep writes them.  The
     products are summed strictly in column order by ``np.add.accumulate``:
     matmul and sum may pair the terms differently depending on how Y lies in
     memory, while this order gives the same bits every time and, at R = 1,
     those of the term-by-term formula.
     """
-    state.set_anchor(anchor.W)
     m = table.C.shape[1]
     terms = table.C[:, :, None, None] * state.Y[:, None, :m]
     return np.add.accumulate(terms, axis=2)[:, :, -1]
@@ -224,20 +231,19 @@ def pe_update(problem, Zx_blk: np.ndarray, Zp_blk: np.ndarray, second: bool, out
     as the node part of ``BlockState.DS`` -- or into a new array.  Returns
     views (Dx, Dp, Sx, Sp) into it and the node evaluations per level, R.
     """
-    if out is None:
-        out = np.empty((2, 1 + second) + Zx_blk.shape, dtype=Zx_blk.dtype)
     shape = Zx_blk.shape
+    ox, op = np.empty((2, 1 + second) + shape, dtype=Zx_blk.dtype) if out is None else out
     Dx, Dp = problem.first_rhs(Zx_blk, Zp_blk)
     if getattr(Dx, "shape", None) != shape or getattr(Dp, "shape", None) != shape:
         _refuse_node_block(problem, "first_rhs", shape, Dx, Dp)
-    out[0, 0], out[1, 0] = Dx, Dp
-    if second:
-        Sx, Sp = problem.second_rhs(Zx_blk, Zp_blk, Dx, Dp)
-        if getattr(Sx, "shape", None) != shape or getattr(Sp, "shape", None) != shape:
-            _refuse_node_block(problem, "second_rhs", shape, Sx, Sp)
-        out[0, 1], out[1, 1] = Sx, Sp
-    Sx, Sp = out[:, 1] if second else (None, None)
-    return out[0, 0], out[1, 0], Sx, Sp, len(Zx_blk)
+    ox[0], op[0] = Dx, Dp
+    if not second:
+        return ox[0], op[0], None, None, len(Zx_blk)
+    Sx, Sp = problem.second_rhs(Zx_blk, Zp_blk, Dx, Dp)
+    if getattr(Sx, "shape", None) != shape or getattr(Sp, "shape", None) != shape:
+        _refuse_node_block(problem, "second_rhs", shape, Sx, Sp)
+    ox[1], op[1] = Sx, Sp
+    return ox[0], op[0], ox[1], op[1], len(Zx_blk)
 
 
 def _refuse_node_block(problem, name: str, shape: tuple, a, b):
@@ -267,23 +273,25 @@ def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverC
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = init_block(anchor, problem, table)
         Z, derivs = state.Z, state.DS[:, :, 1:]
+        Zx, Zp = Z
 
         scale_ref = max(max_abs(anchor.level(0)), 1.0)
         prev_norm = max_abs(Z)
         diff = None
         for sweep in range(1, config.max_iter + 1):
-            Z_new = se_update(table, anchor, state)
-            if not all_finite(Z_new):
-                raise DivergenceError("non-finite block value during fixed-point sweep")
+            Z_new = se_update(table, state)
             # both components enter the stopping norm: the x-block alone can
-            # stagnate for one sweep of the alternating map while p still moves
+            # stagnate for one sweep of the alternating map while p still moves;
+            # a finite diff proves Z_new finite (module docstring)
             diff = max_abs(Z_new - Z)
+            if not math.isfinite(diff) and not all_finite(Z_new):
+                raise DivergenceError("non-finite block value during fixed-point sweep")
             Z[...] = Z_new
-            stats.pe1_calls += pe_update(problem, Z[0], Z[1], second, out=derivs)[-1]
+            stats.pe1_calls += pe_update(problem, Zx, Zp, second, out=derivs)[-1]
             stats.iterations = sweep
             if diff <= tol:
                 return state, stats
-            norm = max_abs(Z)
+            norm = max_abs(Z_new)
             if norm > config.growth_limit * max(prev_norm, scale_ref):
                 raise DivergenceError(
                     f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"

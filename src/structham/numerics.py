@@ -28,6 +28,7 @@ entries amortize.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -96,7 +97,7 @@ class DoubleDouble:
 
     __slots__ = ("hi", "lo")
 
-    def __init__(self, hi: float = 0.0, lo: float = 0.0):
+    def __init__(self, hi: float = 0.0, lo: float = -0.0):  # two_sum(-0.0, -0.0) keeps -0.0
         s, e = two_sum(float(hi), float(lo))
         if e != e and s == s:  # an infinite s leaves inf - inf in e: store (±inf, 0.0)
             e = 0.0
@@ -228,6 +229,8 @@ class DoubleDouble:
             return NotImplemented
         a, b = self.hi, o.hi
         p = a * b
+        if not p:  # a zero hi word: (p, 0.0) keeps float64's sign of the zero product
+            return _word(p)
         c = _SPLITTER * a
         ah = c - (c - a)
         al = a - ah
@@ -297,29 +300,15 @@ class DoubleDouble:
             return -1 if self.lo < o.lo else 1
         return 0
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
+    def _order(test):  # a comparison dunder: test(_cmp(self, other), 0)
+        def method(self, other):
+            c = self._cmp(other)
+            return NotImplemented if c is NotImplemented else test(c, 0)
+        return method
 
-    def __ne__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c != 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+    __eq__, __ne__, __lt__ = _order(operator.eq), _order(operator.ne), _order(operator.lt)
+    __le__, __gt__, __ge__ = _order(operator.le), _order(operator.gt), _order(operator.ge)
+    del _order
 
     def __hash__(self):
         return hash((self.hi, self.lo))

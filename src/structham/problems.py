@@ -130,6 +130,7 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
         raise ValueError("mass and stiffness must be positive")
     m_ = precision.real(m)
     k_ = precision.real(kappa)
+    neg_k = -k_  # exact: -(k_ * X) == neg_k * X bit for bit, one ufunc fewer
     x0_ = precision.real(x0)
     p0_ = precision.real(p0)
     omega = nsqrt(k_ / m_)
@@ -139,10 +140,10 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
         return p * p / (2 * m_) + k_ * x * x * 0.5
 
     def first_rhs(X, P):
-        return P / m_, -(k_ * X)
+        return P / m_, neg_k * X
 
     def second_rhs(X, P, DX, DP):
-        return DP / m_, -(k_ * DX)
+        return DP / m_, neg_k * DX
 
     def exact(t):
         s, c = sin_cos(t * omega)
@@ -276,6 +277,7 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
     m_, g_, l_ = precision.real(m), precision.real(g), precision.real(length)
     ml2 = m_ * l_ * l_
     mgl = m_ * g_ * l_
+    neg_mgl = -mgl  # as neg_k in make_mass_spring
     x0_, p0_ = precision.real(x0), precision.real(p0)
 
     def hamiltonian(X, P):
@@ -283,10 +285,10 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
         return p * p / (2 * ml2) + mgl * (1 - ncos(x))
 
     def first_rhs(X, P):
-        return P / ml2, -(mgl * np.sin(X))
+        return P / ml2, neg_mgl * np.sin(X)
 
     def second_rhs(X, P, DX, DP):
-        return DP / ml2, -(mgl * np.cos(X) * DX)
+        return DP / ml2, neg_mgl * np.cos(X) * DX
 
     refs = ()
     if default_x0 and float(m_) == 1.0 and float(g_) == 1.0 and float(l_) == 1.0 and float(p0_) == 0.0:

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from structham.blocksolver import DivergenceError, IterStats, NonConvergenceError, init_block
+from structham.numerics import all_finite, max_abs
+
 
 def probe_linear_rhs(problem):
     """Extract the (2n x 2n) matrix of a problem with linear first_rhs."""
@@ -53,3 +56,45 @@ def dense_block_oracle(problem, table, anchor):
     Zx = np.array([W[2 * n * r: 2 * n * r + n] for r in range(R)])
     Zp = np.array([W[2 * n * r + n: 2 * n * (r + 1)] for r in range(R)])
     return Zx, Zp
+
+
+def reference_solve_block(anchor, problem, table, config):
+    """The fixed-point loop as first written, a drop-in for ``solve_block``.
+
+    Every sweep copies the anchor into the anchor rows of ``Y``, scans the
+    new Z block for finiteness before taking the change norm, and reads the
+    growth norm back from the strided Z view.
+    """
+    tol = config.resolved_tol()
+    second = table.has_second
+    stats = IterStats(pe1_calls=table.R, second=second)
+    m = table.C.shape[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        state = init_block(anchor, problem, table)
+        Z, derivs = state.Z, state.DS[:, :, 1:]
+        scale_ref = max(max_abs(anchor.level(0)), 1.0)
+        prev_norm = max_abs(Z)
+        diff = None
+        for sweep in range(1, config.max_iter + 1):
+            state.set_anchor(anchor.W)
+            terms = table.C[:, :, None, None] * state.Y[:, None, :m]
+            Z_new = np.add.accumulate(terms, axis=2)[:, :, -1]
+            if not all_finite(Z_new):
+                raise DivergenceError("non-finite block value during fixed-point sweep")
+            diff = max_abs(Z_new - Z)
+            Z[...] = Z_new
+            Dx, Dp = problem.first_rhs(Z[0], Z[1])
+            derivs[0, 0], derivs[1, 0] = Dx, Dp
+            if second:
+                derivs[0, 1], derivs[1, 1] = problem.second_rhs(Z[0], Z[1], Dx, Dp)
+            stats.pe1_calls += table.R
+            stats.iterations = sweep
+            if diff <= tol:
+                return state, stats
+            norm = max_abs(Z)
+            if norm > config.growth_limit * max(prev_norm, scale_ref):
+                raise DivergenceError(
+                    f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
+                )
+            prev_norm = norm
+    raise NonConvergenceError(f"reference loop not converged (last change {diff:.3e})", diff)

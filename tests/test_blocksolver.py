@@ -1,10 +1,12 @@
 """Block fixed-point solver tests, anchored on independent oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from structham import blocksolver
 from structham.blocksolver import (
     BlockAnchor,
     BlockState,
@@ -18,9 +20,10 @@ from structham.blocksolver import (
     se_update,
     solve_block,
 )
-from structham.numerics import DDOUBLE, NATIVE, max_abs
+from structham.numerics import DDOUBLE, NATIVE, DoubleDouble, max_abs
 from structham.problems import (
     HamiltonianProblem,
+    build_problem,
     make_kepler,
     make_mass_spring,
     make_pendulum,
@@ -28,7 +31,7 @@ from structham.problems import (
 )
 from structham.secoeff import ConfigurationError, Formulation, coeff_table
 
-from oracles import dense_block_oracle
+from oracles import dense_block_oracle, reference_solve_block
 
 
 class TestInitBlock:
@@ -63,7 +66,7 @@ class TestSeUpdate:
         anchor = make_anchor(prob, 0.0, prob.x0, prob.p0, "zds")
         table = coeff_table(2, "zds", 0.5)
         state = init_block(anchor, prob, table)
-        Zx, Zp = se_update(table, anchor, state)
+        Zx, Zp = se_update(table, state)
         assert np.max(np.abs(Zx)) == 0.0
         assert np.max(np.abs(Zp)) == 0.0
 
@@ -84,7 +87,8 @@ class TestSeUpdate:
             Dx=np.array([[[2.0]]]), Dp=np.zeros((1, 1, 1)),
             Sx=np.array([[[2.0]]]), Sp=np.zeros((1, 1, 1)),
         )
-        Zx, _ = se_update(table, anchor, state)
+        state.set_anchor(anchor.W)
+        Zx, _ = se_update(table, state)
         assert Zx[0][0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_cubic_reproduction_zd_r2(self):
@@ -101,7 +105,8 @@ class TestSeUpdate:
             Zx=np.zeros((2, 1, 1)), Zp=np.zeros((2, 1, 1)),
             Dx=np.array([[[3.0]], [[12.0]]]), Dp=np.zeros((2, 1, 1)),
         )
-        Zx, _ = se_update(table, anchor, state)
+        state.set_anchor(anchor.W)
+        Zx, _ = se_update(table, state)
         assert Zx[0][0, 0] == pytest.approx(1.0, abs=1e-12)
         assert Zx[1][0, 0] == pytest.approx(8.0, abs=1e-12)
 
@@ -127,7 +132,8 @@ class TestStackedSeUpdate:
         second = table.has_second
         rng = np.random.default_rng(10 * R + second)
         anchor, state = self._random_block(rng, precision, R, second)
-        Zx, Zp = se_update(table, anchor, state)
+        state.set_anchor(anchor.W)
+        Zx, Zp = se_update(table, state)
         for new, c in ((Zx, "x"), (Zp, "p")):
             z0, d0, D = (getattr(o, n + c) for o, n in ((anchor, "Z"), (anchor, "D"), (state, "D")))
             for r in range(R):
@@ -306,6 +312,100 @@ class TestSolveBlock:
         anchor = make_anchor(prob, 0.0, prob.x0, prob.p0, "zd")
         with pytest.raises((NonConvergenceError, DivergenceError)):
             solve_block(anchor, prob, coeff_table(1, "zd", 4.0), SolverConfig(max_iter=50))
+
+
+def _words(arrays):
+    """Every entry as hex words, (hi, lo) for double-double; signed zeros kept."""
+    return [
+        (v.hi.hex(), v.lo.hex()) if isinstance(v, DoubleDouble) else float(v).hex()
+        for A in arrays
+        for v in np.asarray(A).ravel()
+    ]
+
+
+class TestLeanSweep:
+    """The sweep loop against the loop as first written, and its stop tests."""
+
+    @pytest.mark.parametrize(
+        "name,R,N,T,prec",
+        [
+            ("pendulum", 1, 300, 100.0, NATIVE),
+            ("pendulum", 3, 300, 100.0, NATIVE),
+            ("kepler", 2, 480, 10.0, NATIVE),
+            ("mass_spring", 2, 40, 4.0, DDOUBLE),
+        ],
+        ids=["pendulum-r1", "pendulum-r3", "kepler-r2", "mass_spring-r2-ddouble"],
+    )
+    def test_bit_identical_to_reference_loop(self, monkeypatch, name, R, N, T, prec):
+        got = integrate(build_problem(name, prec), "zds", R, N, T)
+        monkeypatch.setattr(blocksolver, "solve_block", reference_solve_block)
+        ref = integrate(build_problem(name, prec), "zds", R, N, T)
+        assert (got.total_sweeps, got.pe1_calls) == (ref.total_sweeps, ref.pe1_calls)
+        assert _words(got.xs) == _words(ref.xs)
+        assert _words(got.ps) == _words(ref.ps)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_non_finite_rhs_in_a_sweep(self, prec, bad, k):
+        # calls 1-3 are the anchor and the two predictor nodes, call k >= 4 is
+        # sweep k - 3; the next sweep's block then holds the bad value
+        prob = make_mass_spring(precision=prec)
+        first, calls = prob.first_rhs, []
+
+        def first_rhs(X, P):
+            calls.append(X.shape)
+            Dx, Dp = first(X, P)
+            return (Dx, np.full_like(Dp, prec.real(bad))) if len(calls) == k else (Dx, Dp)
+
+        prob.first_rhs = first_rhs
+        anchor = make_anchor(prob, prec.real(0), prob.x0, prob.p0, "zds")
+        table = coeff_table(2, "zds", 0.1, prec)
+        with pytest.raises(DivergenceError, match="^non-finite block value during fixed-point sweep$"):
+            solve_block(anchor, prob, table, SolverConfig(precision=prec))
+        assert len(calls) == k
+
+    def test_overflowing_change_of_finite_block_is_growth(self, monkeypatch):
+        # structural updates -1e5, -1e10, .., -1e300 (each within the growth
+        # limit of 1e6), then the largest float: finite, but its change from
+        # -1e300 overflows to inf
+        values = iter([-(10.0 ** (5 * k)) for k in range(1, 61)] + [sys.float_info.max])
+        monkeypatch.setattr(blocksolver, "se_update", lambda table, state: np.full_like(state.Z, next(values)))
+        prob = make_mass_spring()
+        anchor = make_anchor(prob, 0.0, prob.x0, prob.p0, "zd")
+        with pytest.raises(DivergenceError, match=r"^block norm grew from 1\.000e\+300 to 1\.798e\+308"):
+            solve_block(anchor, prob, coeff_table(1, "zd", 0.1), SolverConfig())
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_anchor_rows_unchanged_by_solve(self, prec):
+        prob = make_pendulum(precision=prec)
+        anchor = make_anchor(prob, prec.real(0), prob.x0, prob.p0, "zds")
+        W = _words([anchor.W])
+        state, stats = solve_block(anchor, prob, coeff_table(3, "zds", 0.1, prec), SolverConfig(precision=prec))
+        assert stats.iterations > 1
+        assert _words([state.Y[:, 0], state.DS[:, :, 0]]) == _words([anchor.W[:, 0], anchor.W[:, 1:]])
+        assert _words([anchor.W]) == W
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_folded_negation_matches_written_out_formulas(self, prec):
+        # the kernels multiply by a negated constant; -(c * f) has the same words
+        vals = [0.0, -0.0, 0.5, -1.25, 3.0, -1e-300, 5e-324, 1e6]
+        X = prec.asarray(np.reshape(vals, (-1, 1, 1)))
+        D = prec.asarray(np.reshape(vals[::-1], (-1, 1, 1)))
+        if prec is DDOUBLE:  # a zero hi word of either sign from arithmetic, too
+            X[0, 0, 0], D[0, 0, 0] = -DoubleDouble(0.0), DoubleDouble(0.0) * -1.0
+        pend = make_pendulum(m=1.3, g=9.81, length=0.7, precision=prec)
+        mgl = pend.parameters["m"] * pend.parameters["g"] * pend.parameters["l"]
+        spring = make_mass_spring(kappa=2.7, precision=prec)
+        k = spring.parameters["kappa"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for got, want in (
+                (pend.first_rhs(X, D)[1], -(mgl * np.sin(X))),
+                (pend.second_rhs(X, X, D, D)[1], -(mgl * np.cos(X) * D)),
+                (spring.first_rhs(X, D)[1], -(k * X)),
+                (spring.second_rhs(X, X, D, D)[1], -(k * D)),
+            ):
+                assert _words([got]) == _words([want])
 
 
 def max_position_error(prob, traj):
