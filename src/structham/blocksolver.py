@@ -28,6 +28,16 @@ finiteness test: Z is finite on entry (the predictor and every accepted
 sweep checked it), so a finite norm proves the new Z finite.  Only a
 non-finite norm, which an overflowing difference of finite values also
 gives, needs a scan of the new Z.
+
+A problem in extended precision solves each block in two phases, as in
+mixed-precision iterative refinement.  Its float64 twin
+(``problem.native``) presolves the block from the rounded anchor, with the
+same sweep loop on a float64 table; the lifted result is then polished by
+sweeps in the problem's precision, which alone decide convergence and get
+the full iteration budget.  A twin that is wrong, or a float64 phase that
+diverges, costs sweeps, not accuracy.  Both kinds of sweep count in
+``IterStats``, and the lift's PE refresh counts as one sweep, so that
+every sweep makes R node evaluations per level.
 """
 
 from __future__ import annotations
@@ -82,7 +92,11 @@ class SolverConfig:
 
 @dataclass
 class IterStats:
-    """Fixed-point effort for one block: sweeps (excluding init) and PE calls."""
+    """Fixed-point effort for one block: sweeps and PE calls.
+
+    Sweeps exclude the predictor's Taylor step, but include a float64
+    presolve's sweeps and its refresh (see ``init_block``).
+    """
 
     iterations: int = 0
     pe1_calls: int = 0
@@ -154,6 +168,7 @@ class BlockState(_PhaseSpace):
 
     def _allocate(self, levels, R, like):
         self.levels = levels
+        self.sweeps = 0  # spent by the predictor (see init_block)
         self.Y = np.empty((2, levels * (R + 1)) + like.shape, dtype=like.dtype)
         self.DS = self.Y[:, 1:-R].reshape((2, levels - 1, R + 1) + like.shape)
         self.Z = self.Y[:, -R:]
@@ -179,8 +194,34 @@ def make_anchor(problem, t, X, P, formulation) -> BlockAnchor:
     return BlockAnchor(t=t, Zx=X, Zp=P, Dx=Dx, Dp=Dp, Sx=Sx, Sp=Sp)
 
 
-def init_block(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
-    """Taylor predictor swept node by node, derivatives refreshed from the PE."""
+def init_block(
+    anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig | None = None
+) -> BlockState:
+    """Predicted block with its derivatives refreshed from the PE.
+
+    Without a float64 twin (``problem.native`` is None): a Taylor predictor
+    swept node by node in the problem's precision.  With one: the float64
+    phase of the two-phase solve (module docstring).  The anchor is rounded
+    to float64, and the Taylor predictor and the sweep loop run on the twin
+    and its float64 table until the change is at most max(tol, 1e-14) or
+    stops falling.  The last finite iterate is lifted to the problem's
+    precision and the PE refreshed once.  Should the float64 predictor go
+    non-finite, the Taylor predictor in the problem's precision is used.
+
+    ``state.sweeps`` counts the float64 sweeps plus one for the refresh (0
+    without a presolve); each made R PE calls.  ``config`` defaults to the
+    precision's.
+    """
+    if problem.native is not None:
+        if config is None:
+            config = SolverConfig(precision=problem.precision)
+        state = _presolve(anchor, problem, table, config)
+        if state is not None:
+            return state
+    return _taylor(anchor, problem, table)
+
+
+def _taylor(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
     R = table.R
     dt = problem.precision.real(table.dt)
     second = table.has_second
@@ -203,6 +244,29 @@ def init_block(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
         if second:
             S = DS[:, 1, r + 1]
             S[0], S[1] = problem.second_rhs(Z[0], Z[1], D[0], D[1])
+    return state
+
+
+def _presolve(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig):
+    # the float64 phase of init_block; None when its predictor goes non-finite
+    twin = problem.native
+    table64 = coeff_table(table.R, table.formulation, table.dt, NATIVE)
+    anchor64 = BlockAnchor.stacked(anchor.t, NATIVE.asarray(anchor.W))
+    stats64 = IterStats()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            state64 = _taylor(anchor64, twin, table64)
+        except DivergenceError:
+            return None
+        tol64 = max(config.resolved_tol(), NATIVE.default_tol)
+        _sweep(twin, table64, state64, stats64, tol64, config, anchor64, presolve=True)
+
+        state = BlockState.empty(anchor.levels, table.R, anchor.Zx)
+        state.set_anchor(anchor.W)
+        state.Z[...] = problem.precision.asarray(state64.Z)
+        Zx, Zp = state.Z
+        pe_update(problem, Zx, Zp, table.has_second, out=state.DS[:, :, 1:])
+    state.sweeps = stats64.iterations + 1
     return state
 
 
@@ -258,46 +322,66 @@ def _refuse_node_block(problem, name: str, shape: tuple, a, b):
 def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig):
     """Fixed-point solve of one R-block.
 
-    Alternates se_update / pe_update from the Taylor predictor until the
-    max-norm difference of successive Z blocks (positions and momenta, all
-    nodes) drops to tol.  The returned state satisfies the physical
-    equations exactly at every node and the structural equations to
-    tolerance.
+    Alternates se_update / pe_update from the predictor (``init_block``)
+    until the max-norm difference of successive Z blocks (positions and
+    momenta, all nodes) drops to tol.  The returned state satisfies the
+    physical equations exactly at every node and the structural equations
+    to tolerance.  Only these sweeps, in the problem's precision, decide
+    convergence; they get the full ``max_iter`` budget after the predictor.
     """
-    tol = config.resolved_tol()
-    second = table.has_second
-    stats = IterStats(pe1_calls=table.R, second=second)
-
     # overflow during a diverging sweep is expected and handled via the
     # finiteness checks; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state = init_block(anchor, problem, table)
-        Z, derivs = state.Z, state.DS[:, :, 1:]
-        Zx, Zp = Z
+        state = init_block(anchor, problem, table, config)
+        stats = IterStats(state.sweeps, table.R * (1 + state.sweeps), table.has_second)
+        _sweep(problem, table, state, stats, config.resolved_tol(), config, anchor)
+    return state, stats
 
-        scale_ref = max(max_abs(anchor.level(0)), 1.0)
-        prev_norm = max_abs(Z)
-        diff = None
-        for sweep in range(1, config.max_iter + 1):
-            Z_new = se_update(table, state)
-            # both components enter the stopping norm: the x-block alone can
-            # stagnate for one sweep of the alternating map while p still moves;
-            # a finite diff proves Z_new finite (module docstring)
-            diff = max_abs(Z_new - Z)
-            if not math.isfinite(diff) and not all_finite(Z_new):
-                raise DivergenceError("non-finite block value during fixed-point sweep")
-            Z[...] = Z_new
-            stats.pe1_calls += pe_update(problem, Zx, Zp, second, out=derivs)[-1]
-            stats.iterations = sweep
-            if diff <= tol:
-                return state, stats
+
+def _sweep(problem, table: CoeffTable, state: BlockState, stats: IterStats, tol: float,
+           config: SolverConfig, anchor: BlockAnchor, presolve: bool = False):
+    """Sweeps on ``state`` until the change is at most tol; counts them in ``stats``.
+
+    A non-finite block, a norm grown more than ``growth_limit``-fold in one
+    sweep, or ``max_iter`` sweeps without convergence raise.  A
+    ``presolve`` (the float64 phase) raises none of these: it drops the
+    failing sweep, keeping the last finite iterate, and also stops once the
+    change stops falling.
+    """
+    second = table.has_second
+    Z, derivs = state.Z, state.DS[:, :, 1:]
+    Zx, Zp = Z
+
+    scale_ref = max(max_abs(anchor.level(0)), 1.0)
+    prev_norm = max_abs(Z)
+    diff = prev_diff = math.inf
+    for _ in range(config.max_iter):
+        Z_new = se_update(table, state)
+        # both components enter the stopping norm: the x-block alone can
+        # stagnate for one sweep of the alternating map while p still moves;
+        # a finite diff proves Z_new finite (module docstring)
+        diff = max_abs(Z_new - Z)
+        if not math.isfinite(diff) and not all_finite(Z_new):
+            if presolve:
+                return
+            raise DivergenceError("non-finite block value during fixed-point sweep")
+        if diff > tol:  # checked before Z is overwritten: a presolve keeps it
             norm = max_abs(Z_new)
             if norm > config.growth_limit * max(prev_norm, scale_ref):
+                if presolve:
+                    return
                 raise DivergenceError(
                     f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
                 )
             prev_norm = norm
-
+        Z[...] = Z_new
+        stats.pe1_calls += pe_update(problem, Zx, Zp, second, out=derivs)[-1]
+        stats.iterations += 1
+        if diff <= tol or presolve and diff >= prev_diff:
+            return
+        prev_diff = diff
+    if presolve:
+        return
     raise NonConvergenceError(
         f"fixed point not converged after {config.max_iter} sweeps (last change "
         f"{diff:.3e} in positions and momenta over all {table.R} block nodes, "

@@ -328,7 +328,13 @@ class DoubleDouble:
         return DoubleDouble(math.ldexp(self.hi, k), math.ldexp(self.lo, k))
 
     def sin_cos(self):
-        """(sin x, cos x) from one range reduction and one pair of series."""
+        """(sin x, cos x) from one range reduction and one pair of series.
+
+        Like float64, NaN and ±inf give (nan, nan).
+        """
+        if not math.isfinite(self.hi):
+            nan = _word(math.nan)
+            return nan, nan
         r, q = _reduce_half_pi(self)
         s, c = _sin_cos_taylor(r)
         return ((s, c), (c, -s), (-s, -c), (-c, s))[q]
@@ -444,6 +450,7 @@ _TAYLOR_TERMS = 40
 PI_DD = DoubleDouble(3.141592653589793, 1.2246467991473532e-16)
 _HALF_PI = DoubleDouble(1.5707963267948966, 6.123233995736766e-17)
 _QUARTER_PI = 0.7853981633974484
+_REDUCED = 16.0  # |r| left to the one-step corrections of _reduce_half_pi
 _LN2 = DoubleDouble(0.6931471805599453, 2.3190468138462996e-17)
 
 # ratios of successive Taylor terms: sin's k-th term is the previous one
@@ -461,12 +468,21 @@ _ATANH_RECIP = tuple(DoubleDouble.from_fraction(Fraction(1, 2 * k + 1)) for k in
 
 def _reduce_half_pi(x: DoubleDouble) -> tuple[DoubleDouble, int]:
     # r = x - k*pi/2 with |r| <= pi/4 (+1 ulp); accuracy degrades slowly as
-    # |x| grows (absolute error ~ |k| * 2**-107), fine for |x| <~ 1e6.
+    # |x| grows (absolute error ~ |k| * 2**-107), fine for |x| <~ 1e6.  A k
+    # rounded from the float quotient is off by up to about |x| * 2**-51,
+    # so |r| can stay far above pi/4: k is rounded again from r until
+    # |r| <= _REDUCED, each pass shrinking |r| about 2**51-fold (about 20
+    # passes for the largest float), and then stepped by one.  Up to |x| ~
+    # 1e16 the first r is already below _REDUCED.
     xf = float(x)
     if abs(xf) <= _QUARTER_PI:
         return x, 0
     k = round(xf / float(_HALF_PI))
     r = x - _HALF_PI * k
+    while abs(r.hi) > _REDUCED:
+        j = round(r.hi / float(_HALF_PI))
+        r = r - _HALF_PI * j
+        k += j
     while r.hi > _QUARTER_PI:
         r = r - _HALF_PI
         k += 1
@@ -612,7 +628,8 @@ def max_abs(arr) -> float:
         if arr.dtype == object:
             vals = [abs(float(v)) for v in arr.flat]  # max() alone drops a NaN that is not first
             return math.nan if math.isnan(sum(vals)) else max(vals, default=0.0)
-        return float(np.abs(arr).max()) if arr.size else 0.0
+        # the ufunc's own reduce: ndarray.max adds a Python-level wrapper
+        return float(np.maximum.reduce(np.abs(arr), axis=None)) if arr.size else 0.0
     return abs(float(arr))
 
 

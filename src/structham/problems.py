@@ -29,6 +29,8 @@ kernel does; a caller may mutate its arrays between calls.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -96,6 +98,30 @@ class HamiltonianProblem:
     reference_values: tuple = ()
     parameters: dict = field(default_factory=dict)
     precision: Precision = NATIVE
+    # float64 twin of the same problem, which the block solver presolves on
+    # (see blocksolver.init_block); the catalog builders fill it when they
+    # build at another precision
+    native: HamiltonianProblem | None = field(default=None, compare=False, repr=False)
+
+
+def _twinned(builder):
+    """Builder that also gives a problem built at another precision its float64 twin.
+
+    The twin is the same builder call at NATIVE precision; the arguments'
+    numbers (strings, Fractions, DoubleDoubles) round to float64 there.
+    """
+    signature = inspect.signature(builder)
+
+    @functools.wraps(builder)
+    def build(*args, **kwargs):
+        problem = builder(*args, **kwargs)
+        if problem.precision is not NATIVE:
+            call = signature.bind(*args, **kwargs)
+            call.arguments["precision"] = NATIVE
+            problem.native = builder(*call.args, **call.kwargs)
+        return problem
+
+    return build
 
 
 def _scalar_state(precision, value):
@@ -124,6 +150,7 @@ def _lift(c, n):
 # mass-spring
 # ---------------------------------------------------------------------------
 
+@_twinned
 def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> HamiltonianProblem:
     """Linear one-dimensional oscillator, H = p^2/(2m) + kappa x^2/2."""
     if not (float(m) > 0 and float(kappa) > 0):
@@ -172,6 +199,7 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
 # two springs, two masses
 # ---------------------------------------------------------------------------
 
+@_twinned
 def make_two_spring(
     k1=1.0, k2=5.0, m1=2.0, m2=1.0, A=1.0, B=2.0, alpha1=None, alpha2=None,
     precision=NATIVE,
@@ -263,6 +291,7 @@ _PENDULUM_REF_X = -0.2633498226088722
 _PENDULUM_REF_P = -0.7189111241830892
 
 
+@_twinned
 def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -> HamiltonianProblem:
     """Planar pendulum, H = p^2/(2 m l^2) + m g l (1 - cos x).
 
@@ -336,6 +365,7 @@ def pendulum_period(m=1.0, g=1.0, length=1.0, modulus=None) -> float:
 # Kepler
 # ---------------------------------------------------------------------------
 
+@_twinned
 def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianProblem:
     """Planar Kepler problem, H = |p|^2/2 - 1/|x|, with H, L and LRL invariants."""
     X0 = precision.asarray([[x0[0]], [x0[1]]])
@@ -442,6 +472,7 @@ def project_lrl(X, P, R0):
 # n-body
 # ---------------------------------------------------------------------------
 
+@_twinned
 def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> HamiltonianProblem:
     """Gravitational K-body problem in dimension I (2 or 3).
 
@@ -621,6 +652,7 @@ def _vec(x, *components):
 _EYE3 = np.eye(3, dtype=bool)
 
 
+@_twinned
 def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NATIVE) -> HamiltonianProblem:
     """Charged particle with H = |p - e A(x)|^2/(2m) + e phi(x); non-separable.
 

@@ -67,10 +67,11 @@ def reference_solve_block(anchor, problem, table, config):
     """
     tol = config.resolved_tol()
     second = table.has_second
-    stats = IterStats(pe1_calls=table.R, second=second)
     m = table.C.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state = init_block(anchor, problem, table)
+        state = init_block(anchor, problem, table, config)
+        # the predictor's own sweeps (a float64 presolve) count as sweeps
+        stats = IterStats(state.sweeps, table.R * (1 + state.sweeps), second)
         Z, derivs = state.Z, state.DS[:, :, 1:]
         scale_ref = max(max_abs(anchor.level(0)), 1.0)
         prev_norm = max_abs(Z)
@@ -88,7 +89,7 @@ def reference_solve_block(anchor, problem, table, config):
             if second:
                 derivs[0, 1], derivs[1, 1] = problem.second_rhs(Z[0], Z[1], Dx, Dp)
             stats.pe1_calls += table.R
-            stats.iterations = sweep
+            stats.iterations = state.sweeps + sweep
             if diff <= tol:
                 return state, stats
             norm = max_abs(Z)

@@ -1,5 +1,6 @@
 """Block fixed-point solver tests, anchored on independent oracles."""
 
+import hashlib
 import math
 import sys
 
@@ -22,6 +23,7 @@ from structham.blocksolver import (
 )
 from structham.numerics import DDOUBLE, NATIVE, DoubleDouble, max_abs
 from structham.problems import (
+    PROBLEM_NAMES,
     HamiltonianProblem,
     build_problem,
     make_kepler,
@@ -349,7 +351,9 @@ class TestLeanSweep:
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_non_finite_rhs_in_a_sweep(self, prec, bad, k):
         # calls 1-3 are the anchor and the two predictor nodes, call k >= 4 is
-        # sweep k - 3; the next sweep's block then holds the bad value
+        # sweep k - 3 (in ddouble the float64 twin predicts: call 2 is the
+        # lift's refresh and call k >= 3 is sweep k - 2); the next sweep's
+        # block then holds the bad value
         prob = make_mass_spring(precision=prec)
         first, calls = prob.first_rhs, []
 
@@ -406,6 +410,156 @@ class TestLeanSweep:
                 (spring.second_rhs(X, X, D, D)[1], -(k * D)),
             ):
                 assert _words([got]) == _words([want])
+
+
+def _trajectory_hash(traj):
+    """sha256 prefix over every stored node's words, then the sweep and call counts."""
+    h = hashlib.sha256()
+    for A in traj.xs + traj.ps:
+        for v in np.asarray(A).ravel():
+            h.update(np.array([v.hi, v.lo] if isinstance(v, DoubleDouble) else [v], dtype=float).tobytes())
+    h.update(repr((traj.total_sweeps, traj.pe1_calls)).encode())
+    return h.hexdigest()[:16]
+
+
+def _without_twin(problem):
+    problem.native = None
+    return problem
+
+
+def _endpoint_gap(a, b):
+    """Largest endpoint difference of two trajectories, and the bound 10 tol max(1, |Z|)."""
+    gap = max(max_abs(a.xs[-1] - b.xs[-1]), max_abs(a.ps[-1] - b.ps[-1]))
+    scale = max(1.0, max_abs(b.xs[-1]), max_abs(b.ps[-1]))
+    return gap, 10 * DDOUBLE.default_tol * scale
+
+
+# a step inside each problem's fixed-point convergence region
+_CATALOG_STEP = {
+    "mass_spring": 0.1, "two_spring": 0.05, "pendulum": 0.1, "kepler": 0.01,
+    "three_body_eight": 1 / 48, "outer_solar": 52.0, "em_scb": 5e-4, "em_challenging": 0.02,
+}
+
+
+class TestMixedPrecision:
+    """The float64 presolve of ddouble blocks on the problem's native twin."""
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_catalog_builders_fill_the_twin(self, name):
+        prob = build_problem(name, DDOUBLE)
+        twin = prob.native
+        assert twin.precision is NATIVE and twin.native is None and twin.name == prob.name
+        assert twin.x0.dtype == np.float64 and twin.x0.shape == prob.x0.shape
+        assert max_abs(twin.x0 - prob.x0) <= 1e-15 * max(1.0, max_abs(prob.x0))
+        assert build_problem(name).native is None
+        assert "native" not in repr(prob)
+
+    def test_twin_takes_the_builder_arguments(self):
+        prob = make_mass_spring(2.0, "0.3", 0.5, -0.1, DDOUBLE)  # precision passed by position
+        assert prob.native.parameters["kappa"] == 0.3 and prob.native.parameters["m"] == 2.0
+        assert (prob.native.x0[0, 0], prob.native.p0[0, 0]) == (0.5, -0.1)
+
+    @pytest.mark.parametrize("form,R", [("zds", 2), ("zd", 3)])
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_catalog_endpoint_matches_plain_ddouble(self, name, form, R):
+        N, dt = 6, _CATALOG_STEP[name]
+        mixed = integrate(build_problem(name, DDOUBLE), form, R, N, N * dt)
+        plain = integrate(_without_twin(build_problem(name, DDOUBLE)), form, R, N, N * dt)
+        gap, bound = _endpoint_gap(mixed, plain)
+        assert gap <= bound
+
+    @pytest.mark.parametrize(
+        "name,R,N,T,digest",
+        [("mass_spring", 2, 240, 10.0, "54c3697554c1f2db"), ("pendulum", 2, 40, 4.0, "0863912d18c57ef2")],
+    )
+    def test_without_twin_words_and_counts_unchanged(self, name, R, N, T, digest):
+        # the digests of the ddouble solver before the float64 presolve existed
+        traj = integrate(_without_twin(build_problem(name, DDOUBLE)), "zds", R, N, T)
+        assert _trajectory_hash(traj) == digest
+
+    @pytest.mark.parametrize("kappa", [1.5, 1e12], ids=["stiffer", "diverging"])
+    def test_wrong_twin_converges_to_the_ddouble_fixed_point(self, kappa):
+        # at kappa = 1e12 the float64 phase grows and hands over its last
+        # finite iterate
+        prob = make_mass_spring(x0=0.8, p0=0.3, precision=DDOUBLE)
+        prob.native = make_mass_spring(kappa=kappa, x0=0.8, p0=0.3)
+        got = integrate(prob, "zds", 2, 24, 1.0)
+        ref = integrate(_without_twin(make_mass_spring(x0=0.8, p0=0.3, precision=DDOUBLE)), "zds", 2, 24, 1.0)
+        gap, bound = _endpoint_gap(got, ref)
+        assert gap <= bound
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 30])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_float64_phase_does_not_raise(self, bad, k):
+        # twin calls 1-2 are the float64 predictor's two nodes (a bad value
+        # there falls back to the ddouble predictor), call 3 on are sweeps
+        prob = make_mass_spring(precision=DDOUBLE)
+        twin_rhs, calls = prob.native.first_rhs, []
+
+        def first_rhs(X, P):
+            calls.append(X.shape)
+            Dx, Dp = twin_rhs(X, P)
+            return (Dx, np.full_like(Dp, bad)) if len(calls) == k else (Dx, Dp)
+
+        prob.native.first_rhs = first_rhs
+        got = integrate(prob, "zds", 2, 24, 1.0)
+        assert len(calls) > k
+        ref = integrate(_without_twin(make_mass_spring(precision=DDOUBLE)), "zds", 2, 24, 1.0)
+        gap, bound = _endpoint_gap(got, ref)
+        assert gap <= bound
+
+    def test_ddouble_loop_gives_the_verdict(self):
+        # the pole of test_zero_divisor_diverges_in_both_backends, with a twin:
+        # the float64 phase goes non-finite without raising, and the ddouble
+        # sweeps then raise the divergence
+        def pole(prec):
+            return HamiltonianProblem(
+                name="pole", dim=1, nbodies=1,
+                x0=prec.asarray([[1.0]]), p0=prec.asarray([[1.0]]),
+                separable=True,
+                first_rhs=lambda X, P: (P.copy(), 1 / (X - 2)),
+                second_rhs=lambda X, P, DX, DP: (DP.copy(), -(DX / ((X - 2) * (X - 2)))),
+                precision=prec,
+            )
+
+        prob = pole(DDOUBLE)
+        prob.native = pole(NATIVE)
+        anchor = make_anchor(prob, DDOUBLE.real(0), prob.x0, prob.p0, "zd")
+        state = init_block(anchor, prob, coeff_table(1, "zd", 1.0, DDOUBLE))
+        assert state.sweeps == 1 and state.Z[0, 0, 0, 0] == 2
+        with pytest.raises(DivergenceError, match="^block starting at step 0: non-finite block value"):
+            integrate(prob, "zd", 1, 1, 1.0)
+
+    @pytest.mark.parametrize("form,R", [("zds", 2), ("zd", 3)])
+    def test_accounting_identity_counts_both_kinds_of_sweep(self, form, R):
+        # criterion 11's identity: R node evaluations per sweep, float64 ones
+        # included, and one initialization unit per block
+        prob = make_pendulum(precision=DDOUBLE)
+        nodes = {NATIVE: 0, DDOUBLE: 0}
+        for p in (prob, prob.native):
+            def counted(X, P, rhs=p.first_rhs, prec=p.precision):
+                nodes[prec] += X.shape[0] if X.ndim == 3 else 1
+                return rhs(X, P)
+            p.first_rhs = counted
+        traj = integrate(prob, form, R, 6 * R, 0.6 * R)
+        assert traj.pe1_calls == R * traj.total_iter + 1 == nodes[NATIVE] + nodes[DDOUBLE]
+        assert nodes[NATIVE] > 0
+        anchor = make_anchor(prob, DDOUBLE.real(0), prob.x0, prob.p0, form)
+        table = coeff_table(R, form, 0.1, DDOUBLE)
+        presolved = init_block(anchor, prob, table).sweeps
+        state, stats = solve_block(anchor, prob, table, SolverConfig(precision=DDOUBLE))
+        assert stats.iterations > presolved > 1
+        assert stats.pe1_calls == R * (stats.iterations + 1)
+
+    def test_float64_predictor_failure_falls_back_to_taylor(self):
+        prob = make_mass_spring(precision=DDOUBLE)
+        prob.native.first_rhs = lambda X, P: (P / 0.0, X / 0.0)
+        anchor = make_anchor(prob, DDOUBLE.real(0), prob.x0, prob.p0, "zds")
+        table = coeff_table(2, "zds", 0.1, DDOUBLE)
+        state = init_block(anchor, prob, table)
+        plain = init_block(anchor, _without_twin(make_mass_spring(precision=DDOUBLE)), table)
+        assert state.sweeps == plain.sweeps == 0
+        assert _words([state.Y]) == _words([plain.Y])
 
 
 def max_position_error(prob, traj):

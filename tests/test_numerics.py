@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -467,6 +468,26 @@ class TestElementary:
         s, c = sin_cos(arr)
         assert np.array_equal(s, np.sin(arr)) and np.array_equal(c, np.cos(arr))
 
+    @pytest.mark.parametrize("x", [1e17, 1e25, -1e25, 1e300, -1.7976931348623157e308])
+    def test_sin_cos_of_huge_arguments_return_at_once(self, x):
+        # k rounded from the float quotient is off by ~|x| * 1e-16 here; the
+        # reduction must not step by pi/2 that many times
+        start = time.process_time()
+        s, c = DoubleDouble(x).sin_cos()
+        assert time.process_time() - start < 0.5
+        assert abs(s) <= 1 and abs(c) <= 1
+        assert abs(float(s * s + c * c - 1)) <= 1e-30
+        assert words(s) == words(DoubleDouble(x).sin()) and words(c) == words(DoubleDouble(x).cos())
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_sin_cos_of_non_finite_are_nan(self, x):
+        for got in (*DoubleDouble(x).sin_cos(), DoubleDouble(x).sin(), DoubleDouble(x).cos()):
+            assert math.isnan(got.hi)
+        with np.errstate(invalid="ignore"):  # float64 arrays flag sin(inf) too
+            s, c = sin_cos(DDOUBLE.asarray([[x, 0.5]]))
+            assert math.isnan(s[0, 0].hi) and math.isnan(c[0, 0].hi)
+            assert math.isnan(np.sin(np.float64(x))) and math.isnan(np.cos(np.float64(x)))
+
     def test_mass_spring_exact_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 45
@@ -522,6 +543,25 @@ class TestPrecisionBackends:
     ], ids=["nan-first", "nan-last", "nan-middle", "nan-after-large"])
     def test_max_abs_nan_wins(self, prec, rows):
         assert math.isnan(max_abs(prec.asarray(rows)))
+
+    @pytest.mark.parametrize("data", [
+        [[1.0, -3.0], [2.0, 0.5]],
+        [[-0.0]],
+        [[math.nan], [1.0]],
+        [[-math.inf, 1.0]],
+        [[1e300, -1e-300], [math.nan, math.inf]],
+        np.zeros((0, 2)),
+        np.zeros(0),
+        2.5,
+    ], ids=["plain", "negative-zero", "nan", "inf", "mixed", "empty-2d", "empty-1d", "scalar"])
+    def test_float64_max_abs_is_numpy_max(self, data):
+        a = np.asarray(data, dtype=float)
+        want = float(np.abs(a).max()) if a.size else 0.0
+        got = max_abs(a)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        strided = np.asarray(data, dtype=float).repeat(2)[::2]
+        assert max_abs(strided) == got or math.isnan(got)
 
     def test_defaults(self):
         assert NATIVE.default_tol == 1e-14
