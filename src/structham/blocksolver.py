@@ -20,7 +20,7 @@ and for the L levels Z, D (and, for ZDS, S) the rows
 
 (node 0 is the anchor).  The structural update applies the table's matrix C
 to the rows before Z_1..Z_R, for x and p together.  An anchor stacks its
-values as (2, L, I, K); the ``Zx`` .. ``Sp`` attributes are views.
+values as (2, L, I, K).
 
 A block writes its anchor rows once, in the predictor; no sweep touches
 them.  Each sweep takes one max-norm of the change of Z, which is also its
@@ -29,15 +29,19 @@ sweep checked it), so a finite norm proves the new Z finite.  Only a
 non-finite norm, which an overflowing difference of finite values also
 gives, needs a scan of the new Z.
 
-A problem in extended precision solves each block in two phases, as in
-mixed-precision iterative refinement.  Its float64 twin
-(``problem.native``) presolves the block from the rounded anchor, with the
-same sweep loop on a float64 table; the lifted result is then polished by
-sweeps in the problem's precision, which alone decide convergence and get
-the full iteration budget.  A twin that is wrong, or a float64 phase that
-diverges, costs sweeps, not accuracy.  Both kinds of sweep count in
-``IterStats``, and the lift's PE refresh counts as one sweep, so that
-every sweep makes R node evaluations per level.
+A problem in extended precision solves each block by simplified Newton
+with one float64 matrix, as in mixed-precision iterative refinement.  Its
+float64 twin (``problem.native``) predicts the block from the rounded
+anchor, where probes of the twin's sweep map G (PE, then SE) give
+M = I - G'.  Then Z <- Z + M^-1 (G(Z) - Z), solved in float64, on the twin
+and, after the lift, in the problem's precision.  Only a plain sweep there
+accepts a block: its change G(Z) - Z, and while M is held the correction
+M^-1 (G(Z) - Z), must be at most tol.  A corrected change that does not at
+least halve, or a corrected block that is not finite or outgrows the
+growth limit, drops M: the float64 phase ends, the other goes on with plain
+sweeps.  A wrong twin costs sweeps, not accuracy.  Probes, float64 sweeps
+and the lift's PE refresh each count in ``IterStats`` as one sweep of R
+node evaluations per level.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ class IterStats:
     """Fixed-point effort for one block: sweeps and PE calls.
 
     Sweeps exclude the predictor's Taylor step, but include a float64
-    presolve's sweeps and its refresh (see ``init_block``).
+    phase's probes, sweeps and refresh (see ``init_block``).
     """
 
     iterations: int = 0
@@ -107,36 +111,11 @@ class IterStats:
         return self.pe1_calls if self.second else 0
 
 
-class _PhaseSpace:
-    """Views Zx .. Sp into a stacked array; ``level(s)`` gives (x, p) of level s."""
-
-    def _view(self, s: int, c: int):
-        return self.level(s)[c] if s < self.levels else None
-
-    Zx = property(lambda self: self._view(0, 0))
-    Zp = property(lambda self: self._view(0, 1))
-    Dx = property(lambda self: self._view(1, 0))
-    Dp = property(lambda self: self._view(1, 1))
-    Sx = property(lambda self: self._view(2, 0))
-    Sp = property(lambda self: self._view(2, 1))
-
-
-def _pairs(Zx, Zp, Dx, Dp, Sx, Sp):
-    return [(Zx, Zp), (Dx, Dp)] + ([(Sx, Sp)] if Sx is not None else [])
-
-
-class BlockAnchor(_PhaseSpace):
+class BlockAnchor:
     """Known values at the block's entry node t_n, stacked as ``W`` (2, L, I, K)."""
 
-    def __init__(self, t, Zx, Zp, Dx, Dp, Sx=None, Sp=None):
-        self.t = t
-        self.W = np.stack([np.stack(pair) for pair in _pairs(Zx, Zp, Dx, Dp, Sx, Sp)], axis=1)
-
-    @classmethod
-    def stacked(cls, t, W: np.ndarray) -> "BlockAnchor":
-        anchor = cls.__new__(cls)
-        anchor.t, anchor.W = t, W
-        return anchor
+    def __init__(self, t, W: np.ndarray):
+        self.t, self.W = t, W
 
     @property
     def levels(self) -> int:
@@ -146,32 +125,23 @@ class BlockAnchor(_PhaseSpace):
         return self.W[:, s]
 
 
-class BlockState(_PhaseSpace):
-    """One block's stacked array ``Y`` (layout in the module docstring).
+class BlockState:
+    """One unfilled block's stacked array ``Y`` (layout in the module docstring).
 
     ``Z`` (2, R, I, K) and ``DS`` (2, L-1, R+1, I, K: per derivative level
-    the anchor, then the R nodes) are views into ``Y``.
+    the anchor, then the R nodes) are views into ``Y``, for node values
+    shaped and typed like ``like``; ``init_block`` sets ``sweeps`` and
+    ``newton``.
     """
 
-    def __init__(self, Zx, Zp, Dx, Dp, Sx=None, Sp=None):
-        pairs = _pairs(Zx, Zp, Dx, Dp, Sx, Sp)
-        self._allocate(len(pairs), len(Zx), Zx[0])
-        for s, pair in enumerate(pairs):
-            self.level(s)[...] = pair
-
-    @classmethod
-    def empty(cls, levels: int, R: int, like: np.ndarray) -> "BlockState":
-        """Unfilled block for node values shaped and typed like ``like``."""
-        state = cls.__new__(cls)
-        state._allocate(levels, R, like)
-        return state
-
-    def _allocate(self, levels, R, like):
-        self.levels = levels
-        self.sweeps = 0  # spent by the predictor (see init_block)
+    def __init__(self, levels: int, R: int, like: np.ndarray):
+        self.levels, self.sweeps, self.newton = levels, 0, None
         self.Y = np.empty((2, levels * (R + 1)) + like.shape, dtype=like.dtype)
         self.DS = self.Y[:, 1:-R].reshape((2, levels - 1, R + 1) + like.shape)
         self.Z = self.Y[:, -R:]
+
+    Zx = property(lambda self: self.Z[0])
+    Zp = property(lambda self: self.Z[1])
 
     def set_anchor(self, W: np.ndarray) -> None:
         self.Y[:, 0], self.DS[:, :, 0] = W[:, 0], W[:, 1:]
@@ -186,12 +156,10 @@ class BlockState(_PhaseSpace):
 
 def make_anchor(problem, t, X, P, formulation) -> BlockAnchor:
     """Anchor with derivatives computed from the physical equations at (X, P)."""
-    form = Formulation.parse(formulation)
-    Dx, Dp = problem.first_rhs(X, P)
-    Sx = Sp = None
-    if form is Formulation.ZDS:
-        Sx, Sp = problem.second_rhs(X, P, Dx, Dp)
-    return BlockAnchor(t=t, Zx=X, Zp=P, Dx=Dx, Dp=Dp, Sx=Sx, Sp=Sp)
+    levels = [(X, P), problem.first_rhs(X, P)]
+    if Formulation.parse(formulation) is Formulation.ZDS:
+        levels.append(problem.second_rhs(X, P, *levels[1]))
+    return BlockAnchor(t, np.stack([np.stack(pair) for pair in levels], axis=1))
 
 
 def init_block(
@@ -200,17 +168,17 @@ def init_block(
     """Predicted block with its derivatives refreshed from the PE.
 
     Without a float64 twin (``problem.native`` is None): a Taylor predictor
-    swept node by node in the problem's precision.  With one: the float64
-    phase of the two-phase solve (module docstring).  The anchor is rounded
-    to float64, and the Taylor predictor and the sweep loop run on the twin
-    and its float64 table until the change is at most max(tol, 1e-14) or
-    stops falling.  The last finite iterate is lifted to the problem's
-    precision and the PE refreshed once.  Should the float64 predictor go
-    non-finite, the Taylor predictor in the problem's precision is used.
+    swept node by node in the problem's precision.  With one, the float64
+    phase (module docstring): the twin's Taylor predictor from the rounded
+    anchor; unless that leaves a non-finite derivative, M from one probe
+    per unknown (2 R I K, one batched PE call; the base G(Z_0) is the first
+    sweep's SE output); corrected float64 sweeps to max(tol, 1e-14); the
+    last finite iterate lifted and its PE refreshed.  Should the float64
+    predictor go non-finite, the Taylor predictor is used instead.
 
-    ``state.sweeps`` counts the float64 sweeps plus one for the refresh (0
-    without a presolve); each made R PE calls.  ``config`` defaults to the
-    precision's.
+    ``state.sweeps`` counts the probes, float64 sweeps and refresh, each R
+    PE calls per level; ``state.newton`` is M^-1, or None.  ``config``
+    defaults to the precision's.
     """
     if problem.native is not None:
         if config is None:
@@ -227,7 +195,7 @@ def _taylor(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
     second = table.has_second
     half_dt2 = dt * dt * 0.5 if second else None
 
-    state = BlockState.empty(anchor.levels, R, anchor.Zx)
+    state = BlockState(anchor.levels, R, anchor.W[0, 0])
     state.set_anchor(anchor.W)
     Zb, DS = state.Z, state.DS
     Z, D = anchor.level(0), anchor.level(1)
@@ -251,23 +219,69 @@ def _presolve(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverCon
     # the float64 phase of init_block; None when its predictor goes non-finite
     twin = problem.native
     table64 = coeff_table(table.R, table.formulation, table.dt, NATIVE)
-    anchor64 = BlockAnchor.stacked(anchor.t, NATIVE.asarray(anchor.W))
-    stats64 = IterStats()
+    anchor64 = BlockAnchor(anchor.t, NATIVE.asarray(anchor.W))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             state64 = _taylor(anchor64, twin, table64)
         except DivergenceError:
             return None
+        probes = state64.Z.size if all_finite(state64.DS) else 0  # one sweep each
+        newton = _newton_matrix(twin, table64, state64) if probes else None
         tol64 = max(config.resolved_tol(), NATIVE.default_tol)
-        _sweep(twin, table64, state64, stats64, tol64, config, anchor64, presolve=True)
+        sweeps = probes + _sweep(twin, table64, state64, tol64, config, anchor64, newton, True)
 
-        state = BlockState.empty(anchor.levels, table.R, anchor.Zx)
+        state = BlockState(anchor.levels, table.R, anchor.W[0, 0])
         state.set_anchor(anchor.W)
         state.Z[...] = problem.precision.asarray(state64.Z)
-        Zx, Zp = state.Z
-        pe_update(problem, Zx, Zp, table.has_second, out=state.DS[:, :, 1:])
-    state.sweeps = stats64.iterations + 1
+        pe_update(problem, state.Z, state.DS[:, :, 1:])
+    state.sweeps, state.newton = sweeps + 1, newton
     return state
+
+
+_PROBE_STEP = math.sqrt(NATIVE.eps)  # forward-difference step, relative to max(|z|, 1)
+# the factor a corrected change must fall by to keep M: with a twin far too
+# stiff, M^-1 ~ 1e-9 and the change falls by 1 - 1e-9 per sweep
+_NEWTON_RATE = 0.5
+
+
+def _newton_matrix(twin, table: CoeffTable, state: BlockState):
+    """M^-1 for M = I - G' at the float64 block ``state``; None when M is
+    singular or not finite.
+
+    Column j of G' is (G(Z + h_j e_j) - G(Z)) / h_j: C applied to the change
+    of the node derivatives, SE being linear.
+    """
+    Z, R = state.Z, table.R
+    n, z = Z.size, Z.reshape(-1)
+    h = (z + _PROBE_STEP * np.maximum(np.abs(z), 1.0)) - z  # exact: probe j is z + h_j e_j
+    probes = np.moveaxis((z + np.diag(h)).reshape((n,) + Z.shape), 0, 1)
+    nodes = probes.reshape((2, n * R) + Z.shape[2:])
+    derivs = np.empty((2, state.levels - 1) + nodes.shape[1:])
+    pe_update(twin, nodes, derivs)
+    change = derivs.reshape(derivs.shape[:2] + (n,) + Z.shape[1:]) - state.DS[:, :, None, 1:]
+    C_nodes = table.C[:, 1:].reshape(R, state.levels - 1, R + 1)[:, :, 1:]
+    G_prime = np.einsum("rsq,csnq...->ncr...", C_nodes, change).reshape(n, n).T / h
+    return _inverse(np.eye(n) - G_prime)
+
+
+def _inverse(M: np.ndarray):
+    """M^-1 by Gauss-Jordan elimination with partial pivoting; None when M is
+    singular or not finite.  Elementwise numpy only: numpy.linalg would map
+    LAPACK, about 1 MB of resident memory (see secoeff._gram_eigenvalues)."""
+    n = len(M)
+    A = np.concatenate([M, np.eye(n)], axis=1)
+    for j in range(n):
+        p = j + np.abs(A[j:, j]).argmax()  # a NaN wins
+        pivot = A[p, j]
+        if not (pivot != 0.0 and math.isfinite(pivot)):
+            return None
+        if p != j:
+            A[[j, p]] = A[[p, j]]
+        row = A[j] / pivot
+        A -= np.multiply.outer(A[:, j], row)
+        A[j] = row
+    inverse = A[:, n:]
+    return inverse if all_finite(inverse) else None
 
 
 def se_update(table: CoeffTable, state: BlockState) -> np.ndarray:
@@ -286,102 +300,115 @@ def se_update(table: CoeffTable, state: BlockState) -> np.ndarray:
     return np.add.accumulate(terms, axis=2)[:, :, -1]
 
 
-def pe_update(problem, Zx_blk: np.ndarray, Zp_blk: np.ndarray, second: bool, out=None):
+def pe_update(problem, Z: np.ndarray, out: np.ndarray) -> None:
     """Derivative blocks refreshed from the physical equations at all R nodes.
 
-    One ``first_rhs`` call (and, if ``second``, one ``second_rhs`` call)
-    takes the (R, I, K) node blocks at once; the right-hand sides act node
-    by node.  D (and S) are written into ``out`` -- (2, L-1, R, I, K), such
-    as the node part of ``BlockState.DS`` -- or into a new array.  Returns
-    views (Dx, Dp, Sx, Sp) into it and the node evaluations per level, R.
+    One ``first_rhs`` call (and, when ``out`` holds two levels, one
+    ``second_rhs`` call) takes the (2, R, I, K) node block ``Z`` at once;
+    the right-hand sides act node by node.  D (and S) are written into
+    ``out`` (2, L-1, R, I, K), such as the node part of ``BlockState.DS``.
     """
-    shape = Zx_blk.shape
-    ox, op = np.empty((2, 1 + second) + shape, dtype=Zx_blk.dtype) if out is None else out
-    Dx, Dp = problem.first_rhs(Zx_blk, Zp_blk)
-    if getattr(Dx, "shape", None) != shape or getattr(Dp, "shape", None) != shape:
-        _refuse_node_block(problem, "first_rhs", shape, Dx, Dp)
-    ox[0], op[0] = Dx, Dp
-    if not second:
-        return ox[0], op[0], None, None, len(Zx_blk)
-    Sx, Sp = problem.second_rhs(Zx_blk, Zp_blk, Dx, Dp)
-    if getattr(Sx, "shape", None) != shape or getattr(Sp, "shape", None) != shape:
-        _refuse_node_block(problem, "second_rhs", shape, Sx, Sp)
-    ox[1], op[1] = Sx, Sp
-    return ox[0], op[0], ox[1], op[1], len(Zx_blk)
+    Zx, Zp = Z
+    Dx, Dp = problem.first_rhs(Zx, Zp)
+    _check_node_block(problem, "first_rhs", Zx.shape, Dx, Dp)
+    out[0, 0], out[1, 0] = Dx, Dp
+    if out.shape[1] > 1:
+        Sx, Sp = problem.second_rhs(Zx, Zp, Dx, Dp)
+        _check_node_block(problem, "second_rhs", Zx.shape, Sx, Sp)
+        out[0, 1], out[1, 1] = Sx, Sp
 
 
-def _refuse_node_block(problem, name: str, shape: tuple, a, b):
+def _check_node_block(problem, name: str, shape: tuple, a, b):
     # a right-hand side written for one (I, K) node would broadcast node 0's
     # values over the whole block
-    raise ConfigurationError(
-        f"{problem.name} {name} returned shapes {np.shape(a)} and {np.shape(b)} for "
-        f"node block {shape}: right-hand sides must act node by node on (..., I, K) states"
-    )
+    if getattr(a, "shape", None) != shape or getattr(b, "shape", None) != shape:
+        raise ConfigurationError(
+            f"{problem.name} {name} returned shapes {np.shape(a)} and {np.shape(b)} for "
+            f"node block {shape}: right-hand sides must act node by node on (..., I, K) states"
+        )
 
 
 def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig):
-    """Fixed-point solve of one R-block.
+    """Solve of one R-block.
 
     Alternates se_update / pe_update from the predictor (``init_block``)
     until the max-norm difference of successive Z blocks (positions and
-    momenta, all nodes) drops to tol.  The returned state satisfies the
-    physical equations exactly at every node and the structural equations
-    to tolerance.  Only these sweeps, in the problem's precision, decide
-    convergence; they get the full ``max_iter`` budget after the predictor.
+    momenta, all nodes) drops to tol, the steps corrected through
+    ``state.newton`` if set (module docstring).  The returned state, the SE
+    output of that last sweep with the PE refreshed, satisfies the physical
+    equations exactly at every node and the structural equations to
+    tolerance.  Only these sweeps, in the problem's precision, decide
+    convergence, with the full ``max_iter`` budget after the predictor.
     """
     # overflow during a diverging sweep is expected and handled via the
     # finiteness checks; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = init_block(anchor, problem, table, config)
-        stats = IterStats(state.sweeps, table.R * (1 + state.sweeps), table.has_second)
-        _sweep(problem, table, state, stats, config.resolved_tol(), config, anchor)
-    return state, stats
+        tol = config.resolved_tol()
+        sweeps = state.sweeps + _sweep(problem, table, state, tol, config, anchor, state.newton)
+    return state, IterStats(sweeps, table.R * (1 + sweeps), table.has_second)
 
 
-def _sweep(problem, table: CoeffTable, state: BlockState, stats: IterStats, tol: float,
-           config: SolverConfig, anchor: BlockAnchor, presolve: bool = False):
-    """Sweeps on ``state`` until the change is at most tol; counts them in ``stats``.
+def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, config: SolverConfig,
+           anchor: BlockAnchor, newton=None, presolve: bool = False) -> int:
+    """Sweeps on ``state`` until the change is at most tol; returns their number.
 
-    A non-finite block, a norm grown more than ``growth_limit``-fold in one
-    sweep, or ``max_iter`` sweeps without convergence raise.  A
-    ``presolve`` (the float64 phase) raises none of these: it drops the
-    failing sweep, keeping the last finite iterate, and also stops once the
-    change stops falling.
+    ``newton`` (M^-1) corrects the steps until it is dropped (module
+    docstring).  A non-finite block, a norm grown more than
+    ``growth_limit``-fold in one sweep, or ``max_iter`` sweeps without
+    convergence raise.  A ``presolve`` (the float64 phase) raises none of
+    these: it drops the failing sweep, keeping the last finite iterate, and
+    ends once M is dropped.
     """
-    second = table.has_second
     Z, derivs = state.Z, state.DS[:, :, 1:]
-    Zx, Zp = Z
-
     scale_ref = max(max_abs(anchor.level(0)), 1.0)
     prev_norm = max_abs(Z)
     diff = prev_diff = math.inf
-    for _ in range(config.max_iter):
+    for sweeps in range(config.max_iter):
         Z_new = se_update(table, state)
         # both components enter the stopping norm: the x-block alone can
         # stagnate for one sweep of the alternating map while p still moves;
         # a finite diff proves Z_new finite (module docstring)
-        diff = max_abs(Z_new - Z)
+        step = Z_new - Z
+        diff = max_abs(step)
         if not math.isfinite(diff) and not all_finite(Z_new):
             if presolve:
-                return
+                return sweeps
             raise DivergenceError("non-finite block value during fixed-point sweep")
-        if diff > tol:  # checked before Z is overwritten: a presolve keeps it
-            norm = max_abs(Z_new)
-            if norm > config.growth_limit * max(prev_norm, scale_ref):
+        # checked before Z is overwritten: a presolve keeps it
+        limit = config.growth_limit * max(prev_norm, scale_ref)
+        done = diff <= tol
+        if newton is not None:
+            # the correction, too, bounds a corrected block's error: the map
+            # moves x from p, and outer_solar's momenta (~1e-6) reach the
+            # positions through dt/m ~ 5e4, so a change of 4e-31, all in p,
+            # was followed by one of 9e-27
+            correction = (newton * NATIVE.asarray(step).reshape(-1)).sum(axis=1).reshape(Z.shape)
+            done = done and max_abs(correction) <= tol
+            if not done:
+                corrected = Z + correction
+                norm = max_abs(corrected)
+                if diff <= _NEWTON_RATE * prev_diff and norm <= limit:  # False for NaN
+                    Z_new = corrected
+                else:
+                    newton = None
+        if not done:
+            if newton is None:
                 if presolve:
-                    return
-                raise DivergenceError(
-                    f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
-                )
+                    return sweeps
+                norm = max_abs(Z_new)
+                if norm > limit:
+                    raise DivergenceError(
+                        f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
+                    )
             prev_norm = norm
         Z[...] = Z_new
-        stats.pe1_calls += pe_update(problem, Zx, Zp, second, out=derivs)[-1]
-        stats.iterations += 1
-        if diff <= tol or presolve and diff >= prev_diff:
-            return
+        pe_update(problem, Z, derivs)
+        if done:
+            return sweeps + 1
         prev_diff = diff
     if presolve:
-        return
+        return config.max_iter
     raise NonConvergenceError(
         f"fixed point not converged after {config.max_iter} sweeps (last change "
         f"{diff:.3e} in positions and momenta over all {table.R} block nodes, "
@@ -499,7 +526,5 @@ def integrate(
             anchor = make_anchor(problem, precision.real(step) * dt_scalar, Xl, Pl, form)
             traj.pe1_calls += 1
         else:
-            anchor = BlockAnchor.stacked(
-                precision.real(step) * dt_scalar, state.node(r_this - 1)
-            )
+            anchor = BlockAnchor(precision.real(step) * dt_scalar, state.node(r_this - 1))
     return traj

@@ -187,6 +187,8 @@ class DoubleDouble:
         e -= hi - s
         e += f
         x = hi + e
+        if not x:  # an exact zero: float64's sign, -0.0 only for (-0) + (-0)
+            return _word(s if not s else 0.0)
         return _dd(x, e - (x - hi), s)
 
     __radd__ = __add__
@@ -215,6 +217,8 @@ class DoubleDouble:
         e -= hi - s
         e += f
         x = hi + e
+        if not x:
+            return _word(s if not s else 0.0)
         return _dd(x, e - (x - hi), s)
 
     def __rsub__(self, other):
@@ -256,6 +260,8 @@ class DoubleDouble:
         except ZeroDivisionError:  # float64's quotient: NaN for 0/0 and NaN/0, else ±inf
             nan = self.hi == 0.0 or self.hi != self.hi
             return _word(math.nan if nan else math.copysign(math.inf, self.hi) * math.copysign(1.0, b))
+        if not q1:  # a zero numerator, or an underflow: float64's signed zero
+            return _word(q1)
         c = _SPLITTER * b
         bh = c - (c - b)
         rh, rl = _remainder(self.hi, self.lo, o, bh, q1)

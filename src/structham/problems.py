@@ -161,21 +161,26 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
     x0_ = precision.real(x0)
     p0_ = precision.real(p0)
     omega = nsqrt(k_ / m_)
+    x_sin = p0_ / (m_ * omega)  # exact's coefficients, independent of t
+    p_sin = m_ * omega * x0_
 
     def hamiltonian(X, P):
         x, p = X[0, 0], P[0, 0]
         return p * p / (2 * m_) + k_ * x * x * 0.5
 
+    def velocity(V):  # V / m_; at m = 1 the copy has the quotient's words
+        return V.copy() if m_ == 1 else V / m_
+
     def first_rhs(X, P):
-        return P / m_, neg_k * X
+        return velocity(P), neg_k * X
 
     def second_rhs(X, P, DX, DP):
-        return DP / m_, neg_k * DX
+        return velocity(DP), neg_k * DX
 
     def exact(t):
         s, c = sin_cos(t * omega)
-        x = x0_ * c + (p0_ / (m_ * omega)) * s
-        p = p0_ * c - (m_ * omega * x0_) * s
+        x = x0_ * c + x_sin * s
+        p = p0_ * c - p_sin * s
         return precision.asarray([[x]]), precision.asarray([[p]])
 
     return HamiltonianProblem(

@@ -1,5 +1,7 @@
 """Shared independent oracles used by solver and acceptance tests."""
 
+import math
+
 import numpy as np
 
 from structham.blocksolver import DivergenceError, IterStats, NonConvergenceError, init_block
@@ -39,17 +41,17 @@ def dense_block_oracle(problem, table, anchor):
     B_d = np.asarray(table.B_d, float)
     M_x = np.kron(np.eye(R), Ex) + np.kron(B_d, Ex @ A)
     M_p = np.kron(np.eye(R), Ep) + np.kron(B_d, Ep @ A)
-    x0 = anchor.Zx.ravel()
-    p0 = anchor.Zp.ravel()
-    rhs_x = -(np.kron(table.b_z, x0) + np.kron(table.b_d, anchor.Dx.ravel()))
-    rhs_p = -(np.kron(table.b_z, p0) + np.kron(table.b_d, anchor.Dp.ravel()))
+    (x0, p0), (dx0, dp0) = anchor.level(0), anchor.level(1)
+    rhs_x = -(np.kron(table.b_z, x0.ravel()) + np.kron(table.b_d, dx0.ravel()))
+    rhs_p = -(np.kron(table.b_z, p0.ravel()) + np.kron(table.b_d, dp0.ravel()))
     if table.has_second:
         B_s = np.asarray(table.B_s, float)
         A2 = A @ A
         M_x += np.kron(B_s, Ex @ A2)
         M_p += np.kron(B_s, Ep @ A2)
-        rhs_x -= np.kron(table.b_s, anchor.Sx.ravel())
-        rhs_p -= np.kron(table.b_s, anchor.Sp.ravel())
+        sx0, sp0 = anchor.level(2)
+        rhs_x -= np.kron(table.b_s, sx0.ravel())
+        rhs_p -= np.kron(table.b_s, sp0.ravel())
     M = np.vstack([M_x, M_p])
     rhs = np.concatenate([rhs_x, rhs_p])
     W = np.linalg.solve(M, rhs)
@@ -63,7 +65,12 @@ def reference_solve_block(anchor, problem, table, config):
 
     Every sweep copies the anchor into the anchor rows of ``Y``, scans the
     new Z block for finiteness before taking the change norm, and reads the
-    growth norm back from the strided Z view.
+    growth norm back from the strided Z view.  While the block holds its
+    float64 matrix (``state.newton``, M^-1), a sweep is accepted only if the
+    correction M^-1 times the change is within tol too; otherwise it steps
+    by that correction, as long as the change at least halves and the
+    corrected block passes the growth test.  The first time either fails,
+    M is dropped.
     """
     tol = config.resolved_tol()
     second = table.has_second
@@ -76,6 +83,7 @@ def reference_solve_block(anchor, problem, table, config):
         scale_ref = max(max_abs(anchor.level(0)), 1.0)
         prev_norm = max_abs(Z)
         diff = None
+        newton, prev_diff = state.newton, math.inf
         for sweep in range(1, config.max_iter + 1):
             state.set_anchor(anchor.W)
             terms = table.C[:, :, None, None] * state.Y[:, None, :m]
@@ -83,6 +91,20 @@ def reference_solve_block(anchor, problem, table, config):
             if not all_finite(Z_new):
                 raise DivergenceError("non-finite block value during fixed-point sweep")
             diff = max_abs(Z_new - Z)
+            verdict = diff <= tol
+            if newton is not None:
+                change = np.asarray(Z_new - Z, dtype=float).ravel()
+                correction = (newton * change).sum(axis=1).reshape(Z.shape)
+                verdict = verdict and max_abs(correction) <= tol
+                corrected = Z + correction
+                bound = config.growth_limit * max(prev_norm, scale_ref)
+                if verdict:
+                    newton = None
+                elif diff <= 0.5 * prev_diff and max_abs(corrected) <= bound:
+                    Z_new = corrected
+                else:
+                    newton = None
+            prev_diff = diff
             Z[...] = Z_new
             Dx, Dp = problem.first_rhs(Z[0], Z[1])
             derivs[0, 0], derivs[1, 0] = Dx, Dp
@@ -90,7 +112,7 @@ def reference_solve_block(anchor, problem, table, config):
                 derivs[0, 1], derivs[1, 1] = problem.second_rhs(Z[0], Z[1], Dx, Dp)
             stats.pe1_calls += table.R
             stats.iterations = state.sweeps + sweep
-            if diff <= tol:
+            if verdict:
                 return state, stats
             norm = max_abs(Z)
             if norm > config.growth_limit * max(prev_norm, scale_ref):

@@ -44,8 +44,9 @@ class TestInitBlock:
         state = init_block(anchor, prob, table)
         assert state.Zx[0][0, 0] == pytest.approx(1.0)
         assert state.Zp[0][0, 0] == pytest.approx(-0.1)
-        assert state.Dx[0][0, 0] == pytest.approx(-0.1)
-        assert state.Dp[0][0, 0] == pytest.approx(-1.0)
+        Dx, Dp = state.level(1)
+        assert Dx[0][0, 0] == pytest.approx(-0.1)
+        assert Dp[0][0, 0] == pytest.approx(-1.0)
 
     def test_equilibrium_constant_block(self):
         prob = make_pendulum(x0=0.0, p0=0.0)
@@ -76,38 +77,25 @@ class TestSeUpdate:
         # x(t) = t^2 with anchor (Z, D, S) = (0, 0, 2) and candidate node
         # values D1 = 2, S1 = 2 must return Z1 = 1 at dt = 1
         table = coeff_table(1, "zds", 1.0)
-        anchor = BlockAnchor(
-            t=0.0,
-            Zx=np.array([[0.0]]), Zp=np.array([[0.0]]),
-            Dx=np.array([[0.0]]), Dp=np.array([[0.0]]),
-            Sx=np.array([[2.0]]), Sp=np.array([[0.0]]),
-        )
-        from structham.blocksolver import BlockState
-
-        state = BlockState(
-            Zx=np.zeros((1, 1, 1)), Zp=np.zeros((1, 1, 1)),
-            Dx=np.array([[[2.0]]]), Dp=np.zeros((1, 1, 1)),
-            Sx=np.array([[[2.0]]]), Sp=np.zeros((1, 1, 1)),
-        )
-        state.set_anchor(anchor.W)
+        W = np.zeros((2, 3, 1, 1))
+        W[0, 2] = 2.0  # x's S
+        state = BlockState(3, 1, W[0, 0])
+        state.Z[...] = 0.0
+        state.DS[:, :, 1:] = 0.0
+        state.level(1)[0] = state.level(2)[0] = 2.0
+        state.set_anchor(W)
         Zx, _ = se_update(table, state)
         assert Zx[0][0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_cubic_reproduction_zd_r2(self):
         # x(t) = t^3 sampled with D = 3 t^2: predicted (Z1, Z2) = (1, 8)
         table = coeff_table(2, "zd", 1.0)
-        anchor = BlockAnchor(
-            t=0.0,
-            Zx=np.array([[0.0]]), Zp=np.array([[0.0]]),
-            Dx=np.array([[0.0]]), Dp=np.array([[0.0]]),
-        )
-        from structham.blocksolver import BlockState
-
-        state = BlockState(
-            Zx=np.zeros((2, 1, 1)), Zp=np.zeros((2, 1, 1)),
-            Dx=np.array([[[3.0]], [[12.0]]]), Dp=np.zeros((2, 1, 1)),
-        )
-        state.set_anchor(anchor.W)
+        W = np.zeros((2, 2, 1, 1))
+        state = BlockState(2, 2, W[0, 0])
+        state.Z[...] = 0.0
+        state.DS[:, :, 1:] = 0.0
+        state.level(1)[0, :, 0, 0] = 3.0, 12.0
+        state.set_anchor(W)
         Zx, _ = se_update(table, state)
         assert Zx[0][0, 0] == pytest.approx(1.0, abs=1e-12)
         assert Zx[1][0, 0] == pytest.approx(8.0, abs=1e-12)
@@ -119,9 +107,11 @@ class TestStackedSeUpdate:
         def draw(*lead):
             return precision.asarray(rng.uniform(-1.0, 1.0, lead + shape))
 
-        names = ["Zx", "Zp", "Dx", "Dp"] + (["Sx", "Sp"] if second else [])
-        anchor = BlockAnchor(t=0.0, **{n: draw() for n in names})
-        state = BlockState(**{n: draw(R) for n in names})
+        L = 2 + second
+        anchor = BlockAnchor(0.0, draw(2, L))
+        state = BlockState(L, R, anchor.W[0, 0])
+        for s in range(L):
+            state.level(s)[...] = draw(2, R)
         return anchor, state
 
     @pytest.mark.parametrize(
@@ -136,14 +126,14 @@ class TestStackedSeUpdate:
         anchor, state = self._random_block(rng, precision, R, second)
         state.set_anchor(anchor.W)
         Zx, Zp = se_update(table, state)
-        for new, c in ((Zx, "x"), (Zp, "p")):
-            z0, d0, D = (getattr(o, n + c) for o, n in ((anchor, "Z"), (anchor, "D"), (state, "D")))
+        for c, new in enumerate((Zx, Zp)):
+            z0, d0, D = anchor.level(0)[c], anchor.level(1)[c], state.level(1)[c]
             for r in range(R):
                 ref = table.b_z[r] * z0 + table.b_d[r] * d0
                 for j in range(R):
                     ref = ref + table.B_d[r, j] * D[j]
                 if second:
-                    s0, S = getattr(anchor, "S" + c), getattr(state, "S" + c)
+                    s0, S = anchor.level(2)[c], state.level(2)[c]
                     ref = ref + table.b_s[r] * s0
                     for j in range(R):
                         ref = ref + table.B_s[r, j] * S[j]
@@ -164,13 +154,20 @@ class TestStackedSeUpdate:
             assert np.all(got == -field)
 
 
+def _pe(prob, Zx, Zp):
+    """D and S from ``pe_update`` at the node blocks (Zx, Zp), read from its ``out``."""
+    out = np.empty((2, 2) + Zx.shape, dtype=Zx.dtype)
+    assert pe_update(prob, np.stack([Zx, Zp]), out) is None
+    (Dx, Sx), (Dp, Sp) = out
+    return Dx, Dp, Sx, Sp
+
+
 class TestPeUpdate:
     def test_mass_spring_node_values(self):
         prob = make_mass_spring()
         Zx = np.array([[[1.0]]])
         Zp = np.array([[[0.0]]])
-        Dx, Dp, Sx, Sp, calls = pe_update(prob, Zx, Zp, second=True)
-        assert calls == 1
+        Dx, Dp, Sx, Sp = _pe(prob, Zx, Zp)
         assert Dx[0][0, 0] == 0.0 and Dp[0][0, 0] == -1.0
         assert Sx[0][0, 0] == -1.0 and Sp[0][0, 0] == 0.0
 
@@ -186,7 +183,7 @@ class TestPeUpdate:
             first_rhs=lambda X, P: (P.copy(), np.zeros_like(X)),
             second_rhs=lambda X, P, DX, DP: (DP.copy(), np.zeros_like(X)),
         )
-        Dx, Dp, Sx, Sp, _ = pe_update(prob, np.array([[[3.0]]]), np.array([[[2.0]]]), True)
+        Dx, Dp, Sx, Sp = _pe(prob, np.array([[[3.0]]]), np.array([[[2.0]]]))
         assert Dx[0][0, 0] == 2.0 and Dp[0][0, 0] == 0.0
         assert Sx[0][0, 0] == 0.0 and Sp[0][0, 0] == 0.0
 
@@ -194,7 +191,7 @@ class TestPeUpdate:
         prob = make_pendulum()
         Zx = np.array([[[math.pi / 4]]])
         Zp = np.array([[[0.0]]])
-        Dx, Dp, Sx, Sp, _ = pe_update(prob, Zx, Zp, second=True)
+        Dx, Dp, Sx, Sp = _pe(prob, Zx, Zp)
         assert Dx[0][0, 0] == 0.0
         assert Dp[0][0, 0] == pytest.approx(-math.sqrt(2) / 2)
         assert Sx[0][0, 0] == pytest.approx(-math.sqrt(2) / 2)
@@ -207,9 +204,8 @@ class TestPeUpdate:
         prob.first_rhs = lambda X, P: seen.append(("first", X.shape)) or first(X, P)
         prob.second_rhs = lambda X, P, DX, DP: seen.append(("second", X.shape)) or second(X, P, DX, DP)
         Z = np.stack([prob.x0 * (1 + r) for r in range(3)])
-        Dx, Dp, Sx, Sp, calls = pe_update(prob, Z, -Z, second=True)
+        Dx, Dp, Sx, Sp = _pe(prob, Z, -Z)
         assert seen == [("first", (3, 1, 2)), ("second", (3, 1, 2))]
-        assert calls == 3  # node evaluations per level
         for r in range(3):
             D = first(Z[r], -Z[r])
             assert np.array_equal(Dx[r], D[0]) and np.array_equal(Dp[r], D[1])
@@ -227,7 +223,7 @@ class TestPeUpdate:
         setattr(prob, level, node_only)
         Z = np.linspace(0.5, 1.5, 3).reshape(3, 1, 1)
         with pytest.raises(ConfigurationError, match=f"{level} returned shapes .* node by node"):
-            pe_update(prob, Z, Z, second=True)
+            _pe(prob, Z, Z)
 
 
 class TestSolveBlock:
@@ -346,15 +342,20 @@ class TestLeanSweep:
         assert _words(got.xs) == _words(ref.xs)
         assert _words(got.ps) == _words(ref.ps)
 
-    @pytest.mark.parametrize("k", [4, 6])
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
-    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
-    def test_non_finite_rhs_in_a_sweep(self, prec, bad, k):
+    @pytest.mark.parametrize(
+        "prec,twin,k",
+        [(NATIVE, False, 4), (NATIVE, False, 6), (DDOUBLE, True, 3), (DDOUBLE, False, 6)],
+        ids=["double-4", "double-6", "ddouble-3", "ddouble-no-twin-6"],
+    )
+    def test_non_finite_rhs_in_a_sweep(self, prec, twin, bad, k):
         # calls 1-3 are the anchor and the two predictor nodes, call k >= 4 is
-        # sweep k - 3 (in ddouble the float64 twin predicts: call 2 is the
-        # lift's refresh and call k >= 3 is sweep k - 2); the next sweep's
-        # block then holds the bad value
+        # sweep k - 3; with the float64 twin, call 2 is the lift's refresh and
+        # call 3 the first of the block's two ddouble sweeps, a corrected one.
+        # The next sweep's block then holds the bad value
         prob = make_mass_spring(precision=prec)
+        if not twin:
+            prob.native = None
         first, calls = prob.first_rhs, []
 
         def first_rhs(X, P):
@@ -442,7 +443,7 @@ _CATALOG_STEP = {
 
 
 class TestMixedPrecision:
-    """The float64 presolve of ddouble blocks on the problem's native twin."""
+    """ddouble blocks solved with the native twin's float64 matrix M = I - G'."""
 
     @pytest.mark.parametrize("name", PROBLEM_NAMES)
     def test_catalog_builders_fill_the_twin(self, name):
@@ -533,12 +534,13 @@ class TestMixedPrecision:
     @pytest.mark.parametrize("form,R", [("zds", 2), ("zd", 3)])
     def test_accounting_identity_counts_both_kinds_of_sweep(self, form, R):
         # criterion 11's identity: R node evaluations per sweep, float64 ones
-        # included, and one initialization unit per block
+        # and the probes' batch (n R nodes for n probes) included, and one
+        # initialization unit per block
         prob = make_pendulum(precision=DDOUBLE)
         nodes = {NATIVE: 0, DDOUBLE: 0}
         for p in (prob, prob.native):
             def counted(X, P, rhs=p.first_rhs, prec=p.precision):
-                nodes[prec] += X.shape[0] if X.ndim == 3 else 1
+                nodes[prec] += math.prod(X.shape[:-2])
                 return rhs(X, P)
             p.first_rhs = counted
         traj = integrate(prob, form, R, 6 * R, 0.6 * R)
@@ -550,6 +552,69 @@ class TestMixedPrecision:
         state, stats = solve_block(anchor, prob, table, SolverConfig(precision=DDOUBLE))
         assert stats.iterations > presolved > 1
         assert stats.pe1_calls == R * (stats.iterations + 1)
+
+    def test_ddouble_sweeps_per_block(self, monkeypatch):
+        # the ddouble-oscillator shape (criterion 12's step): after the lift,
+        # at most 4 ddouble sweeps per block
+        prob = make_mass_spring(precision=DDOUBLE)
+        calls, rhs, init = [1], prob.first_rhs, blocksolver.init_block  # make_anchor's call
+
+        def counted(X, P):
+            calls[-1] += 1
+            return rhs(X, P)
+
+        def marked(*args):
+            calls.append(0)
+            return init(*args)
+
+        prob.first_rhs = counted
+        monkeypatch.setattr(blocksolver, "init_block", marked)
+        integrate(prob, "zds", 2, 240, 10.0)
+        sweeps = [n - 1 for n in calls[1:]]  # less the lift's refresh
+        assert len(sweeps) == 120 and 1 <= min(sweeps) and max(sweeps) <= 4
+
+    def test_non_finite_probes_drop_the_matrix(self):
+        # a twin that is NaN only in the probes' batch (8 nodes: 4 probes of
+        # R = 2) leaves no M; the block is solved by plain sweeps
+        prob = make_mass_spring(precision=DDOUBLE)
+        twin_rhs, probes = prob.native.first_rhs, []
+
+        def first_rhs(X, P):
+            Dx, Dp = twin_rhs(X, P)
+            if X.ndim == 3 and len(X) > 2:
+                probes.append(len(X))
+                Dp = np.full_like(Dp, math.nan)
+            return Dx, Dp
+
+        prob.native.first_rhs = first_rhs
+        anchor = make_anchor(prob, DDOUBLE.real(0), prob.x0, prob.p0, "zds")
+        state = init_block(anchor, prob, coeff_table(2, "zds", 1 / 24, DDOUBLE))
+        assert state.newton is None and state.sweeps == 4 + 1 and probes == [8]
+        got = integrate(prob, "zds", 2, 24, 1.0)
+        ref = integrate(_without_twin(make_mass_spring(precision=DDOUBLE)), "zds", 2, 24, 1.0)
+        gap, bound = _endpoint_gap(got, ref)
+        assert gap <= bound and len(probes) == 1 + 12
+
+    def test_block_accepted_by_a_plain_sweep(self, monkeypatch):
+        # the returned Z is the last SE output, word for word, made from a
+        # block it changed by at most tol; D and S are the PE at that Z
+        outputs, se = [], blocksolver.se_update
+
+        def recorded(table, state):
+            outputs.append((se(table, state), state.Z.copy()))
+            return outputs[-1][0]
+
+        monkeypatch.setattr(blocksolver, "se_update", recorded)
+        prob = make_pendulum(precision=DDOUBLE)
+        anchor = make_anchor(prob, DDOUBLE.real(0), prob.x0, prob.p0, "zds")
+        table = coeff_table(2, "zds", 0.1, DDOUBLE)
+        state, stats = solve_block(anchor, prob, table, SolverConfig(precision=DDOUBLE))
+        new, old = outputs[-1]
+        assert _words([state.Z]) == _words([new])
+        assert max_abs(new - old) <= DDOUBLE.default_tol
+        derivs = np.empty_like(state.DS[:, :, 1:])
+        pe_update(prob, state.Z, derivs)
+        assert _words([derivs]) == _words([state.DS[:, :, 1:]])
 
     def test_float64_predictor_failure_falls_back_to_taylor(self):
         prob = make_mass_spring(precision=DDOUBLE)

@@ -1,6 +1,7 @@
 """Tests for the scalar backends: error-free transforms and double-double."""
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -184,6 +185,24 @@ def ref_div(a, b):
     return ref_add(two_sum(*_quick(q1, q2)), two_sum(q3, 0.0))
 
 
+def _signed_zero(ref, plain):
+    """The kernel's form of ``ref``: an exact zero result is (z, 0.0) with z
+    float64's zero for the high words, ``plain`` (the textbook formulas
+    would turn a -0.0 into +0.0)."""
+    def kernel(a, b):
+        r = ref(a, b)
+        if r[0] != 0.0:
+            return r
+        z = plain(a[0], b[0])
+        return (z if z == 0.0 else 0.0, 0.0)
+    return kernel
+
+
+ref_sum = _signed_zero(ref_add, operator.add)
+ref_difference = _signed_zero(ref_sub, operator.sub)
+ref_quotient = _signed_zero(ref_div, operator.truediv)
+
+
 def words(x):
     """Bit pattern of a DoubleDouble or (hi, lo) pair; every NaN reads the same."""
     if isinstance(x, DoubleDouble):
@@ -237,21 +256,21 @@ class TestFastKernel:
 
     def check(self, a, b):
         x, y = DoubleDouble(*a), DoubleDouble(*b)
-        for op, ref, f in ((x.__add__, ref_add, np.add), (x.__sub__, ref_sub, np.subtract),
-                           (x.__mul__, ref_product, np.multiply), (x.__truediv__, ref_div, np.divide)):
+        for op, ref, f in ((x.__add__, ref_sum, np.add), (x.__sub__, ref_difference, np.subtract),
+                           (x.__mul__, ref_product, np.multiply), (x.__truediv__, ref_quotient, np.divide)):
             want = _expected(lambda: ref(a, b), _f64(f, x.hi, y.hi))
             assert _apply(op, y) == want, (op.__name__, a, b)
         v = b[0]
         fv = two_sum(v, -0.0)  # the coerced operand; a float -0.0 keeps its sign
         w = DoubleDouble(v).hi
-        for got, want, plain in ((lambda: x + v, lambda: ref_add(a, fv), _f64(np.add, x.hi, w)),
-                                 (lambda: v + x, lambda: ref_add(a, fv), _f64(np.add, x.hi, w)),
-                                 (lambda: x - v, lambda: ref_sub(a, fv), _f64(np.subtract, x.hi, w)),
-                                 (lambda: v - x, lambda: ref_sub(fv, a), _f64(np.subtract, w, x.hi)),
+        for got, want, plain in ((lambda: x + v, lambda: ref_sum(a, fv), _f64(np.add, x.hi, w)),
+                                 (lambda: v + x, lambda: ref_sum(a, fv), _f64(np.add, x.hi, w)),
+                                 (lambda: x - v, lambda: ref_difference(a, fv), _f64(np.subtract, x.hi, w)),
+                                 (lambda: v - x, lambda: ref_difference(fv, a), _f64(np.subtract, w, x.hi)),
                                  (lambda: x * v, lambda: ref_product(a, fv), _f64(np.multiply, x.hi, w)),
                                  (lambda: v * x, lambda: ref_product(a, fv), _f64(np.multiply, x.hi, w)),
-                                 (lambda: x / v, lambda: ref_div(a, fv), _f64(np.divide, x.hi, w)),
-                                 (lambda: v / x, lambda: ref_div(fv, a), _f64(np.divide, w, x.hi))):
+                                 (lambda: x / v, lambda: ref_quotient(a, fv), _f64(np.divide, x.hi, w)),
+                                 (lambda: v / x, lambda: ref_quotient(fv, a), _f64(np.divide, w, x.hi))):
             assert _apply(got) == _expected(want, plain), (a, v)
 
     def test_bitwise_equal_to_reference_random(self):
@@ -272,11 +291,11 @@ class TestFastKernel:
         for a in self.random_pairs(2000, 47):
             n = rng.choice((0, 1, -2, 3, 10**6, -(2**52), 2**53 - 1))
             x, fn = DoubleDouble(*a), two_sum(float(n), 0.0)
-            assert words(x + n) == words(ref_add(a, fn))
-            assert words(n - x) == words(ref_sub(fn, a))
+            assert words(x + n) == words(ref_sum(a, fn))
+            assert words(n - x) == words(ref_difference(fn, a))
             assert words(x * n) == words(ref_product(a, fn))
             if n:
-                assert words(x / n) == words(ref_div(a, fn))
+                assert words(x / n) == words(ref_quotient(a, fn))
         # beyond 2**53 an int is parsed exactly, in two words
         big = 2**60 + 1
         assert words(DoubleDouble(1.0) * big) == (float(2**60).hex(), (1.0).hex())
@@ -367,6 +386,19 @@ class TestNonFinite:
         x, z = DoubleDouble(a), DoubleDouble(zero)
         for got in (x * z, z * x, x * zero, zero * x, a * z):
             assert words(got) == want
+
+    @pytest.mark.parametrize(
+        "op,b",
+        [(op, b) for op in (operator.add, operator.sub) for b in (0.0, -0.0, 1.0, -1.0)]
+        + [(operator.truediv, b) for b in (1.0, -1.0)],
+    )
+    @pytest.mark.parametrize("a", [0.0, -0.0, 1.0, -1.0])
+    def test_zero_sum_difference_quotient_sign_like_float64(self, op, a, b):
+        # every sign combination, with DoubleDouble and float operands
+        want = op(a, b)
+        x, y = DoubleDouble(a), DoubleDouble(b)
+        for got in (op(x, y), op(x, b), op(a, y)):
+            assert words(got) == words((want, 0.0)), (got, want)
 
     def test_zero_divisor_in_object_arrays(self):
         q = DDOUBLE.asarray([[1.0]]) / DDOUBLE.asarray([[0.0]])

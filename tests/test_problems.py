@@ -11,7 +11,7 @@ import pytest
 from structham.baselines import integrate_sv
 from structham.blocksolver import integrate
 from structham.harness import RunConfig, run
-from structham.numerics import DDOUBLE, NATIVE, DoubleDouble, max_abs
+from structham.numerics import DDOUBLE, NATIVE, DoubleDouble, max_abs, sin_cos
 from structham.problems import (
     PROBLEM_NAMES,
     SingularityError,
@@ -205,6 +205,38 @@ class TestMassSpring:
             Xm, Pm = prob.exact_solution(t - h)
             assert abs((Xp[0, 0] - Xm[0, 0]) / (2 * h) - DX[0, 0]) <= 1e-10
             assert abs((Pp[0, 0] - Pm[0, 0]) / (2 * h) - DP[0, 0]) <= 1e-10
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_velocity_words(self, prec, m):
+        # at m = 1 the velocity is no division: its words are float64's v / 1.0,
+        # a -0.0 included, and equal the quotient's; other masses still divide
+        vals = [0.0, -0.0, 0.3, -1.7, 1e-300, -5e-324, 1e300]
+        V = prec.asarray(np.reshape(vals, (-1, 1, 1)))
+        prob = make_mass_spring(m=m, precision=prec)
+        m_ = prob.parameters["m"]
+
+        def hex_words(A):
+            return [(v.hi.hex(), v.lo.hex()) if prec is DDOUBLE else v.hex() for v in A.ravel()]
+
+        for got in (prob.first_rhs(V, V)[0], prob.second_rhs(V, V, V, V)[0]):
+            assert hex_words(got) == hex_words(V / m_)
+            if m == 1.0:
+                want = [float(np.float64(v) / 1.0).hex() for v in vals]
+                assert hex_words(got) == (want if prec is NATIVE else [(w, "0x0.0p+0") for w in want])
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_exact_solution_words_match_written_out_formula(self, prec):
+        # the closed form's t-independent coefficients are computed once, at
+        # build time, with the words of the formula written out per call
+        prob = make_mass_spring(m=2.0, kappa=3.0, x0=0.5, p0=-0.25, precision=prec)
+        m_, w = prob.parameters["m"], prob.parameters["omega"]
+        x0_, p0_ = prob.x0[0, 0], prob.p0[0, 0]
+        for t in (prec.real("0.7"), prec.real(13)):
+            s, c = sin_cos(t * w)
+            X, P = prob.exact_solution(t)
+            assert repr(X[0, 0]) == repr(x0_ * c + (p0_ / (m_ * w)) * s)
+            assert repr(P[0, 0]) == repr(p0_ * c - (m_ * w * x0_) * s)
 
 
 class TestTwoSpring:

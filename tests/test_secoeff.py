@@ -156,6 +156,17 @@ class TestAssembleTables:
                 assert np.isfinite(t.condition_Az)
                 assert t.condition_Az < 1e12
 
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    def test_condition_number_matches_svd(self, form):
+        # cond(A_z)**2 = (1 + s_max**2) / (1 + s_min**2) over the singular
+        # values s of the exact unit table's first keep columns
+        for R in range(1, 13):
+            keep = form.levels * (R + 1) - R
+            T = np.array([row[:keep] for row in _unit_table(R, form)[0]], dtype=float)
+            s = np.linalg.svd(T, compute_uv=False)
+            want = np.sqrt((1 + s[0] ** 2) / (1 + s[-1] ** 2))
+            assert coeff_table(R, form, 0.5).condition_Az == pytest.approx(want, rel=1e-9)
+
     def test_deterministic_tables(self):
         a = assemble_tables(5, "zd", 0.125)
         b = assemble_tables(5, "zd", 0.125)
