@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocksolver import DivergenceError, NonConvergenceError, Trajectory
+from .blocksolver import DivergenceError, NonConvergenceError, SolverConfig, Trajectory
 from .numerics import all_finite, max_abs
 from .secoeff import ConfigurationError
 
@@ -140,25 +140,25 @@ def integrate_sv(
     order: int,
     N: int,
     T: float,
-    tol: float | None = None,
-    max_iter: int = 100,
+    config: SolverConfig = SolverConfig(),
     observer=None,
     store_every: int = 1,
 ) -> Trajectory:
     """Composed Stormer-Verlet integration over [0, T] in N steps.
 
-    Counters match the harness accounting: total_sweeps accumulates the
-    fixed-point iterations of the implicit sub-steps (zero on the separable
-    path) and pe1_calls the right-hand-side evaluations.
+    ``config`` sets the implicit sub-steps' fixed points (non-separable
+    path), as it sets the structural solver's block solves.  Counters match
+    the harness accounting: total_sweeps accumulates the fixed-point
+    iterations of the implicit sub-steps (zero on the separable path) and
+    pe1_calls the right-hand-side evaluations.
     """
+    tol, max_iter = config.resolved_tol(problem), config.max_iter
     schedule = yoshida_schedule(order)
     if N < 1 or not 0 < float(T) < math.inf:
         raise ConfigurationError(f"need N >= 1 and finite T > 0, got N={N}, T={T}")
     if store_every < 1:
         raise ConfigurationError(f"need store_every >= 1, got store_every={store_every}")
     precision = problem.precision
-    if tol is None:
-        tol = precision.default_tol
     dt = float(T) / N
 
     X, P = problem.x0, problem.p0

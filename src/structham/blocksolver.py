@@ -83,15 +83,31 @@ class DivergenceError(RuntimeError):
     """Non-finite values or runaway growth during a block solve."""
 
 
-@dataclass
-class SolverConfig:
-    tol: float | None = None  # None: precision default (1e-14 double, 1e-30 ddouble)
-    max_iter: int = 200
-    precision: Precision = NATIVE
-    growth_limit: float = 1e6
+# a sweep that grows the block's max-norm more than this factor diverges
+GROWTH_LIMIT = 1e6
 
-    def resolved_tol(self) -> float:
-        return self.precision.default_tol if self.tol is None else self.tol
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Stopping rule of every implicit solve: a tolerance and a sweep cap.
+
+    The working precision is the problem's.  ``tol`` None takes its default
+    (1e-14 double, 1e-30 ddouble); ``precision``, if set, is only checked
+    against it.
+    """
+
+    tol: float | None = None
+    max_iter: int = 200
+    precision: Precision | None = None
+
+    def resolved_tol(self, problem) -> float:
+        """The tolerance for ``problem``; ConfigurationError if ``precision`` differs."""
+        if self.precision is not None and self.precision is not problem.precision:
+            raise ConfigurationError(
+                f"solver precision {self.precision.name} does not match "
+                f"problem precision {problem.precision.name}"
+            )
+        return problem.precision.default_tol if self.tol is None else self.tol
 
 
 @dataclass
@@ -163,7 +179,7 @@ def make_anchor(problem, t, X, P, formulation) -> BlockAnchor:
 
 
 def init_block(
-    anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig | None = None
+    anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig = SolverConfig()
 ) -> BlockState:
     """Predicted block with its derivatives refreshed from the PE.
 
@@ -177,13 +193,11 @@ def init_block(
     predictor go non-finite, the Taylor predictor is used instead.
 
     ``state.sweeps`` counts the probes, float64 sweeps and refresh, each R
-    PE calls per level; ``state.newton`` is M^-1, or None.  ``config``
-    defaults to the precision's.
+    PE calls per level; ``state.newton`` is M^-1, or None.
     """
+    tol = config.resolved_tol(problem)
     if problem.native is not None:
-        if config is None:
-            config = SolverConfig(precision=problem.precision)
-        state = _presolve(anchor, problem, table, config)
+        state = _presolve(anchor, problem, table, tol, config.max_iter)
         if state is not None:
             return state
     return _taylor(anchor, problem, table)
@@ -215,7 +229,7 @@ def _taylor(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
     return state
 
 
-def _presolve(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig):
+def _presolve(anchor: BlockAnchor, problem, table: CoeffTable, tol: float, max_iter: int):
     # the float64 phase of init_block; None when its predictor goes non-finite
     twin = problem.native
     table64 = coeff_table(table.R, table.formulation, table.dt, NATIVE)
@@ -227,8 +241,8 @@ def _presolve(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverCon
             return None
         probes = state64.Z.size if all_finite(state64.DS) else 0  # one sweep each
         newton = _newton_matrix(twin, table64, state64) if probes else None
-        tol64 = max(config.resolved_tol(), NATIVE.default_tol)
-        sweeps = probes + _sweep(twin, table64, state64, tol64, config, anchor64, newton, True)
+        tol64 = max(tol, NATIVE.default_tol)
+        sweeps = probes + _sweep(twin, table64, state64, tol64, max_iter, anchor64, newton, True)
 
         state = BlockState(anchor.levels, table.R, anchor.W[0, 0])
         state.set_anchor(anchor.W)
@@ -344,18 +358,18 @@ def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverC
     # finiteness checks; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = init_block(anchor, problem, table, config)
-        tol = config.resolved_tol()
-        sweeps = state.sweeps + _sweep(problem, table, state, tol, config, anchor, state.newton)
+        tol = config.resolved_tol(problem)
+        sweeps = state.sweeps + _sweep(problem, table, state, tol, config.max_iter, anchor, state.newton)
     return state, IterStats(sweeps, table.R * (1 + sweeps), table.has_second)
 
 
-def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, config: SolverConfig,
+def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: int,
            anchor: BlockAnchor, newton=None, presolve: bool = False) -> int:
     """Sweeps on ``state`` until the change is at most tol; returns their number.
 
     ``newton`` (M^-1) corrects the steps until it is dropped (module
     docstring).  A non-finite block, a norm grown more than
-    ``growth_limit``-fold in one sweep, or ``max_iter`` sweeps without
+    ``GROWTH_LIMIT``-fold in one sweep, or ``max_iter`` sweeps without
     convergence raise.  A ``presolve`` (the float64 phase) raises none of
     these: it drops the failing sweep, keeping the last finite iterate, and
     ends once M is dropped.
@@ -364,7 +378,7 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, config: So
     scale_ref = max(max_abs(anchor.level(0)), 1.0)
     prev_norm = max_abs(Z)
     diff = prev_diff = math.inf
-    for sweeps in range(config.max_iter):
+    for sweeps in range(max_iter):
         Z_new = se_update(table, state)
         # both components enter the stopping norm: the x-block alone can
         # stagnate for one sweep of the alternating map while p still moves;
@@ -376,7 +390,7 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, config: So
                 return sweeps
             raise DivergenceError("non-finite block value during fixed-point sweep")
         # checked before Z is overwritten: a presolve keeps it
-        limit = config.growth_limit * max(prev_norm, scale_ref)
+        limit = GROWTH_LIMIT * max(prev_norm, scale_ref)
         done = diff <= tol
         if newton is not None:
             # the correction, too, bounds a corrected block's error: the map
@@ -408,9 +422,9 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, config: So
             return sweeps + 1
         prev_diff = diff
     if presolve:
-        return config.max_iter
+        return max_iter
     raise NonConvergenceError(
-        f"fixed point not converged after {config.max_iter} sweeps (last change "
+        f"fixed point not converged after {max_iter} sweeps (last change "
         f"{diff:.3e} in positions and momenta over all {table.R} block nodes, "
         f"tol {tol:.1e})",
         residual=diff,
@@ -448,7 +462,7 @@ def integrate(
     R: int,
     N: int,
     T: float,
-    config: SolverConfig | None = None,
+    config: SolverConfig = SolverConfig(),
     observer=None,
     project=None,
     store_every: int = 1,
@@ -464,13 +478,6 @@ def integrate(
     consumers should stream through observers instead).
     """
     form = Formulation.parse(formulation)
-    if config is None:
-        config = SolverConfig(precision=problem.precision)
-    if config.precision is not problem.precision:
-        raise ConfigurationError(
-            f"solver precision {config.precision.name} does not match "
-            f"problem precision {problem.precision.name}"
-        )
     if N < 1 or not 0 < float(T) < math.inf:
         raise ConfigurationError(f"need N >= 1 and finite T > 0, got N={N}, T={T}")
     if N < R:

@@ -141,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_drift.set_defaults(func=_cmd_drift)
 
     p_coeffs = sub.add_parser(
-        "coeffs", help="dump a structural coefficient table as CSV "
-        "(32 digits; about 28 meaningful at ZDS R=12)")
+        "coeffs", help="dump a structural coefficient table as CSV (32 significant digits)")
     p_coeffs.add_argument("--formulation", required=True, choices=["zd", "zds"])
     p_coeffs.add_argument("--R", type=int, required=True)
     p_coeffs.add_argument("--dt", type=float, default=1.0)

@@ -6,8 +6,9 @@ streams every accepted node through error trackers:
 * position error against the closed-form solution when one exists (max over
   all nodes), or against a reference endpoint when only that is known;
 * deviation of each conserved quantity from its initial value (vector
-  invariants in max-norm), tracked as a streaming maximum over all nodes
-  regardless of trajectory decimation.
+  invariants in max-norm), tracked as a streaming maximum over all nodes.
+
+The integrators keep only the end nodes: every metric is taken on the fly.
 
 Iteration accounting follows nb_iter_avg = total_iter / N (total_iter counts
 one initialization unit per block plus all fixed-point sweeps) and
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import integrate_sv
-from .blocksolver import SolverConfig, Trajectory, integrate
+from .blocksolver import SolverConfig, integrate
 from .numerics import PRECISIONS, max_abs
 from .problems import PROBLEM_NAMES, build_problem, lrl_scalar, project_lrl
 from .secoeff import ConfigurationError
@@ -61,7 +62,6 @@ class RunConfig:
     tol: float | None = None
     precision: str = "double"
     project_lrl: bool = False
-    decimation: int | None = None
     max_iter: int = 200
 
     def validated(self) -> "RunConfig":
@@ -78,8 +78,6 @@ class RunConfig:
             raise ConfigurationError(f"need N >= 1, got N={self.N}")
         if not 0 < self.T < math.inf:
             raise ConfigurationError(f"need finite T > 0, got T={self.T}")
-        if self.decimation is not None and self.decimation < 1:
-            raise ConfigurationError(f"need decimation >= 1, got decimation={self.decimation}")
         if self.precision not in PRECISIONS:
             raise ConfigurationError(f"unknown precision {self.precision!r}")
         if self.project_lrl and self.problem != "kepler":
@@ -151,8 +149,7 @@ def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> Err
     at ``drift_samples`` evenly spaced nodes and returned in the report.
     """
     config = config.validated()
-    precision = PRECISIONS[config.precision]
-    problem = build_problem(config.problem, precision)
+    problem = build_problem(config.problem, PRECISIONS[config.precision])
     N, T = config.N, config.T
     dt = float(T) / N
 
@@ -172,32 +169,24 @@ def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> Err
         for tr in trackers:
             tr.update(idx, t, X, P)
 
-    store_every = config.decimation
-    if store_every is None:
-        store_every = 1 if N <= 100_000 else math.ceil(N / 100_000)
-
-    if config.scheme in STRUCTURAL_SCHEMES:
-        solver_cfg = SolverConfig(tol=config.tol, max_iter=config.max_iter, precision=precision)
+    solver_cfg = SolverConfig(tol=config.tol, max_iter=config.max_iter)
+    structural = config.scheme in STRUCTURAL_SCHEMES
+    if structural:
         project = None
         if config.project_lrl:
             R0 = lrl_scalar(problem.x0[:, 0], problem.p0[:, 0])
             project = lambda X, P: project_lrl(X, P, R0)
         traj = integrate(
             problem, config.scheme, config.R, N, T,
-            config=solver_cfg, observer=observer, project=project, store_every=store_every,
+            config=solver_cfg, observer=observer, project=project, store_every=N,
         )
-        total_iter = traj.total_iter
-        nb_iter_avg = total_iter / N
-        nb_call_avg = config.R * nb_iter_avg
     else:
-        order = int(config.scheme[2:])
         traj = integrate_sv(
-            problem, order, N, T, tol=config.tol, max_iter=config.max_iter,
-            observer=observer, store_every=store_every,
+            problem, int(config.scheme[2:]), N, T, solver_cfg, observer=observer, store_every=N
         )
-        total_iter = traj.total_iter
-        nb_iter_avg = total_iter / N
-        nb_call_avg = traj.pe1_calls / N
+    total_iter = traj.total_iter
+    nb_iter_avg = total_iter / N
+    nb_call_avg = config.R * nb_iter_avg if structural else traj.pe1_calls / N
 
     report = ErrorReport(
         config=config, dt=dt,

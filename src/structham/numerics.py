@@ -200,26 +200,10 @@ class DoubleDouble:
         return self
 
     def __sub__(self, other):
-        # __add__ on the negated words of other
         o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.hi, -o.hi
-        s = a + b
-        bb = s - a
-        e = (a - (s - bb)) + (b - bb)
-        a, b = self.lo, -o.lo
-        t = a + b
-        bb = t - a
-        f = (a - (t - bb)) + (b - bb)
-        e += t
-        hi = s + e
-        e -= hi - s
-        e += f
-        x = hi + e
-        if not x:
-            return _word(s if not s else 0.0)
-        return _dd(x, e - (x - hi), s)
+        return self + _dd(-o.hi, -o.lo)
 
     def __rsub__(self, other):
         o = _coerce(other)

@@ -20,9 +20,10 @@ Pipeline
    normalized by the A_z slice, (B_d, B_s, b_z, b_d, b_s), as exact
    rationals.  For a step dt it multiplies derivative-order-s entries by
    dt**s, exactly, and rounds once into the requested backend.
-4. ``kernel_basis`` orthonormalizes the same kernel in double-double with a
-   deterministic order and sign convention; it serves the CSV dump and
-   checks against the printed equations, not the solver tables.
+4. ``kernel_basis`` orthonormalizes the same kernel by Gram-Schmidt in
+   exact rationals, with a deterministic order and sign convention, and
+   rounds each entry to double-double once its norm is taken; it serves the
+   CSV dump and checks against the printed equations, not the solver tables.
 
 Working on the unit grid and rescaling afterwards avoids the severe
 ill-conditioning of the Vandermonde-type system at small physical steps.
@@ -188,32 +189,23 @@ def _rational_kernel(reduced: np.ndarray) -> tuple[list[int], list[list[Fraction
     return free_cols, kernel
 
 
-def _orthonormalize_dd(vectors: list[list[Fraction]]) -> np.ndarray:
-    """Modified Gram-Schmidt in double-double, deterministic order and sign."""
-    n = len(vectors[0])
-    basis: list[list[DoubleDouble]] = []
+def _orthonormalize(vectors: list[list[Fraction]]) -> np.ndarray:
+    """Gram-Schmidt in exact rationals, in the given order, then each vector
+    divided by its norm in double-double; the first entry of largest
+    magnitude is made positive."""
+    basis: list[list[Fraction]] = []
     for vec in vectors:
-        v = [DoubleDouble.from_fraction(x) for x in vec]
+        u = list(vec)
         for q in basis:
-            dot = DoubleDouble(0.0)
-            for a, b in zip(v, q):
-                dot = dot + a * b
-            for c in range(n):
-                v[c] = v[c] - dot * q[c]
-        norm2 = DoubleDouble(0.0)
-        for a in v:
-            norm2 = norm2 + a * a
-        inv = DoubleDouble(1.0) / norm2.sqrt()
-        v = [a * inv for a in v]
-        # sign convention: first entry of largest magnitude is positive
-        mags = [abs(float(a)) for a in v]
-        lead = mags.index(max(mags))
-        if float(v[lead]) < 0.0:
-            v = [-a for a in v]
-        basis.append(v)
-    out = np.empty((len(basis), n), dtype=object)
-    for i, v in enumerate(basis):
-        out[i, :] = v
+            c = sum(a * b for a, b in zip(vec, q)) / sum(b * b for b in q)
+            u = [a - c * b for a, b in zip(u, q)]
+        basis.append(u)
+    out = np.empty((len(basis), len(basis[0])), dtype=object)
+    for i, u in enumerate(basis):
+        mags = [abs(a) for a in u]
+        sign = 1 if u[mags.index(max(mags))] > 0 else -1
+        norm = DoubleDouble.from_fraction(sum(a * a for a in u)).sqrt()
+        out[i, :] = [DoubleDouble.from_fraction(sign * a) / norm for a in u]
     return out
 
 
@@ -232,7 +224,7 @@ def _structural_kernel(R: int, form: Formulation, order) -> tuple[list[int], lis
 @lru_cache(maxsize=None)
 def _kernel_basis_cached(R: int, form: Formulation) -> RawBasis:
     _, kernel = _structural_kernel(R, form, slice(None))
-    vectors = _orthonormalize_dd(kernel)
+    vectors = _orthonormalize(kernel)
     return RawBasis(R, form, vectors)
 
 
@@ -414,9 +406,7 @@ def dump_coeff_csv(table: CoeffTable, stream) -> None:
     """Write the dt-rescaled orthonormal kernel basis as CSV (32 significant digits).
 
     Basis entries of derivative order s are multiplied by dt**s in
-    double-double, then rounded to the table's backend before printing.  The
-    double-double Gram-Schmidt loses about cond(A_z): at ZDS R=12 only about
-    28 of the printed digits are meaningful.
+    double-double, then rounded to the table's backend before printing.
     """
     stream.write("formulation,R,m,r,s,value\n")
     R = table.R

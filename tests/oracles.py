@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from structham.blocksolver import DivergenceError, IterStats, NonConvergenceError, init_block
+from structham.blocksolver import GROWTH_LIMIT, DivergenceError, IterStats, NonConvergenceError, init_block
 from structham.numerics import all_finite, max_abs
 
 
@@ -72,7 +72,7 @@ def reference_solve_block(anchor, problem, table, config):
     corrected block passes the growth test.  The first time either fails,
     M is dropped.
     """
-    tol = config.resolved_tol()
+    tol = config.resolved_tol(problem)
     second = table.has_second
     m = table.C.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -97,7 +97,7 @@ def reference_solve_block(anchor, problem, table, config):
                 correction = (newton * change).sum(axis=1).reshape(Z.shape)
                 verdict = verdict and max_abs(correction) <= tol
                 corrected = Z + correction
-                bound = config.growth_limit * max(prev_norm, scale_ref)
+                bound = GROWTH_LIMIT * max(prev_norm, scale_ref)
                 if verdict:
                     newton = None
                 elif diff <= 0.5 * prev_diff and max_abs(corrected) <= bound:
@@ -115,7 +115,7 @@ def reference_solve_block(anchor, problem, table, config):
             if verdict:
                 return state, stats
             norm = max_abs(Z)
-            if norm > config.growth_limit * max(prev_norm, scale_ref):
+            if norm > GROWTH_LIMIT * max(prev_norm, scale_ref):
                 raise DivergenceError(
                     f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
                 )

@@ -12,7 +12,7 @@ from structham.baselines import (
     sv_step_separable,
     yoshida_schedule,
 )
-from structham.blocksolver import DivergenceError, NonConvergenceError
+from structham.blocksolver import DivergenceError, NonConvergenceError, SolverConfig
 from structham.problems import HamiltonianProblem, make_em_particle, make_mass_spring, make_pendulum
 from structham.secoeff import ConfigurationError
 
@@ -208,7 +208,7 @@ class TestIntegrateSV:
 
     def test_counters(self):
         prob = make_em_particle("challenging")
-        traj = integrate_sv(prob, 2, 16, 0.125, tol=1e-13)
+        traj = integrate_sv(prob, 2, 16, 0.125, SolverConfig(tol=1e-13))
         assert traj.total_sweeps > 0
         assert traj.pe1_calls > 0
         assert traj.total_iter == traj.total_sweeps  # no per-block init units

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from structham import blocksolver
+from structham.baselines import integrate_sv
 from structham.blocksolver import (
     BlockAnchor,
     BlockState,
@@ -625,6 +626,37 @@ class TestMixedPrecision:
         plain = init_block(anchor, _without_twin(make_mass_spring(precision=DDOUBLE)), table)
         assert state.sweeps == plain.sweeps == 0
         assert _words([state.Y]) == _words([plain.Y])
+
+
+class TestSolverConfig:
+    """The problem sets the precision; ``SolverConfig.precision`` only checks it."""
+
+    @pytest.mark.parametrize("name", ["mass_spring", "pendulum", "kepler"])
+    def test_default_config_solves_at_the_problem_precision(self, name):
+        prob = build_problem(name, DDOUBLE)
+        configs = (SolverConfig(), SolverConfig(precision=DDOUBLE))
+        anchor = make_anchor(prob, DDOUBLE.real(0), prob.x0, prob.p0, "zds")
+        table = coeff_table(2, "zds", _CATALOG_STEP[name], DDOUBLE)
+        (a, a_stats), (b, b_stats) = (solve_block(anchor, prob, table, c) for c in configs)
+        assert _words([a.Y]) == _words([b.Y]) and a_stats == b_stats
+        a, b = (integrate(prob, "zds", 2, 6, 6 * _CATALOG_STEP[name], c) for c in configs)
+        assert _words(a.xs + a.ps) == _words(b.xs + b.ps) and a.total_iter == b.total_iter
+
+    @pytest.mark.parametrize("prec,other", [(DDOUBLE, NATIVE), (NATIVE, DDOUBLE)])
+    def test_mismatched_precision_raises_wherever_a_config_is_taken(self, prec, other):
+        prob = make_mass_spring(precision=prec)
+        config = SolverConfig(precision=other)
+        anchor = make_anchor(prob, prec.real(0), prob.x0, prob.p0, "zds")
+        table = coeff_table(2, "zds", 0.1, prec)
+        calls = [
+            lambda: solve_block(anchor, prob, table, config),
+            lambda: init_block(anchor, prob, table, config),
+            lambda: integrate(prob, "zds", 2, 4, 0.4, config),
+            lambda: integrate_sv(prob, 2, 4, 0.4, config),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigurationError, match=f"^solver precision {other.name} does not"):
+                call()
 
 
 def max_position_error(prob, traj):

@@ -41,13 +41,6 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(**kwargs).validated()
 
-    @pytest.mark.parametrize("decimation", [0, -2])
-    def test_decimation_below_one_rejected(self, decimation):
-        config = RunConfig(problem="kepler", scheme="zd", N=10, T=1.0, R=1, decimation=decimation)
-        with pytest.raises(ConfigurationError, match="decimation >= 1"):
-            config.validated()
-        assert RunConfig(problem="kepler", scheme="zd", N=10, T=1.0, R=1, decimation=1).validated()
-
 
 class TestRun:
     def test_mass_spring_reference(self):

@@ -11,6 +11,7 @@ from structham.numerics import DDOUBLE, NATIVE, DoubleDouble
 from structham.secoeff import (
     ConfigurationError,
     Formulation,
+    _structural_kernel,
     _unit_table,
     assemble_tables,
     coeff_table,
@@ -114,6 +115,29 @@ class TestKernelBasis:
         a = kernel_basis(4, "zds").vectors
         b = kernel_basis(4, "zds").vectors
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("R", range(1, 13))
+    def test_entries_within_1e30_of_exact(self, R, form):
+        # reference: a 60-digit Householder QR of the exact kernel vectors,
+        # whose Q columns are the Gram-Schmidt basis up to sign; the kernel
+        # has exact zeros, which the reference resolves to about 1e-60
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        _, kernel = _structural_kernel(R, form, slice(None))
+        Q, _ = mp.qr(mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in v] for v in kernel]).T)
+        V = kernel_basis(R, form).vectors_dd
+        for i in range(R):
+            ref = [Q[c, i] for c in range(Q.rows)]
+            lead = max(range(len(ref)), key=lambda c: (abs(ref[c]), -c))
+            sign = 1 if ref[lead] > 0 else -1
+            for v, x in zip(V[i], ref):
+                got = mp.mpf(v.hi) + mp.mpf(v.lo)
+                if abs(x) < 1e-50:
+                    assert got == 0
+                else:
+                    assert abs(got - sign * x) <= 1e-30 * abs(x)
 
     def test_sign_convention(self):
         for R in range(1, 6):
