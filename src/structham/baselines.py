@@ -98,13 +98,14 @@ def _fixed_point(update, start, tol, max_iter, tag):
             )
 
 
-def sv_step_nonseparable(problem, X, P, dt, tol, max_iter=100):
+def sv_step_nonseparable(problem, X, P, dt, tol, max_iter=SolverConfig.max_iter):
     """Symmetric semi-implicit Stormer-Verlet step for general H(X, P).
 
     P_half solves  P_half = P + (dt/2) rhs_p(X, P_half)          (implicit),
     X' solves      X' = X + (dt/2)[rhs_x(X, P_half) + rhs_x(X', P_half)],
     then the mirrored momentum update is explicit.  For separable problems
     both implicit relations collapse and the step equals the leapfrog.
+    Each relation may take ``max_iter`` iterations, ``integrate_sv``'s cap.
 
     Returns (X', P', fixed_point_iters, rhs_calls).
     """

@@ -29,11 +29,15 @@ sweep checked it), so a finite norm proves the new Z finite.  Only a
 non-finite norm, which an overflowing difference of finite values also
 gives, needs a scan of the new Z.
 
+Every block after the first starts from the Hermite polynomial through
+the previous node and the anchor, as implicit Runge-Kutta codes extrapolate
+their last step (``init_block``).
+
 A problem in extended precision solves each block by simplified Newton
 with one float64 matrix, as in mixed-precision iterative refinement.  Its
 float64 twin (``problem.native``) predicts the block from the rounded
-anchor, where probes of the twin's sweep map G (PE, then SE) give
-M = I - G'.  Then Z <- Z + M^-1 (G(Z) - Z), solved in float64, on the twin
+anchor and previous node, where probes of the twin's sweep map G (PE, then
+SE) give M = I - G'.  Then Z <- Z + M^-1 (G(Z) - Z), solved in float64, on the twin
 and, after the lift, in the problem's precision.  Only a plain sweep there
 accepts a block: its change G(Z) - Z, and while M is held the correction
 M^-1 (G(Z) - Z), must be at most tol.  A corrected change that does not at
@@ -114,8 +118,9 @@ class SolverConfig:
 class IterStats:
     """Fixed-point effort for one block: sweeps and PE calls.
 
-    Sweeps exclude the predictor's Taylor step, but include a float64
-    phase's probes, sweeps and refresh (see ``init_block``).
+    Sweeps exclude the predictor (one PE call of R nodes per level, or R
+    Taylor steps), but include a float64 phase's probes, sweeps and refresh
+    (see ``init_block``).
     """
 
     iterations: int = 0
@@ -128,10 +133,14 @@ class IterStats:
 
 
 class BlockAnchor:
-    """Known values at the block's entry node t_n, stacked as ``W`` (2, L, I, K)."""
+    """Known values at the block's entry node t_n, stacked as ``W`` (2, L, I, K).
 
-    def __init__(self, t, W: np.ndarray):
-        self.t, self.W = t, W
+    ``prev``, if set, stacks the same values at t_n - dt, on the trajectory
+    that produced ``W``: the predictor then extrapolates from both nodes.
+    """
+
+    def __init__(self, t, W: np.ndarray, prev: np.ndarray | None = None):
+        self.t, self.W, self.prev = t, W, prev
 
     @property
     def levels(self) -> int:
@@ -183,14 +192,19 @@ def init_block(
 ) -> BlockState:
     """Predicted block with its derivatives refreshed from the PE.
 
-    Without a float64 twin (``problem.native`` is None): a Taylor predictor
-    swept node by node in the problem's precision.  With one, the float64
-    phase (module docstring): the twin's Taylor predictor from the rounded
-    anchor; unless that leaves a non-finite derivative, M from one probe
-    per unknown (2 R I K, one batched PE call; the base G(Z_0) is the first
-    sweep's SE output); corrected float64 sweeps to max(tol, 1e-14); the
-    last finite iterate lifted and its PE refreshed.  Should the float64
-    predictor go non-finite, the Taylor predictor is used instead.
+    The predictor evaluates the two-node Hermite polynomial through
+    ``anchor.prev`` and the anchor (the table's ``E``) at the R nodes and
+    refreshes them in one PE call.  Without ``anchor.prev`` (the first
+    block, or an anchor a projection moved), or when that is not finite, it
+    takes Taylor steps node by node.  Without a float64 twin
+    (``problem.native`` is None) it runs in the problem's precision.  With
+    one, the float64 phase (module docstring): the twin's predictor from
+    the rounded anchor and previous node; unless that leaves a non-finite
+    derivative, M from one probe per unknown (2 R I K, one batched PE call;
+    the base G(Z_0) is the first sweep's SE output); corrected float64
+    sweeps to max(tol, 1e-14); the last finite iterate lifted and its PE
+    refreshed.  Should the float64 predictor go non-finite, the predictor
+    runs in the problem's precision.
 
     ``state.sweeps`` counts the probes, float64 sweeps and refresh, each R
     PE calls per level; ``state.newton`` is M^-1, or None.
@@ -200,17 +214,30 @@ def init_block(
         state = _presolve(anchor, problem, table, tol, config.max_iter)
         if state is not None:
             return state
-    return _taylor(anchor, problem, table)
+    return _predict(anchor, problem, table)
 
 
-def _taylor(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
+def _predict(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
+    # the predictor of init_block, in the problem's precision
+    state = BlockState(anchor.levels, table.R, anchor.W[0, 0])
+    state.set_anchor(anchor.W)
+    if anchor.prev is not None:
+        # Z = E [W_-1 | W_0], summed in column order as in se_update
+        H = np.concatenate([anchor.prev, anchor.W], axis=1)
+        Z = np.add.accumulate(table.E[:, :, None, None] * H[:, None], axis=2)[:, :, -1]
+        if all_finite(Z):
+            state.Z[...] = Z
+            pe_update(problem, state.Z, state.DS[:, :, 1:])
+            return state
+    return _taylor(anchor, problem, table, state)
+
+
+def _taylor(anchor: BlockAnchor, problem, table: CoeffTable, state: BlockState) -> BlockState:
     R = table.R
     dt = problem.precision.real(table.dt)
     second = table.has_second
     half_dt2 = dt * dt * 0.5 if second else None
 
-    state = BlockState(anchor.levels, R, anchor.W[0, 0])
-    state.set_anchor(anchor.W)
     Zb, DS = state.Z, state.DS
     Z, D = anchor.level(0), anchor.level(1)
     S = anchor.level(2) if second else None
@@ -233,10 +260,11 @@ def _presolve(anchor: BlockAnchor, problem, table: CoeffTable, tol: float, max_i
     # the float64 phase of init_block; None when its predictor goes non-finite
     twin = problem.native
     table64 = coeff_table(table.R, table.formulation, table.dt, NATIVE)
-    anchor64 = BlockAnchor(anchor.t, NATIVE.asarray(anchor.W))
+    prev64 = None if anchor.prev is None else NATIVE.asarray(anchor.prev)
+    anchor64 = BlockAnchor(anchor.t, NATIVE.asarray(anchor.W), prev64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            state64 = _taylor(anchor64, twin, table64)
+            state64 = _predict(anchor64, twin, table64)
         except DivergenceError:
             return None
         probes = state64.Z.size if all_finite(state64.DS) else 0  # one sweep each
@@ -530,8 +558,10 @@ def integrate(
 
         step += r_this
         if project is not None:
+            # a projected node is off the block's polynomial: no extrapolation
             anchor = make_anchor(problem, precision.real(step) * dt_scalar, Xl, Pl, form)
             traj.pe1_calls += 1
         else:
-            anchor = BlockAnchor(precision.real(step) * dt_scalar, state.node(r_this - 1))
+            prev = state.node(r_this - 2) if r_this > 1 else anchor.W
+            anchor = BlockAnchor(precision.real(step) * dt_scalar, state.node(r_this - 1), prev)
     return traj

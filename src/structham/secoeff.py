@@ -18,8 +18,10 @@ Pipeline
 3. ``assemble_tables`` runs that elimination once per (R, formulation) with
    the node values Z_1..Z_R as the last columns, which yields the table
    normalized by the A_z slice, (B_d, B_s, b_z, b_d, b_s), as exact
-   rationals.  For a step dt it multiplies derivative-order-s entries by
-   dt**s, exactly, and rounds once into the requested backend.
+   rationals, and the Hermite extrapolation that predicts a block from the
+   previous node and the anchor.  For a step dt it multiplies
+   derivative-order-s entries by dt**s, exactly, and rounds once into the
+   requested backend.
 4. ``kernel_basis`` orthonormalizes the same kernel by Gram-Schmidt in
    exact rationals, with a deterministic order and sign convention, and
    rounds each entry to double-double once its norm is taken; it serves the
@@ -110,16 +112,20 @@ def exactness_matrix(R: int, formulation) -> np.ndarray:
     """
     form = Formulation.parse(formulation)
     _check_block_size(R)
-    S = form.levels
-    n = S * (R + 1)
-    M = np.empty((n, n), dtype=object)
-    for ell in range(n):  # monomial t**ell
-        for s in range(S):
+    return _monomial_derivatives(form.levels * (R + 1), form.levels, range(R + 1))
+
+
+def _monomial_derivatives(rows: int, levels: int, nodes) -> np.ndarray:
+    # d^s/dt^s [t**l] at t = nodes[i] in row l, column s*len(nodes) + i
+    nodes = list(nodes)
+    M = np.empty((rows, levels * len(nodes)), dtype=object)
+    for ell in range(rows):  # monomial t**ell
+        for s in range(levels):
             # falling factorial ell*(ell-1)*...*(ell-s+1)
             fall = 1
             for j in range(s):
                 fall *= ell - j
-            for r in range(R + 1):
+            for i, r in enumerate(nodes):
                 power = ell - s
                 if power < 0 or fall == 0:
                     val = 0
@@ -127,7 +133,7 @@ def exactness_matrix(R: int, formulation) -> np.ndarray:
                     val = fall  # r**0 == 1, also at the node r = 0
                 else:
                     val = fall * r**power
-                M[ell, s * (R + 1) + r] = val
+                M[ell, s * len(nodes) + i] = val
     return M
 
 
@@ -255,8 +261,11 @@ class CoeffTable:
     None for ZD.  They are read-only views of one R x (1 + (L-1)(R+1))
     matrix [b_z | b_d, B_d | (b_s, B_s)] for L levels, and ``C`` is its
     negative: the node values Z[1..R] are C applied to the stacked rows
-    [Z_n | D_n, D_1..D_R | (S_n, S_1..S_R)].  ``condition_Az`` is the
-    2-norm condition number of A_z in any orthonormal kernel basis.
+    [Z_n | D_n, D_1..D_R | (S_n, S_1..S_R)].  ``E`` (R x 2L), scaled and
+    rounded the same way, extrapolates Z[1..R] from the L levels at the
+    previous node t_n - dt and at the anchor, columns [W_-1 | W_0].
+    ``condition_Az`` is the 2-norm condition number of A_z in any
+    orthonormal kernel basis.
     """
 
     R: int
@@ -268,6 +277,7 @@ class CoeffTable:
     B_s: np.ndarray | None
     b_s: np.ndarray | None
     C: np.ndarray
+    E: np.ndarray
     condition_Az: float
     precision: Precision
 
@@ -333,13 +343,29 @@ def _gram_eigenvalues(T: np.ndarray) -> list[float]:
     return sorted(A[k][k] for k in range(len(A)))
 
 
+@lru_cache(maxsize=None)
+def _unit_extrapolation(R: int, form: Formulation) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact two-node Hermite extrapolation at dt = 1: row r-1 gives p(r).
+
+    p is the polynomial of degree 2L-1 through the L levels (value and
+    derivatives) at t = -1 and t = 0, columns [W_-1 | W_0]; p(r) minus row
+    r-1 applied to them vanishes on every such polynomial, so the row is the
+    kernel vector of the free column Z_r, negated.
+    """
+    L = form.levels
+    n = R + 2  # nodes -1, 0, 1..R
+    order = [s * n + i for i in (0, 1) for s in range(L)] + list(range(2, n))
+    _, kernel = _rational_kernel(_monomial_derivatives(2 * L, L, range(-1, R + 1))[:, order])
+    return tuple(tuple(-x for x in v[:2 * L]) for v in kernel)
+
+
 def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIVE) -> CoeffTable:
     """Rescale the exact unit-grid table to step dt and round it into a backend.
 
     Derivative-order-s entries are multiplied by dt**s in exact rational
-    arithmetic (B_d and b_d by dt, B_s and b_s by dt**2, b_z unchanged), then
-    rounded once: correctly to float64, or to within 2**-104 relative for
-    double-double.
+    arithmetic (B_d and b_d by dt, B_s and b_s by dt**2, b_z unchanged; E's
+    columns alike), then rounded once: correctly to float64, or to within
+    2**-104 relative for double-double.
     """
     form = Formulation.parse(formulation)
     _check_block_size(R)
@@ -352,7 +378,9 @@ def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIV
     scale = [pows[0]] + [pows[s] for s in range(1, S) for _ in range(R + 1)]
     round_ = DoubleDouble.from_fraction if precision.dtype == object else float
     M = np.array([[round_(x * f) for x, f in zip(row, scale)] for row in unit], dtype=precision.dtype)
-    M.flags.writeable = False
+    E = np.array([[round_(x * pows[j % S]) for j, x in enumerate(row)]
+                  for row in _unit_extrapolation(R, form)], dtype=precision.dtype)
+    M.flags.writeable = E.flags.writeable = False
     second = S == 3
     return CoeffTable(
         R=R,
@@ -364,6 +392,7 @@ def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIV
         B_s=M[:, R + 3:] if second else None,
         b_s=M[:, R + 2] if second else None,
         C=-M,
+        E=E,
         condition_Az=cond,
         precision=precision,
     )

@@ -1,5 +1,6 @@
 """Stormer-Verlet and composition baseline tests."""
 
+import inspect
 import math
 
 import numpy as np
@@ -148,6 +149,11 @@ class TestNonSeparableStep:
         e1, e2 = endpoint_error(8), endpoint_error(16)
         measured = math.log(e1 / e2) / math.log(2.0)
         assert abs(measured - 2.0) <= 0.4
+
+    def test_iteration_cap_matches_the_integrator(self):
+        # integrate_sv passes SolverConfig().max_iter; a direct call gets the same cap
+        default = inspect.signature(sv_step_nonseparable).parameters["max_iter"].default
+        assert default == SolverConfig().max_iter
 
     def test_em_scb_one_step_converges_at_fine_dt(self):
         prob = make_em_particle("scb")

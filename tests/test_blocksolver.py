@@ -27,10 +27,12 @@ from structham.problems import (
     PROBLEM_NAMES,
     HamiltonianProblem,
     build_problem,
+    lrl_scalar,
     make_kepler,
     make_mass_spring,
     make_pendulum,
     make_two_spring,
+    project_lrl,
 )
 from structham.secoeff import ConfigurationError, Formulation, coeff_table
 
@@ -62,6 +64,86 @@ class TestInitBlock:
         state = init_block(anchor, prob, coeff_table(1, "zds", 0.01))
         assert state.Zx[0][0, 0] == pytest.approx(0.4 - 3.125e-4, abs=1e-15)
         assert state.Zx[0][1, 0] == pytest.approx(0.02, abs=1e-15)
+
+
+class TestExtrapolatedPredictor:
+    """Blocks after the first start from the Hermite polynomial through the
+    previous node and the anchor; Taylor steps remain for the rest."""
+
+    @pytest.mark.parametrize("name,form,R,T,prec,digest", [
+        ("kepler", "zds", 2, 0.02, NATIVE, "5757dc9bc60019be"),
+        ("pendulum", "zd", 3, 0.3, NATIVE, "e4eee78fdd7add14"),
+        ("three_body_eight", "zds", 4, 1 / 12, NATIVE, "677dac95d4d4c74e"),
+        ("mass_spring", "zds", 2, 1 / 12, DDOUBLE, "457e35b33e16f854"),
+    ])
+    def test_first_block_words_unchanged(self, name, form, R, T, prec, digest):
+        # one block, no previous node: the Taylor start, word for word as
+        # before the extrapolated predictor existed
+        assert _trajectory_hash(integrate(build_problem(name, prec), form, R, R, T)) == digest
+
+    @pytest.mark.parametrize("form,R,digest", [("zds", 2, "0fb1bc471e3407db"), ("zd", 3, "d3848ab7d1424099")])
+    def test_projected_run_words_unchanged(self, form, R, digest):
+        # a projected node is off the previous block's polynomial, so every
+        # block of a projected run starts from Taylor steps, as before
+        prob = make_kepler()
+        R0 = lrl_scalar(prob.x0[:, 0], prob.p0[:, 0])
+        traj = integrate(prob, form, R, 300, 30.0, project=lambda X, P: project_lrl(X, P, R0))
+        assert _trajectory_hash(traj) == digest
+
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_history_is_the_previous_node(self, monkeypatch, R):
+        anchors, init = [], blocksolver.init_block
+
+        def recorded(anchor, *args):
+            anchors.append(anchor)
+            return init(anchor, *args)
+
+        monkeypatch.setattr(blocksolver, "init_block", recorded)
+        prob = make_pendulum()
+        traj = integrate(prob, "zds", R, 4 * R, 0.4 * R)
+        assert anchors[0].prev is None
+        for b, anchor in enumerate(anchors[1:], 1):
+            # one node of history, stacked like the anchor: t_n - dt
+            assert anchor.prev.shape == anchor.W.shape
+            n = b * R - 1
+            assert _words([anchor.prev[0, 0], anchor.prev[1, 0]]) == _words([traj.xs[n], traj.ps[n]])
+            if R == 1:
+                assert anchor.prev is anchors[b - 1].W
+
+    def test_one_batched_pe_call(self):
+        prob = make_kepler()
+        calls, rhs = [], prob.first_rhs
+
+        def counted(X, P):
+            calls.append(X.shape)
+            return rhs(X, P)
+
+        table = coeff_table(4, "zds", 0.01)
+        first = make_anchor(prob, 0.0, prob.x0, prob.p0, "zds")
+        prob.first_rhs = counted
+        block = solve_block(first, prob, table, SolverConfig())[0]
+        anchor = BlockAnchor(0.04, block.node(3), block.node(2))
+        calls.clear()
+        state = init_block(anchor, prob, table)
+        assert calls == [(4, 2, 1)]  # all R nodes at once
+        H = np.concatenate([anchor.prev, anchor.W], axis=1)
+        Z = np.add.accumulate(table.E[:, :, None, None] * H[:, None], axis=2)[:, :, -1]
+        assert _words([state.Z]) == _words([Z])
+
+    def test_non_finite_extrapolation_falls_back_to_taylor(self):
+        prob = make_pendulum()
+        table = coeff_table(2, "zds", 0.1)
+        W = make_anchor(prob, 0.0, prob.x0, prob.p0, "zds").W
+        with np.errstate(invalid="ignore"):
+            state = init_block(BlockAnchor(0.0, W, np.full_like(W, math.inf)), prob, table)
+        assert _words([state.Y]) == _words([init_block(BlockAnchor(0.0, W), prob, table).Y])
+
+    def test_sweeps_per_block(self):
+        # with a Taylor start every block: 11.0 and 36.625
+        solar = integrate(build_problem("outer_solar"), "zds", 2, 480, 25000.0)
+        spring = integrate(build_problem("mass_spring"), "zds", 12, 96, 1.0)
+        assert solar.total_sweeps / solar.n_blocks <= 8.5
+        assert spring.total_sweeps / spring.n_blocks < 36.625
 
 
 class TestSeUpdate:
@@ -472,10 +554,10 @@ class TestMixedPrecision:
 
     @pytest.mark.parametrize(
         "name,R,N,T,digest",
-        [("mass_spring", 2, 240, 10.0, "54c3697554c1f2db"), ("pendulum", 2, 40, 4.0, "0863912d18c57ef2")],
+        [("mass_spring", 2, 240, 10.0, "170f3fb7de9834eb"), ("pendulum", 2, 40, 4.0, "b5dbc644aa30f228")],
     )
     def test_without_twin_words_and_counts_unchanged(self, name, R, N, T, digest):
-        # the digests of the ddouble solver before the float64 presolve existed
+        # the ddouble solver on its own (no float64 twin), pinned word for word
         traj = integrate(_without_twin(build_problem(name, DDOUBLE)), "zds", R, N, T)
         assert _trajectory_hash(traj) == digest
 

@@ -12,6 +12,7 @@ from structham.secoeff import (
     ConfigurationError,
     Formulation,
     _structural_kernel,
+    _unit_extrapolation,
     _unit_table,
     assemble_tables,
     coeff_table,
@@ -299,6 +300,43 @@ class TestExactTables:
                 ref = [t.as_fraction() for t in trow]
                 err = max(abs(x - t) for x, t in zip(xrow, ref))
                 assert err <= Fraction(1e-28) * max(abs(t) for t in ref)
+
+
+class TestExtrapolation:
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("R", range(1, 13))
+    def test_reproduces_hermite_degree_exactly(self, R, form):
+        # columns [W_-1 | W_0], each the L levels d^s/dt^s t**k at t = -1, 0
+        L = form.levels
+        E = _unit_extrapolation(R, form)
+        assert len(E) == R and all(len(row) == 2 * L for row in E)
+
+        def levels(k, t):
+            return [math.perm(k, s) * Fraction(t) ** max(k - s, 0) for s in range(L)]
+
+        for k in range(2 * L + 1):
+            data = levels(k, -1) + levels(k, 0)
+            got = [sum(e * w for e, w in zip(row, data)) for row in E]
+            exact = [Fraction(r) ** k for r in range(1, R + 1)]
+            if k < 2 * L:
+                assert got == exact
+            else:  # degree 2L is past the two-node interpolant
+                assert got != exact
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("R", range(1, 13))
+    def test_rounded_once_from_exact(self, R, form):
+        dt = 0.0123
+        L = form.levels
+        native = coeff_table(R, form, dt).E
+        dd = coeff_table(R, form, dt, DDOUBLE).E
+        assert native.shape == dd.shape == (R, 2 * L)
+        for i, row in enumerate(_unit_extrapolation(R, form)):
+            for j, x in enumerate(row):
+                exact = x * Fraction(dt) ** (j % L)
+                assert native[i, j] == float(exact)
+                got = dd[i, j].as_fraction()
+                assert abs(got - exact) <= abs(exact) * Fraction(1, 2**104)
 
 
 class TestExactnessResidual:
