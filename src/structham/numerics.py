@@ -112,11 +112,16 @@ class DoubleDouble:
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "DoubleDouble":
         try:
-            hi = float(fr)
+            return cls.from_ratio(fr.numerator, fr.denominator)
         except OverflowError:
             return cls(math.inf if fr > 0 else -math.inf)
-        lo = float(fr - Fraction(hi))
-        return cls(hi, lo)
+
+    @classmethod
+    def from_ratio(cls, n: int, d: int) -> "DoubleDouble":
+        """n/d (d > 0), hi and lo each correctly rounded; OverflowError past the float range."""
+        hi = n / d
+        hn, hd = hi.as_integer_ratio()
+        return cls(hi, (n * hd - hn * d) / (d * hd))
 
     @classmethod
     def from_any(cls, value) -> "DoubleDouble":

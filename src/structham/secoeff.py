@@ -14,14 +14,14 @@ Pipeline
 2. Dropping the R highest-degree rows leaves a system whose R-dimensional
    null space holds the structural equations.  ``_rational_kernel`` finds
    it exactly, by fraction-free (Bareiss) Gauss-Jordan elimination over
-   Python integers.
-3. ``assemble_tables`` runs that elimination once per (R, formulation) with
-   the node values Z_1..Z_R as the last columns, which yields the table
-   normalized by the A_z slice, (B_d, B_s, b_z, b_d, b_s), as exact
-   rationals, and the Hermite extrapolation that predicts a block from the
-   previous node and the anchor.  For a step dt it multiplies
-   derivative-order-s entries by dt**s, exactly, and rounds once into the
-   requested backend.
+   Python integers, for ``kernel_basis`` and the extrapolation.
+3. ``assemble_tables`` takes the kernel normalized by the A_z slice,
+   (B_d, B_s, b_z, b_d, b_s), in closed form once per (R, formulation): the
+   quadrature Z_r - Z_0 = int_0^r p' of the interpolant p' of the derivative
+   data, in Python integers.  The extrapolation that predicts a block from
+   the previous node and the anchor comes from the elimination.  For a step
+   dt it multiplies derivative-order-s entries by dt**s, exactly, and rounds
+   once into the requested backend.
 4. ``kernel_basis`` orthonormalizes the same kernel by Gram-Schmidt in
    exact rationals, with a deterministic order and sign convention, and
    rounds each entry to double-double once its norm is taken; it serves the
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,7 +63,7 @@ MAX_BLOCK_SIZE = 12  # conditioning degrades beyond the tested range
 
 
 class ConfigurationError(ValueError):
-    """Invalid scheme configuration (unusable R, singular A_z, bad options)."""
+    """Invalid scheme configuration (unusable R, ill-conditioned A_z, overflowing dt, bad options)."""
 
 
 class KernelRankError(RuntimeError):
@@ -290,20 +291,39 @@ class CoeffTable:
 def _unit_table(R: int, form: Formulation) -> tuple[tuple[tuple[Fraction, ...], ...], float]:
     """Exact normalized table [b_z | b_d, B_d | (b_s, B_s)] at dt = 1, and cond(A_z).
 
-    The reduced exactness matrix, with its columns reordered so that the
-    node values Z_1..Z_R come last, has those R columns free exactly when
-    A_z is invertible; the kernel vector of free column Z_r is then [T_r | e_r]
-    with T_r row r of the table.  Any orthonormal kernel basis is G [T | I]
-    with G^T G = (I + T T^T)^-1 and A_z = G, so cond(A_z)**2 = cond(I + T T^T)
-    = (1 + s_max**2) / (1 + s_min**2) over the singular values s of T.
+    Row r is minus Z_r = Z_0 + int_0^r p', p' the Lagrange (ZD) or Hermite
+    (ZDS) interpolant of the D (and S) data at nodes 0..R (Hairer, Norsett and
+    Wanner, Solving ODEs I, III.1).  With P_j(t) = prod_{m != j} (t - m),
+    w_j = P_j(j) and a_j = P_j'(j) / w_j, D_j weighs P_j / w_j (ZD) or
+    (1 - 2 a_j (t - j)) P_j**2 / w_j**2 (ZDS) and S_j (t - j) P_j**2 / w_j**2,
+    each integrated in integers over lcm(1..deg+1) and evaluated at r.
+    The relation is exact through the exactness degree and holds Z_1..Z_R
+    only as Z_r, so it is the kernel vector [T_r | e_r] of the retained rows;
+    those columns are always free (A_z invertible), since Z_0 and Hermite
+    data of p' at distinct nodes are poised.  Any orthonormal kernel basis is
+    G [T | I] with G^T G = (I + T T^T)^-1 and A_z = G, so cond(A_z)**2 =
+    (1 + s_max**2) / (1 + s_min**2) over the singular values s of T.
     """
-    S = form.levels
-    keep = S * (R + 1) - R
-    order = [0, *range(R + 1, S * (R + 1)), *range(1, R + 1)]
-    free, kernel = _structural_kernel(R, form, order)
-    if free != list(range(keep, keep + R)):
-        raise ConfigurationError(f"singular A_z slice for formulation {form.value}, R={R}")
-    T = tuple(tuple(v[:keep]) for v in kernel)
+    d_cols, s_cols = [], []  # (integrand, denominator) per D_j and per S_j
+    for j in range(R + 1):
+        P = [1]
+        for m in range(R + 1):
+            if m != j:  # P <- P * (t - m)
+                P = [b - m * a for a, b in zip(P + [0], [0] + P)]
+        w = math.prod(j - m for m in range(R + 1) if m != j)
+        if form is Formulation.ZD:
+            d_cols.append((P, w))
+            continue
+        dP = sum(k * c * j ** (k - 1) for k, c in enumerate(P) if k)
+        P2 = np.convolve(*[np.array(P, dtype=object)] * 2).tolist()  # Python ints: no int64 wrap
+        # (w - 2 dP (t - j)) P**2 / w**3 and (t - j) P**2 / w**2
+        d_cols.append(([b * (w + 2 * dP * j) - 2 * dP * a for a, b in zip([0] + P2, P2 + [0])], w**3))
+        s_cols.append(([a - j * b for a, b in zip([0] + P2, P2 + [0])], w**2))
+    n = len(d_cols[0][0])
+    L = math.lcm(*range(1, n + 1))
+    columns = [([0] + [c * (L // (k + 1)) for k, c in enumerate(f)], L * d) for f, d in d_cols + s_cols]
+    T = tuple((Fraction(-1), *(Fraction(-sum(map(operator.mul, f, powers)), d) for f, d in columns))
+              for powers in ([r**k for k in range(n + 1)] for r in range(1, R + 1)))
     s2 = _gram_eigenvalues(np.array(T, dtype=float))  # the s**2, ascending
     cond = math.sqrt((1 + s2[-1]) / (1 + s2[0]))
     if not np.isfinite(cond) or cond > 1e12:
@@ -365,7 +385,8 @@ def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIV
     Derivative-order-s entries are multiplied by dt**s in exact rational
     arithmetic (B_d and b_d by dt, B_s and b_s by dt**2, b_z unchanged; E's
     columns alike), then rounded once: correctly to float64, or to within
-    2**-104 relative for double-double.
+    2**-104 relative for double-double (above the subnormal range).  A step
+    that takes an entry past the float range is a ConfigurationError.
     """
     form = Formulation.parse(formulation)
     _check_block_size(R)
@@ -374,11 +395,20 @@ def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIV
         raise ConfigurationError(f"step dt={dt} must be positive and finite")
     unit, cond = _unit_table(R, form)
     S = form.levels
-    pows = [Fraction(dt) ** s for s in range(S)]
-    scale = [pows[0]] + [pows[s] for s in range(1, S) for _ in range(R + 1)]
-    round_ = DoubleDouble.from_fraction if precision.dtype == object else float
-    M = np.array([[round_(x * f) for x, f in zip(row, scale)] for row in unit], dtype=precision.dtype)
-    E = np.array([[round_(x * pows[j % S]) for j, x in enumerate(row)]
+    num, den = dt.as_integer_ratio()
+    pows = [(num**s, den**s) for s in range(S)]
+    round_ = DoubleDouble.from_ratio if precision.dtype == object else operator.truediv
+
+    def scaled(x: Fraction, s: int):
+        # x * dt**s = (n a**s) / (d b**s): one correctly rounded int division
+        try:
+            return round_(x.numerator * pows[s][0], x.denominator * pows[s][1])
+        except OverflowError:
+            raise ConfigurationError(f"step dt={dt} overflows the order-{s} coefficients") from None
+
+    orders = [0] + [s for s in range(1, S) for _ in range(R + 1)]
+    M = np.array([[scaled(x, s) for x, s in zip(row, orders)] for row in unit], dtype=precision.dtype)
+    E = np.array([[scaled(x, j % S) for j, x in enumerate(row)]
                   for row in _unit_extrapolation(R, form)], dtype=precision.dtype)
     M.flags.writeable = E.flags.writeable = False
     second = S == 3

@@ -190,6 +190,17 @@ class TestCli:
             "--N", "10", "--T", "1.0",
         ]) == 2  # missing R
 
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--formulation", "zds", "--R", "2", "--dt", "1e200"],
+        ["coeffs", "--formulation", "zds", "--R", "2", "--dt", "1e200", "--precision", "ddouble"],
+        ["run", "--problem", "mass_spring", "--scheme", "zds", "--R", "2", "--N", "2", "--T", "2e200"],
+    ])
+    def test_overflowing_step_exit_code(self, argv, capsys):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert "dt=1e+200 overflows the order-2 coefficients" in captured.err + captured.out
+        assert "inf" not in captured.out
+
     def test_solver_failure_exit_code(self, capsys):
         assert cli_main([
             "run", "--problem", "em_scb", "--scheme", "zds", "--R", "2",

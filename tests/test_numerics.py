@@ -123,6 +123,16 @@ class TestDoubleDoubleArithmetic:
         x = DoubleDouble.from_any("9.547861040430e-04")
         assert abs(dd_to_fraction(x) - exact) / exact <= Fraction(2) ** -105
 
+    def test_from_ratio_rounds_each_word_once(self):
+        # hi = fl(n/d), lo = fl(n/d - hi), unreduced ratios alike; overflow raises
+        for n, d in [(1, 3), (-22, 7), (10**40 + 1, 3 * 10**39), (-7, 10**330), (2 * 355, 2 * 113)]:
+            x = DoubleDouble.from_ratio(n, d)
+            exact = Fraction(n, d)
+            assert x.hi == float(exact) and x.lo == float(exact - Fraction(x.hi))
+            assert words(x) == words(DoubleDouble.from_fraction(exact))
+        with pytest.raises(OverflowError):
+            DoubleDouble.from_ratio(10**400, 3)
+
     def test_comparisons(self):
         a = DoubleDouble(1.0, -1e-20)
         b = DoubleDouble(1.0)

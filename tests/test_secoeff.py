@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,15 @@ from structham.secoeff import (
 )
 
 ALL_FORMS = [Formulation.ZD, Formulation.ZDS]
+
+# steps of the benchmarks and acceptance runs, and 1e-170, whose square is subnormal
+STEPS = [1 / 3, 1 / 24, 0.0123, 1e-3, 1e5 / 1920, 1e-170]
+
+
+def dd_bound(exact: Fraction) -> Fraction:
+    """Double-double error bound: 2**-104 relative, or half the least subnormal
+    where both words are rounded at float64's subnormal spacing."""
+    return max(abs(exact) * Fraction(1, 2**104), Fraction(1, 2**1075))
 
 
 class TestExactnessMatrix:
@@ -211,6 +221,17 @@ class TestAssembleTables:
         with pytest.raises(ConfigurationError):
             coeff_table(2, "zds", dt, DDOUBLE)
 
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("R, form, dt, order", [(2, "zds", 1e200, 2), (4, "zd", 1e308, 1)])
+    def test_overflowing_dt_rejected(self, R, form, dt, order, prec):
+        # dt**order times a unit-grid entry past the float range: no OverflowError, no inf
+        with pytest.raises(ConfigurationError, match=rf"dt={re.escape(str(dt))} overflows the order-{order} "):
+            assemble_tables(R, form, dt, prec)
+
+    def test_largest_finite_dt_still_builds(self):
+        t = assemble_tables(2, "zds", 1e150, DDOUBLE)
+        assert all(math.isfinite(float(v)) for v in [*t.C.ravel(), *t.E.ravel()])
+
     def test_ddouble_realization(self):
         t = coeff_table(2, "zds", 0.5, DDOUBLE)
         assert t.B_d.dtype == object
@@ -251,8 +272,20 @@ class TestExactTables:
 
     @pytest.mark.parametrize("form", ALL_FORMS)
     @pytest.mark.parametrize("R", range(1, 13))
-    def test_rounded_once_from_exact(self, R, form):
-        dt = 0.0123
+    def test_quadrature_equals_elimination(self, R, form):
+        # the exact kernel with Z_1..Z_R free, by fraction-free elimination,
+        # is the oracle of the closed-form quadrature, Fraction for Fraction
+        S = form.levels
+        keep = S * (R + 1) - R
+        order = [0, *range(R + 1, S * (R + 1)), *range(1, R + 1)]
+        free, kernel = _structural_kernel(R, form, order)
+        assert free == list(range(keep, keep + R))
+        assert _unit_table(R, form)[0] == tuple(tuple(v[:keep]) for v in kernel)
+
+    @pytest.mark.parametrize("dt", STEPS)
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("R", range(1, 13))
+    def test_rounded_once_from_exact(self, R, form, dt):
         T, _ = _unit_table(R, form)
         # exact dt**s factor of each column [Z_0 | D_0..D_R | (S_0..S_R)]
         scale = [Fraction(1)] + [Fraction(dt) ** s for s in range(1, form.levels) for _ in range(R + 1)]
@@ -261,12 +294,12 @@ class TestExactTables:
         for i, row in enumerate(T):
             for j, x in enumerate(row):
                 exact = x * scale[j]
-                assert native[i, j] == float(exact)
+                assert native[i, j].hex() == float(exact).hex()  # the word, signed zeros too
                 got = dd[i, j].as_fraction()
                 if exact == 0:
                     assert got == 0 and native[i, j] == 0.0
                 else:
-                    assert abs(got - exact) <= abs(exact) * Fraction(1, 2**104)
+                    assert abs(got - exact) <= dd_bound(exact)
 
     def test_exact_zero_stays_zero(self):
         # the former double-double pipeline left residue near 1e-26 here
@@ -323,10 +356,10 @@ class TestExtrapolation:
             else:  # degree 2L is past the two-node interpolant
                 assert got != exact
 
+    @pytest.mark.parametrize("dt", STEPS)
     @pytest.mark.parametrize("form", ALL_FORMS)
     @pytest.mark.parametrize("R", range(1, 13))
-    def test_rounded_once_from_exact(self, R, form):
-        dt = 0.0123
+    def test_rounded_once_from_exact(self, R, form, dt):
         L = form.levels
         native = coeff_table(R, form, dt).E
         dd = coeff_table(R, form, dt, DDOUBLE).E
@@ -334,9 +367,9 @@ class TestExtrapolation:
         for i, row in enumerate(_unit_extrapolation(R, form)):
             for j, x in enumerate(row):
                 exact = x * Fraction(dt) ** (j % L)
-                assert native[i, j] == float(exact)
+                assert native[i, j].hex() == float(exact).hex()
                 got = dd[i, j].as_fraction()
-                assert abs(got - exact) <= abs(exact) * Fraction(1, 2**104)
+                assert abs(got - exact) <= dd_bound(exact)
 
 
 class TestExactnessResidual:
