@@ -23,11 +23,13 @@ to the rows before Z_1..Z_R, for x and p together.  An anchor stacks its
 values as (2, L, I, K).
 
 A block writes its anchor rows once, in the predictor; no sweep touches
-them.  Each sweep takes one max-norm of the change of Z, which is also its
+them.  Each sweep takes one max-norm, of the change of Z.  It is also the
 finiteness test: Z is finite on entry (the predictor and every accepted
-sweep checked it), so a finite norm proves the new Z finite.  Only a
+sweep checked it), so a finite norm proves the new Z finite; only a
 non-finite norm, which an overflowing difference of finite values also
-gives, needs a scan of the new Z.
+gives, needs a scan of the new Z.  And it advances an upper bound on the
+block's norm: the growth test takes the norms of Z and the new Z only
+once that bound passes GROWTH_LIMIT times the anchor scale (``_sweep``).
 
 Every block after the first starts from the Hermite polynomial through
 the previous node and the anchor, as implicit Runge-Kutta codes extrapolate
@@ -89,6 +91,8 @@ class DivergenceError(RuntimeError):
 
 # a sweep that grows the block's max-norm more than this factor diverges
 GROWTH_LIMIT = 1e6
+# 1 + 4u (u = 2**-53): widens a sum of float norms into a bound on the norm
+_ROUNDING = 1.0 + 2.0**-51
 
 
 @dataclass(frozen=True)
@@ -309,7 +313,7 @@ def _newton_matrix(twin, table: CoeffTable, state: BlockState):
 def _inverse(M: np.ndarray):
     """M^-1 by Gauss-Jordan elimination with partial pivoting; None when M is
     singular or not finite.  Elementwise numpy only: numpy.linalg would map
-    LAPACK, about 1 MB of resident memory (see secoeff._gram_eigenvalues)."""
+    LAPACK, about 1 MB of resident memory."""
     n = len(M)
     A = np.concatenate([M, np.eye(n)], axis=1)
     for j in range(n):
@@ -350,24 +354,26 @@ def pe_update(problem, Z: np.ndarray, out: np.ndarray) -> None:
     the right-hand sides act node by node.  D (and S) are written into
     ``out`` (2, L-1, R, I, K), such as the node part of ``BlockState.DS``.
     """
-    Zx, Zp = Z
+    Zx, Zp = Z[0], Z[1]  # two indexings: unpacking iterates and costs more
+    shape = Zx.shape
     Dx, Dp = problem.first_rhs(Zx, Zp)
-    _check_node_block(problem, "first_rhs", Zx.shape, Dx, Dp)
+    if getattr(Dx, "shape", None) != shape or getattr(Dp, "shape", None) != shape:
+        raise _node_block_error(problem, "first_rhs", shape, Dx, Dp)
     out[0, 0], out[1, 0] = Dx, Dp
     if out.shape[1] > 1:
         Sx, Sp = problem.second_rhs(Zx, Zp, Dx, Dp)
-        _check_node_block(problem, "second_rhs", Zx.shape, Sx, Sp)
+        if getattr(Sx, "shape", None) != shape or getattr(Sp, "shape", None) != shape:
+            raise _node_block_error(problem, "second_rhs", shape, Sx, Sp)
         out[0, 1], out[1, 1] = Sx, Sp
 
 
-def _check_node_block(problem, name: str, shape: tuple, a, b):
+def _node_block_error(problem, name: str, shape: tuple, a, b) -> ConfigurationError:
     # a right-hand side written for one (I, K) node would broadcast node 0's
     # values over the whole block
-    if getattr(a, "shape", None) != shape or getattr(b, "shape", None) != shape:
-        raise ConfigurationError(
-            f"{problem.name} {name} returned shapes {np.shape(a)} and {np.shape(b)} for "
-            f"node block {shape}: right-hand sides must act node by node on (..., I, K) states"
-        )
+    return ConfigurationError(
+        f"{problem.name} {name} returned shapes {np.shape(a)} and {np.shape(b)} for "
+        f"node block {shape}: right-hand sides must act node by node on (..., I, K) states"
+    )
 
 
 def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig):
@@ -401,24 +407,29 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
     convergence raise.  A ``presolve`` (the float64 phase) raises none of
     these: it drops the failing sweep, keeping the last finite iterate, and
     ends once M is dropped.
+
+    ``bound`` >= |Z| throughout: |Z_new| <= |Z| + |Z_new - Z|, widened by
+    1 + 4u (u = 2**-53) for the rounding of the difference, of its float
+    conversion and of the sum.  The limit, GROWTH_LIMIT max(|Z|, scale), is
+    never below ``safe``, so only a bound past ``safe`` needs the norms of
+    Z and Z_new; a corrected step and that test reset the bound to |Z|.
     """
     Z, derivs = state.Z, state.DS[:, :, 1:]
     scale_ref = max(max_abs(anchor.level(0)), 1.0)
-    prev_norm = max_abs(Z)
+    safe = GROWTH_LIMIT * scale_ref  # at most the growth limit of any sweep
+    prev_norm = bound = max_abs(Z)  # prev_norm: exact while M is held
+    step = np.empty_like(Z)
     diff = prev_diff = math.inf
     for sweeps in range(max_iter):
         Z_new = se_update(table, state)
         # both components enter the stopping norm: the x-block alone can
         # stagnate for one sweep of the alternating map while p still moves;
         # a finite diff proves Z_new finite (module docstring)
-        step = Z_new - Z
-        diff = max_abs(step)
+        diff = max_abs(np.subtract(Z_new, Z, out=step))
         if not math.isfinite(diff) and not all_finite(Z_new):
             if presolve:
                 return sweeps
             raise DivergenceError("non-finite block value during fixed-point sweep")
-        # checked before Z is overwritten: a presolve keeps it
-        limit = GROWTH_LIMIT * max(prev_norm, scale_ref)
         done = diff <= tol
         if newton is not None:
             # the correction, too, bounds a corrected block's error: the map
@@ -430,20 +441,23 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
             if not done:
                 corrected = Z + correction
                 norm = max_abs(corrected)
+                limit = GROWTH_LIMIT * max(prev_norm, scale_ref)
                 if diff <= _NEWTON_RATE * prev_diff and norm <= limit:  # False for NaN
                     Z_new = corrected
+                    prev_norm = bound = norm
                 else:
                     newton = None
-        if not done:
-            if newton is None:
-                if presolve:
-                    return sweeps
-                norm = max_abs(Z_new)
-                if norm > limit:
+        if not done and newton is None:
+            if presolve:
+                return sweeps
+            bound = (bound + diff) * _ROUNDING
+            if bound > safe:
+                prev_norm, norm = max_abs(Z), max_abs(Z_new)
+                if norm > GROWTH_LIMIT * max(prev_norm, scale_ref):
                     raise DivergenceError(
                         f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
                     )
-            prev_norm = norm
+                bound = norm
         Z[...] = Z_new
         pe_update(problem, Z, derivs)
         if done:

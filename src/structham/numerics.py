@@ -607,6 +607,7 @@ _SIN_COS = np.frompyfunc(DoubleDouble.sin_cos, 1, 2)
 # numpy's own log can differ from libm's in the last bit, so float arrays take
 # libm's too: an array entry then equals the scalar result for that entry
 _LOG = np.frompyfunc(math.log, 1, 1)
+_ABS, _MAX = np.abs, np.maximum.reduce  # max_abs's ufuncs, looked up once
 
 
 def log(x):
@@ -619,13 +620,16 @@ def log(x):
 
 def max_abs(arr) -> float:
     """Max-norm of an array (or scalar) of either backend, as a float."""
-    if isinstance(arr, np.ndarray):
+    if type(arr) is not np.ndarray or arr.dtype.kind != "f" or not arr.size:  # a float array skips these
+        if not isinstance(arr, np.ndarray):
+            return abs(float(arr))
+        if not arr.size:
+            return 0.0
         if arr.dtype == object:
             vals = [abs(float(v)) for v in arr.flat]  # max() alone drops a NaN that is not first
-            return math.nan if math.isnan(sum(vals)) else max(vals, default=0.0)
-        # the ufunc's own reduce: ndarray.max adds a Python-level wrapper
-        return float(np.maximum.reduce(np.abs(arr), axis=None)) if arr.size else 0.0
-    return abs(float(arr))
+            return math.nan if math.isnan(sum(vals)) else max(vals)
+    # the ufunc's own reduce: ndarray.max adds a Python-level wrapper
+    return float(_MAX(_ABS(arr), axis=None))
 
 
 def all_finite(arr) -> bool:

@@ -287,6 +287,18 @@ class CoeffTable:
         return self.B_s is not None
 
 
+# cond(A_z) for R = 1..MAX_BLOCK_SIZE, as float64 Jacobi rotations on T T^T give
+# it (tests/oracles.py; numpy.linalg would map LAPACK, about 1 MB of resident memory)
+_CONDITION_AZ = {
+    Formulation.ZD: (1.0, 2.128787907162544, 2.8370048549416693, 3.629375251400879, 4.323958784271914,
+                     5.417257084351998, 6.372822020956344, 9.19418369022475, 12.089292275558373,
+                     22.016846462101004, 33.15207147265129, 66.44781539808186),
+    Formulation.ZDS: (1.0, 2.0516663978777494, 2.7777484083626542, 3.4551958184314486, 4.352214368668544,
+                      6.559081314310596, 14.900629749727681, 42.632970149789976, 130.8332582041818,
+                      415.51279979702815, 1353.793411438712, 4499.977355491052),
+}
+
+
 @lru_cache(maxsize=None)
 def _unit_table(R: int, form: Formulation) -> tuple[tuple[tuple[Fraction, ...], ...], float]:
     """Exact normalized table [b_z | b_d, B_d | (b_s, B_s)] at dt = 1, and cond(A_z).
@@ -302,7 +314,7 @@ def _unit_table(R: int, form: Formulation) -> tuple[tuple[tuple[Fraction, ...], 
     those columns are always free (A_z invertible), since Z_0 and Hermite
     data of p' at distinct nodes are poised.  Any orthonormal kernel basis is
     G [T | I] with G^T G = (I + T T^T)^-1 and A_z = G, so cond(A_z)**2 =
-    (1 + s_max**2) / (1 + s_min**2) over the singular values s of T.
+    (1 + s_max**2) / (1 + s_min**2) over the singular values s of T (tabulated).
     """
     d_cols, s_cols = [], []  # (integrand, denominator) per D_j and per S_j
     for j in range(R + 1):
@@ -324,43 +336,12 @@ def _unit_table(R: int, form: Formulation) -> tuple[tuple[tuple[Fraction, ...], 
     columns = [([0] + [c * (L // (k + 1)) for k, c in enumerate(f)], L * d) for f, d in d_cols + s_cols]
     T = tuple((Fraction(-1), *(Fraction(-sum(map(operator.mul, f, powers)), d) for f, d in columns))
               for powers in ([r**k for k in range(n + 1)] for r in range(1, R + 1)))
-    s2 = _gram_eigenvalues(np.array(T, dtype=float))  # the s**2, ascending
-    cond = math.sqrt((1 + s2[-1]) / (1 + s2[0]))
+    cond = _CONDITION_AZ[form][R - 1]
     if not np.isfinite(cond) or cond > 1e12:
         raise ConfigurationError(
             f"A_z ill-conditioned (cond={cond:.2e}) for formulation {form.value}, R={R}"
         )
     return T, cond
-
-
-def _gram_eigenvalues(T: np.ndarray) -> list[float]:
-    """Eigenvalues of T T^T, ascending, by cyclic Jacobi rotations.
-
-    Plain Python on the R x R Gram matrix: numpy.linalg.svd would map LAPACK
-    and add about 1 MB (0.9-1.5 MB measured) to the resident memory of every
-    process that builds a table.
-    """
-    A = (T[:, None, :] * T[None, :, :]).sum(axis=2).tolist()
-    for _ in range(50):  # a sweep of rotations per pass; converges quadratically
-        rotated = False
-        for p in range(len(A) - 1):
-            for q in range(p + 1, len(A)):
-                Ap, Aq = A[p], A[q]
-                if abs(Ap[q]) <= 1e-16 * math.sqrt(abs(Ap[p] * Aq[q])):
-                    continue
-                rotated = True
-                zeta = (Aq[q] - Ap[p]) / (2.0 * Ap[q])
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                for row in A:  # columns p and q, then rows p and q
-                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-                A[p] = [c * a - s * b for a, b in zip(Ap, Aq)]
-                A[q] = [s * a + c * b for a, b in zip(Ap, Aq)]
-                A[p][q] = A[q][p] = 0.0
-        if not rotated:
-            break
-    return sorted(A[k][k] for k in range(len(A)))
 
 
 @lru_cache(maxsize=None)

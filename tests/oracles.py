@@ -60,7 +60,42 @@ def dense_block_oracle(problem, table, anchor):
     return Zx, Zp
 
 
-def reference_solve_block(anchor, problem, table, config):
+def gram_eigenvalues(T: np.ndarray) -> list[float]:
+    """Eigenvalues of T T^T, ascending, by cyclic Jacobi rotations in float64.
+
+    Plain Python on the R x R Gram matrix, the loop that gave the package's
+    tabulated cond(A_z) (``secoeff._CONDITION_AZ``) word for word.
+    """
+    A = (T[:, None, :] * T[None, :, :]).sum(axis=2).tolist()
+    for _ in range(50):  # a sweep of rotations per pass; converges quadratically
+        rotated = False
+        for p in range(len(A) - 1):
+            for q in range(p + 1, len(A)):
+                Ap, Aq = A[p], A[q]
+                if abs(Ap[q]) <= 1e-16 * math.sqrt(abs(Ap[p] * Aq[q])):
+                    continue
+                rotated = True
+                zeta = (Aq[q] - Ap[p]) / (2.0 * Ap[q])
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                for row in A:  # columns p and q, then rows p and q
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                A[p] = [c * a - s * b for a, b in zip(Ap, Aq)]
+                A[q] = [s * a + c * b for a, b in zip(Ap, Aq)]
+                A[p][q] = A[q][p] = 0.0
+        if not rotated:
+            break
+    return sorted(A[k][k] for k in range(len(A)))
+
+
+def condition_az(T) -> float:
+    """cond(A_z) = sqrt((1 + s_max**2) / (1 + s_min**2)) over the singular values of T."""
+    s2 = gram_eigenvalues(np.array(T, dtype=float))
+    return math.sqrt((1 + s2[-1]) / (1 + s2[0]))
+
+
+def reference_solve_block(anchor, problem, table, config, se=None):
     """The fixed-point loop as first written, a drop-in for ``solve_block``.
 
     Every sweep copies the anchor into the anchor rows of ``Y``, scans the
@@ -70,7 +105,8 @@ def reference_solve_block(anchor, problem, table, config):
     correction M^-1 times the change is within tol too; otherwise it steps
     by that correction, as long as the change at least halves and the
     corrected block passes the growth test.  The first time either fails,
-    M is dropped.
+    M is dropped.  ``se``, if given, takes the place of the structural
+    product, called as ``se(table, state)``.
     """
     tol = config.resolved_tol(problem)
     second = table.has_second
@@ -86,8 +122,11 @@ def reference_solve_block(anchor, problem, table, config):
         newton, prev_diff = state.newton, math.inf
         for sweep in range(1, config.max_iter + 1):
             state.set_anchor(anchor.W)
-            terms = table.C[:, :, None, None] * state.Y[:, None, :m]
-            Z_new = np.add.accumulate(terms, axis=2)[:, :, -1]
+            if se is None:
+                terms = table.C[:, :, None, None] * state.Y[:, None, :m]
+                Z_new = np.add.accumulate(terms, axis=2)[:, :, -1]
+            else:
+                Z_new = se(table, state)
             if not all_finite(Z_new):
                 raise DivergenceError("non-finite block value during fixed-point sweep")
             diff = max_abs(Z_new - Z)

@@ -496,6 +496,147 @@ class TestLeanSweep:
                 assert _words([got]) == _words([want])
 
 
+_REAL_SE = blocksolver.se_update
+
+
+def _scripted_se(script, ddouble_only=False):
+    """An se_update that follows ``script``, and the list of its calls.
+
+    ``script(k)`` for the k-th call (0-based) gives None for the real SE
+    output, ``("x", c)`` for that output times c, or a number to fill the
+    block with.  With ``ddouble_only``, float64 calls (a float64 phase) get
+    the real output and are not counted in k.
+    """
+    calls = []
+
+    def se(table, state):
+        real = _REAL_SE(table, state)
+        if ddouble_only and state.Z.dtype != object:
+            return real
+        calls.append(state.Z.copy())
+        step = script(len(calls) - 1)
+        if step is None:
+            return real
+        if isinstance(step, tuple):
+            return real * step[1]
+        fill = np.full(state.Z.shape, step)
+        return DDOUBLE.asarray(fill) if state.Z.dtype == object else fill
+
+    return se, calls
+
+
+def _outcome(run):
+    """What a block solve ended with: its words and counts, or its refusal."""
+    try:
+        state, stats = run()
+    except DivergenceError as err:
+        return "diverged", str(err)
+    except NonConvergenceError as err:
+        return "not converged", err.residual
+    return "converged", _words([state.Y]), stats.iterations, stats.pe1_calls
+
+
+class TestGrowthBound:
+    """The growth test read from a bound on the block's norm refuses at the
+    sweep, and with the words, of the loop that takes the norm every sweep."""
+
+    @staticmethod
+    def compare(monkeypatch, problem, form, R, dt, script, ddouble_only=False, max_iter=200):
+        anchor = make_anchor(problem, problem.precision.real(0), problem.x0, problem.p0, form)
+        table = coeff_table(R, form, dt, problem.precision)
+        config = SolverConfig(max_iter=max_iter)
+        got_se, got_calls = _scripted_se(script, ddouble_only)
+        monkeypatch.setattr(blocksolver, "se_update", got_se)
+        got = _outcome(lambda: solve_block(anchor, problem, table, config))
+        ref_se, ref_calls = _scripted_se(script, ddouble_only)
+        monkeypatch.setattr(blocksolver, "se_update", ref_se)  # a float64 phase's sweeps
+        ref = _outcome(lambda: reference_solve_block(anchor, problem, table, config, se=ref_se))
+        assert got == ref
+        assert len(got_calls) == len(ref_calls)
+        return got, len(got_calls)
+
+    @pytest.mark.parametrize("fills,sweep,message", [
+        ([2e7], 1, "from 1.000e+00 to 2.000e+07"),
+        ([None, None, 3e7], 3, "to 3.000e+07"),
+        ([-1e3, 1e6, -1e9, 1e12, -1e19], 5, "from 1.000e+12 to 1.000e+19"),
+        ([1e5, 1e10, 1e15, 2e21], 4, "from 1.000e+15 to 2.000e+21"),
+    ], ids=["first-sweep", "third-sweep", "staircase", "past-the-anchor-scale"])
+    def test_growth_refused_at_the_same_sweep(self, monkeypatch, fills, sweep, message):
+        # each rise but the last stays within the limit, although the block
+        # passes GROWTH_LIMIT times its anchor scale on the way
+        got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1,
+                                  lambda k: fills[k])
+        assert got[0] == "diverged" and message in got[1] and calls == sweep
+
+    def test_overflowing_change_refused_like_the_reference(self, monkeypatch):
+        fills = [-(10.0 ** (5 * k)) for k in range(1, 61)] + [sys.float_info.max]
+        got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
+        assert got == ("diverged", "block norm grew from 1.000e+300 to 1.798e+308 in one sweep")
+        assert calls == 61
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_non_finite_sweep_refused_like_the_reference(self, monkeypatch, prec):
+        prob = _without_twin(make_mass_spring(precision=prec))
+        got, calls = self.compare(monkeypatch, prob, "zds", 2, 0.1, lambda k: [None, 2.0, math.nan][k])
+        assert got == ("diverged", "non-finite block value during fixed-point sweep") and calls == 3
+
+    def test_loose_bound_over_a_small_block_refuses_nothing(self, monkeypatch):
+        # the block swings between +-6e5: each change of 1.2e6 lifts the
+        # bound past 1e6, the anchor scale's limit, while the norm stays 6e5
+        got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1,
+                                  lambda k: 6e5 * (-1) ** k, max_iter=30)
+        assert got == ("not converged", 1.2e6) and calls == 30
+
+    def test_block_far_past_the_anchor_scale_converges(self, monkeypatch):
+        # the block's norm rises 1e5-fold per sweep to 1e15, 1e9 times the
+        # anchor's, and stays there
+        fills = [1e5, 1e10, 1e15]
+        got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1,
+                                  lambda k: fills[min(k, 2)])
+        assert got[0] == "converged" and got[2] == calls == 4
+
+    @pytest.mark.parametrize("script,outcome,calls", [
+        ({1: 1e8}, "diverged", 2),
+        ({1: 1.5, 3: 1e8}, "diverged", 4),
+        ({1: 1.5}, "converged", None),
+        ({0: 1e8}, "diverged", 1),
+    ], ids=["jump-while-corrected", "jump-after-the-drop", "drop-then-converge", "jump-at-the-lift"])
+    def test_newton_corrected_ddouble_block(self, monkeypatch, script, outcome, calls):
+        # the ddouble sweeps after the float64 phase; a scaled SE output
+        # drops M (the change does not halve, or the corrected block
+        # outgrows the limit), and the plain sweeps that follow test the
+        # growth from the bound
+        prob = make_mass_spring(precision=DDOUBLE)
+        got, n = self.compare(monkeypatch, prob, "zds", 2, 0.1,
+                              lambda k: ("x", script[k]) if k in script else None, ddouble_only=True)
+        assert got[0] == outcome and (calls is None or n == calls)
+        if outcome == "diverged":
+            assert got[1].startswith("block norm grew from ")
+
+    @pytest.mark.parametrize("sweep", [0, 1])
+    def test_float64_phase_drops_its_sweep(self, monkeypatch, sweep):
+        # a float64 sweep whose corrected block outgrows the limit drops M
+        # and ends the phase; the block lifted is the iterate it started from
+        prob = make_mass_spring(precision=DDOUBLE)
+        iterates = []
+
+        def se(table, state):
+            real = _REAL_SE(table, state)
+            if state.Z.dtype == object:
+                return real
+            iterates.append(state.Z.copy())
+            return real * 1e8 if len(iterates) == sweep + 1 else real
+
+        monkeypatch.setattr(blocksolver, "se_update", se)
+        anchor = make_anchor(prob, DDOUBLE.real(0), prob.x0, prob.p0, "zds")
+        state = init_block(anchor, prob, coeff_table(2, "zds", 0.1, DDOUBLE))
+        probes = state.Z.size
+        assert len(iterates) == sweep + 1 and state.sweeps == probes + sweep + 1
+        assert _words([state.Z]) == _words([DDOUBLE.asarray(iterates[sweep])])
+        self.compare(monkeypatch, prob, "zds", 2, 0.1,
+                     lambda k: ("x", 1e8) if k == sweep else None)
+
+
 def _trajectory_hash(traj):
     """sha256 prefix over every stored node's words, then the sweep and call counts."""
     h = hashlib.sha256()

@@ -608,3 +608,64 @@ class TestPrecisionBackends:
     def test_defaults(self):
         assert NATIVE.default_tol == 1e-14
         assert DDOUBLE.default_tol == 1e-30
+
+
+def _max_abs_before_fast_path(arr) -> float:
+    # max_abs as it read before float arrays took the first branch
+    if isinstance(arr, np.ndarray):
+        if arr.dtype == object:
+            vals = [abs(float(v)) for v in arr.flat]
+            return math.nan if math.isnan(sum(vals)) else max(vals, default=0.0)
+        return float(np.maximum.reduce(np.abs(arr), axis=None)) if arr.size else 0.0
+    return abs(float(arr))
+
+
+class _Tagged(np.ndarray):
+    """An ndarray subclass: it takes the general branch of max_abs."""
+
+
+_MAX_ABS_VALUES = {
+    "nan-first": [math.nan, 2.0, -3.0],
+    "nan-middle": [2.0, math.nan, -3.0],
+    "nan-last": [2.0, -3.0, math.nan],
+    "nan-only": [math.nan],
+    "inf": [1.0, math.inf, -2.0],
+    "minus-inf": [1.0, -math.inf],
+    "inf-and-nan": [-math.inf, math.nan],
+    "negative-zero": [-0.0],
+    "subnormal": [-5e-324, 1e-310],
+    "largest": [-1.7976931348623157e308, 1.0],
+    "empty": [],
+}
+
+
+class TestMaxAbsFastPath:
+    """Float arrays take a first branch; every result keeps the rule it had."""
+
+    @staticmethod
+    def same(got, want):
+        return type(got) is float and (got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)))
+
+    @pytest.mark.parametrize("name", list(_MAX_ABS_VALUES))
+    def test_float_arrays_and_their_relatives(self, name):
+        values = _MAX_ABS_VALUES[name]
+        a = np.array(values, dtype=float)
+        with np.errstate(over="ignore"):  # the largest float is inf in float32
+            single = a.astype(np.float32)
+        cases = [a, a.reshape(1, -1, 1), a[::-1], np.repeat(a, 2)[::2], a.view(_Tagged), single,
+                 np.array(values, dtype=object), DDOUBLE.asarray(values)]
+        cases += [np.array(v) for v in values] + [np.array(v, dtype=object) for v in values]
+        cases += [v for v in values] + [np.float64(v) for v in values] + [DoubleDouble(v) for v in values]
+        for arr in cases:
+            assert self.same(max_abs(arr), _max_abs_before_fast_path(arr)), (arr, type(arr))
+
+    def test_integer_and_boolean_arrays(self):
+        for arr in (np.array([[-3, 2]]), np.array([True, False]), np.array([], dtype=int), np.array(-7)):
+            assert self.same(max_abs(arr), _max_abs_before_fast_path(arr))
+
+    @pytest.mark.parametrize("name", list(_MAX_ABS_VALUES))
+    def test_both_backends_agree_at_equal_values(self, name):
+        values = _MAX_ABS_VALUES[name]
+        got = max_abs(DDOUBLE.asarray(values))
+        assert self.same(got, max_abs(NATIVE.asarray(values)))
+        assert self.same(max_abs(DDOUBLE.asarray([values, values])), got)

@@ -23,6 +23,8 @@ from structham.secoeff import (
     kernel_basis,
 )
 
+from oracles import condition_az
+
 ALL_FORMS = [Formulation.ZD, Formulation.ZDS]
 
 # steps of the benchmarks and acceptance runs, and 1e-170, whose square is subnormal
@@ -201,6 +203,15 @@ class TestAssembleTables:
             s = np.linalg.svd(T, compute_uv=False)
             want = np.sqrt((1 + s[0] ** 2) / (1 + s[-1] ** 2))
             assert coeff_table(R, form, 0.5).condition_Az == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    def test_tabulated_condition_number_is_the_jacobi_loop(self, form):
+        # every word of the table, against the loop that produced it
+        for R in range(1, 13):
+            T, cond = _unit_table(R, form)
+            want = condition_az(T).hex()
+            assert cond.hex() == want
+            assert coeff_table(R, form, 0.5).condition_Az.hex() == want
 
     def test_deterministic_tables(self):
         a = assemble_tables(5, "zd", 0.125)
