@@ -412,12 +412,13 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
     1 + 4u (u = 2**-53) for the rounding of the difference, of its float
     conversion and of the sum.  The limit, GROWTH_LIMIT max(|Z|, scale), is
     never below ``safe``, so only a bound past ``safe`` needs the norms of
-    Z and Z_new; a corrected step and that test reset the bound to |Z|.
+    Z and Z_new; a corrected step and that test reset the bound to |Z|,
+    and keep it in ``prev_norm``, so that the next test needs only |Z_new|.
     """
     Z, derivs = state.Z, state.DS[:, :, 1:]
     scale_ref = max(max_abs(anchor.level(0)), 1.0)
     safe = GROWTH_LIMIT * scale_ref  # at most the growth limit of any sweep
-    prev_norm = bound = max_abs(Z)  # prev_norm: exact while M is held
+    prev_norm = bound = max_abs(Z)  # prev_norm: |Z| exactly, or None
     step = np.empty_like(Z)
     diff = prev_diff = math.inf
     for sweeps in range(max_iter):
@@ -452,12 +453,16 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
                 return sweeps
             bound = (bound + diff) * _ROUNDING
             if bound > safe:
-                prev_norm, norm = max_abs(Z), max_abs(Z_new)
+                if prev_norm is None:
+                    prev_norm = max_abs(Z)
+                norm = max_abs(Z_new)
                 if norm > GROWTH_LIMIT * max(prev_norm, scale_ref):
                     raise DivergenceError(
                         f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
                     )
-                bound = norm
+                prev_norm = bound = norm
+            else:
+                prev_norm = None
         Z[...] = Z_new
         pe_update(problem, Z, derivs)
         if done:

@@ -10,22 +10,23 @@ once per (R, formulation) and shared by every step size and solver instance.
 Pipeline
 --------
 1. ``exactness_matrix`` tabulates monomial derivatives on the unit grid
-   (nodes 0..R, step 1).  Entries are exact integers.
-2. Dropping the R highest-degree rows leaves a system whose R-dimensional
-   null space holds the structural equations.  ``_rational_kernel`` finds
-   it exactly, by fraction-free (Bareiss) Gauss-Jordan elimination over
-   Python integers, for ``kernel_basis`` and the extrapolation.
-3. ``assemble_tables`` takes the kernel normalized by the A_z slice,
-   (B_d, B_s, b_z, b_d, b_s), in closed form once per (R, formulation): the
-   quadrature Z_r - Z_0 = int_0^r p' of the interpolant p' of the derivative
-   data, in Python integers.  The extrapolation that predicts a block from
-   the previous node and the anchor comes from the elimination.  For a step
-   dt it multiplies derivative-order-s entries by dt**s, exactly, and rounds
-   once into the requested backend.
-4. ``kernel_basis`` orthonormalizes the same kernel by Gram-Schmidt in
-   exact rationals, with a deterministic order and sign convention, and
-   rounds each entry to double-double once its norm is taken; it serves the
-   CSV dump and checks against the printed equations, not the solver tables.
+   (nodes 0..R, step 1).  Entries are exact integers.  Dropping its R
+   highest-degree rows leaves a system whose R-dimensional null space holds
+   the structural equations.
+2. ``_unit_table`` finds that kernel in closed form, once per
+   (R, formulation): the quadrature Z_r - Z_0 = int_0^r p' of the
+   interpolant p' of the derivative data, in Python integers.  Its rows,
+   normalized by the A_z slice, are (B_d, B_s, b_z, b_d, b_s).  The
+   extrapolation that predicts a block from the previous node and the
+   anchor is the same kind of interpolant, two-point Taylor interpolation,
+   also in integers (``_unit_extrapolation``).
+3. ``assemble_tables`` multiplies derivative-order-s entries of both by
+   dt**s, exactly, and rounds once into the requested backend.
+4. ``kernel_basis`` reduces the table's kernel rows to the identity on the
+   last R columns, orthonormalizes them by Gram-Schmidt in exact
+   rationals, with a deterministic order and sign convention, and rounds
+   each entry to double-double once its norm is taken; it serves the CSV
+   dump and checks against the printed equations, not the solver tables.
 
 Working on the unit grid and rescaling afterwards avoids the severe
 ill-conditioning of the Vandermonde-type system at small physical steps.
@@ -49,7 +50,6 @@ __all__ = [
     "RawBasis",
     "CoeffTable",
     "ConfigurationError",
-    "KernelRankError",
     "exactness_matrix",
     "kernel_basis",
     "assemble_tables",
@@ -64,10 +64,6 @@ MAX_BLOCK_SIZE = 12  # conditioning degrades beyond the tested range
 
 class ConfigurationError(ValueError):
     """Invalid scheme configuration (unusable R, ill-conditioned A_z, overflowing dt, bad options)."""
-
-
-class KernelRankError(RuntimeError):
-    """The retained exactness rows do not leave an R-dimensional kernel."""
 
 
 class Formulation(enum.Enum):
@@ -113,28 +109,13 @@ def exactness_matrix(R: int, formulation) -> np.ndarray:
     """
     form = Formulation.parse(formulation)
     _check_block_size(R)
-    return _monomial_derivatives(form.levels * (R + 1), form.levels, range(R + 1))
-
-
-def _monomial_derivatives(rows: int, levels: int, nodes) -> np.ndarray:
-    # d^s/dt^s [t**l] at t = nodes[i] in row l, column s*len(nodes) + i
-    nodes = list(nodes)
-    M = np.empty((rows, levels * len(nodes)), dtype=object)
-    for ell in range(rows):  # monomial t**ell
-        for s in range(levels):
-            # falling factorial ell*(ell-1)*...*(ell-s+1)
-            fall = 1
-            for j in range(s):
-                fall *= ell - j
-            for i, r in enumerate(nodes):
-                power = ell - s
-                if power < 0 or fall == 0:
-                    val = 0
-                elif power == 0:
-                    val = fall  # r**0 == 1, also at the node r = 0
-                else:
-                    val = fall * r**power
-                M[ell, s * len(nodes) + i] = val
+    S = form.levels
+    M = np.empty((S * (R + 1), S * (R + 1)), dtype=object)
+    for ell in range(S * (R + 1)):  # monomial t**ell
+        for s in range(S):
+            fall = math.perm(ell, s)  # ell*(ell-1)*...*(ell-s+1), 0 for s > ell
+            for r in range(R + 1):
+                M[ell, s * (R + 1) + r] = fall * r ** (ell - s) if fall else 0  # 0**0 == 1 at r = 0
     return M
 
 
@@ -154,46 +135,6 @@ class RawBasis:
     def vectors(self) -> np.ndarray:
         """float64 view of the basis."""
         return np.array([[float(v) for v in row] for row in self.vectors_dd])
-
-
-def _rational_kernel(reduced: np.ndarray) -> tuple[list[int], list[list[Fraction]]]:
-    """Exact null space of an integer matrix by fraction-free Gauss-Jordan.
-
-    Bareiss's elimination keeps every entry an integer (a minor of the
-    input): each step replaces row i by (p * row_i - a_ic * pivot_row) / p',
-    with p the new pivot and p' the previous one, and the division is exact.
-    At the end every pivot row holds the last pivot d on its pivot column,
-    so the reduced row echelon form is the integer matrix divided by d.
-    Returns the free columns and, for each free column f, the kernel vector
-    with 1 at f, 0 at the other free columns and -rref[i][f] at pivot i.
-    """
-    rows, cols = reduced.shape
-    A = [[int(v) for v in row] for row in reduced]
-    pivot_cols: list[int] = []
-    prev = 1
-    for col in range(cols):
-        rank = len(pivot_cols)
-        pivot = next((i for i in range(rank, rows) if A[i][col]), None)
-        if pivot is None:
-            continue
-        A[rank], A[pivot] = A[pivot], A[rank]
-        top = A[rank]
-        p = top[col]
-        for i in range(rows):
-            if i != rank:
-                f = A[i][col]
-                A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], top)]
-        prev = p
-        pivot_cols.append(col)
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    kernel = []
-    for f in free_cols:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for row, pc in zip(A, pivot_cols):
-            v[pc] = Fraction(-row[f], prev)
-        kernel.append(v)
-    return free_cols, kernel
 
 
 def _orthonormalize(vectors: list[list[Fraction]]) -> np.ndarray:
@@ -216,23 +157,23 @@ def _orthonormalize(vectors: list[list[Fraction]]) -> np.ndarray:
     return out
 
 
-def _structural_kernel(R: int, form: Formulation, order) -> tuple[list[int], list[list[Fraction]]]:
-    """Exact kernel of the retained exactness rows with columns taken in ``order``."""
-    keep = form.levels * (R + 1) - R
-    free, kernel = _rational_kernel(exactness_matrix(R, form)[:keep, order])
-    if len(kernel) != R:
-        raise KernelRankError(
-            f"kernel dimension {len(kernel)} != R={R} for {form.value} "
-            f"(retained rows are rank deficient)"
-        )
-    return free, kernel
+def _unit_kernel(R: int, form: Formulation) -> list[list[Fraction]]:
+    """The kernel rows [T_r | e_r] of ``_unit_table`` in the column order of
+    ``exactness_matrix``, reduced to the identity on the last R columns
+    (D_1..D_R for ZD, S_1..S_R for ZDS) by Gauss-Jordan over R rows."""
+    T, _ = _unit_table(R, form)
+    A = [[t[0], *(Fraction(int(m == r)) for m in range(R)), *t[1:]] for r, t in enumerate(T)]
+    for i, c in enumerate(range(len(A[0]) - R, len(A[0]))):
+        p = next(k for k in range(i, R) if A[k][c])  # the last R columns are free: never exhausted
+        A[i], A[p] = A[p], A[i]
+        pivot = [a / A[i][c] for a in A[i]]
+        A = [pivot if k == i else [a - row[c] * b for a, b in zip(row, pivot)] for k, row in enumerate(A)]
+    return A
 
 
 @lru_cache(maxsize=None)
 def _kernel_basis_cached(R: int, form: Formulation) -> RawBasis:
-    _, kernel = _structural_kernel(R, form, slice(None))
-    vectors = _orthonormalize(kernel)
-    return RawBasis(R, form, vectors)
+    return RawBasis(R, form, _orthonormalize(_unit_kernel(R, form)))
 
 
 def kernel_basis(R: int, formulation) -> RawBasis:
@@ -349,15 +290,20 @@ def _unit_extrapolation(R: int, form: Formulation) -> tuple[tuple[Fraction, ...]
     """Exact two-node Hermite extrapolation at dt = 1: row r-1 gives p(r).
 
     p is the polynomial of degree 2L-1 through the L levels (value and
-    derivatives) at t = -1 and t = 0, columns [W_-1 | W_0]; p(r) minus row
-    r-1 applied to them vanishes on every such polynomial, so the row is the
-    kernel vector of the free column Z_r, negated.
+    derivatives) at t = -1 and t = 0, columns [W_-1 | W_0].  In x = t + 1 it
+    is two-point Taylor interpolation: level k at x = 0 weighs
+    x**k (1-x)**L sum_{j<L-k} C(L-1+j, j) x**j / k!, and at x = 1 the mirror
+    image (x-1)**k x**L sum_{j<L-k} C(L-1+j, j) (1-x)**j / k!; each is an
+    integer at x = r + 1, divided by k! once.
     """
     L = form.levels
-    n = R + 2  # nodes -1, 0, 1..R
-    order = [s * n + i for i in (0, 1) for s in range(L)] + list(range(2, n))
-    _, kernel = _rational_kernel(_monomial_derivatives(2 * L, L, range(-1, R + 1))[:, order])
-    return tuple(tuple(-x for x in v[:2 * L]) for v in kernel)
+
+    def weights(a: int, b: int, c: int) -> list[Fraction]:
+        # a**k b**L sum_j C(L-1+j, j) c**j / k! for the levels k of one node
+        return [Fraction(a**k * b**L * sum(math.comb(L - 1 + j, j) * c**j for j in range(L - k)),
+                         math.factorial(k)) for k in range(L)]
+
+    return tuple(tuple(weights(x, 1 - x, x) + weights(x - 1, x, 1 - x)) for x in range(2, R + 2))
 
 
 def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIVE) -> CoeffTable:
@@ -449,16 +395,14 @@ def dump_coeff_csv(table: CoeffTable, stream) -> None:
     double-double, then rounded to the table's backend before printing.
     """
     stream.write("formulation,R,m,r,s,value\n")
-    R = table.R
-    S = table.formulation.levels
-    V = kernel_basis(R, table.formulation).vectors_dd
+    R, form = table.R, table.formulation
+    V = kernel_basis(R, form).vectors_dd
     dt = DoubleDouble.from_any(table.dt)
     pows = [DoubleDouble(1.0), dt, dt * dt]
     for m in range(R):
-        for s in range(S):
+        for s in range(form.levels):
             for r in range(R + 1):
                 v = V[m, s * (R + 1) + r] * pows[s]
                 if table.precision.dtype != object:
                     v = DoubleDouble(float(v))
-                text = v.to_decimal_string(32)
-                stream.write(f"{table.formulation.value},{R},{m + 1},{r},{s},{text}\n")
+                stream.write(f"{form.value},{R},{m + 1},{r},{s},{v.to_decimal_string(32)}\n")

@@ -1,6 +1,7 @@
 """Shared independent oracles used by solver and acceptance tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,6 +94,90 @@ def condition_az(T) -> float:
     """cond(A_z) = sqrt((1 + s_max**2) / (1 + s_min**2)) over the singular values of T."""
     s2 = gram_eigenvalues(np.array(T, dtype=float))
     return math.sqrt((1 + s2[-1]) / (1 + s2[0]))
+
+
+def _monomial_derivatives(rows: int, levels: int, nodes) -> np.ndarray:
+    """d^s/dt^s [t**l] at t = nodes[i] in row l, column s*len(nodes) + i,
+    as exact Python integers (object dtype)."""
+    nodes = list(nodes)
+    M = np.empty((rows, levels * len(nodes)), dtype=object)
+    for ell in range(rows):  # monomial t**ell
+        for s in range(levels):
+            # falling factorial ell*(ell-1)*...*(ell-s+1)
+            fall = 1
+            for j in range(s):
+                fall *= ell - j
+            for i, r in enumerate(nodes):
+                power = ell - s
+                if power < 0 or fall == 0:
+                    val = 0
+                elif power == 0:
+                    val = fall  # r**0 == 1, also at the node r = 0
+                else:
+                    val = fall * r**power
+                M[ell, s * len(nodes) + i] = val
+    return M
+
+
+def _rational_kernel(reduced: np.ndarray) -> tuple[list[int], list[list[Fraction]]]:
+    """Exact null space of an integer matrix by fraction-free Gauss-Jordan.
+
+    Bareiss's elimination keeps every entry an integer (a minor of the
+    input): each step replaces row i by (p * row_i - a_ic * pivot_row) / p',
+    with p the new pivot and p' the previous one, and the division is exact.
+    At the end every pivot row holds the last pivot d on its pivot column,
+    so the reduced row echelon form is the integer matrix divided by d.
+    Returns the free columns and, for each free column f, the kernel vector
+    with 1 at f, 0 at the other free columns and -rref[i][f] at pivot i.
+    """
+    rows, cols = reduced.shape
+    A = [[int(v) for v in row] for row in reduced]
+    pivot_cols: list[int] = []
+    prev = 1
+    for col in range(cols):
+        rank = len(pivot_cols)
+        pivot = next((i for i in range(rank, rows) if A[i][col]), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        top = A[rank]
+        p = top[col]
+        for i in range(rows):
+            if i != rank:
+                f = A[i][col]
+                A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], top)]
+        prev = p
+        pivot_cols.append(col)
+    free_cols = [c for c in range(cols) if c not in pivot_cols]
+    kernel = []
+    for f in free_cols:
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, pc in zip(A, pivot_cols):
+            v[pc] = Fraction(-row[f], prev)
+        kernel.append(v)
+    return free_cols, kernel
+
+
+def _structural_kernel(R: int, form, order=slice(None)) -> tuple[list[int], list[list[Fraction]]]:
+    """Exact kernel of the retained exactness rows (monomials up to the
+    exactness degree on nodes 0..R) with columns taken in ``order``, by
+    elimination: the oracle of ``secoeff._unit_table`` and ``kernel_basis``."""
+    keep = form.levels * (R + 1) - R
+    free, kernel = _rational_kernel(_monomial_derivatives(keep, form.levels, range(R + 1))[:, order])
+    assert len(kernel) == R, f"kernel dimension {len(kernel)} != R={R} for {form.value}"
+    return free, kernel
+
+
+def _extrapolation_kernel(R: int, form) -> tuple[list[int], list[list[Fraction]]]:
+    """Exact kernel over the extrapolation's node layout, by elimination: the
+    2L monomials on nodes -1, 0, 1..R, columns the L levels at t = -1 and at
+    t = 0, then the values at 1..R.  The kernel vector of free column Z_r is
+    row r-1 of ``secoeff._unit_extrapolation``, negated, then e_r."""
+    L = form.levels
+    n = R + 2  # nodes -1, 0, 1..R
+    order = [s * n + i for i in (0, 1) for s in range(L)] + list(range(2, n))
+    return _rational_kernel(_monomial_derivatives(2 * L, L, range(-1, R + 1))[:, order])
 
 
 def reference_solve_block(anchor, problem, table, config, se=None):

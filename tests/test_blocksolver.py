@@ -590,10 +590,20 @@ class TestGrowthBound:
     def test_block_far_past_the_anchor_scale_converges(self, monkeypatch):
         # the block's norm rises 1e5-fold per sweep to 1e15, 1e9 times the
         # anchor's, and stays there
-        fills = [1e5, 1e10, 1e15]
-        got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1,
-                                  lambda k: fills[min(k, 2)])
-        assert got[0] == "converged" and got[2] == calls == 4
+        fills = [1e5, 1e10, 1e15, 2e15, 3e15, 3e15]
+        got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
+        assert got[0] == "converged" and got[2] == calls == 6
+        # max-norms per sweep: the change; past the anchor scale's limit also
+        # the new block's, and the block's own only after a sweep that took
+        # none ("n" a norm, "s" a sweep, the two before the first sweep set up)
+        events = []
+        se, _ = _scripted_se(lambda k: events.append("s") or fills[k])
+        monkeypatch.setattr(blocksolver, "se_update", se)
+        monkeypatch.setattr(blocksolver, "max_abs", lambda a: events.append("n") or max_abs(a))
+        prob = make_mass_spring()
+        anchor = make_anchor(prob, 0.0, prob.x0, prob.p0, "zd")
+        solve_block(anchor, prob, coeff_table(1, "zd", 0.1), SolverConfig())
+        assert [len(norms) for norms in "".join(events).split("s")] == [2, 1, 3, 2, 2, 2, 1]
 
     @pytest.mark.parametrize("script,outcome,calls", [
         ({1: 1e8}, "diverged", 2),
@@ -612,6 +622,17 @@ class TestGrowthBound:
         assert got[0] == outcome and (calls is None or n == calls)
         if outcome == "diverged":
             assert got[1].startswith("block norm grew from ")
+
+    def test_growth_after_a_corrected_step(self, monkeypatch):
+        # a corrected step lifts the block from about 0.1 to 0.68..0.92, below
+        # the anchor scale 1; the next sweep fills it with 1e6 + 0.25, past
+        # the limit 1e6, and drops M.  Only a bound reset to the corrected
+        # norm passes 1e6 there: one left at 0.1 reaches about
+        # 0.1 + (1e6 + 0.25 - 0.68), and the growth would go untested
+        prob = make_mass_spring(x0=0.1, precision=DDOUBLE)
+        got, n = self.compare(monkeypatch, prob, "zds", 2, 0.1,
+                              lambda k: {0: 0.8, 1: 1e6 + 0.25}.get(k), ddouble_only=True)
+        assert got == ("diverged", "block norm grew from 9.152e-01 to 1.000e+06 in one sweep") and n == 2
 
     @pytest.mark.parametrize("sweep", [0, 1])
     def test_float64_phase_drops_its_sweep(self, monkeypatch, sweep):

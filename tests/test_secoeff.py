@@ -12,8 +12,8 @@ from structham.numerics import DDOUBLE, NATIVE, DoubleDouble
 from structham.secoeff import (
     ConfigurationError,
     Formulation,
-    _structural_kernel,
     _unit_extrapolation,
+    _unit_kernel,
     _unit_table,
     assemble_tables,
     coeff_table,
@@ -23,7 +23,7 @@ from structham.secoeff import (
     kernel_basis,
 )
 
-from oracles import condition_az
+from oracles import _extrapolation_kernel, _structural_kernel, condition_az
 
 ALL_FORMS = [Formulation.ZD, Formulation.ZDS]
 
@@ -138,7 +138,7 @@ class TestKernelBasis:
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 60
-        _, kernel = _structural_kernel(R, form, slice(None))
+        _, kernel = _structural_kernel(R, form)
         Q, _ = mp.qr(mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in v] for v in kernel]).T)
         V = kernel_basis(R, form).vectors_dd
         for i in range(R):
@@ -284,14 +284,23 @@ class TestExactTables:
     @pytest.mark.parametrize("form", ALL_FORMS)
     @pytest.mark.parametrize("R", range(1, 13))
     def test_quadrature_equals_elimination(self, R, form):
-        # the exact kernel with Z_1..Z_R free, by fraction-free elimination,
-        # is the oracle of the closed-form quadrature, Fraction for Fraction
+        # fraction-free elimination is the oracle of the closed forms,
+        # Fraction for Fraction: the kernel with Z_1..Z_R free is the table,
         S = form.levels
         keep = S * (R + 1) - R
         order = [0, *range(R + 1, S * (R + 1)), *range(1, R + 1)]
         free, kernel = _structural_kernel(R, form, order)
         assert free == list(range(keep, keep + R))
         assert _unit_table(R, form)[0] == tuple(tuple(v[:keep]) for v in kernel)
+        # in natural column order (its last R columns free) the rows that
+        # kernel_basis orthonormalizes,
+        free, kernel = _structural_kernel(R, form)
+        assert free == list(range(keep, keep + R))
+        assert _unit_kernel(R, form) == kernel
+        # and over the nodes -1..R, with Z_1..Z_R free, the extrapolation
+        free, kernel = _extrapolation_kernel(R, form)
+        assert free == list(range(2 * S, 2 * S + R))
+        assert _unit_extrapolation(R, form) == tuple(tuple(-x for x in v[:2 * S]) for v in kernel)
 
     @pytest.mark.parametrize("dt", STEPS)
     @pytest.mark.parametrize("form", ALL_FORMS)
