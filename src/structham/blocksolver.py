@@ -48,6 +48,9 @@ growth limit, drops M: the float64 phase ends, the other goes on with plain
 sweeps.  A wrong twin costs sweeps, not accuracy.  Probes, float64 sweeps
 and the lift's PE refresh each count in ``IterStats`` as one sweep of R
 node evaluations per level.
+
+A float64 block whose plain sweeps contract slowly builds M from its own sweep
+map and hands it to the next block of its table (Hairer and Wanner, IV.8).
 """
 
 from __future__ import annotations
@@ -123,8 +126,8 @@ class IterStats:
     """Fixed-point effort for one block: sweeps and PE calls.
 
     Sweeps exclude the predictor (one PE call of R nodes per level, or R
-    Taylor steps), but include a float64 phase's probes, sweeps and refresh
-    (see ``init_block``).
+    Taylor steps), but include the probes of any M and a float64 phase's
+    sweeps and refresh (see ``init_block`` and ``_sweep``).
     """
 
     iterations: int = 0
@@ -160,7 +163,7 @@ class BlockState:
     ``Z`` (2, R, I, K) and ``DS`` (2, L-1, R+1, I, K: per derivative level
     the anchor, then the R nodes) are views into ``Y``, for node values
     shaped and typed like ``like``; ``init_block`` sets ``sweeps`` and
-    ``newton``.
+    ``newton`` (M^-1, which the sweeps may drop, build or hand on).
     """
 
     def __init__(self, levels: int, R: int, like: np.ndarray):
@@ -272,9 +275,9 @@ def _presolve(anchor: BlockAnchor, problem, table: CoeffTable, tol: float, max_i
         except DivergenceError:
             return None
         probes = state64.Z.size if all_finite(state64.DS) else 0  # one sweep each
-        newton = _newton_matrix(twin, table64, state64) if probes else None
+        state64.newton = newton = _newton_matrix(twin, table64, state64) if probes else None
         tol64 = max(tol, NATIVE.default_tol)
-        sweeps = probes + _sweep(twin, table64, state64, tol64, max_iter, anchor64, newton, True)
+        sweeps = probes + _sweep(twin, table64, state64, tol64, max_iter, anchor64, True)
 
         state = BlockState(anchor.levels, table.R, anchor.W[0, 0])
         state.set_anchor(anchor.W)
@@ -288,6 +291,8 @@ _PROBE_STEP = math.sqrt(NATIVE.eps)  # forward-difference step, relative to max(
 # the factor a corrected change must fall by to keep M: with a twin far too
 # stiff, M^-1 ~ 1e-9 and the change falls by 1 - 1e-9 per sweep
 _NEWTON_RATE = 0.5
+# a run builds M (``_sweep``): single Kepler sweeps reach 0.24, slow pendulum blocks 11 over 0.1
+_SLOW_RUN, _SLOW_RATE, _SLOW_FLOOR = 3, 0.1, 1e3
 
 
 def _newton_matrix(twin, table: CoeffTable, state: BlockState):
@@ -376,7 +381,7 @@ def _node_block_error(problem, name: str, shape: tuple, a, b) -> ConfigurationEr
     )
 
 
-def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig):
+def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig, newton=None):
     """Solve of one R-block.
 
     Alternates se_update / pe_update from the predictor (``init_block``)
@@ -387,46 +392,60 @@ def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverC
     equations exactly at every node and the structural equations to
     tolerance.  Only these sweeps, in the problem's precision, decide
     convergence, with the full ``max_iter`` budget after the predictor.
+    Without a twin, M^-1 starts as ``newton`` and ends in ``state.newton``.
     """
     # overflow during a diverging sweep is expected and handled via the
     # finiteness checks; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = init_block(anchor, problem, table, config)
+        if problem.native is None:
+            state.newton = newton
         tol = config.resolved_tol(problem)
-        sweeps = state.sweeps + _sweep(problem, table, state, tol, config.max_iter, anchor, state.newton)
+        sweeps = _sweep(problem, table, state, tol, config.max_iter, anchor)
+    sweeps += state.sweeps  # the predictor's, and the probes of an M built in the sweeps
     return state, IterStats(sweeps, table.R * (1 + sweeps), table.has_second)
 
 
 def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: int,
-           anchor: BlockAnchor, newton=None, presolve: bool = False) -> int:
+           anchor: BlockAnchor, presolve: bool = False) -> int:
     """Sweeps on ``state`` until the change is at most tol; returns their number.
 
-    ``newton`` (M^-1) corrects the steps until it is dropped (module
-    docstring).  A non-finite block, a norm grown more than
-    ``GROWTH_LIMIT``-fold in one sweep, or ``max_iter`` sweeps without
-    convergence raise.  A ``presolve`` (the float64 phase) raises none of
-    these: it drops the failing sweep, keeping the last finite iterate, and
-    ends once M is dropped.
+    ``state.newton`` (M^-1) corrects the steps until it is dropped (module
+    docstring), and is left as the M^-1 still in use.  A float64 block
+    without one builds one, once, after ``_SLOW_RUN`` plain sweeps in a row
+    that fell by less than ``_SLOW_RATE`` to changes above ``_SLOW_FLOOR``
+    tol; its 2 R I K probes add to ``state.sweeps``.  A non-finite block, a
+    norm grown more than ``GROWTH_LIMIT``-fold in one sweep, or ``max_iter``
+    sweeps raise, naming the last contraction factor and the fate of M.  A
+    ``presolve`` (the float64 phase) raises none of these: it drops the
+    failing sweep, keeping the last finite iterate, and ends once M is
+    dropped.
 
     ``bound`` >= |Z| throughout: |Z_new| <= |Z| + |Z_new - Z|, widened by
     1 + 4u (u = 2**-53) for the rounding of the difference, of its float
     conversion and of the sum.  The limit, GROWTH_LIMIT max(|Z|, scale), is
     never below ``safe``, so only a bound past ``safe`` needs the norms of
-    Z and Z_new; a corrected step and that test reset the bound to |Z|,
-    and keep it in ``prev_norm``, so that the next test needs only |Z_new|.
+    Z and Z_new; a corrected step, a new M and that test reset the bound to
+    |Z|, and keep it in ``prev_norm``, so that the next test needs only |Z_new|.
     """
-    Z, derivs = state.Z, state.DS[:, :, 1:]
+    Z, derivs, newton = state.Z, state.DS[:, :, 1:], state.newton
+    slow = 0 if problem.precision is NATIVE and not presolve else None  # slow plain sweeps in a row
     scale_ref = max(max_abs(anchor.level(0)), 1.0)
     safe = GROWTH_LIMIT * scale_ref  # at most the growth limit of any sweep
     prev_norm = bound = max_abs(Z)  # prev_norm: |Z| exactly, or None
     step = np.empty_like(Z)
     diff = prev_diff = math.inf
     for sweeps in range(max_iter):
+        if slow == _SLOW_RUN:
+            slow, state.sweeps = None, state.sweeps + Z.size
+            state.newton = newton = _newton_matrix(problem, table, state)
+            prev_norm = bound = max_abs(Z)
+            diff = math.inf  # the first corrected change need not halve the plain one
         Z_new = se_update(table, state)
         # both components enter the stopping norm: the x-block alone can
         # stagnate for one sweep of the alternating map while p still moves;
         # a finite diff proves Z_new finite (module docstring)
-        diff = max_abs(np.subtract(Z_new, Z, out=step))
+        prev_diff, diff = diff, max_abs(np.subtract(Z_new, Z, out=step))
         if not math.isfinite(diff) and not all_finite(Z_new):
             if presolve:
                 return sweeps
@@ -458,7 +477,8 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
                 norm = max_abs(Z_new)
                 if norm > GROWTH_LIMIT * max(prev_norm, scale_ref):
                     raise DivergenceError(
-                        f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
+                        f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep "
+                        f"({_verdict(diff, prev_diff, state.newton, newton)})"
                     )
                 prev_norm = bound = norm
             else:
@@ -466,16 +486,24 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
         Z[...] = Z_new
         pe_update(problem, Z, derivs)
         if done:
+            state.newton = newton
             return sweeps + 1
-        prev_diff = diff
+        if slow is not None and newton is None:
+            slow = slow + 1 if diff > _SLOW_RATE * prev_diff and diff > _SLOW_FLOOR * tol else 0
     if presolve:
         return max_iter
     raise NonConvergenceError(
         f"fixed point not converged after {max_iter} sweeps (last change "
         f"{diff:.3e} in positions and momenta over all {table.R} block nodes, "
-        f"tol {tol:.1e})",
+        f"tol {tol:.1e}; {_verdict(diff, prev_diff, state.newton, newton)})",
         residual=diff,
     )
+
+
+def _verdict(diff: float, prev_diff: float, had, newton) -> str:
+    theta = f"{diff / prev_diff:.3g}" if 0 < prev_diff < math.inf else "n/a"
+    matrix = "held" if newton is not None else "dropped" if had is not None else "none"
+    return f"last contraction {theta}, Newton matrix {matrix}"
 
 
 @dataclass
@@ -552,15 +580,16 @@ def integrate(
 
     record(0, anchor.t, X, P)
 
-    step = 0
+    step, newton = 0, None
     while step < N:
         r_this = min(R, N - step)
         table = main_table if r_this == R else coeff_table(r_this, form, dt, precision)
         try:
-            state, stats = solve_block(anchor, problem, table, config)
+            state, stats = solve_block(anchor, problem, table, config, newton if r_this == R else None)
         except (NonConvergenceError, DivergenceError) as err:
             err.args = (f"block starting at step {step}: {err}",)  # keeps .residual
             raise
+        newton = state.newton  # M^-1 of a problem without a twin, kept while it still halves
         traj.n_blocks += 1
         traj.total_sweeps += stats.iterations
         traj.pe1_calls += stats.pe1_calls

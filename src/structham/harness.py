@@ -44,6 +44,7 @@ __all__ = [
 
 STRUCTURAL_SCHEMES = ("zd", "zds")
 SV_SCHEMES = ("sv2", "sv4", "sv6", "sv8")
+NOISE_ULPS = 8  # roundoff per step, in units of u, below which a sweep prints no order
 
 CSV_COLUMNS = [
     "problem", "scheme", "R", "precision", "N", "dt",
@@ -97,6 +98,7 @@ class ErrorReport:
     nb_iter_avg: float = 0.0
     nb_call_avg: float = 0.0
     drift: dict = field(default_factory=dict)  # quantity -> list[(t, deviation)]
+    scales: dict = field(default_factory=dict)  # quantity -> magnitude (end nodes, or q at t=0)
 
 
 class _InvariantTracker:
@@ -194,8 +196,10 @@ def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> Err
     )
     if pos.result() is not None:
         report.errors["x"] = float(pos.result())
+        report.scales["x"] = max(max_abs(traj.xs[0]), max_abs(traj.xs[-1]))
     for tr in trackers:
         report.errors[tr.name] = float(tr.max_dev)
+        report.scales[tr.name] = max_abs(tr.q0)
         if tr.series is not None:
             report.drift[tr.name] = tr.series
     return report
@@ -247,7 +251,7 @@ def _report_row(config, report) -> dict:
     if report is not None:
         for q in ("x", "H", "L", "A"):
             if q in report.errors:
-                row["e" + ("x" if q == "x" else q)] = report.errors[q]
+                row["e" + q] = report.errors[q]
         row["total_iter"] = report.total_iter
         row["nb_iter_avg"] = report.nb_iter_avg
         row["nb_call_avg"] = report.nb_call_avg
@@ -259,6 +263,9 @@ def sweep(base: RunConfig, Ns) -> SweepResult:
 
     A row whose run raises a solver error is tagged in the status column and
     the sweep continues; order entries compare successive successful rows.
+    An order is left empty, as for an unavailable quantity, when both errors
+    are roundoff: at most NOISE_ULPS N u (u the unit roundoff) times the
+    quantity's scale (``ErrorReport.scales``).
     """
     Ns = list(Ns)
     if Ns != sorted(Ns):
@@ -276,15 +283,14 @@ def sweep(base: RunConfig, Ns) -> SweepResult:
             continue
         row = _report_row(config, report)
         dt = row["dt"]
+        floor = NOISE_ULPS * N * PRECISIONS[config.precision].eps / 2
+        noise = {q: e <= floor * report.scales[q] for q, e in report.errors.items()}
         if prev is not None:
-            pdt, perrs = prev
+            pdt, perrs, pnoise = prev
             for q in ("x", "H", "L", "A"):
-                key = "e" + ("x" if q == "x" else q)
-                if key in row and q in perrs:
-                    row["ord" + ("x" if q == "x" else q)] = convergence_order(
-                        perrs[q], report.errors[q], pdt, dt
-                    )
-        prev = (dt, dict(report.errors))
+                if q in report.errors and q in perrs and not (noise[q] and pnoise[q]):
+                    row["ord" + q] = convergence_order(perrs[q], report.errors[q], pdt, dt)
+        prev = (dt, dict(report.errors), noise)
         rows.append(row)
     return SweepResult(rows)
 

@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from structham.blocksolver import GROWTH_LIMIT, DivergenceError, IterStats, NonConvergenceError, init_block
-from structham.numerics import all_finite, max_abs
+from structham.blocksolver import (
+    GROWTH_LIMIT,
+    DivergenceError,
+    IterStats,
+    NonConvergenceError,
+    _newton_matrix,
+    init_block,
+)
+from structham.numerics import NATIVE, all_finite, max_abs
 
 
 def probe_linear_rhs(problem):
@@ -180,31 +187,38 @@ def _extrapolation_kernel(R: int, form) -> tuple[list[int], list[list[Fraction]]
     return _rational_kernel(_monomial_derivatives(2 * L, L, range(-1, R + 1))[:, order])
 
 
-def reference_solve_block(anchor, problem, table, config, se=None):
+def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
     """The fixed-point loop as first written, a drop-in for ``solve_block``.
 
     Every sweep copies the anchor into the anchor rows of ``Y``, scans the
     new Z block for finiteness before taking the change norm, and reads the
-    growth norm back from the strided Z view.  While the block holds its
-    float64 matrix (``state.newton``, M^-1), a sweep is accepted only if the
-    correction M^-1 times the change is within tol too; otherwise it steps
-    by that correction, as long as the change at least halves and the
-    corrected block passes the growth test.  The first time either fails,
-    M is dropped.  ``se``, if given, takes the place of the structural
-    product, called as ``se(table, state)``.
+    growth norm back from the strided Z view.  While the block holds a
+    float64 matrix M^-1 (a twin's from ``init_block``, or for a float64
+    problem ``newton``, held from the block before), a sweep is accepted
+    only if the correction M^-1 times the change is within tol too;
+    otherwise it steps by that correction, as long as the change at least
+    halves and the corrected block passes the growth test.  The first time
+    either fails, M is dropped.  A float64 problem's block without M builds
+    one, at most once, after three plain sweeps in a row that each change
+    more than 1e3 tol and by more than a tenth of the change before, when a
+    sweep is left to use it; its probes count as sweeps, and the first
+    corrected change need not halve the last plain one.  ``se``, if given,
+    takes the place of the structural product, called as ``se(table, state)``.
     """
     tol = config.resolved_tol(problem)
     second = table.has_second
     m = table.C.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = init_block(anchor, problem, table, config)
+        if problem.native is None:
+            state.newton = newton
         # the predictor's own sweeps (a float64 presolve) count as sweeps
         stats = IterStats(state.sweeps, table.R * (1 + state.sweeps), second)
         Z, derivs = state.Z, state.DS[:, :, 1:]
         scale_ref = max(max_abs(anchor.level(0)), 1.0)
         prev_norm = max_abs(Z)
-        diff = None
-        newton, prev_diff = state.newton, math.inf
+        newton = state.newton
+        had, diff, slow = newton is not None, math.inf, 0
         for sweep in range(1, config.max_iter + 1):
             state.set_anchor(anchor.W)
             if se is None:
@@ -214,7 +228,7 @@ def reference_solve_block(anchor, problem, table, config, se=None):
                 Z_new = se(table, state)
             if not all_finite(Z_new):
                 raise DivergenceError("non-finite block value during fixed-point sweep")
-            diff = max_abs(Z_new - Z)
+            prev_diff, diff = diff, max_abs(Z_new - Z)
             verdict = diff <= tol
             if newton is not None:
                 change = np.asarray(Z_new - Z, dtype=float).ravel()
@@ -222,26 +236,35 @@ def reference_solve_block(anchor, problem, table, config, se=None):
                 verdict = verdict and max_abs(correction) <= tol
                 corrected = Z + correction
                 bound = GROWTH_LIMIT * max(prev_norm, scale_ref)
-                if verdict:
-                    newton = None
-                elif diff <= 0.5 * prev_diff and max_abs(corrected) <= bound:
+                if not verdict and diff <= 0.5 * prev_diff and max_abs(corrected) <= bound:
                     Z_new = corrected
-                else:
+                elif not verdict:
                     newton = None
-            prev_diff = diff
             Z[...] = Z_new
             Dx, Dp = problem.first_rhs(Z[0], Z[1])
             derivs[0, 0], derivs[1, 0] = Dx, Dp
             if second:
                 derivs[0, 1], derivs[1, 1] = problem.second_rhs(Z[0], Z[1], Dx, Dp)
             stats.pe1_calls += table.R
-            stats.iterations = state.sweeps + sweep
+            stats.iterations += 1
             if verdict:
+                state.newton = newton
                 return state, stats
             norm = max_abs(Z)
             if norm > GROWTH_LIMIT * max(prev_norm, scale_ref):
+                theta = f"{diff / prev_diff:.3g}" if 0 < prev_diff < math.inf else "n/a"
+                matrix = "held" if newton is not None else "dropped" if had else "none"
                 raise DivergenceError(
-                    f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep"
+                    f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep "
+                    f"(last contraction {theta}, Newton matrix {matrix})"
                 )
             prev_norm = norm
+            if problem.precision is NATIVE and newton is None and slow is not None:
+                slow = slow + 1 if diff > 0.1 * prev_diff and diff > 1e3 * tol else 0
+                if slow == 3 and sweep < config.max_iter:
+                    newton, slow = _newton_matrix(problem, table, state), None
+                    had = had or newton is not None
+                    stats.iterations += Z.size
+                    stats.pe1_calls += table.R * Z.size
+                    diff = math.inf
     raise NonConvergenceError(f"reference loop not converged (last change {diff:.3e})", diff)

@@ -81,10 +81,11 @@ class TestExtrapolatedPredictor:
         # before the extrapolated predictor existed
         assert _trajectory_hash(integrate(build_problem(name, prec), form, R, R, T)) == digest
 
-    @pytest.mark.parametrize("form,R,digest", [("zds", 2, "0fb1bc471e3407db"), ("zd", 3, "d3848ab7d1424099")])
+    @pytest.mark.parametrize("form,R,digest", [("zds", 2, "bd78c0d2c54ca1d5"), ("zd", 3, "9a292feff4942365")])
     def test_projected_run_words_unchanged(self, form, R, digest):
         # a projected node is off the previous block's polynomial, so every
-        # block of a projected run starts from Taylor steps, as before
+        # block of a projected run starts from Taylor steps; at dt = 0.1 the
+        # sweeps contract slowly and the blocks hold a Newton matrix
         prob = make_kepler()
         R0 = lrl_scalar(prob.x0[:, 0], prob.p0[:, 0])
         traj = integrate(prob, form, R, 300, 30.0, project=lambda X, P: project_lrl(X, P, R0))
@@ -388,11 +389,20 @@ class TestSolveBlock:
         assert info.value.residual == err.residual
         assert str(info.value).startswith("block starting at step 0: ")
 
-    def test_nonconvergence_detected(self):
+    def test_newton_solves_a_block_the_fixed_point_cannot(self):
+        # at dt = 4 each plain sweep doubles the change (|G'| = dt / 2); after
+        # three such sweeps the block builds M, and this linear block is then
+        # solved.  With no sweep left to use M, the cap is reached and named
         prob = make_mass_spring()
         anchor = make_anchor(prob, 0.0, prob.x0, prob.p0, "zd")
-        with pytest.raises((NonConvergenceError, DivergenceError)):
-            solve_block(anchor, prob, coeff_table(1, "zd", 4.0), SolverConfig(max_iter=50))
+        table = coeff_table(1, "zd", 4.0)
+        state, stats = solve_block(anchor, prob, table, SolverConfig(max_iter=50))
+        Zx_ref, Zp_ref = dense_block_oracle(prob, table, anchor)
+        assert max_abs(state.Zx[:, 0, 0] - Zx_ref[:, 0]) <= 1e-13
+        assert max_abs(state.Zp[:, 0, 0] - Zp_ref[:, 0]) <= 1e-13
+        assert state.newton is not None and stats.iterations == 4 + 2 + 2  # plain, probes, corrected
+        with pytest.raises(NonConvergenceError, match=r"; last contraction 2, Newton matrix none\)$"):
+            solve_block(anchor, prob, table, SolverConfig(max_iter=4))
 
 
 def _words(arrays):
@@ -571,7 +581,9 @@ class TestGrowthBound:
     def test_overflowing_change_refused_like_the_reference(self, monkeypatch):
         fills = [-(10.0 ** (5 * k)) for k in range(1, 61)] + [sys.float_info.max]
         got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
-        assert got == ("diverged", "block norm grew from 1.000e+300 to 1.798e+308 in one sweep")
+        # M, built after the fourth sweep, corrects the fifth and is dropped at the sixth
+        assert got == ("diverged", "block norm grew from 1.000e+300 to 1.798e+308 in one sweep "
+                                   "(last contraction inf, Newton matrix dropped)")
         assert calls == 61
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
@@ -589,8 +601,9 @@ class TestGrowthBound:
 
     def test_block_far_past_the_anchor_scale_converges(self, monkeypatch):
         # the block's norm rises 1e5-fold per sweep to 1e15, 1e9 times the
-        # anchor's, and stays there
-        fills = [1e5, 1e10, 1e15, 2e15, 3e15, 3e15]
+        # anchor's, and stays near it; the fourth change falls 100-fold, so
+        # no run of three slow sweeps builds a Newton matrix
+        fills = [1e5, 1e10, 1e15, 1.01e15, 1.02e15, 1.02e15]
         got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
         assert got[0] == "converged" and got[2] == calls == 6
         # max-norms per sweep: the change; past the anchor scale's limit also
@@ -632,7 +645,8 @@ class TestGrowthBound:
         prob = make_mass_spring(x0=0.1, precision=DDOUBLE)
         got, n = self.compare(monkeypatch, prob, "zds", 2, 0.1,
                               lambda k: {0: 0.8, 1: 1e6 + 0.25}.get(k), ddouble_only=True)
-        assert got == ("diverged", "block norm grew from 9.152e-01 to 1.000e+06 in one sweep") and n == 2
+        assert got == ("diverged", "block norm grew from 9.152e-01 to 1.000e+06 in one sweep "
+                                   "(last contraction 1.22e+06, Newton matrix dropped)") and n == 2
 
     @pytest.mark.parametrize("sweep", [0, 1])
     def test_float64_phase_drops_its_sweep(self, monkeypatch, sweep):
@@ -656,6 +670,75 @@ class TestGrowthBound:
         assert _words([state.Z]) == _words([DDOUBLE.asarray(iterates[sweep])])
         self.compare(monkeypatch, prob, "zds", 2, 0.1,
                      lambda k: ("x", 1e8) if k == sweep else None)
+
+    def test_growth_after_a_mid_block_build(self, monkeypatch):
+        # three slow plain sweeps of a small float64 block (no norm taken,
+        # the bound stays below the limit) build M; the next SE output jumps
+        # to 1e7, so the corrected block outgrows the limit and M is dropped,
+        # and the plain growth test refuses the jump from the block's norm
+        fills = [0.5, 0.9, 0.6, 0.85, 1e7]
+        got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
+        assert got == ("diverged", "block norm grew from 8.500e-01 to 1.000e+07 in one sweep "
+                                   "(last contraction n/a, Newton matrix dropped)") and calls == 5
+
+
+class TestFloat64Newton:
+    """A float64 block builds M = I - G' where its plain sweeps keep
+    contracting slowly, and the next blocks of the same table hold it."""
+
+    @staticmethod
+    def builds(monkeypatch):
+        count, build = [0], blocksolver._newton_matrix
+
+        def counted(*args):
+            count[0] += 1
+            return build(*args)
+
+        monkeypatch.setattr(blocksolver, "_newton_matrix", counted)
+        return count
+
+    def test_pendulum_long_builds_one_matrix(self, monkeypatch):
+        # about 0.16 per plain sweep at dt = 1/3: 14.9 sweeps per block
+        # without M, 5.97 with the one M held from the first block on
+        builds = self.builds(monkeypatch)
+        traj = integrate(build_problem("pendulum"), "zds", 1, 300, 100.0)
+        assert builds[0] == 1 and traj.total_iter == 1792
+        assert _trajectory_hash(traj) == "10acac64a649afb5"
+
+    @pytest.mark.parametrize("name,R,N,T,project,digest", [
+        ("outer_solar", 2, 480, 25000.0, False, "c074e6be892c3224"),
+        ("kepler", 1, 9600, 100.0, True, "f2da268a81975958"),
+        ("kepler", 2, 9600, 100.0, True, "20e3c144645c90ca"),
+    ], ids=["outer_solar", "kepler-projected-r1", "kepler-projected-r2"])
+    def test_fast_contraction_builds_none(self, monkeypatch, name, R, N, T, project, digest):
+        # single sweeps reach 0.24 on these runs, never three in a row: the
+        # words and counts of the plain loop (criterion 06 reads the
+        # projected Kepler drift at the noise floor)
+        builds = self.builds(monkeypatch)
+        prob = build_problem(name)
+        R0 = lrl_scalar(prob.x0[:, 0], prob.p0[:, 0]) if project else None
+        traj = integrate(prob, "zds", R, N, T, project=(lambda X, P: project_lrl(X, P, R0)) if project else None)
+        assert builds[0] == 0 and _trajectory_hash(traj) == digest
+
+    def test_em_challenging_r3_reaches_the_end(self, monkeypatch):
+        # criterion 10's step: the plain fixed point stalls at step 207 with
+        # a change of 1.1e-14 against tol 1e-14
+        builds = self.builds(monkeypatch)
+        traj = integrate(build_problem("em_challenging"), "zds", 3, 240, 20.0, store_every=240)
+        assert traj.times[-1] == 20.0 and traj.n_blocks == 80 and builds[0] > 0
+
+    def test_matrix_held_only_for_the_same_table(self, monkeypatch):
+        # N = 3 R + 1: the short last block has its own table and starts
+        # without the M the full blocks hand on
+        held, solve = [], blocksolver.solve_block
+
+        def recorded(anchor, problem, table, config, newton=None):
+            held.append((table.R, newton is not None))
+            return solve(anchor, problem, table, config, newton)
+
+        monkeypatch.setattr(blocksolver, "solve_block", recorded)
+        integrate(build_problem("pendulum"), "zds", 2, 7, 7 / 3)
+        assert held == [(2, False), (2, True), (2, True), (1, False)]
 
 
 def _trajectory_hash(traj):

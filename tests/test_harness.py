@@ -9,6 +9,7 @@ import pytest
 from structham.cli import main as cli_main
 from structham.harness import (
     CSV_COLUMNS,
+    NOISE_ULPS,
     RunConfig,
     convergence_order,
     drift_series,
@@ -114,6 +115,20 @@ class TestSweep:
         assert float(rows[1]["ordx"]) == pytest.approx(
             convergence_order(e1, e2, dt1, dt2), abs=5e-5
         )
+
+    def test_noise_floor_orders_left_empty(self):
+        # at R = 12 and dt ~ 1e-2 both errors are roundoff (ex about 1e-14
+        # over 96 steps, under NOISE_ULPS N u): no order, as for an
+        # unavailable quantity, while ex is printed as before
+        result = sweep(RunConfig(problem="mass_spring", scheme="zds", N=96, T=1.0, R=12), [96, 120])
+        row = result.rows[1]
+        assert row["ex"] <= NOISE_ULPS * 120 * 2.0**-53 and "ordx" not in row and "ordH" not in row
+        fields = dict(zip(CSV_COLUMNS, result.to_csv().splitlines()[2].split(",")))
+        assert fields["ordx"] == fields["ordH"] == "" and fields["ex"] == f"{row['ex']:.5e}"
+        # at R = 1 and dt = 0.83 the position error is truncation, the energy
+        # error roundoff
+        result = sweep(RunConfig(problem="mass_spring", scheme="zds", N=120, T=100.0, R=1), [120, 240])
+        assert result.rows[1]["ordx"] == pytest.approx(4.0, abs=0.1) and "ordH" not in result.rows[1]
 
     def test_failed_row_tagged_and_sweep_continues(self):
         # the coarse EM configuration diverges; the fine one succeeds
