@@ -12,8 +12,10 @@ The double-double layer is built on the classical error-free transforms
 available on this interpreter).  The arithmetic of :class:`DoubleDouble`
 inlines them and renormalizes each result once.  Elementary functions use
 range reduction with two-word constants followed by truncated Taylor /
-atanh series; sin and cos share one reduction and one pair of series whose
-term ratios come from a table of double-double reciprocals.
+atanh series.  sin and cos share one reduction by pi/2 and then one by the
+nearest j/16, whose sines and cosines are stored double-double literals;
+fixed series on the remainder |t| <= 1/32 and the angle-addition formulas
+finish them, as in the QD library of Hida, Li and Bailey (ARITH 2001).
 
 Arrays of either backend are ordinary numpy arrays: float64 for the native
 backend, ``dtype=object`` holding :class:`DoubleDouble` instances for the
@@ -331,8 +333,12 @@ class DoubleDouble:
             nan = _word(math.nan)
             return nan, nan
         r, q = _reduce_half_pi(self)
-        s, c = _sin_cos_taylor(r)
-        return ((s, c), (c, -s), (-s, -c), (-c, s))[q]
+        s, c = _sin_cos_reduced(r)
+        if q & 1:
+            s, c = c, -s
+        if q & 2:
+            s, c = -s, -c
+        return s, c
 
     def sin(self):
         return self.sin_cos()[0]
@@ -439,8 +445,7 @@ def _remainder(rh: float, rl: float, o: DoubleDouble, bh: float, q: float) -> tu
 
 
 _SQRT2 = 1.4142135623730951
-_SERIES_CUTOFF = 1e-35  # truncate series once a term falls below this of the sum
-_TAYLOR_TERMS = 40
+_SERIES_CUTOFF = 1e-35  # truncate log's series once a term falls below this of the sum
 
 PI_DD = DoubleDouble(3.141592653589793, 1.2246467991473532e-16)
 _HALF_PI = DoubleDouble(1.5707963267948966, 6.123233995736766e-17)
@@ -448,14 +453,35 @@ _QUARTER_PI = 0.7853981633974484
 _REDUCED = 16.0  # |r| left to the one-step corrections of _reduce_half_pi
 _LN2 = DoubleDouble(0.6931471805599453, 2.3190468138462996e-17)
 
-# ratios of successive Taylor terms: sin's k-th term is the previous one
-# times -r^2/((2k)(2k+1)), cos's times -r^2/((2k-1)(2k)); k = 1..40
-_SIN_RECIP = tuple(
-    DoubleDouble.from_fraction(Fraction(-1, (2 * k) * (2 * k + 1))) for k in range(1, _TAYLOR_TERMS + 1)
-)
-_COS_RECIP = tuple(
-    DoubleDouble.from_fraction(Fraction(-1, (2 * k - 1) * (2 * k))) for k in range(1, _TAYLOR_TERMS + 1)
-)
+# (sin(j/16), cos(j/16)) for j = 0..13, each the nearest double-double to
+# the value mpmath gives at 60 digits; entry -j holds (-sin(j/16),
+# cos(j/16)), so _SIN_COS_J[j] serves every |j| <= 13
+_SIN_COS_J = tuple((DoubleDouble(sh, sl), DoubleDouble(ch, cl)) for sh, sl, ch, cl in (
+    (0.0, 0.0, 1.0, 0.0),
+    (0.0624593178423802, -2.040259504585711e-18, 0.9980475107000991, 3.3232291674141346e-17),
+    (0.12467473338522769, -2.925947496057858e-18, 0.992197667229329, 4.754870575189364e-17),
+    (0.18640329676226988, 2.3493796901281573e-18, 0.9824733131012553, -3.919920375420088e-17),
+    (0.24740395925452294, -7.53102495590706e-18, 0.9689124217106447, 5.071436662403936e-17),
+    (0.30743851458038085, 1.1004366442765296e-19, 0.9515679480481722, -3.8614834675674123e-17),
+    (0.36627252908604757, -9.938814562106524e-18, 0.9305076219123143, 4.488760003328074e-18),
+    (0.42367625720393803, -2.331800700068871e-17, 0.9058136834259364, 4.2864666490805214e-17),
+    (0.479425538604203, -5.103969860556013e-18, 0.8775825618903728, -4.2623149864279997e-17),
+    (0.5333026735360201, 5.129318115032044e-17, 0.8459244992310679, 1.549506647350329e-17),
+    (0.5850972729404622, -5.4883972461161805e-17, 0.8109631195052179, -3.091333486122179e-17),
+    (0.6346070800152693, -3.4568582392624965e-17, 0.7728349461524715, 4.231014921891023e-17),
+    (0.6816387600233341, 4.410467313197903e-17, 0.7316888688738209, -1.0475824306512768e-17),
+    (0.7260086552607126, -1.573621815339587e-17, 0.6876855622205048, 3.5430696752823923e-17),
+))
+_SIN_COS_J += tuple((-s, c) for s, c in reversed(_SIN_COS_J[1:]))
+
+# coefficients of u^k, u = t^2, in sin(t)/t = sum (-1)^k u^k/(2k+1)! and
+# cos(t) = sum (-1)^k u^k/(2k)!: double-double for k = 1..3, float64 from
+# k = 4 on, where every term is below 3e-17 at |t| <= 1/32
+_S1, _S2, _S3 = (DoubleDouble.from_ratio((-1) ** k, math.factorial(2 * k + 1)) for k in (1, 2, 3))
+_C1, _C2, _C3 = (DoubleDouble.from_ratio((-1) ** k, math.factorial(2 * k)) for k in (1, 2, 3))
+_S4, _S5, _S6 = 1 / 362880, -1 / 39916800, 1 / 6227020800
+_C4, _C5, _C6, _C7 = 1 / 40320, -1 / 3628800, 1 / 479001600, -1 / 87178291200
+_ONE = DoubleDouble(1.0)
 
 # factors 1/(2k+1) of atanh's series term s^(2k+1)/(2k+1); k = 1..60
 _ATANH_RECIP = tuple(DoubleDouble.from_fraction(Fraction(1, 2 * k + 1)) for k in range(1, 61))
@@ -487,24 +513,27 @@ def _reduce_half_pi(x: DoubleDouble) -> tuple[DoubleDouble, int]:
     return r, k % 4
 
 
-def _sin_cos_taylor(r: DoubleDouble) -> tuple[DoubleDouble, DoubleDouble]:
-    # plain Taylor series on |r| <= pi/4, truncated per _SERIES_CUTOFF
-    r2 = r * r
-    term = r
-    s = r
-    for recip in _SIN_RECIP:
-        term = term * r2 * recip
-        s = s + term
-        if abs(term.hi) < _SERIES_CUTOFF * max(abs(s.hi), 1e-300):
-            break
-    term = DoubleDouble(1.0)
-    c = term
-    for recip in _COS_RECIP:
-        term = term * r2 * recip
-        c = c + term
-        if abs(term.hi) < _SERIES_CUTOFF * max(abs(c.hi), 1e-300):
-            break
-    return s, c
+def _sin_cos_reduced(r: DoubleDouble) -> tuple[DoubleDouble, DoubleDouble]:
+    # |r| <= pi/4 (+1 ulp) is j/16 + t with |j| <= 13 and |t| <= 1/32: the
+    # series of t in Horner form, three double-double levels under a float64
+    # tail, then the angle-addition formulas with the table's sin and cos of
+    # j/16 (about 22 operations).  sin(t) = t * (1 + ...) keeps t's sign of
+    # zero.  Relative error stays near 2**-104; r's own absolute error from
+    # the reduction, a few |k| * 2**-107, dominates it near the zeros.
+    j = round(16.0 * r.hi)
+    t = r
+    if j:  # r.hi - j/16 is exact (Sterbenz), and when nonzero at least ulp(r.hi) >= 2 |r.lo|
+        th = r.hi - 0.0625 * j
+        s = th + r.lo
+        t = _dd(s, r.lo - (s - th))
+    u = t * t
+    v = u.hi
+    st = t * (_ONE + u * (_S1 + u * (_S2 + u * (_S3 + v * (_S4 + v * (_S5 + v * _S6))))))
+    ct = _ONE + u * (_C1 + u * (_C2 + u * (_C3 + v * (_C4 + v * (_C5 + v * (_C6 + v * _C7))))))
+    if not j:
+        return st, ct
+    sa, ca = _SIN_COS_J[j]
+    return sa * ct + ca * st, ca * ct - sa * st
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +576,7 @@ class Precision:
             return np.asarray(data, dtype=np.float64)
         raw = np.asarray(data, dtype=object)
         out = np.empty(raw.shape, dtype=object)
-        for idx in np.ndindex(raw.shape):
-            out[idx] = self.real(raw[idx])
+        out.flat = [self.real(v) for v in raw.flat]  # a ufunc pass would warn on inf and NaN entries
         return out
 
     def zeros(self, shape) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from structham.numerics import (
     DDOUBLE,
     NATIVE,
+    PI_DD,
     DoubleDouble,
+    _SIN_COS_J,
     _dd,
     all_finite,
     max_abs,
@@ -530,6 +533,85 @@ class TestElementary:
             assert math.isnan(s[0, 0].hi) and math.isnan(c[0, 0].hi)
             assert math.isnan(np.sin(np.float64(x))) and math.isnan(np.cos(np.float64(x)))
 
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324])
+    def test_sin_cos_signed_zero_like_float64(self, x):
+        # sin(t) = t * (1 + ...) keeps t's sign: sin(-0.0) is -0.0 as in float64
+        want = tuple((float(f(np.float64(x))).hex(), "0x0.0p+0") for f in (np.sin, np.cos))
+        arr = DDOUBLE.asarray([[x, x]])
+        got = [DoubleDouble(x).sin_cos(), (DoubleDouble(x).sin(), DoubleDouble(x).cos()),
+               (np.sin(arr)[0, 1], np.cos(arr)[0, 1]), tuple(v[0, 1] for v in sin_cos(arr))]
+        for s, c in got:
+            assert (words(s), words(c)) == want
+
+    @staticmethod
+    def _check_sin_cos(xs, per_x=0.0):
+        """|error| <= 1e-28 |ref| + per_x |x| for sin and cos of each x, against mpmath."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        for x in xs:
+            fr = dd_to_fraction(x)
+            arg = mpmath.mpf(fr.numerator) / fr.denominator
+            for got, ref in zip(x.sin_cos(), (mpmath.sin(arg), mpmath.cos(arg))):
+                g = dd_to_fraction(got)
+                err = abs(mpmath.mpf(g.numerator) / g.denominator - ref)
+                assert err <= 1e-28 * abs(ref) + per_x * abs(arg), f"{x!r}: error {err} of {ref}"
+
+    def test_sin_cos_at_table_cell_edges(self):
+        # (2j + 1)/32 leaves t = +-1/32 after the table's j/16, the widest
+        # remainder the series sees; also one ulp or a low word either side
+        xs = []
+        for j in range(-13, 13):
+            e = (2 * j + 1) / 32
+            xs += [DoubleDouble(e), DoubleDouble(e, 1e-18), DoubleDouble(e, -1e-18),
+                   DoubleDouble(math.nextafter(e, 0.0)), DoubleDouble(math.nextafter(e, math.inf))]
+        for k in (-3, -1, 1, 2, 5):  # edges reached after the reduction by pi/2
+            xs += [DoubleDouble(k * math.pi / 2 + (2 * j + 1) / 32) for j in (-13, -1, 0, 12)]
+        self._check_sin_cos(xs)
+
+    def test_sin_cos_at_quarter_pi_and_near_multiples_of_half_pi(self):
+        # at d = 1e-3 from a zero the reduction's absolute error (below 1e-31
+        # for |x| <= 13) is still below 1e-28 relative
+        quarter = PI_DD * 0.25
+        xs = [quarter, -quarter, quarter + 1e-20, quarter - 1e-20]
+        xs += [DoubleDouble(v) for v in (0.7853981633974483, 0.7853981633974484, -0.7853981633974484)]
+        for k in range(-8, 9):
+            xs += [PI_DD * (0.5 * k) + d for d in (0.1, -0.1, 1e-3, -1e-3, 0.7, -0.7)]
+        self._check_sin_cos(xs)
+
+    @pytest.mark.parametrize("x", [1e-3, 2.0**-30, 1e-8, 1e-20, 1e-100, 1e-160, 1e-300, 1e-310, 5e-324])
+    def test_sin_cos_of_tiny_arguments(self, x):
+        self._check_sin_cos([DoubleDouble(x), DoubleDouble(-x)])
+        if x > 1e-280:  # a low word that is itself a normal float
+            self._check_sin_cos([DoubleDouble(x, x * 2.0**-60), DoubleDouble(-x, x * 2.0**-70)])
+
+    def test_sin_cos_of_large_arguments_with_low_words(self):
+        # the reduction rounds k pi/2 to a double-double, an absolute error
+        # of up to about |x| 2**-106 on r (7e-29 measured at |x| < 1e4) that
+        # the relative bound cannot absorb near a zero; |x| 2**-105 allows it
+        rng = random.Random(41)
+        xs = []
+        for _ in range(200):
+            hi = rng.choice((-1, 1)) * 10.0 ** rng.uniform(0, 4)
+            xs.append(DoubleDouble(hi, hi * rng.uniform(-1, 1) * 2.0**-54))
+        xs += [DoubleDouble(1e4, 3e-13), DoubleDouble(-1e4, -1e-14), DoubleDouble(9999.5, 1e-13)]
+        self._check_sin_cos(xs, per_x=2.0**-105)
+
+    def test_table_literals_are_the_nearest_double_doubles(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+
+        def nearest(v):
+            hi = float(v)
+            return hi, float(v - mpmath.mpf(hi))
+
+        assert len(_SIN_COS_J) == 27
+        for j in range(14):
+            a = mpmath.mpf(j) / 16
+            s, c = _SIN_COS_J[j]
+            assert (s.hi, s.lo) == nearest(mpmath.sin(a)) and (c.hi, c.lo) == nearest(mpmath.cos(a)), j
+            s_neg, c_neg = _SIN_COS_J[-j] if j else (-s, c)
+            assert words(s_neg) == words(-s) and words(c_neg) == words(c), j
+
     def test_mass_spring_exact_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 45
@@ -558,6 +640,30 @@ class TestPrecisionBackends:
         assert arr.dtype == object
         assert isinstance(arr[0, 0], DoubleDouble)
         assert abs(dd_to_fraction(arr[0, 0]) - Fraction("0.1")) < Fraction(2) ** -105 / 10
+
+    @pytest.mark.parametrize("data", [
+        0.5,
+        "0.1",
+        np.float64(-0.0),
+        np.array(Fraction(1, 3), dtype=object),
+        [["0.1", Fraction(1, 3)], [0.5, DoubleDouble(1.0, 1e-20)], [2**60 + 1, -7]],
+        np.linspace(-2.0, 3.0, 6).reshape(2, 3, 1),
+        np.array([[DoubleDouble(2.0, -1e-17), "1e-30"], [Fraction(-2, 7), 1.25]], dtype=object),
+        [[math.inf, math.nan], [-math.inf, -0.0]],
+        np.zeros((0, 2)),
+    ], ids=["float", "str", "float64-scalar", "0-d-object", "nested-mixed", "float64-array",
+            "object-array", "non-finite", "empty"])
+    def test_ddouble_asarray_entries_are_real(self, data):
+        # a fresh object array of the input's shape, each entry the words of
+        # DDOUBLE.real of that entry, and no floating-point warning on inf or NaN
+        raw = np.asarray(data, dtype=object)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = DDOUBLE.asarray(data)
+        assert type(got) is np.ndarray and got.dtype == object and got.shape == raw.shape
+        assert got is not data and not np.shares_memory(got, raw)
+        for g, v in zip(got.flat, raw.flat):
+            assert type(g) is DoubleDouble and words(g) == words(DDOUBLE.real(v))
 
     def test_zeros(self):
         z = DDOUBLE.zeros((2, 3))
