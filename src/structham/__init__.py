@@ -16,7 +16,6 @@ from .secoeff import (
     RawBasis,
     assemble_tables,
     coeff_table,
-    exactness_matrix,
     exactness_residual,
     kernel_basis,
 )
@@ -48,7 +47,7 @@ from .problems import (
     pendulum_period,
     project_lrl,
 )
-from .baselines import CompositionSchedule, integrate_sv, sv_step_nonseparable, sv_step_separable, yoshida_schedule
+from .baselines import integrate_sv, sv_step_nonseparable, sv_step_separable, yoshida_schedule
 from .harness import ErrorReport, RunConfig, convergence_order, drift_series, run, sweep
 
 __version__ = "0.1.0"

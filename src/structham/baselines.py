@@ -9,32 +9,28 @@ Yoshida triple jump applied recursively, so stage counts are 3, 9 and 27.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .blocksolver import DivergenceError, NonConvergenceError, SolverConfig, Trajectory
+from .blocksolver import (
+    DivergenceError,
+    NonConvergenceError,
+    SolverConfig,
+    Trajectory,
+    checked_step,
+    node_recorder,
+)
 from .numerics import all_finite, max_abs
 from .secoeff import ConfigurationError
 
 __all__ = [
-    "CompositionSchedule",
     "yoshida_schedule",
     "sv_step_separable",
     "sv_step_nonseparable",
     "integrate_sv",
-    "compose_steps",
 ]
 
 
-@dataclass(frozen=True)
-class CompositionSchedule:
-    order: int
-    gammas: tuple
-
-
-def yoshida_schedule(order: int) -> CompositionSchedule:
+def yoshida_schedule(order: int) -> tuple:
     """Triple-jump sub-step fractions for even orders 2..8.
 
     Order 2k+2 replays the order-2k schedule with weights
@@ -42,26 +38,14 @@ def yoshida_schedule(order: int) -> CompositionSchedule:
     order-4 jump satisfies sum of cubes = 0.
     """
     if order == 2:
-        return CompositionSchedule(2, (1.0,))
+        return (1.0,)
     if order not in (4, 6, 8):
         raise ConfigurationError(f"unsupported composition order {order}; use 2, 4, 6 or 8")
     inner = yoshida_schedule(order - 2)
     k = (order - 2) // 2
     g1 = 1.0 / (2.0 - 2.0 ** (1.0 / (2 * k + 1)))
     g2 = 1.0 - 2.0 * g1
-    gammas = (
-        tuple(g1 * g for g in inner.gammas)
-        + tuple(g2 * g for g in inner.gammas)
-        + tuple(g1 * g for g in inner.gammas)
-    )
-    return CompositionSchedule(order, gammas)
-
-
-def compose_steps(step, gammas, state, dt):
-    """Apply a one-step map through a weighted sub-step schedule."""
-    for g in gammas:
-        state = step(state, g * dt)
-    return state
+    return tuple(w * g for w in (g1, g2, g1) for g in inner)
 
 
 def sv_step_separable(problem, X, P, dt):
@@ -154,32 +138,19 @@ def integrate_sv(
     pe1_calls the right-hand-side evaluations.
     """
     tol, max_iter = config.resolved_tol(problem), config.max_iter
-    schedule = yoshida_schedule(order)
-    if N < 1 or not 0 < float(T) < math.inf:
-        raise ConfigurationError(f"need N >= 1 and finite T > 0, got N={N}, T={T}")
-    if store_every < 1:
-        raise ConfigurationError(f"need store_every >= 1, got store_every={store_every}")
-    precision = problem.precision
-    dt = float(T) / N
+    gammas = yoshida_schedule(order)
+    dt = checked_step(N, T, store_every)
+    real, dt_scalar = problem.precision.real, problem.precision.real(dt)
 
     X, P = problem.x0, problem.p0
-    traj = Trajectory(n_steps=N, r_block=0)
-
-    def record(idx, Xv, Pv):
-        t = idx * dt
-        if observer is not None:
-            observer(idx, precision.real(idx) * precision.real(dt), Xv, Pv)
-        if idx % store_every == 0 or idx == N:
-            traj.times.append(t)
-            traj.xs.append(Xv.copy())
-            traj.ps.append(Pv.copy())
-
-    record(0, X, P)
+    traj = Trajectory()
+    record = node_recorder(traj, N, store_every, observer)
+    record(0, real(0) * dt_scalar, X, P)
     # overflow in a diverging sub-step is handled by the finiteness checks
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(1, N + 1):
             try:
-                for g in schedule.gammas:
+                for g in gammas:
                     h = g * dt
                     if problem.separable:
                         X, P, calls = sv_step_separable(problem, X, P, h)
@@ -190,6 +161,7 @@ def integrate_sv(
                 if not (all_finite(X) and all_finite(P)):
                     raise DivergenceError("non-finite state in SV step")
             except (NonConvergenceError, DivergenceError) as err:
-                raise type(err)(f"SV step {n}: {err}") from err
-            record(n, X, P)
+                err.args = (f"SV step {n}: {err}",)  # keeps .residual
+                raise
+            record(n, real(n) * dt_scalar, X, P)
     return traj

@@ -104,12 +104,19 @@ class SolverConfig:
 
     The working precision is the problem's.  ``tol`` None takes its default
     (1e-14 double, 1e-30 ddouble); ``precision``, if set, is only checked
-    against it.
+    against it.  A tol that is not finite and positive, or a max_iter below
+    1, is a ConfigurationError.
     """
 
     tol: float | None = None
     max_iter: int = 200
     precision: Precision | None = None
+
+    def __post_init__(self):
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ConfigurationError(f"need a finite tol > 0, got tol={self.tol}")
+        if self.max_iter < 1:
+            raise ConfigurationError(f"need max_iter >= 1, got max_iter={self.max_iter}")
 
     def resolved_tol(self, problem) -> float:
         """The tolerance for ``problem``; ConfigurationError if ``precision`` differs."""
@@ -132,11 +139,6 @@ class IterStats:
 
     iterations: int = 0
     pe1_calls: int = 0
-    second: bool = False  # second derivatives evaluated (ZDS)
-
-    @property
-    def pe2_calls(self) -> int:
-        return self.pe1_calls if self.second else 0
 
 
 class BlockAnchor:
@@ -177,9 +179,6 @@ class BlockState:
 
     def set_anchor(self, W: np.ndarray) -> None:
         self.Y[:, 0], self.DS[:, :, 0] = W[:, 0], W[:, 1:]
-
-    def level(self, s: int) -> np.ndarray:
-        return self.DS[:, s - 1, 1:] if s else self.Z
 
     def node(self, r: int) -> np.ndarray:
         """Copy of the values at block node r (0-based), stacked like an anchor."""
@@ -403,7 +402,7 @@ def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverC
         tol = config.resolved_tol(problem)
         sweeps = _sweep(problem, table, state, tol, config.max_iter, anchor)
     sweeps += state.sweeps  # the predictor's, and the probes of an M built in the sweeps
-    return state, IterStats(sweeps, table.R * (1 + sweeps), table.has_second)
+    return state, IterStats(sweeps, table.R * (1 + sweeps))
 
 
 def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: int,
@@ -513,22 +512,41 @@ class Trajectory:
     times: list = field(default_factory=list)
     xs: list = field(default_factory=list)
     ps: list = field(default_factory=list)
-    n_steps: int = 0
-    r_block: int = 0
     n_blocks: int = 0
     total_sweeps: int = 0
     pe1_calls: int = 0
-    second: bool = False  # second derivatives evaluated (ZDS)
-
-    @property
-    def pe2_calls(self) -> int:
-        """Second right-hand-side evaluations: ``pe1_calls`` for ZDS, else 0."""
-        return self.pe1_calls if self.second else 0
 
     @property
     def total_iter(self) -> int:
         """Fixed-point iterations including one initialization unit per block."""
         return self.total_sweeps + self.n_blocks
+
+
+def checked_step(N: int, T: float, store_every: int) -> float:
+    """The step T / N of a run over [0, T] in N steps that keeps every
+    ``store_every``-th node; ConfigurationError unless N >= 1, T is finite
+    and positive, and store_every >= 1."""
+    if N < 1 or not 0 < float(T) < math.inf:
+        raise ConfigurationError(f"need N >= 1 and finite T > 0, got N={N}, T={T}")
+    if store_every < 1:
+        raise ConfigurationError(f"need store_every >= 1, got store_every={store_every}")
+    return float(T) / N
+
+
+def node_recorder(traj: Trajectory, N: int, store_every: int, observer=None):
+    """``record(idx, t, X, P)`` for the accepted node idx at time t: passes
+    it to ``observer``, if given, and keeps it in ``traj`` when idx is a
+    multiple of ``store_every`` or N."""
+
+    def record(idx, t, X, P):
+        if observer is not None:
+            observer(idx, t, X, P)
+        if idx % store_every == 0 or idx == N:
+            traj.times.append(float(t))
+            traj.xs.append(X.copy())
+            traj.ps.append(P.copy())
+
+    return record
 
 
 def integrate(
@@ -553,31 +571,19 @@ def integrate(
     consumers should stream through observers instead).
     """
     form = Formulation.parse(formulation)
-    if N < 1 or not 0 < float(T) < math.inf:
-        raise ConfigurationError(f"need N >= 1 and finite T > 0, got N={N}, T={T}")
+    dt = checked_step(N, T, store_every)
     if N < R:
         raise ConfigurationError(f"need N >= R, got N={N}, R={R}")
-    if store_every < 1:
-        raise ConfigurationError(f"need store_every >= 1, got store_every={store_every}")
 
     precision = problem.precision
-    dt = float(T) / N
     dt_scalar = precision.real(dt)
     main_table = coeff_table(R, form, dt, precision)
 
     X = problem.x0
     P = problem.p0
     anchor = make_anchor(problem, precision.real(0), X, P, form)
-    traj = Trajectory(n_steps=N, r_block=R, pe1_calls=1, second=form is Formulation.ZDS)
-
-    def record(idx, t, Xv, Pv):
-        if observer is not None:
-            observer(idx, t, Xv, Pv)
-        if idx % store_every == 0 or idx == N:
-            traj.times.append(float(t))
-            traj.xs.append(Xv.copy())
-            traj.ps.append(Pv.copy())
-
+    traj = Trajectory(pe1_calls=1)
+    record = node_recorder(traj, N, store_every, observer)
     record(0, anchor.t, X, P)
 
     step, newton = 0, None

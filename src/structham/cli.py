@@ -7,11 +7,11 @@ divergence.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import sys
 
 from .blocksolver import DivergenceError, NonConvergenceError
-from .harness import RunConfig, drift_series, run, sweep, SweepResult, _report_row
+from .harness import STRUCTURAL_SCHEMES, SV_SCHEMES, RunConfig, SweepResult, _report_row, drift_series, run, sweep
 from .numerics import PRECISIONS
 from .problems import PROBLEM_NAMES
 from .secoeff import ConfigurationError, Formulation, coeff_table, dump_coeff_csv
@@ -23,8 +23,7 @@ EXIT_SOLVER = 3
 
 def _add_run_args(p, with_n=True):
     p.add_argument("--problem", required=True, choices=sorted(PROBLEM_NAMES))
-    p.add_argument("--scheme", required=True,
-                   choices=["zd", "zds", "sv2", "sv4", "sv6", "sv8"])
+    p.add_argument("--scheme", required=True, choices=STRUCTURAL_SCHEMES + SV_SCHEMES)
     p.add_argument("--R", type=int, default=None, help="block size (structural schemes)")
     if with_n:
         p.add_argument("--N", type=int, required=True, help="number of time steps")
@@ -51,9 +50,19 @@ def _config_from_args(args, N=None) -> RunConfig:
     )
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The stream a command writes to: the file ``path``, or stdout without one."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
+
+
 def _write_manifest(args, config):
     if args.manifest:
-        with open(args.manifest, "w") as fh:
+        with _output(args.manifest) as fh:
             fh.write(config.manifest() + "\n")
 
 
@@ -75,21 +84,20 @@ def _cmd_run(args) -> int:
     ]
     print(" ".join(parts))
     if args.out:
-        SweepResult([_report_row(config, report)]).write_csv(args.out)
+        with _output(args.out) as fh:
+            fh.write(SweepResult([_report_row(config, report)]).to_csv())
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     Ns = [int(v) for v in args.Ns.split(",") if v.strip()]
+    if not Ns:
+        raise ConfigurationError(f"--Ns {args.Ns!r} lists no step count")
     config = _config_from_args(args, N=Ns[0]).validated()
     _write_manifest(args, config)
-    result = sweep(config, Ns)
-    text = result.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    text = sweep(config, Ns).to_csv()
+    with _output(args.out) as fh:
+        fh.write(text)
     return EXIT_OK
 
 
@@ -98,23 +106,16 @@ def _cmd_drift(args) -> int:
     _write_manifest(args, config)
     series = drift_series(config, args.quantity, samples=args.samples)
     lines = ["t,deviation"] + [f"{t:.5e},{dev:.5e}" for t, dev in series]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_coeffs(args) -> int:
     table = coeff_table(args.R, Formulation.parse(args.formulation), args.dt,
                         PRECISIONS[args.precision])
-    if args.out:
-        with open(args.out, "w") as fh:
-            dump_coeff_csv(table, fh)
-    else:
-        dump_coeff_csv(table, sys.stdout)
+    with _output(args.out) as fh:
+        dump_coeff_csv(table, fh)
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import integrate_sv
-from .blocksolver import SolverConfig, integrate
+from .blocksolver import SolverConfig, checked_step, integrate
 from .numerics import PRECISIONS, max_abs
 from .problems import PROBLEM_NAMES, build_problem, lrl_scalar, project_lrl
 from .secoeff import ConfigurationError
@@ -75,14 +75,12 @@ class RunConfig:
                 raise ConfigurationError(f"scheme {self.scheme} requires a block size R >= 1")
         elif self.R is not None:
             raise ConfigurationError(f"scheme {self.scheme} does not take a block size R")
-        if self.N < 1:
-            raise ConfigurationError(f"need N >= 1, got N={self.N}")
-        if not 0 < self.T < math.inf:
-            raise ConfigurationError(f"need finite T > 0, got T={self.T}")
+        checked_step(self.N, self.T, 1)
         if self.precision not in PRECISIONS:
             raise ConfigurationError(f"unknown precision {self.precision!r}")
         if self.project_lrl and self.problem != "kepler":
             raise ConfigurationError("LRL projection applies to the kepler problem only")
+        SolverConfig(tol=self.tol, max_iter=self.max_iter)  # checks tol and max_iter
         return self
 
     def manifest(self) -> str:
@@ -91,7 +89,6 @@ class RunConfig:
 
 @dataclass
 class ErrorReport:
-    config: RunConfig
     dt: float
     errors: dict = field(default_factory=dict)  # keys among 'x', 'H', 'L', 'A'
     total_iter: int = 0
@@ -191,8 +188,7 @@ def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> Err
     nb_call_avg = config.R * nb_iter_avg if structural else traj.pe1_calls / N
 
     report = ErrorReport(
-        config=config, dt=dt,
-        total_iter=total_iter, nb_iter_avg=nb_iter_avg, nb_call_avg=nb_call_avg,
+        dt=dt, total_iter=total_iter, nb_iter_avg=nb_iter_avg, nb_call_avg=nb_call_avg,
     )
     if pos.result() is not None:
         report.errors["x"] = float(pos.result())
@@ -232,10 +228,6 @@ class SweepResult:
         for row in self.rows:
             buf.write(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS) + "\n")
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
 
 
 def _report_row(config, report) -> dict:

@@ -44,7 +44,6 @@ __all__ = [
     "DDOUBLE",
     "PRECISIONS",
     "sqrt",
-    "sin",
     "cos",
     "sin_cos",
     "log",
@@ -143,9 +142,6 @@ class DoubleDouble:
                 return cls(float(value))
             return cls.from_fraction(Fraction(value))
         return cls(float(value))
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.hi) + Fraction(self.lo)
 
     # -- conversions --------------------------------------------------------
 
@@ -579,13 +575,6 @@ class Precision:
         out.flat = [self.real(v) for v in raw.flat]  # a ufunc pass would warn on inf and NaN entries
         return out
 
-    def zeros(self, shape) -> np.ndarray:
-        if not self._dd:
-            return np.zeros(shape, dtype=np.float64)
-        out = np.empty(shape, dtype=object)
-        out[...] = DoubleDouble(0.0)
-        return out
-
 
 NATIVE = Precision("double", eps=2.220446049250313e-16, default_tol=1e-14, use_dd=False)
 DDOUBLE = Precision("ddouble", eps=4.93e-32, default_tol=1e-30, use_dd=True)
@@ -602,14 +591,6 @@ def sqrt(x):
     if isinstance(x, np.ndarray):
         return np.sqrt(x)
     return math.sqrt(x)
-
-
-def sin(x):
-    if isinstance(x, DoubleDouble):
-        return x.sin()
-    if isinstance(x, np.ndarray):
-        return np.sin(x)
-    return math.sin(x)
 
 
 def cos(x):

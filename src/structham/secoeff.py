@@ -9,10 +9,10 @@ once per (R, formulation) and shared by every step size and solver instance.
 
 Pipeline
 --------
-1. ``exactness_matrix`` tabulates monomial derivatives on the unit grid
-   (nodes 0..R, step 1).  Entries are exact integers.  Dropping its R
-   highest-degree rows leaves a system whose R-dimensional null space holds
-   the structural equations.
+1. The exactness system on the unit grid (nodes 0..R, step 1) holds the
+   monomial derivatives d^s/dt^s t**l in exact integers.  Keeping its rows
+   up to the exactness degree leaves an R-dimensional null space: the
+   structural equations.
 2. ``_unit_table`` finds that kernel in closed form, once per
    (R, formulation): the quadrature Z_r - Z_0 = int_0^r p' of the
    interpolant p' of the derivative data, in Python integers.  Its rows,
@@ -50,7 +50,6 @@ __all__ = [
     "RawBasis",
     "CoeffTable",
     "ConfigurationError",
-    "exactness_matrix",
     "kernel_basis",
     "assemble_tables",
     "coeff_table",
@@ -99,32 +98,12 @@ def _check_block_size(R: int) -> None:
         raise ConfigurationError(f"block size R={R} outside supported range 1..{MAX_BLOCK_SIZE}")
 
 
-def exactness_matrix(R: int, formulation) -> np.ndarray:
-    """Full square monomial-derivative matrix on the unit grid.
-
-    Row ``l`` (0-based) corresponds to the monomial t**l; the column for node
-    r and derivative order s sits at index s*(R+1) + r and holds
-    d^s/dt^s [t**l] evaluated at t = r.  Entries are exact Python integers
-    (object dtype: high rows overflow int64 for large R).
-    """
-    form = Formulation.parse(formulation)
-    _check_block_size(R)
-    S = form.levels
-    M = np.empty((S * (R + 1), S * (R + 1)), dtype=object)
-    for ell in range(S * (R + 1)):  # monomial t**ell
-        for s in range(S):
-            fall = math.perm(ell, s)  # ell*(ell-1)*...*(ell-s+1), 0 for s > ell
-            for r in range(R + 1):
-                M[ell, s * (R + 1) + r] = fall * r ** (ell - s) if fall else 0  # 0**0 == 1 at r = 0
-    return M
-
-
 @dataclass(frozen=True)
 class RawBasis:
     """Orthonormal basis of the structural-equation kernel on the unit grid.
 
-    ``vectors_dd`` has shape (R, levels*(R+1)) with double-double entries in
-    the (node, derivative-order) layout of :func:`exactness_matrix`.
+    ``vectors_dd`` has shape (R, levels*(R+1)) with double-double entries;
+    column s*(R+1) + r holds derivative order s at node r.
     """
 
     R: int
@@ -159,9 +138,9 @@ def _orthonormalize(vectors: list[list[Fraction]]) -> np.ndarray:
 
 def _unit_kernel(R: int, form: Formulation) -> list[list[Fraction]]:
     """The kernel rows [T_r | e_r] of ``_unit_table`` in the column order of
-    ``exactness_matrix``, reduced to the identity on the last R columns
+    ``RawBasis``, reduced to the identity on the last R columns
     (D_1..D_R for ZD, S_1..S_R for ZDS) by Gauss-Jordan over R rows."""
-    T, _ = _unit_table(R, form)
+    T = _unit_table(R, form)
     A = [[t[0], *(Fraction(int(m == r)) for m in range(R)), *t[1:]] for r, t in enumerate(T)]
     for i, c in enumerate(range(len(A[0]) - R, len(A[0]))):
         p = next(k for k in range(i, R) if A[k][c])  # the last R columns are free: never exhausted
@@ -206,8 +185,6 @@ class CoeffTable:
     [Z_n | D_n, D_1..D_R | (S_n, S_1..S_R)].  ``E`` (R x 2L), scaled and
     rounded the same way, extrapolates Z[1..R] from the L levels at the
     previous node t_n - dt and at the anchor, columns [W_-1 | W_0].
-    ``condition_Az`` is the 2-norm condition number of A_z in any
-    orthonormal kernel basis.
     """
 
     R: int
@@ -220,7 +197,6 @@ class CoeffTable:
     b_s: np.ndarray | None
     C: np.ndarray
     E: np.ndarray
-    condition_Az: float
     precision: Precision
 
     @property
@@ -228,21 +204,9 @@ class CoeffTable:
         return self.B_s is not None
 
 
-# cond(A_z) for R = 1..MAX_BLOCK_SIZE, as float64 Jacobi rotations on T T^T give
-# it (tests/oracles.py; numpy.linalg would map LAPACK, about 1 MB of resident memory)
-_CONDITION_AZ = {
-    Formulation.ZD: (1.0, 2.128787907162544, 2.8370048549416693, 3.629375251400879, 4.323958784271914,
-                     5.417257084351998, 6.372822020956344, 9.19418369022475, 12.089292275558373,
-                     22.016846462101004, 33.15207147265129, 66.44781539808186),
-    Formulation.ZDS: (1.0, 2.0516663978777494, 2.7777484083626542, 3.4551958184314486, 4.352214368668544,
-                      6.559081314310596, 14.900629749727681, 42.632970149789976, 130.8332582041818,
-                      415.51279979702815, 1353.793411438712, 4499.977355491052),
-}
-
-
 @lru_cache(maxsize=None)
-def _unit_table(R: int, form: Formulation) -> tuple[tuple[tuple[Fraction, ...], ...], float]:
-    """Exact normalized table [b_z | b_d, B_d | (b_s, B_s)] at dt = 1, and cond(A_z).
+def _unit_table(R: int, form: Formulation) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact normalized table [b_z | b_d, B_d | (b_s, B_s)] at dt = 1.
 
     Row r is minus Z_r = Z_0 + int_0^r p', p' the Lagrange (ZD) or Hermite
     (ZDS) interpolant of the D (and S) data at nodes 0..R (Hairer, Norsett and
@@ -253,9 +217,7 @@ def _unit_table(R: int, form: Formulation) -> tuple[tuple[tuple[Fraction, ...], 
     The relation is exact through the exactness degree and holds Z_1..Z_R
     only as Z_r, so it is the kernel vector [T_r | e_r] of the retained rows;
     those columns are always free (A_z invertible), since Z_0 and Hermite
-    data of p' at distinct nodes are poised.  Any orthonormal kernel basis is
-    G [T | I] with G^T G = (I + T T^T)^-1 and A_z = G, so cond(A_z)**2 =
-    (1 + s_max**2) / (1 + s_min**2) over the singular values s of T (tabulated).
+    data of p' at distinct nodes are poised.
     """
     d_cols, s_cols = [], []  # (integrand, denominator) per D_j and per S_j
     for j in range(R + 1):
@@ -275,9 +237,8 @@ def _unit_table(R: int, form: Formulation) -> tuple[tuple[tuple[Fraction, ...], 
     n = len(d_cols[0][0])
     L = math.lcm(*range(1, n + 1))
     columns = [([0] + [c * (L // (k + 1)) for k, c in enumerate(f)], L * d) for f, d in d_cols + s_cols]
-    T = tuple((Fraction(-1), *(Fraction(-sum(map(operator.mul, f, powers)), d) for f, d in columns))
-              for powers in ([r**k for k in range(n + 1)] for r in range(1, R + 1)))
-    return T, _CONDITION_AZ[form][R - 1]
+    return tuple((Fraction(-1), *(Fraction(-sum(map(operator.mul, f, powers)), d) for f, d in columns))
+                 for powers in ([r**k for k in range(n + 1)] for r in range(1, R + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +276,7 @@ def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIV
     dt = float(dt)
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"step dt={dt} must be positive and finite")
-    unit, cond = _unit_table(R, form)
+    unit = _unit_table(R, form)
     S = form.levels
     num, den = dt.as_integer_ratio()
     pows = [(num**s, den**s) for s in range(S)]
@@ -345,7 +306,6 @@ def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIV
         b_s=M[:, R + 2] if second else None,
         C=-M,
         E=E,
-        condition_Az=cond,
         precision=precision,
     )
 

@@ -68,41 +68,6 @@ def dense_block_oracle(problem, table, anchor):
     return Zx, Zp
 
 
-def gram_eigenvalues(T: np.ndarray) -> list[float]:
-    """Eigenvalues of T T^T, ascending, by cyclic Jacobi rotations in float64.
-
-    Plain Python on the R x R Gram matrix, the loop that gave the package's
-    tabulated cond(A_z) (``secoeff._CONDITION_AZ``) word for word.
-    """
-    A = (T[:, None, :] * T[None, :, :]).sum(axis=2).tolist()
-    for _ in range(50):  # a sweep of rotations per pass; converges quadratically
-        rotated = False
-        for p in range(len(A) - 1):
-            for q in range(p + 1, len(A)):
-                Ap, Aq = A[p], A[q]
-                if abs(Ap[q]) <= 1e-16 * math.sqrt(abs(Ap[p] * Aq[q])):
-                    continue
-                rotated = True
-                zeta = (Aq[q] - Ap[p]) / (2.0 * Ap[q])
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                for row in A:  # columns p and q, then rows p and q
-                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-                A[p] = [c * a - s * b for a, b in zip(Ap, Aq)]
-                A[q] = [s * a + c * b for a, b in zip(Ap, Aq)]
-                A[p][q] = A[q][p] = 0.0
-        if not rotated:
-            break
-    return sorted(A[k][k] for k in range(len(A)))
-
-
-def condition_az(T) -> float:
-    """cond(A_z) = sqrt((1 + s_max**2) / (1 + s_min**2)) over the singular values of T."""
-    s2 = gram_eigenvalues(np.array(T, dtype=float))
-    return math.sqrt((1 + s2[-1]) / (1 + s2[0]))
-
-
 def _monomial_derivatives(rows: int, levels: int, nodes) -> np.ndarray:
     """d^s/dt^s [t**l] at t = nodes[i] in row l, column s*len(nodes) + i,
     as exact Python integers (object dtype)."""
@@ -213,7 +178,7 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
         if problem.native is None:
             state.newton = newton
         # the predictor's own sweeps (a float64 presolve) count as sweeps
-        stats = IterStats(state.sweeps, table.R * (1 + state.sweeps), second)
+        stats = IterStats(state.sweeps, table.R * (1 + state.sweeps))
         Z, derivs = state.Z, state.DS[:, :, 1:]
         scale_ref = max(max_abs(anchor.level(0)), 1.0)
         prev_norm = max_abs(Z)

@@ -6,36 +6,37 @@ import math
 import numpy as np
 import pytest
 
-from structham.baselines import (
-    compose_steps,
-    integrate_sv,
-    sv_step_nonseparable,
-    sv_step_separable,
-    yoshida_schedule,
-)
+from structham.baselines import integrate_sv, sv_step_nonseparable, sv_step_separable, yoshida_schedule
 from structham.blocksolver import DivergenceError, NonConvergenceError, SolverConfig
-from structham.problems import HamiltonianProblem, make_em_particle, make_mass_spring, make_pendulum
+from structham.numerics import DDOUBLE, NATIVE
+from structham.problems import (
+    HamiltonianProblem,
+    build_problem,
+    make_em_particle,
+    make_mass_spring,
+    make_pendulum,
+)
 from structham.secoeff import ConfigurationError
 
 
 class TestYoshidaSchedule:
     def test_order_two(self):
-        assert yoshida_schedule(2).gammas == (1.0,)
+        assert yoshida_schedule(2) == (1.0,)
 
     def test_order_four_closed_form(self):
-        s = yoshida_schedule(4)
+        gammas = yoshida_schedule(4)
         g1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-        assert s.gammas[0] == pytest.approx(1.3512071919596578, rel=1e-15)
-        assert s.gammas == pytest.approx((g1, 1 - 2 * g1, g1))
-        assert sum(s.gammas) == pytest.approx(1.0, abs=1e-15)
-        assert sum(g**3 for g in s.gammas) == pytest.approx(0.0, abs=1e-15)
+        assert gammas[0] == pytest.approx(1.3512071919596578, rel=1e-15)
+        assert gammas == pytest.approx((g1, 1 - 2 * g1, g1))
+        assert sum(gammas) == pytest.approx(1.0, abs=1e-15)
+        assert sum(g**3 for g in gammas) == pytest.approx(0.0, abs=1e-15)
 
     def test_stage_counts(self):
-        assert [len(yoshida_schedule(k).gammas) for k in (2, 4, 6, 8)] == [1, 3, 9, 27]
+        assert [len(yoshida_schedule(k)) for k in (2, 4, 6, 8)] == [1, 3, 9, 27]
 
     def test_sum_to_one_all_orders(self):
         for k in (4, 6, 8):
-            assert sum(yoshida_schedule(k).gammas) == pytest.approx(1.0, abs=1e-14)
+            assert sum(yoshida_schedule(k)) == pytest.approx(1.0, abs=1e-14)
 
     def test_unsupported_order(self):
         with pytest.raises(ConfigurationError):
@@ -47,7 +48,7 @@ class TestYoshidaSchedule:
     def test_composition_raises_trapezoid_order(self, order):
         # composing the symmetric trapezoid map for dx/dt = x must reproduce
         # exp(t) at the schedule's order under step halving
-        gammas = yoshida_schedule(order).gammas
+        gammas = yoshida_schedule(order)
 
         def trapezoid(x, h):
             return x * (1.0 + 0.5 * h) / (1.0 - 0.5 * h)
@@ -55,7 +56,8 @@ class TestYoshidaSchedule:
         def solve(n):
             x, h = 1.0, 1.0 / n
             for _ in range(n):
-                x = compose_steps(trapezoid, gammas, x, h)
+                for g in gammas:
+                    x = trapezoid(x, g * h)
             return abs(x - math.e)
 
         e1, e2 = solve(16), solve(32)
@@ -235,3 +237,26 @@ class TestIntegrateSV:
     def test_store_every_below_one_rejected(self, store_every):
         with pytest.raises(ConfigurationError, match="store_every >= 1"):
             integrate_sv(make_mass_spring(), 2, 10, 1.0, store_every=store_every)
+
+    def test_nonconvergence_keeps_its_residual(self):
+        # the step prefix is added to the raised error itself, so the
+        # residual its fixed point measured survives
+        config = SolverConfig(max_iter=2)
+        with pytest.raises(NonConvergenceError) as info:
+            integrate_sv(build_problem("em_challenging"), 2, 600, 5.0, config)
+        err = info.value
+        assert err.residual is not None and err.residual > config.resolved_tol(build_problem("em_challenging"))
+        assert str(err).startswith("SV step 1: SV momentum half-step fixed point not converged after 2 ")
+        assert f"(last change {err.residual:.3e})" in str(err)
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_times_and_observer_nodes(self, prec):
+        # kept nodes at idx * dt, as floats; the observer sees every node at
+        # idx * dt in the problem's precision
+        N, T, seen = 7, 0.7, []
+        traj = integrate_sv(make_mass_spring(precision=prec), 4, N, T, store_every=3,
+                            observer=lambda idx, t, X, P: seen.append((idx, t)))
+        dt = T / N
+        assert [t.hex() for t in traj.times] == [(n * dt).hex() for n in (0, 3, 6, 7)]
+        assert len(traj.xs) == len(traj.ps) == 4
+        assert seen == [(n, prec.real(n) * prec.real(dt)) for n in range(N + 1)]

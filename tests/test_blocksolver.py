@@ -47,7 +47,7 @@ class TestInitBlock:
         state = init_block(anchor, prob, table)
         assert state.Zx[0][0, 0] == pytest.approx(1.0)
         assert state.Zp[0][0, 0] == pytest.approx(-0.1)
-        Dx, Dp = state.level(1)
+        Dx, Dp = state.DS[:, 0, 1:]
         assert Dx[0][0, 0] == pytest.approx(-0.1)
         assert Dp[0][0, 0] == pytest.approx(-1.0)
 
@@ -166,7 +166,7 @@ class TestSeUpdate:
         state = BlockState(3, 1, W[0, 0])
         state.Z[...] = 0.0
         state.DS[:, :, 1:] = 0.0
-        state.level(1)[0] = state.level(2)[0] = 2.0
+        state.DS[0, :, 1:] = 2.0  # x's D1 and S1
         state.set_anchor(W)
         Zx, _ = se_update(table, state)
         assert Zx[0][0, 0] == pytest.approx(1.0, abs=1e-14)
@@ -178,7 +178,7 @@ class TestSeUpdate:
         state = BlockState(2, 2, W[0, 0])
         state.Z[...] = 0.0
         state.DS[:, :, 1:] = 0.0
-        state.level(1)[0, :, 0, 0] = 3.0, 12.0
+        state.DS[0, 0, 1:, 0, 0] = 3.0, 12.0
         state.set_anchor(W)
         Zx, _ = se_update(table, state)
         assert Zx[0][0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -194,8 +194,9 @@ class TestStackedSeUpdate:
         L = 2 + second
         anchor = BlockAnchor(0.0, draw(2, L))
         state = BlockState(L, R, anchor.W[0, 0])
-        for s in range(L):
-            state.level(s)[...] = draw(2, R)
+        state.Z[...] = draw(2, R)
+        for s in range(1, L):
+            state.DS[:, s - 1, 1:] = draw(2, R)
         return anchor, state
 
     @pytest.mark.parametrize(
@@ -211,13 +212,13 @@ class TestStackedSeUpdate:
         state.set_anchor(anchor.W)
         Zx, Zp = se_update(table, state)
         for c, new in enumerate((Zx, Zp)):
-            z0, d0, D = anchor.level(0)[c], anchor.level(1)[c], state.level(1)[c]
+            z0, d0, D = anchor.level(0)[c], anchor.level(1)[c], state.DS[c, 0, 1:]
             for r in range(R):
                 ref = table.b_z[r] * z0 + table.b_d[r] * d0
                 for j in range(R):
                     ref = ref + table.B_d[r, j] * D[j]
                 if second:
-                    s0, S = anchor.level(2)[c], state.level(2)[c]
+                    s0, S = anchor.level(2)[c], state.DS[c, 1, 1:]
                     ref = ref + table.b_s[r] * s0
                     for j in range(R):
                         ref = ref + table.B_s[r, j] * S[j]
@@ -348,10 +349,6 @@ class TestSolveBlock:
         anchor = make_anchor(prob, 0.0, prob.x0, prob.p0, form)
         state, stats = solve_block(anchor, prob, coeff_table(R, form, 0.1), SolverConfig())
         assert stats.pe1_calls == R * (stats.iterations + 1)
-        if form == "zds":
-            assert stats.pe2_calls == stats.pe1_calls
-        else:
-            assert stats.pe2_calls == 0
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_zero_divisor_diverges_in_both_backends(self, prec):
@@ -985,6 +982,20 @@ class TestSolverConfig:
         for call in calls:
             with pytest.raises(ConfigurationError, match=f"^solver precision {other.name} does not"):
                 call()
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ConfigurationError, match="need a finite tol > 0"):
+            SolverConfig(tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ConfigurationError, match=f"need max_iter >= 1, got max_iter={max_iter}"):
+            SolverConfig(max_iter=max_iter)
+
+    def test_smallest_settings_accepted(self):
+        config = SolverConfig(tol=5e-324, max_iter=1)
+        assert (config.tol, config.max_iter) == (5e-324, 1)
 
 
 def max_position_error(prob, traj):

@@ -36,6 +36,9 @@ class TestRunConfig:
             dict(problem="kepler", scheme="sv4", N=10, T=math.nan),
             dict(problem="kepler", scheme="zd", N=10, T=1.0, R=1, precision="quad"),
             dict(problem="pendulum", scheme="zd", N=10, T=1.0, R=1, project_lrl=True),
+            dict(problem="kepler", scheme="zd", N=10, T=1.0, R=1, tol=-1.0),
+            dict(problem="kepler", scheme="sv2", N=10, T=1.0, tol=math.nan),
+            dict(problem="kepler", scheme="zds", N=10, T=1.0, R=1, max_iter=0),
         ],
     )
     def test_invalid(self, kwargs):
@@ -48,7 +51,7 @@ class TestRun:
         report = run(RunConfig(problem="mass_spring", scheme="zds", N=960, T=100.0, R=1))
         assert report.errors["x"] == pytest.approx(1.41e-5, rel=2.0)
         assert report.errors["H"] < 1e-11
-        assert report.nb_call_avg == report.config.R * report.nb_iter_avg
+        assert report.nb_call_avg == 1 * report.nb_iter_avg  # R = 1
 
     def test_position_error_absent_without_reference(self):
         report = run(RunConfig(problem="kepler", scheme="zds", N=48, T=2.0, R=2))
@@ -221,6 +224,26 @@ class TestCli:
             "run", "--problem", "em_scb", "--scheme", "zds", "--R", "2",
             "--N", "10", "--T", "10.0",
         ]) == 3
+
+    @pytest.mark.parametrize("scheme", ["zds", "sv2"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+    def test_bad_tol_is_a_configuration_error(self, scheme, tol, capsys):
+        common = ["--problem", "mass_spring", "--scheme", scheme, "--T", "1", "--tol", tol]
+        common += ["--R", "2"] if scheme == "zds" else []
+        for argv in (["run", *common, "--N", "20"], ["drift", *common, "--N", "20"],
+                     ["sweep", *common, "--Ns", "20,40"]):
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert "configuration error: need a finite tol > 0" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("Ns", ["", ",", " , "])
+    def test_sweep_without_step_counts(self, Ns, capsys):
+        assert cli_main([
+            "sweep", "--problem", "mass_spring", "--scheme", "zds", "--R", "2", "--T", "1", "--Ns", Ns,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: --Ns" in captured.err and "lists no step count" in captured.err
+        assert captured.out == ""
 
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
