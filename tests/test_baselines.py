@@ -241,11 +241,11 @@ class TestIntegrateSV:
     def test_nonconvergence_keeps_its_residual(self):
         # the step prefix is added to the raised error itself, so the
         # residual its fixed point measured survives
-        config = SolverConfig(max_iter=2)
+        prob = build_problem("em_challenging")
         with pytest.raises(NonConvergenceError) as info:
-            integrate_sv(build_problem("em_challenging"), 2, 600, 5.0, config)
+            integrate_sv(prob, 2, 600, 5.0, SolverConfig(max_iter=2))
         err = info.value
-        assert err.residual is not None and err.residual > config.resolved_tol(build_problem("em_challenging"))
+        assert err.residual is not None and err.residual > prob.precision.default_tol
         assert str(err).startswith("SV step 1: SV momentum half-step fixed point not converged after 2 ")
         assert f"(last change {err.residual:.3e})" in str(err)
 
