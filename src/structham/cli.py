@@ -120,29 +120,32 @@ def _cmd_coeffs(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated options, on the subparsers too: sweep's --N 20 is not --Ns 20
     parser = argparse.ArgumentParser(
         prog="structham",
         description="Block-implicit structural schemes for Hamiltonian systems",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="integrate one configuration and report errors")
+    p_run = sub.add_parser("run", help="integrate one configuration and report errors", allow_abbrev=False)
     _add_run_args(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="error/order table over a list of N")
+    p_sweep = sub.add_parser("sweep", help="error/order table over a list of N", allow_abbrev=False)
     _add_run_args(p_sweep, with_n=False)
     p_sweep.add_argument("--Ns", required=True, help="comma-separated ascending step counts")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_drift = sub.add_parser("drift", help="invariant deviation over time")
+    p_drift = sub.add_parser("drift", help="invariant deviation over time", allow_abbrev=False)
     _add_run_args(p_drift)
     p_drift.add_argument("--quantity", default="H", choices=["H", "L", "A"])
     p_drift.add_argument("--samples", type=int, default=200)
     p_drift.set_defaults(func=_cmd_drift)
 
     p_coeffs = sub.add_parser(
-        "coeffs", help="dump a structural coefficient table as CSV (32 significant digits)")
+        "coeffs", help="dump a structural coefficient table as CSV (32 significant digits)",
+        allow_abbrev=False)
     p_coeffs.add_argument("--formulation", required=True, choices=["zd", "zds"])
     p_coeffs.add_argument("--R", type=int, required=True)
     p_coeffs.add_argument("--dt", type=float, default=1.0)

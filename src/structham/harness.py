@@ -1,14 +1,17 @@
 """Run/measure layer: error series, convergence orders, sweeps, drift, CSV.
 
 A run integrates one (problem, scheme, R, N, T, precision) configuration and
-streams every accepted node through error trackers:
+measures every accepted node:
 
 * position error against the closed-form solution when one exists (max over
   all nodes), or against a reference endpoint when only that is known;
 * deviation of each conserved quantity from its initial value (vector
-  invariants in max-norm), tracked as a streaming maximum over all nodes.
+  invariants in max-norm), as a maximum over all nodes.
 
-The integrators keep only the end nodes: every metric is taken on the fly.
+The integrators keep only the end nodes.  The observer stacks the accepted
+nodes in chunks of CHUNK and takes the metrics per chunk, with one call of
+the exact solution and of each invariant on the stack (see the problems
+module) reduced by max_abs: the values of one call per node.
 
 Iteration accounting follows nb_iter_avg = total_iter / N (total_iter counts
 one initialization unit per block plus all fixed-point sweeps) and
@@ -26,9 +29,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import integrate_sv
-from .blocksolver import SolverConfig, checked_step, integrate
+from .blocksolver import DivergenceError, NonConvergenceError, SolverConfig, checked_step, integrate
 from .numerics import PRECISIONS, max_abs
-from .problems import PROBLEM_NAMES, build_problem, lrl_scalar, project_lrl
+from .problems import PROBLEM_NAMES, SingularityError, build_problem, lrl_scalar, project_lrl
 from .secoeff import ConfigurationError
 
 __all__ = [
@@ -45,6 +48,7 @@ __all__ = [
 STRUCTURAL_SCHEMES = ("zd", "zds")
 SV_SCHEMES = ("sv2", "sv4", "sv6", "sv8")
 NOISE_ULPS = 8  # roundoff per step, in units of u, below which a sweep prints no order
+CHUNK = 256  # accepted nodes per evaluation of the metrics
 
 CSV_COLUMNS = [
     "problem", "scheme", "R", "precision", "N", "dt",
@@ -98,47 +102,59 @@ class ErrorReport:
     scales: dict = field(default_factory=dict)  # quantity -> magnitude (end nodes, or q at t=0)
 
 
-class _InvariantTracker:
-    def __init__(self, name, evaluator, sample_idx=None):
-        self.name = name
-        self.evaluator = evaluator
-        self.q0 = None
-        self.max_dev = 0.0
-        self.sample_idx = sample_idx
-        self.series = [] if sample_idx is not None else None
+class _ChunkedMetrics:
+    """Observer that stacks the accepted nodes 0, 1, ..., N and takes the
+    metrics of each chunk of them in one vectorized call per quantity."""
 
-    def update(self, idx, t, X, P):
-        q = self.evaluator(X, P)
-        if self.q0 is None:
-            self.q0 = q
-        dev = max_abs(q - self.q0)
-        self.max_dev = max(self.max_dev, dev)
-        if self.series is not None and idx in self.sample_idx:
-            self.series.append((float(t), dev))
-
-
-class _PositionTracker:
-    def __init__(self, problem, T):
+    def __init__(self, problem, N, T, drift, samples):
         self.problem = problem
-        self.max_err = None
-        self.endpoint_err = None
-        self._refs = [r for r in problem.reference_values if r.quantity == "x"]
-        self._T = T
+        dtype = problem.precision.dtype
+        self.t = np.empty(CHUNK, dtype)
+        self.X = np.empty((CHUNK,) + problem.x0.shape, dtype)
+        self.P = np.empty_like(self.X)
+        self.n = 0  # nodes in the chunk
+        self.done = 0  # nodes of earlier chunks: node j of this one has index done + j
+        # position references, used without an exact solution; by time, so
+        # that the last hit is the last node's, as node by node
+        refs = [r for r in problem.reference_values if r.quantity == "x"]
+        self.refs = [] if problem.exact_solution else sorted(refs, key=lambda r: r.t)
+        self.ref_tol = 1e-9 * max(1.0, T)
+        self.x_err = None  # max position error, or the error at the last reference time
+        self.q0 = {}  # name -> the first node's value, shaped (m,)
+        self.max_dev = {inv.name: 0.0 for inv in problem.invariants}
+        self.series = {inv.name: [] for inv in problem.invariants if inv.name in drift}
+        if self.series:  # the ascending node indices the series sample
+            self.picks = np.unique(np.round(np.linspace(0, N, min(samples, N + 1))).astype(int))
 
-    def update(self, idx, t, X, P):
+    def __call__(self, idx, t, X, P):
+        n = self.n
+        self.t[n], self.X[n], self.P[n] = t, X, P
+        self.n = n + 1
+        if self.n == CHUNK:
+            self.flush()
+
+    def flush(self):
+        n, first = self.n, self.done
+        if not n:
+            return
+        t, X, P = self.t[:n], self.X[:n], self.P[:n]
         if self.problem.exact_solution is not None:
-            Xe, _ = self.problem.exact_solution(t)
-            err = max_abs(X - Xe)
-            self.max_err = err if self.max_err is None else max(self.max_err, err)
-        elif self._refs:
-            for ref in self._refs:
-                if abs(float(t) - ref.t) <= 1e-9 * max(1.0, self._T):
-                    self.endpoint_err = max_abs(X - self.problem.precision.real(ref.value))
-
-    def result(self):
-        if self.max_err is not None:
-            return self.max_err
-        return self.endpoint_err
+            err = max_abs(X - self.problem.exact_solution(t)[0])
+            self.x_err = err if self.x_err is None else max(self.x_err, err)
+        for ref in self.refs:
+            hit = np.flatnonzero(np.abs(t.astype(float) - ref.t) <= self.ref_tol)
+            if hit.size:
+                self.x_err = max_abs(X[hit[-1]] - self.problem.precision.real(ref.value))
+        for inv in self.problem.invariants:
+            q = np.reshape(inv.evaluator(X, P), (n, -1))
+            if inv.name not in self.q0:
+                self.q0[inv.name] = q[0].copy()
+            dev = q - self.q0[inv.name]
+            self.max_dev[inv.name] = max(self.max_dev[inv.name], max_abs(dev))
+            if inv.name in self.series:
+                picks = self.picks[(self.picks >= first) & (self.picks < first + n)] - first
+                self.series[inv.name] += [(float(t[j]), max_abs(dev[j])) for j in picks]
+        self.n, self.done = 0, first + n
 
 
 def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> ErrorReport:
@@ -152,21 +168,7 @@ def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> Err
     N, T = config.N, config.T
     dt = float(T) / N
 
-    sample_idx = None
-    if drift_quantities:
-        picks = np.unique(np.round(np.linspace(0, N, min(drift_samples, N + 1))).astype(int))
-        sample_idx = set(int(i) for i in picks)
-
-    trackers = []
-    for inv in problem.invariants:
-        want = inv.name in drift_quantities
-        trackers.append(_InvariantTracker(inv.name, inv.evaluator, sample_idx if want else None))
-    pos = _PositionTracker(problem, T)
-
-    def observer(idx, t, X, P):
-        pos.update(idx, t, X, P)
-        for tr in trackers:
-            tr.update(idx, t, X, P)
+    observer = _ChunkedMetrics(problem, N, T, drift_quantities, drift_samples)
 
     solver_cfg = SolverConfig(tol=config.tol, max_iter=config.max_iter)
     structural = config.scheme in STRUCTURAL_SCHEMES
@@ -183,6 +185,7 @@ def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> Err
         traj = integrate_sv(
             problem, int(config.scheme[2:]), N, T, solver_cfg, observer=observer, store_every=N
         )
+    observer.flush()
     total_iter = traj.total_iter
     nb_iter_avg = total_iter / N
     nb_call_avg = config.R * nb_iter_avg if structural else traj.pe1_calls / N
@@ -190,14 +193,13 @@ def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> Err
     report = ErrorReport(
         dt=dt, total_iter=total_iter, nb_iter_avg=nb_iter_avg, nb_call_avg=nb_call_avg,
     )
-    if pos.result() is not None:
-        report.errors["x"] = float(pos.result())
+    if observer.x_err is not None:
+        report.errors["x"] = float(observer.x_err)
         report.scales["x"] = max(max_abs(traj.xs[0]), max_abs(traj.xs[-1]))
-    for tr in trackers:
-        report.errors[tr.name] = float(tr.max_dev)
-        report.scales[tr.name] = max_abs(tr.q0)
-        if tr.series is not None:
-            report.drift[tr.name] = tr.series
+    for inv in problem.invariants:
+        report.errors[inv.name] = float(observer.max_dev[inv.name])
+        report.scales[inv.name] = max_abs(observer.q0[inv.name])
+    report.drift = observer.series
     return report
 
 
@@ -253,8 +255,10 @@ def _report_row(config, report) -> dict:
 def sweep(base: RunConfig, Ns) -> SweepResult:
     """Run ``base`` at each N (ascending) and tabulate errors with orders.
 
-    A row whose run raises a solver error is tagged in the status column and
-    the sweep continues; order entries compare successive successful rows.
+    A row whose run fails in the solver (NonConvergenceError, DivergenceError
+    or SingularityError) is tagged in the status column and the sweep
+    continues; order entries compare successive successful rows.  Any other
+    error, a ConfigurationError such as N < R included, propagates.
     An order is left empty, as for an unavailable quantity, when both errors
     are roundoff: at most NOISE_ULPS N u (u the unit roundoff) times the
     quantity's scale (``ErrorReport.scales``).
@@ -268,7 +272,7 @@ def sweep(base: RunConfig, Ns) -> SweepResult:
         config = replace(base, N=N).validated()
         try:
             report = run(config)
-        except Exception as err:  # row failure is recorded, sweep continues
+        except (NonConvergenceError, DivergenceError, SingularityError) as err:
             row = _report_row(config, None)
             row["status"] = f"error: {type(err).__name__}"
             rows.append(row)

@@ -12,12 +12,16 @@ one column per body.  Scalar problems use (1, 1).  All numeric constants go
 through the problem's precision backend so the same definitions run in
 double or double-double arithmetic.
 
-The right-hand sides act node by node on states with any leading axes,
-(..., I, K): the block solver passes a block's R nodes as (R, I, K) in one
-call, and each node gets the bits a call on it alone gives.  Index entries
-from the end, as X[..., i, k], and let numpy broadcast; for H = |p|^2/2 +
+Every function of a problem acts node by node on states with any leading
+axes, (..., I, K), and each node gets the bits a call on it alone gives.
+The block solver passes a block's R nodes to the right-hand sides in one
+call; the harness passes a chunk of accepted nodes to the Hamiltonian and
+the invariants (a value or small vector per node) and their times, shaped
+(...), to ``exact_solution``.  Index entries from the end, as X[..., i, k],
+reduce over the last axes and let numpy broadcast; for H = |p|^2/2 +
 sum x^4/4::
 
+    hamiltonian = lambda X, P: (0.5 * (P * P) + 0.25 * (X * X * X * X)).sum(axis=(-2, -1))
     first_rhs = lambda X, P: (P.copy(), -(X * X * X))
     second_rhs = lambda X, P, DX, DP: (DP.copy(), -(3 * X * X * DX))
 
@@ -69,7 +73,7 @@ class SingularityError(RuntimeError):
 
 class InvariantSpec(NamedTuple):
     name: str  # 'H', 'L' or 'A'
-    evaluator: Callable  # (X, P) -> scalar or small vector
+    evaluator: Callable  # (X, P) -> scalar or small vector, per node of (..., I, K)
 
 
 class ReferenceValue(NamedTuple):
@@ -80,9 +84,10 @@ class ReferenceValue(NamedTuple):
 
 @dataclass
 class HamiltonianProblem:
-    """``first_rhs`` and ``second_rhs`` act node by node on (..., I, K) states
-    (see the module docstring); ``hamiltonian`` and the invariants take one
-    (I, K) node."""
+    """``first_rhs``, ``second_rhs``, ``hamiltonian`` and the invariants act
+    node by node on (..., I, K) states, and ``exact_solution`` on (...) times
+    (see the module docstring): a stack of nodes gets, node for node, the
+    words of a call on each one alone."""
 
     name: str
     dim: int  # I
@@ -124,14 +129,19 @@ def _twinned(builder):
     return build
 
 
-def _scalar_state(precision, value):
-    return precision.asarray([[value]])
+def _row(*entries):
+    # the (..., 1, K) state with K per-node entries (scalars, or shaped (...))
+    if len(entries) == 1:
+        return np.asarray(entries[0])[..., None, None]
+    return np.stack(entries, axis=-1)[..., None, :]
 
 
 def _at(A, *index):
     # entry ``index`` of the trailing axes at every node, shaped (...); a
     # single node's entry is a numpy or DoubleDouble scalar, whose arithmetic
     # costs a fraction of an array operation's
+    if A.ndim == len(index):
+        return A[index]
     v = A[(...,) + index]
     return v[(0,) * v.ndim] if v.size == 1 else v
 
@@ -165,7 +175,7 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
     p_sin = m_ * omega * x0_
 
     def hamiltonian(X, P):
-        x, p = X[0, 0], P[0, 0]
+        x, p = _at(X, 0, 0), _at(P, 0, 0)
         return p * p / (2 * m_) + k_ * x * x * 0.5
 
     def velocity(V):  # V / m_; at m = 1 the copy has the quotient's words
@@ -179,16 +189,14 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
 
     def exact(t):
         s, c = sin_cos(t * omega)
-        x = x0_ * c + x_sin * s
-        p = p0_ * c - p_sin * s
-        return precision.asarray([[x]]), precision.asarray([[p]])
+        return _row(x0_ * c + x_sin * s), _row(p0_ * c - p_sin * s)
 
     return HamiltonianProblem(
         name="mass_spring",
         dim=1,
         nbodies=1,
-        x0=_scalar_state(precision, x0_),
-        p0=_scalar_state(precision, p0_),
+        x0=_row(x0_),
+        p0=_row(p0_),
         separable=True,
         hamiltonian=hamiltonian,
         first_rhs=first_rhs,
@@ -240,8 +248,8 @@ def make_two_spring(
     masses = precision.asarray([[m1_, m2_]])
 
     def hamiltonian(X, P):
-        x1, x2 = X[0, 0], X[0, 1]
-        p1, p2 = P[0, 0], P[0, 1]
+        x1, x2 = _at(X, 0, 0), _at(X, 0, 1)
+        p1, p2 = _at(P, 0, 0), _at(P, 0, 1)
         d = x2 - x1
         return p1 * p1 / (2 * m1_) + p2 * p2 / (2 * m2_) + k1_ * x1 * x1 * 0.5 + k2_ * d * d * 0.5
 
@@ -268,7 +276,7 @@ def make_two_spring(
         x2 = A_ * c1 * c_1 + B_ * c2 * c_2
         p1 = -m1_ * (A_ * w1 * s_1 + B_ * w2 * s_2)
         p2 = -m2_ * (A_ * w1 * c1 * s_1 + B_ * w2 * c2 * s_2)
-        return precision.asarray([[x1, x2]]), precision.asarray([[p1, p2]])
+        return _row(x1, x2), _row(p1, p2)
 
     X0, P0 = exact(precision.real(0))
     return HamiltonianProblem(
@@ -315,7 +323,7 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
     x0_, p0_ = precision.real(x0), precision.real(p0)
 
     def hamiltonian(X, P):
-        x, p = X[0, 0], P[0, 0]
+        x, p = _at(X, 0, 0), _at(P, 0, 0)
         return p * p / (2 * ml2) + mgl * (1 - ncos(x))
 
     def first_rhs(X, P):
@@ -335,8 +343,8 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
         name="pendulum",
         dim=1,
         nbodies=1,
-        x0=_scalar_state(precision, x0_),
-        p0=_scalar_state(precision, p0_),
+        x0=_row(x0_),
+        p0=_row(p0_),
         separable=True,
         hamiltonian=hamiltonian,
         first_rhs=first_rhs,
@@ -389,7 +397,8 @@ def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianPr
 
     def hamiltonian(X, P):
         r = _r3(X)[2]
-        return (P[0, 0] * P[0, 0] + P[1, 0] * P[1, 0]) * 0.5 - 1 / r
+        p1, p2 = _at(P, 0, 0), _at(P, 1, 0)
+        return (p1 * p1 + p2 * p2) * 0.5 - 1 / r
 
     def first_rhs(X, P):
         r3 = _r3(X)[3]
@@ -403,10 +412,10 @@ def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianPr
         return DP.copy(), SP
 
     def angular_momentum(X, P):
-        return P[1, 0] * X[0, 0] - P[0, 0] * X[1, 0]
+        return _at(P, 1, 0) * _at(X, 0, 0) - _at(P, 0, 0) * _at(X, 1, 0)
 
     def lrl(X, P):
-        return lrl_scalar(X[:, 0], P[:, 0])
+        return lrl_scalar((_at(X, 0, 0), _at(X, 1, 0)), (_at(P, 0, 0), _at(P, 1, 0)))
 
     return HamiltonianProblem(
         name="kepler",
@@ -533,10 +542,10 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
         return memo
 
     def hamiltonian(X, P):
-        kin = ((P * P).sum(axis=0) / m2).sum()
-        dx = X.take(iu, 1) - X.take(ju, 1)
+        kin = ((P * P).sum(axis=-2) / m2).sum(axis=-1)
+        dx = X.take(iu, -1) - X.take(ju, -1)
         # negation is exact: 0 - (t_1 + ... + t_n), summed in order, is 0 - t_1 - ... - t_n
-        pot = 0 * kin - np.add.accumulate(GMMp / np.sqrt((dx * dx).sum(axis=0)))[-1]
+        pot = 0 * kin - np.add.accumulate(GMMp / np.sqrt((dx * dx).sum(axis=-2)), axis=-1)[..., -1]
         return kin + pot
 
     def first_rhs(X, P):
@@ -557,12 +566,12 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
 
     if I == 2:
         def angular_momentum(X, P):
-            return (X[0, :] * P[1, :] - X[1, :] * P[0, :]).sum()
+            return (X[..., 0, :] * P[..., 1, :] - X[..., 1, :] * P[..., 0, :]).sum(axis=-1)
     else:
         i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])  # L_i = x_{i+1} p_{i+2} - x_{i+2} p_{i+1}
 
         def angular_momentum(X, P):
-            return (X.take(i1, 0) * P.take(i2, 0) - X.take(i2, 0) * P.take(i1, 0)).sum(axis=1)
+            return (X.take(i1, -2) * P.take(i2, -2) - X.take(i2, -2) * P.take(i1, -2)).sum(axis=-1)
 
     return HamiltonianProblem(
         name=name,
@@ -807,9 +816,9 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
     P0 = precision.asarray([[p0[0]], [p0[1]], [p0[2]]])
 
     def hamiltonian(X, P):
-        x = X[:, 0]
-        v = P[:, 0] - e_ * vec_A(x)
-        return (v * v).sum() / (2 * m_) + e_ * phi(x)
+        x = X[..., 0]
+        v = P[..., 0] - e_ * vec_A(x)
+        return (v * v).sum(axis=-1) / (2 * m_) + e_ * phi(x)
 
     def first_rhs(X, P):
         x = X[..., 0]

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from structham.cli import main as cli_main
+from structham.baselines import integrate_sv
+from structham.blocksolver import integrate
+from structham.cli import build_parser, main as cli_main
 from structham.harness import (
+    CHUNK,
     CSV_COLUMNS,
     NOISE_ULPS,
     RunConfig,
@@ -16,7 +19,32 @@ from structham.harness import (
     run,
     sweep,
 )
+from structham.numerics import PRECISIONS, max_abs
+from structham.problems import build_problem
 from structham.secoeff import ConfigurationError
+
+
+def per_node_metrics(config, quantity=None, picks=()):
+    """The errors of ``run`` as one call of each evaluator per node gives
+    them, and the deviations of ``quantity`` at the node indices ``picks``."""
+    prob = build_problem(config.problem, PRECISIONS[config.precision])
+    errors, start, series = {}, {}, []
+
+    def observe(idx, t, X, P):
+        if prob.exact_solution is not None:
+            errors["x"] = max(errors.get("x", 0.0), max_abs(X - prob.exact_solution(t)[0]))
+        for inv in prob.invariants:
+            q = inv.evaluator(X, P)
+            dev = max_abs(q - start.setdefault(inv.name, q))
+            errors[inv.name] = max(errors.get(inv.name, 0.0), dev)
+            if inv.name == quantity and idx in picks:
+                series.append((float(t), dev))
+
+    if config.R is None:
+        integrate_sv(prob, int(config.scheme[2:]), config.N, config.T, observer=observe)
+    else:
+        integrate(prob, config.scheme, config.R, config.N, config.T, observer=observe)
+    return errors, series
 
 
 class TestRunConfig:
@@ -64,6 +92,19 @@ class TestRun:
         # endpoint reference only exists at T=100
         report = run(RunConfig(problem="pendulum", scheme="zds", N=96, T=10.0, R=2))
         assert "x" not in report.errors
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(problem="mass_spring", scheme="zds", N=600, T=20.0, R=3),
+        RunConfig(problem="mass_spring", scheme="zds", N=300, T=5.0, R=2, precision="ddouble"),
+        RunConfig(problem="two_spring", scheme="sv4", N=2 * CHUNK - 1, T=5.0),
+        RunConfig(problem="kepler", scheme="zds", N=CHUNK, T=8.0, R=2),
+        RunConfig(problem="outer_solar", scheme="sv6", N=600, T=25000.0),
+        RunConfig(problem="three_body_eight", scheme="zds", N=300, T=6.0, R=2),
+        RunConfig(problem="em_challenging", scheme="zds", N=300, T=2.0, R=3),
+    ], ids=lambda c: f"{c.problem}-{c.scheme}-{c.N}-{c.precision}")
+    def test_chunked_metrics_equal_per_node_evaluation(self, config):
+        # runs of one, two and three chunks, the last one full or not
+        assert run(config).errors == per_node_metrics(config)[0]
 
     def test_sv_run_counts_calls(self):
         report = run(RunConfig(problem="mass_spring", scheme="sv2", N=96, T=10.0))
@@ -141,6 +182,11 @@ class TestSweep:
         assert result.rows[1]["status"] == "ok"
         assert "eH" in result.rows[1]
 
+    def test_configuration_error_propagates(self):
+        # N < R in the first row is no solver failure: no row, no table
+        with pytest.raises(ConfigurationError, match="need N >= R"):
+            sweep(RunConfig(problem="mass_spring", scheme="zds", N=2, T=1.0, R=4), [2, 8])
+
     def test_determinism(self):
         base = RunConfig(problem="pendulum", scheme="zds", N=60, T=10.0, R=2)
         a = sweep(base, [60, 120]).to_csv()
@@ -166,6 +212,15 @@ class TestDriftSeries:
         assert ts == sorted(ts)
         assert ts[0] == 0.0 and ts[-1] == pytest.approx(30.0)
         assert all(dev >= 0 for _, dev in series)
+
+    @pytest.mark.parametrize("quantity, samples", [("A", 37), ("L", 601), ("H", 1000)])
+    def test_samples_equal_per_node_deviations(self, quantity, samples):
+        config = RunConfig(problem="kepler", scheme="zds", N=600, T=20.0, R=2)
+        assert config.N + 1 > 2 * CHUNK  # three chunks
+        picks = set(np.round(np.linspace(0, config.N, min(samples, config.N + 1))).astype(int).tolist())
+        series = drift_series(config, quantity, samples=samples)
+        assert len(series) == len(picks)
+        assert series == per_node_metrics(config, quantity, picks)[1]
 
     def test_unknown_quantity(self):
         config = RunConfig(problem="pendulum", scheme="zds", N=10, T=1.0, R=1)
@@ -244,6 +299,40 @@ class TestCli:
         captured = capsys.readouterr()
         assert "configuration error: --Ns" in captured.err and "lists no step count" in captured.err
         assert captured.out == ""
+
+    def test_configuration_error_in_a_sweep_row_exits_2(self, capsys):
+        assert cli_main([
+            "sweep", "--problem", "mass_spring", "--scheme", "zds", "--R", "4", "--T", "1", "--Ns", "2,8",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: need N >= R, got N=2, R=4" in captured.err and captured.out == ""
+
+    def test_abbreviated_option_is_unrecognised(self, capsys):
+        # --N is no option of sweep, and no abbreviation of --Ns
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["sweep", "--problem", "mass_spring", "--scheme", "zds", "--R", "2",
+                      "--N", "20", "--T", "1", "--Ns", "20,40"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --N 20" in captured.err and captured.out == ""
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", "--problem", "kepler", "--scheme", "zds", "--R", "2", "--N", "20",
+                      "--T", "1", "--project"])
+        assert exit_.value.code == 2
+
+    def test_full_option_names_parse(self):
+        parse = build_parser().parse_args
+        common = ["--problem", "kepler", "--scheme", "zds", "--R", "2", "--T", "1.5", "--tol", "1e-13",
+                  "--precision", "ddouble", "--project-lrl", "--out", "o.csv", "--manifest", "m.json"]
+        args = parse(["sweep", *common, "--Ns", "20,40"])
+        assert (args.Ns, args.R, args.T, args.tol, args.precision) == ("20,40", 2, 1.5, 1e-13, "ddouble")
+        assert args.project_lrl and (args.out, args.manifest) == ("o.csv", "m.json")
+        args = parse(["drift", *common, "--N", "20", "--quantity", "A", "--samples", "7"])
+        assert (args.N, args.quantity, args.samples) == (20, "A", 7)
+        assert parse(["run", *common, "--N", "20"]).N == 20
+        args = parse(["coeffs", "--formulation", "zd", "--R", "3", "--dt", "0.5", "--precision", "double",
+                      "--out", "c.csv"])
+        assert (args.formulation, args.R, args.dt, args.out) == ("zd", 3, 0.5, "c.csv")
 
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

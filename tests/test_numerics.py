@@ -18,6 +18,7 @@ from structham.numerics import (
     _SIN_COS_J,
     _dd,
     all_finite,
+    cos as ncos,
     max_abs,
     sin_cos,
     two_prod,
@@ -512,6 +513,19 @@ class TestElementary:
         arr = np.linspace(-3, 3, 7)
         s, c = sin_cos(arr)
         assert np.array_equal(s, np.sin(arr)) and np.array_equal(c, np.cos(arr))
+
+    def test_float_arrays_get_libm_words(self):
+        # a stack of float64 nodes takes numpy's sin and cos, one node libm's
+        # (math.sin, math.cos); the node-by-node contract of the problems
+        # needs the same words from both, signed zeros included
+        rng = np.random.default_rng(20)
+        x = np.concatenate([rng.uniform(-s, s, 40_000) for s in (1.0, 10.0, 1e3, 1e6, 1e16)])
+        x[:4] = (0.0, -0.0, 5e-324, -1e-300)
+        s, c = sin_cos(x)
+        assert len(x) == 200_000
+        for got, fn in ((s, math.sin), (c, math.cos), (ncos(x), math.cos)):
+            want = np.array([fn(v) for v in x.tolist()])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("x", [1e17, 1e25, -1e25, 1e300, -1.7976931348623157e308])
     def test_sin_cos_of_huge_arguments_return_at_once(self, x):

@@ -14,6 +14,7 @@ from structham.harness import RunConfig, run
 from structham.numerics import DDOUBLE, NATIVE, DoubleDouble, max_abs, sin_cos
 from structham.problems import (
     PROBLEM_NAMES,
+    InvariantSpec,
     SingularityError,
     build_problem,
     lrl_gradient,
@@ -854,7 +855,7 @@ def node_stack(problem, n, rng):
 
 
 class TestBatchedContract:
-    """The right-hand sides act node by node on (..., I, K) states."""
+    """Every function of a problem acts node by node on (..., I, K) states."""
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     @pytest.mark.parametrize("name", ALL_PROBLEMS)
@@ -879,6 +880,37 @@ class TestBatchedContract:
             assert words(got) == words(want)
         for got, want in zip(prob.second_rhs(X2, P2, D[0].reshape(shape), D[1].reshape(shape)), S):
             assert words(got) == words(want)
+
+    # T of a four-step run that the block solver converges on at R = 2
+    RUN_T = {"outer_solar": 200.0, "em_scb": 2e-3}
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("name", ALL_PROBLEMS)
+    def test_observables_stack_equals_per_node_calls(self, name, prec):
+        """The Hamiltonian, the invariants and the exact solution, on the
+        nodes of a short run and the initial node negated (its zeros -0.0)."""
+        prob = build_problem(name, precision=prec)
+        nodes = [(prec.real(0), -prob.x0, -prob.p0)]
+        integrate(prob, "zds", 2, 4, self.RUN_T.get(name, 0.2),
+                  observer=lambda idx, t, X, P: nodes.append((t, X.copy(), P.copy())))
+        t = np.array([node[0] for node in nodes], dtype=prec.dtype)
+        X, P = np.stack([node[1] for node in nodes]), np.stack([node[2] for node in nodes])
+        n = len(nodes)
+        assert n == 6
+        shape = (2, 3) + X.shape[1:]  # more than one leading axis: the same values
+        for inv in (InvariantSpec("H", prob.hamiltonian),) + prob.invariants:
+            got = inv.evaluator(X, P)
+            want = [inv.evaluator(Xr, Pr) for _, Xr, Pr in nodes]
+            assert np.shape(got)[:1] == (n,) and words(got) == words(want), inv.name
+            assert words(inv.evaluator(X.reshape(shape), P.reshape(shape))) == words(want)
+        if prob.exact_solution is not None:
+            got = prob.exact_solution(t)
+            want = [prob.exact_solution(node[0]) for node in nodes]
+            for c in range(2):
+                assert got[c].shape == X.shape
+                assert words(got[c]) == words(np.stack([pair[c] for pair in want]))
+            for g, w in zip(prob.exact_solution(t.reshape(2, 3)), got):
+                assert g.shape == shape and words(g) == words(w)
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_collision_at_a_later_node_names_its_pair(self, prec):
