@@ -9,6 +9,8 @@ Yoshida triple jump applied recursively, so stage counts are 3, 9 and 27.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .blocksolver import (
@@ -17,6 +19,7 @@ from .blocksolver import (
     SolverConfig,
     Trajectory,
     checked_step,
+    contraction,
     node_recorder,
 )
 from .numerics import all_finite, max_abs
@@ -65,19 +68,20 @@ def sv_step_separable(problem, X, P, dt):
 def _fixed_point(update, start, tol, max_iter, tag):
     y = start
     iters = 0
+    d = prev_d = math.inf
     while True:
         y_new = update(y)
         iters += 1
         if not all_finite(y_new):
-            raise DivergenceError(f"non-finite value in SV {tag}")
-        d = max_abs(y_new - y)
+            raise DivergenceError(f"non-finite value in SV {tag} ({contraction(d, prev_d)})")
+        prev_d, d = d, max_abs(y_new - y)
         y = y_new
         if d <= tol:
             return y, iters
         if iters >= max_iter:
             raise NonConvergenceError(
                 f"SV {tag} fixed point not converged after {max_iter} iterations "
-                f"(last change {d:.3e})",
+                f"(last change {d:.3e}, {contraction(d, prev_d)})",
                 residual=d,
             )
 

@@ -35,22 +35,25 @@ Every block after the first starts from the Hermite polynomial through
 the previous node and the anchor, as implicit Runge-Kutta codes extrapolate
 their last step (``init_block``).
 
-A problem in extended precision solves each block by simplified Newton
-with one float64 matrix, as in mixed-precision iterative refinement.  Its
-float64 twin (``problem.native``) predicts the block from the rounded
-anchor and previous node, where probes of the twin's sweep map G (PE, then
-SE) give M = I - G'.  Then Z <- Z + M^-1 (G(Z) - Z), solved in float64, on the twin
-and, after the lift, in the problem's precision.  Only a plain sweep there
-accepts a block: its change G(Z) - Z, and while M is held the correction
-M^-1 (G(Z) - Z), must be at most tol.  A corrected change that does not at
-least halve, or a corrected block that is not finite or outgrows the
-growth limit, drops M: the float64 phase ends, the other goes on with plain
-sweeps.  A wrong twin costs sweeps, not accuracy.  Probes, float64 sweeps
-and the lift's PE refresh each count in ``IterStats`` as one sweep of R
-node evaluations per level.
+One loop (``_sweep``) solves every block, at any precision, by sweeps
+Z <- G(Z), G the sweep map (PE, then SE), corrected while a float64 matrix
+M^-1 is held: Z <- Z + M^-1 (G(Z) - Z) (simplified Newton, M = I - G'
+from probes of G; Hairer and Wanner, IV.8).  A sweep accepts the block when
+its change G(Z) - Z, and while M is held the correction, is at most tol.  A
+corrected change that does not at least halve, or a corrected block that is
+not finite or outgrows the growth limit, drops M, and plain sweeps follow.
+A float64 block whose plain sweeps contract slowly builds M from its own
+sweep map and hands it to the next block of its table.
 
-A float64 block whose plain sweeps contract slowly builds M from its own sweep
-map and hands it to the next block of its table (Hairer and Wanner, IV.8).
+A problem in extended precision has a float64 twin (``problem.native``),
+and each of its blocks runs that loop twice, as in mixed-precision
+iterative refinement: first the float64 block solve of the twin, from the
+twin's predictor and an M built there, to max(tol, 1e-14), ended early by
+any error it raises; then, from that solve's last finite iterate lifted
+into the problem's precision, the block's own solve with the same M.  A
+wrong twin costs sweeps, not accuracy.  Probes, float64 sweeps and the
+lift's PE refresh each count in ``IterStats`` as one sweep of R node
+evaluations per level.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ class IterStats:
 
     Sweeps exclude the predictor (one PE call of R nodes per level, or R
     Taylor steps), but include the probes of any M and a float64 phase's
-    sweeps and refresh (see ``init_block`` and ``_sweep``).
+    sweeps and refresh: all that ``state.sweeps`` counts.
     """
 
     iterations: int = 0
@@ -164,8 +167,9 @@ class BlockState:
 
     ``Z`` (2, R, I, K) and ``DS`` (2, L-1, R+1, I, K: per derivative level
     the anchor, then the R nodes) are views into ``Y``, for node values
-    shaped and typed like ``like``; ``init_block`` sets ``sweeps`` and
-    ``newton`` (M^-1, which the sweeps may drop, build or hand on).
+    shaped and typed like ``like``.  ``sweeps`` counts the block's sweeps
+    of R PE nodes per level, probes included; ``newton`` is M^-1, which the
+    sweeps may drop, build or hand on.
     """
 
     def __init__(self, levels: int, R: int, like: np.ndarray):
@@ -187,10 +191,10 @@ class BlockState:
 
 def make_anchor(problem, t, X, P, formulation) -> BlockAnchor:
     """Anchor with derivatives computed from the physical equations at (X, P)."""
-    levels = [(X, P), problem.first_rhs(X, P)]
-    if Formulation.parse(formulation) is Formulation.ZDS:
-        levels.append(problem.second_rhs(X, P, *levels[1]))
-    return BlockAnchor(t, np.stack([np.stack(pair) for pair in levels], axis=1))
+    W = np.empty((2, Formulation.parse(formulation).levels) + X.shape, dtype=X.dtype)
+    W[0, 0], W[1, 0] = X, P
+    pe_update(problem, W[:, None, 0], W[:, 1:, None])
+    return BlockAnchor(t, W)
 
 
 def init_block(
@@ -207,20 +211,41 @@ def init_block(
     one, the float64 phase (module docstring): the twin's predictor from
     the rounded anchor and previous node; unless that leaves a non-finite
     derivative, M from one probe per unknown (2 R I K, one batched PE call;
-    the base G(Z_0) is the first sweep's SE output); corrected float64
-    sweeps to max(tol, 1e-14); the last finite iterate lifted and its PE
-    refreshed.  Should the float64 predictor go non-finite, the predictor
-    runs in the problem's precision.
+    the base G(Z_0) is the first sweep's SE output); the float64 block
+    solve (``_sweep``) to max(tol, 1e-14), ended by any error it raises;
+    its last finite iterate lifted and its PE refreshed.  Should the float64
+    predictor go non-finite, the predictor runs in the problem's precision.
 
     ``state.sweeps`` counts the probes, float64 sweeps and refresh, each R
-    PE calls per level; ``state.newton`` is M^-1, or None.
+    PE calls per level; ``state.newton`` is the M^-1 built at the twin's
+    predictor, or None.
     """
     tol = config.resolved_tol(problem)
-    if problem.native is not None:
-        state = _presolve(anchor, problem, table, tol, config.max_iter)
-        if state is not None:
-            return state
-    return _predict(anchor, problem, table)
+    twin = problem.native
+    if twin is None:
+        return _predict(anchor, problem, table)
+    table64 = coeff_table(table.R, table.formulation, table.dt, NATIVE)
+    prev64 = None if anchor.prev is None else NATIVE.asarray(anchor.prev)
+    anchor64 = BlockAnchor(anchor.t, NATIVE.asarray(anchor.W), prev64)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            state64 = _predict(anchor64, twin, table64)
+        except DivergenceError:
+            return _predict(anchor, problem, table)
+        if all_finite(state64.DS):
+            state64.sweeps = state64.Z.size  # one sweep per probe
+            state64.newton = _newton_matrix(twin, table64, state64)
+        newton = state64.newton
+        try:
+            _sweep(twin, table64, state64, max(tol, NATIVE.default_tol), config.max_iter, anchor64)
+        except (DivergenceError, NonConvergenceError):
+            pass  # no refused sweep reaches Z: the last finite iterate is lifted
+        state = BlockState(anchor.levels, table.R, anchor.W[0, 0])
+        state.set_anchor(anchor.W)
+        state.Z[...] = problem.precision.asarray(state64.Z)
+        pe_update(problem, state.Z, state.DS[:, :, 1:])
+    state.sweeps, state.newton = state64.sweeps + 1, newton
+    return state
 
 
 def _predict(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
@@ -239,50 +264,22 @@ def _predict(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
 
 
 def _taylor(anchor: BlockAnchor, problem, table: CoeffTable, state: BlockState) -> BlockState:
-    R = table.R
     dt = problem.precision.real(table.dt)
-    second = table.has_second
+    second = table.formulation is Formulation.ZDS
     half_dt2 = dt * dt * 0.5 if second else None
-
-    Zb, DS = state.Z, state.DS
     Z, D = anchor.level(0), anchor.level(1)
     S = anchor.level(2) if second else None
-    for r in range(R):
+    for r in range(table.R):
         Z = Z + dt * D
         if second:
             Z = Z + half_dt2 * S
         if not all_finite(Z):
             raise DivergenceError(f"non-finite predictor value at block node {r + 1}")
-        Zb[:, r] = Z
-        D = DS[:, 0, r + 1]
-        D[0], D[1] = problem.first_rhs(Z[0], Z[1])
+        state.Z[:, r] = Z
+        pe_update(problem, state.Z[:, r, None], state.DS[:, :, r + 1, None])
+        D = state.DS[:, 0, r + 1]
         if second:
-            S = DS[:, 1, r + 1]
-            S[0], S[1] = problem.second_rhs(Z[0], Z[1], D[0], D[1])
-    return state
-
-
-def _presolve(anchor: BlockAnchor, problem, table: CoeffTable, tol: float, max_iter: int):
-    # the float64 phase of init_block; None when its predictor goes non-finite
-    twin = problem.native
-    table64 = coeff_table(table.R, table.formulation, table.dt, NATIVE)
-    prev64 = None if anchor.prev is None else NATIVE.asarray(anchor.prev)
-    anchor64 = BlockAnchor(anchor.t, NATIVE.asarray(anchor.W), prev64)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            state64 = _predict(anchor64, twin, table64)
-        except DivergenceError:
-            return None
-        probes = state64.Z.size if all_finite(state64.DS) else 0  # one sweep each
-        state64.newton = newton = _newton_matrix(twin, table64, state64) if probes else None
-        tol64 = max(tol, NATIVE.default_tol)
-        sweeps = probes + _sweep(twin, table64, state64, tol64, max_iter, anchor64, True)
-
-        state = BlockState(anchor.levels, table.R, anchor.W[0, 0])
-        state.set_anchor(anchor.W)
-        state.Z[...] = problem.precision.asarray(state64.Z)
-        pe_update(problem, state.Z, state.DS[:, :, 1:])
-    state.sweeps, state.newton = sweeps + 1, newton
+            S = state.DS[:, 1, r + 1]
     return state
 
 
@@ -399,26 +396,23 @@ def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverC
         state = init_block(anchor, problem, table, config)
         if problem.native is None:
             state.newton = newton
-        tol = config.resolved_tol(problem)
-        sweeps = _sweep(problem, table, state, tol, config.max_iter, anchor)
-    sweeps += state.sweeps  # the predictor's, and the probes of an M built in the sweeps
-    return state, IterStats(sweeps, table.R * (1 + sweeps))
+        _sweep(problem, table, state, config.resolved_tol(problem), config.max_iter, anchor)
+    return state, IterStats(state.sweeps, table.R * (1 + state.sweeps))
 
 
 def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: int,
-           anchor: BlockAnchor, presolve: bool = False) -> int:
-    """Sweeps on ``state`` until the change is at most tol; returns their number.
+           anchor: BlockAnchor) -> None:
+    """Sweeps on ``state`` until the change is at most tol, each added to
+    ``state.sweeps``: the fixed-point loop of every block (module docstring).
 
-    ``state.newton`` (M^-1) corrects the steps until it is dropped (module
-    docstring), and is left as the M^-1 still in use.  A float64 block
-    without one builds one, once, after ``_SLOW_RUN`` plain sweeps in a row
-    that fell by less than ``_SLOW_RATE`` to changes above ``_SLOW_FLOOR``
-    tol; its 2 R I K probes add to ``state.sweeps``.  A non-finite block, a
-    norm grown more than ``GROWTH_LIMIT``-fold in one sweep, or ``max_iter``
-    sweeps raise, naming the last contraction factor and the fate of M.  A
-    ``presolve`` (the float64 phase) raises none of these: it drops the
-    failing sweep, keeping the last finite iterate, and ends once M is
-    dropped.
+    ``state.newton`` (M^-1) corrects the steps until it is dropped, and is
+    left as the M^-1 still in use.  A float64 block without one builds one,
+    once, after ``_SLOW_RUN`` plain sweeps in a row that fell by less than
+    ``_SLOW_RATE`` to changes above ``_SLOW_FLOOR`` tol; its 2 R I K probes
+    add to ``state.sweeps``.  A non-finite block, a norm grown more than
+    ``GROWTH_LIMIT``-fold in one sweep, or ``max_iter`` sweeps raise, naming
+    the last contraction factor and the fate of M; the refused sweep leaves
+    Z as it was.
 
     ``bound`` >= |Z| throughout: |Z_new| <= |Z| + |Z_new - Z|, widened by
     1 + 4u (u = 2**-53) for the rounding of the difference, of its float
@@ -428,13 +422,13 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
     |Z|, and keep it in ``prev_norm``, so that the next test needs only |Z_new|.
     """
     Z, derivs, newton = state.Z, state.DS[:, :, 1:], state.newton
-    slow = 0 if problem.precision is NATIVE and not presolve else None  # slow plain sweeps in a row
+    slow = 0 if problem.precision is NATIVE else None  # slow plain sweeps in a row
     scale_ref = max(max_abs(anchor.level(0)), 1.0)
     safe = GROWTH_LIMIT * scale_ref  # at most the growth limit of any sweep
     prev_norm = bound = max_abs(Z)  # prev_norm: |Z| exactly, or None
     step = np.empty_like(Z)
     diff = prev_diff = math.inf
-    for sweeps in range(max_iter):
+    for _ in range(max_iter):
         if slow == _SLOW_RUN:
             slow, state.sweeps = None, state.sweeps + Z.size
             state.newton = newton = _newton_matrix(problem, table, state)
@@ -443,12 +437,12 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
         Z_new = se_update(table, state)
         # both components enter the stopping norm: the x-block alone can
         # stagnate for one sweep of the alternating map while p still moves;
-        # a finite diff proves Z_new finite (module docstring)
-        prev_diff, diff = diff, max_abs(np.subtract(Z_new, Z, out=step))
-        if not math.isfinite(diff) and not all_finite(Z_new):
-            if presolve:
-                return sweeps
-            raise DivergenceError("non-finite block value during fixed-point sweep")
+        # a finite change proves Z_new finite (module docstring)
+        change = max_abs(np.subtract(Z_new, Z, out=step))
+        if not math.isfinite(change) and not all_finite(Z_new):
+            raise DivergenceError("non-finite block value during fixed-point sweep "
+                                  f"({_verdict(diff, prev_diff, state.newton, newton)})")
+        prev_diff, diff = diff, change
         done = diff <= tol
         if newton is not None:
             # the correction, too, bounds a corrected block's error: the map
@@ -467,8 +461,6 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
                 else:
                     newton = None
         if not done and newton is None:
-            if presolve:
-                return sweeps
             bound = (bound + diff) * _ROUNDING
             if bound > safe:
                 if prev_norm is None:
@@ -484,13 +476,12 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
                 prev_norm = None
         Z[...] = Z_new
         pe_update(problem, Z, derivs)
+        state.sweeps += 1
         if done:
             state.newton = newton
-            return sweeps + 1
+            return
         if slow is not None and newton is None:
             slow = slow + 1 if diff > _SLOW_RATE * prev_diff and diff > _SLOW_FLOOR * tol else 0
-    if presolve:
-        return max_iter
     raise NonConvergenceError(
         f"fixed point not converged after {max_iter} sweeps (last change "
         f"{diff:.3e} in positions and momenta over all {table.R} block nodes, "
@@ -499,10 +490,16 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
     )
 
 
-def _verdict(diff: float, prev_diff: float, had, newton) -> str:
+def contraction(diff: float, prev_diff: float) -> str:
+    """The last contraction factor diff / prev_diff of a fixed-point loop,
+    as its errors print it ("n/a" while no finite change came before)."""
     theta = f"{diff / prev_diff:.3g}" if 0 < prev_diff < math.inf else "n/a"
+    return f"last contraction {theta}"
+
+
+def _verdict(diff: float, prev_diff: float, had, newton) -> str:
     matrix = "held" if newton is not None else "dropped" if had is not None else "none"
-    return f"last contraction {theta}, Newton matrix {matrix}"
+    return f"{contraction(diff, prev_diff)}, Newton matrix {matrix}"
 
 
 @dataclass

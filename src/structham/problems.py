@@ -103,7 +103,7 @@ class HamiltonianProblem:
     reference_values: tuple = ()
     parameters: dict = field(default_factory=dict)
     precision: Precision = NATIVE
-    # float64 twin of the same problem, which the block solver presolves on
+    # float64 twin of the same problem, whose block solve starts each block
     # (see blocksolver.init_block); the catalog builders fill it when they
     # build at another precision
     native: HamiltonianProblem | None = field(default=None, compare=False, repr=False)

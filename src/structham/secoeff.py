@@ -178,30 +178,21 @@ class CoeffTable:
     for the block nodes r, m = 1..R with anchor values at node 0.  Each entry
     is the exact rational unit-grid coefficient times dt**s (s the derivative
     order of its column), rounded once into the requested backend (float64,
-    or object dtype of DoubleDouble); exact zeros stay 0.  B_s and b_s are
-    None for ZD.  They are read-only views of one R x (1 + (L-1)(R+1))
-    matrix [b_z | b_d, B_d | (b_s, B_s)] for L levels, and ``C`` is its
-    negative: the node values Z[1..R] are C applied to the stacked rows
-    [Z_n | D_n, D_1..D_R | (S_n, S_1..S_R)].  ``E`` (R x 2L), scaled and
-    rounded the same way, extrapolates Z[1..R] from the L levels at the
-    previous node t_n - dt and at the anchor, columns [W_-1 | W_0].
+    or object dtype of DoubleDouble); exact zeros stay 0.  ZD has no B_s and
+    b_s.  ``C`` (read-only) is minus the R x (1 + (L-1)(R+1)) matrix
+    [b_z | b_d, B_d | (b_s, B_s)] for L levels: the node values Z[1..R]
+    are C applied to the stacked rows [Z_n | D_n, D_1..D_R | (S_n,
+    S_1..S_R)].  ``E`` (R x 2L), scaled and rounded the same way,
+    extrapolates Z[1..R] from the L levels at the previous node t_n - dt
+    and at the anchor, columns [W_-1 | W_0].
     """
 
     R: int
     formulation: Formulation
     dt: float
-    B_d: np.ndarray
-    b_z: np.ndarray
-    b_d: np.ndarray
-    B_s: np.ndarray | None
-    b_s: np.ndarray | None
     C: np.ndarray
     E: np.ndarray
     precision: Precision
-
-    @property
-    def has_second(self) -> bool:
-        return self.B_s is not None
 
 
 @lru_cache(maxsize=None)
@@ -293,21 +284,9 @@ def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIV
     M = np.array([[scaled(x, s) for x, s in zip(row, orders)] for row in unit], dtype=precision.dtype)
     E = np.array([[scaled(x, j % S) for j, x in enumerate(row)]
                   for row in _unit_extrapolation(R, form)], dtype=precision.dtype)
-    M.flags.writeable = E.flags.writeable = False
-    second = S == 3
-    return CoeffTable(
-        R=R,
-        formulation=form,
-        dt=dt,
-        B_d=M[:, 2:R + 2],
-        b_z=M[:, 0],
-        b_d=M[:, 1],
-        B_s=M[:, R + 3:] if second else None,
-        b_s=M[:, R + 2] if second else None,
-        C=-M,
-        E=E,
-        precision=precision,
-    )
+    C = -M
+    C.flags.writeable = E.flags.writeable = False
+    return CoeffTable(R=R, formulation=form, dt=dt, C=C, E=E, precision=precision)
 
 
 @lru_cache(maxsize=None)

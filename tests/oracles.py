@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -14,6 +15,16 @@ from structham.blocksolver import (
     init_block,
 )
 from structham.numerics import NATIVE, all_finite, max_abs
+from structham.secoeff import Formulation
+
+
+def coefficient_blocks(table):
+    """The named coefficients of ``table``, read as column blocks of -C:
+    b_z | b_d, B_d | (b_s, B_s), the last two None for ZD."""
+    M, R = -table.C, table.R
+    second = table.formulation is Formulation.ZDS
+    return SimpleNamespace(b_z=M[:, 0], b_d=M[:, 1], B_d=M[:, 2:R + 2],
+                           b_s=M[:, R + 2] if second else None, B_s=M[:, R + 3:] if second else None)
 
 
 def probe_linear_rhs(problem):
@@ -46,20 +57,21 @@ def dense_block_oracle(problem, table, anchor):
     A = probe_linear_rhs(problem)
     Ex = np.hstack([np.eye(n), np.zeros((n, n))])
     Ep = np.hstack([np.zeros((n, n)), np.eye(n)])
-    B_d = np.asarray(table.B_d, float)
+    c = coefficient_blocks(table)
+    B_d = np.asarray(c.B_d, float)
     M_x = np.kron(np.eye(R), Ex) + np.kron(B_d, Ex @ A)
     M_p = np.kron(np.eye(R), Ep) + np.kron(B_d, Ep @ A)
     (x0, p0), (dx0, dp0) = anchor.level(0), anchor.level(1)
-    rhs_x = -(np.kron(table.b_z, x0.ravel()) + np.kron(table.b_d, dx0.ravel()))
-    rhs_p = -(np.kron(table.b_z, p0.ravel()) + np.kron(table.b_d, dp0.ravel()))
-    if table.has_second:
-        B_s = np.asarray(table.B_s, float)
+    rhs_x = -(np.kron(c.b_z, x0.ravel()) + np.kron(c.b_d, dx0.ravel()))
+    rhs_p = -(np.kron(c.b_z, p0.ravel()) + np.kron(c.b_d, dp0.ravel()))
+    if c.B_s is not None:
+        B_s = np.asarray(c.B_s, float)
         A2 = A @ A
         M_x += np.kron(B_s, Ex @ A2)
         M_p += np.kron(B_s, Ep @ A2)
         sx0, sp0 = anchor.level(2)
-        rhs_x -= np.kron(table.b_s, sx0.ravel())
-        rhs_p -= np.kron(table.b_s, sp0.ravel())
+        rhs_x -= np.kron(c.b_s, sx0.ravel())
+        rhs_p -= np.kron(c.b_s, sp0.ravel())
     M = np.vstack([M_x, M_p])
     rhs = np.concatenate([rhs_x, rhs_p])
     W = np.linalg.solve(M, rhs)
@@ -171,19 +183,25 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
     takes the place of the structural product, called as ``se(table, state)``.
     """
     tol = config.resolved_tol(problem)
-    second = table.has_second
+    second = table.formulation is Formulation.ZDS
     m = table.C.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = init_block(anchor, problem, table, config)
         if problem.native is None:
             state.newton = newton
-        # the predictor's own sweeps (a float64 presolve) count as sweeps
+        # the predictor's own sweeps (a float64 phase) count as sweeps
         stats = IterStats(state.sweeps, table.R * (1 + state.sweeps))
         Z, derivs = state.Z, state.DS[:, :, 1:]
         scale_ref = max(max_abs(anchor.level(0)), 1.0)
         prev_norm = max_abs(Z)
         newton = state.newton
-        had, diff, slow = newton is not None, math.inf, 0
+        had, diff, prev_diff, slow = newton is not None, math.inf, math.inf, 0
+
+        def explain():
+            theta = f"{diff / prev_diff:.3g}" if 0 < prev_diff < math.inf else "n/a"
+            matrix = "held" if newton is not None else "dropped" if had else "none"
+            return f"last contraction {theta}, Newton matrix {matrix}"
+
         for sweep in range(1, config.max_iter + 1):
             state.set_anchor(anchor.W)
             if se is None:
@@ -192,7 +210,7 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
             else:
                 Z_new = se(table, state)
             if not all_finite(Z_new):
-                raise DivergenceError("non-finite block value during fixed-point sweep")
+                raise DivergenceError(f"non-finite block value during fixed-point sweep ({explain()})")
             prev_diff, diff = diff, max_abs(Z_new - Z)
             verdict = diff <= tol
             if newton is not None:
@@ -217,11 +235,8 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
                 return state, stats
             norm = max_abs(Z)
             if norm > GROWTH_LIMIT * max(prev_norm, scale_ref):
-                theta = f"{diff / prev_diff:.3g}" if 0 < prev_diff < math.inf else "n/a"
-                matrix = "held" if newton is not None else "dropped" if had else "none"
                 raise DivergenceError(
-                    f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep "
-                    f"(last contraction {theta}, Newton matrix {matrix})"
+                    f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep ({explain()})"
                 )
             prev_norm = norm
             if problem.precision is NATIVE and newton is None and slow is not None:

@@ -247,7 +247,8 @@ class TestIntegrateSV:
         err = info.value
         assert err.residual is not None and err.residual > prob.precision.default_tol
         assert str(err).startswith("SV step 1: SV momentum half-step fixed point not converged after 2 ")
-        assert f"(last change {err.residual:.3e})" in str(err)
+        # and the contraction of its last two changes (n/a after one)
+        assert f"(last change {err.residual:.3e}, last contraction 0.00482)" in str(err)
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_times_and_observer_nodes(self, prec):

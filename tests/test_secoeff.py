@@ -22,7 +22,7 @@ from structham.secoeff import (
     kernel_basis,
 )
 
-from oracles import _extrapolation_kernel, _monomial_derivatives, _structural_kernel
+from oracles import _extrapolation_kernel, _monomial_derivatives, _structural_kernel, coefficient_blocks
 
 ALL_FORMS = [Formulation.ZD, Formulation.ZDS]
 
@@ -177,7 +177,7 @@ class TestKernelBasis:
 
 class TestAssembleTables:
     def test_zds_r1_closed_form(self):
-        t = coeff_table(1, "zds", 1.0)
+        t = coefficient_blocks(coeff_table(1, "zds", 1.0))
         assert t.b_z[0] == pytest.approx(-1.0, abs=1e-14)
         assert t.B_d[0, 0] == pytest.approx(-0.5, abs=1e-14)
         assert t.b_d[0] == pytest.approx(-0.5, abs=1e-14)
@@ -186,25 +186,27 @@ class TestAssembleTables:
 
     def test_dt_scaling_law(self):
         for form in ALL_FORMS:
-            t1 = coeff_table(3, form, 1.0)
-            t2 = coeff_table(3, form, 2.0)
+            t1 = coefficient_blocks(coeff_table(3, form, 1.0))
+            t2 = coefficient_blocks(coeff_table(3, form, 2.0))
             assert np.array_equal(t2.B_d, 2.0 * t1.B_d)
             assert np.array_equal(t2.b_z, t1.b_z)
             assert np.array_equal(t2.b_d, 2.0 * t1.b_d)
             if form is Formulation.ZDS:
                 assert np.array_equal(t2.B_s, 4.0 * t1.B_s)
                 assert np.array_equal(t2.b_s, 4.0 * t1.b_s)
+            else:
+                assert t1.B_s is t1.b_s is None
         # non-dyadic steps agree to rounding
-        t1 = coeff_table(2, "zds", 1.0)
-        t3 = coeff_table(2, "zds", 0.3)
+        t1 = coefficient_blocks(coeff_table(2, "zds", 1.0))
+        t3 = coefficient_blocks(coeff_table(2, "zds", 0.3))
         assert np.allclose(t3.B_d, 0.3 * t1.B_d, rtol=1e-15)
         assert np.allclose(t3.B_s, 0.09 * t1.B_s, rtol=1e-15)
 
     def test_deterministic_tables(self):
         a = assemble_tables(5, "zd", 0.125)
         b = assemble_tables(5, "zd", 0.125)
-        assert np.array_equal(a.B_d, b.B_d)
-        assert np.array_equal(a.b_z, b.b_z)
+        assert np.array_equal(a.C, b.C)
+        assert np.array_equal(a.E, b.E)
 
     def test_bad_dt(self):
         with pytest.raises(ConfigurationError):
@@ -231,9 +233,9 @@ class TestAssembleTables:
         assert all(math.isfinite(float(v)) for v in [*t.C.ravel(), *t.E.ravel()])
 
     def test_ddouble_realization(self):
-        t = coeff_table(2, "zds", 0.5, DDOUBLE)
+        t = coefficient_blocks(coeff_table(2, "zds", 0.5, DDOUBLE))
         assert t.B_d.dtype == object
-        tn = coeff_table(2, "zds", 0.5, NATIVE)
+        tn = coefficient_blocks(coeff_table(2, "zds", 0.5, NATIVE))
         assert np.allclose([[float(v) for v in row] for row in t.B_d], tn.B_d, rtol=1e-15)
 
 
