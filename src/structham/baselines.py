@@ -95,33 +95,19 @@ def sv_step_nonseparable(problem, X, P, dt, tol, max_iter=SolverConfig.max_iter)
     both implicit relations collapse and the step equals the leapfrog.
     Each relation may take ``max_iter`` iterations, ``integrate_sv``'s cap.
 
-    Returns (X', P', fixed_point_iters, rhs_calls).
+    Returns (X', P', fixed_point_iters, rhs_calls): one right-hand-side call
+    per fixed-point iteration and the two explicit calls, fixed_point_iters + 2.
     """
-    calls = 0
-
-    def kick(y):
-        nonlocal calls
-        _, Fp = problem.first_rhs(X, y)
-        calls += 1
-        return P + (0.5 * dt) * Fp
-
+    kick = lambda y: P + (0.5 * dt) * problem.first_rhs(X, y)[1]
     Ph, it1 = _fixed_point(kick, P, tol, max_iter, "momentum half-step")
 
     A0, _ = problem.first_rhs(X, Ph)
-    calls += 1
-
-    def drift(y):
-        nonlocal calls
-        Vn, _ = problem.first_rhs(y, Ph)
-        calls += 1
-        return X + (0.5 * dt) * (A0 + Vn)
-
+    drift = lambda y: X + (0.5 * dt) * (A0 + problem.first_rhs(y, Ph)[0])
     Xn, it2 = _fixed_point(drift, X, tol, max_iter, "position half-step")
 
     _, Fp = problem.first_rhs(Xn, Ph)
-    calls += 1
     Pn = Ph + (0.5 * dt) * Fp
-    return Xn, Pn, it1 + it2, calls
+    return Xn, Pn, it1 + it2, it1 + it2 + 2
 
 
 def integrate_sv(

@@ -27,9 +27,10 @@ them.  Each sweep takes one max-norm, of the change of Z.  It is also the
 finiteness test: Z is finite on entry (the predictor and every accepted
 sweep checked it), so a finite norm proves the new Z finite; only a
 non-finite norm, which an overflowing difference of finite values also
-gives, needs a scan of the new Z.  And it advances an upper bound on the
-block's norm: the growth test takes the norms of Z and the new Z only
-once that bound passes GROWTH_LIMIT times the anchor scale (``_sweep``).
+gives, needs a scan of the new Z.  And it advances the one bound on the
+block's norm that the loop keeps, exact whenever M is held: the growth
+test takes the norms of Z and the new Z only once that bound passes
+GROWTH_LIMIT times the anchor scale (``_sweep``).
 
 Every block after the first starts from the Hermite polynomial through
 the previous node and the anchor, as implicit Runge-Kutta codes extrapolate
@@ -414,25 +415,27 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
     the last contraction factor and the fate of M; the refused sweep leaves
     Z as it was.
 
-    ``bound`` >= |Z| throughout: |Z_new| <= |Z| + |Z_new - Z|, widened by
-    1 + 4u (u = 2**-53) for the rounding of the difference, of its float
-    conversion and of the sum.  The limit, GROWTH_LIMIT max(|Z|, scale), is
-    never below ``safe``, so only a bound past ``safe`` needs the norms of
-    Z and Z_new; a corrected step, a new M and that test reset the bound to
-    |Z|, and keep it in ``prev_norm``, so that the next test needs only |Z_new|.
+    ``bound`` >= |Z| throughout: a plain sweep widens it by the change,
+    |Z_new| <= |Z| + |Z_new - Z|, times 1 + 4u (u = 2**-53) for the rounding
+    of the difference, of its float conversion and of the sum.  It equals
+    |Z| exactly on entry, after a new M, after an accepted corrected step
+    and after a growth test, so the corrected step's limit reads an exact
+    norm whenever M is held.  The limit, GROWTH_LIMIT max(|Z|, scale), is
+    never below ``safe``, so only a bound past ``safe`` needs the growth
+    test, which takes the norms of Z and Z_new.
     """
     Z, derivs, newton = state.Z, state.DS[:, :, 1:], state.newton
     slow = 0 if problem.precision is NATIVE else None  # slow plain sweeps in a row
     scale_ref = max(max_abs(anchor.level(0)), 1.0)
     safe = GROWTH_LIMIT * scale_ref  # at most the growth limit of any sweep
-    prev_norm = bound = max_abs(Z)  # prev_norm: |Z| exactly, or None
+    bound = max_abs(Z)
     step = np.empty_like(Z)
     diff = prev_diff = math.inf
     for _ in range(max_iter):
         if slow == _SLOW_RUN:
             slow, state.sweeps = None, state.sweeps + Z.size
             state.newton = newton = _newton_matrix(problem, table, state)
-            prev_norm = bound = max_abs(Z)
+            bound = max_abs(Z)
             diff = math.inf  # the first corrected change need not halve the plain one
         Z_new = se_update(table, state)
         # both components enter the stopping norm: the x-block alone can
@@ -454,26 +457,20 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
             if not done:
                 corrected = Z + correction
                 norm = max_abs(corrected)
-                limit = GROWTH_LIMIT * max(prev_norm, scale_ref)
+                limit = GROWTH_LIMIT * max(bound, scale_ref)
                 if diff <= _NEWTON_RATE * prev_diff and norm <= limit:  # False for NaN
-                    Z_new = corrected
-                    prev_norm = bound = norm
+                    Z_new, bound = corrected, norm
                 else:
                     newton = None
         if not done and newton is None:
             bound = (bound + diff) * _ROUNDING
             if bound > safe:
-                if prev_norm is None:
-                    prev_norm = max_abs(Z)
-                norm = max_abs(Z_new)
-                if norm > GROWTH_LIMIT * max(prev_norm, scale_ref):
+                old, bound = max_abs(Z), max_abs(Z_new)
+                if bound > GROWTH_LIMIT * max(old, scale_ref):
                     raise DivergenceError(
-                        f"block norm grew from {prev_norm:.3e} to {norm:.3e} in one sweep "
+                        f"block norm grew from {old:.3e} to {bound:.3e} in one sweep "
                         f"({_verdict(diff, prev_diff, state.newton, newton)})"
                     )
-                prev_norm = bound = norm
-            else:
-                prev_norm = None
         Z[...] = Z_new
         pe_update(problem, Z, derivs)
         state.sweeps += 1

@@ -134,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="error/order table over a list of N", allow_abbrev=False)
     _add_run_args(p_sweep, with_n=False)
-    p_sweep.add_argument("--Ns", required=True, help="comma-separated ascending step counts")
+    p_sweep.add_argument("--Ns", required=True, help="comma-separated, strictly ascending step counts")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_drift = sub.add_parser("drift", help="invariant deviation over time", allow_abbrev=False)
     _add_run_args(p_drift)
     p_drift.add_argument("--quantity", default="H", choices=["H", "L", "A"])
-    p_drift.add_argument("--samples", type=int, default=200)
+    p_drift.add_argument("--samples", type=int, default=200, help="evenly spaced nodes sampled (at least 1)")
     p_drift.set_defaults(func=_cmd_drift)
 
     p_coeffs = sub.add_parser(

@@ -161,10 +161,19 @@ def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> Err
     """Integrate one configuration and collect error metrics.
 
     ``drift_quantities`` selects invariants whose deviation series is sampled
-    at ``drift_samples`` evenly spaced nodes and returned in the report.
+    at ``drift_samples`` evenly spaced nodes and returned in the report; a
+    name that is not an invariant of the problem, or ``drift_samples`` below
+    1, is a ConfigurationError raised before integrating.
     """
     config = config.validated()
     problem = build_problem(config.problem, PRECISIONS[config.precision])
+    names = [inv.name for inv in problem.invariants]
+    for quantity in drift_quantities:
+        if quantity not in names:
+            raise ConfigurationError(f"quantity {quantity!r} is not an invariant of "
+                                     f"{config.problem} (available: {names})")
+    if drift_samples < 1:
+        raise ConfigurationError(f"need drift_samples >= 1, got drift_samples={drift_samples}")
     N, T = config.N, config.T
     dt = float(T) / N
 
@@ -253,7 +262,7 @@ def _report_row(config, report) -> dict:
 
 
 def sweep(base: RunConfig, Ns) -> SweepResult:
-    """Run ``base`` at each N (ascending) and tabulate errors with orders.
+    """Run ``base`` at each N (strictly ascending) and tabulate errors with orders.
 
     A row whose run fails in the solver (NonConvergenceError, DivergenceError
     or SingularityError) is tagged in the status column and the sweep
@@ -264,8 +273,8 @@ def sweep(base: RunConfig, Ns) -> SweepResult:
     quantity's scale (``ErrorReport.scales``).
     """
     Ns = list(Ns)
-    if Ns != sorted(Ns):
-        raise ConfigurationError("Ns must be ascending")
+    if any(a >= b for a, b in zip(Ns, Ns[1:])):
+        raise ConfigurationError("Ns must be strictly ascending")
     rows = []
     prev = None  # (dt, errors) of last successful row
     for N in Ns:
@@ -293,12 +302,5 @@ def sweep(base: RunConfig, Ns) -> SweepResult:
 
 def drift_series(config: RunConfig, quantity: str, samples: int = 200):
     """Deviation |q(t) - q(0)| sampled at ``samples`` evenly spaced nodes."""
-    config = config.validated()
-    problem_invariants = [inv.name for inv in build_problem(config.problem).invariants]
-    if quantity not in problem_invariants:
-        raise ConfigurationError(
-            f"quantity {quantity!r} is not an invariant of {config.problem} "
-            f"(available: {problem_invariants})"
-        )
     report = run(config, drift_quantities=(quantity,), drift_samples=samples)
     return report.drift[quantity]

@@ -87,11 +87,10 @@ class HamiltonianProblem:
     """``first_rhs``, ``second_rhs``, ``hamiltonian`` and the invariants act
     node by node on (..., I, K) states, and ``exact_solution`` on (...) times
     (see the module docstring): a stack of nodes gets, node for node, the
-    words of a call on each one alone."""
+    words of a call on each one alone.  The sizes I (``dim``) and K
+    (``nbodies``) are read off ``x0``, which no field can contradict."""
 
     name: str
-    dim: int  # I
-    nbodies: int  # K
     x0: np.ndarray
     p0: np.ndarray
     separable: bool
@@ -107,6 +106,9 @@ class HamiltonianProblem:
     # (see blocksolver.init_block); the catalog builders fill it when they
     # build at another precision
     native: HamiltonianProblem | None = field(default=None, compare=False, repr=False)
+
+    dim = property(lambda self: self.x0.shape[-2])  # I
+    nbodies = property(lambda self: self.x0.shape[-1])  # K
 
 
 def _twinned(builder):
@@ -193,8 +195,6 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
 
     return HamiltonianProblem(
         name="mass_spring",
-        dim=1,
-        nbodies=1,
         x0=_row(x0_),
         p0=_row(p0_),
         separable=True,
@@ -281,8 +281,6 @@ def make_two_spring(
     X0, P0 = exact(precision.real(0))
     return HamiltonianProblem(
         name="two_spring",
-        dim=1,
-        nbodies=2,
         x0=X0,
         p0=P0,
         separable=True,
@@ -341,8 +339,6 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
 
     return HamiltonianProblem(
         name="pendulum",
-        dim=1,
-        nbodies=1,
         x0=_row(x0_),
         p0=_row(p0_),
         separable=True,
@@ -419,8 +415,6 @@ def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianPr
 
     return HamiltonianProblem(
         name="kepler",
-        dim=2,
-        nbodies=1,
         x0=X0,
         p0=P0,
         separable=True,
@@ -575,8 +569,6 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
 
     return HamiltonianProblem(
         name=name,
-        dim=I,
-        nbodies=K,
         x0=X0,
         p0=P0,
         separable=True,
@@ -843,8 +835,6 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
 
     return HamiltonianProblem(
         name=f"em_{variant}",
-        dim=3,
-        nbodies=1,
         x0=X0,
         p0=P0,
         separable=False,

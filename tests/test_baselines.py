@@ -118,7 +118,7 @@ def make_shear_problem():
         return z, z
 
     return HamiltonianProblem(
-        name="shear", dim=1, nbodies=1,
+        name="shear",
         x0=np.array([[0.5]]), p0=np.array([[1.25]]),
         separable=False,
         hamiltonian=lambda X, P: 0.5 * float((P[0, 0] - X[0, 0]) ** 2),
@@ -220,6 +220,19 @@ class TestIntegrateSV:
         assert traj.total_sweeps > 0
         assert traj.pe1_calls > 0
         assert traj.total_iter == traj.total_sweeps  # no per-block init units
+
+    @pytest.mark.parametrize("name", ["em_challenging", "pendulum"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_counted_calls_are_the_calls_made(self, name, order):
+        # the non-separable step counts its iterations plus two, the
+        # separable one three per stage; both are the calls first_rhs sees
+        prob = build_problem(name)
+        rhs, seen = prob.first_rhs, []
+        prob.first_rhs = lambda X, P: seen.append(1) or rhs(X, P)
+        traj = integrate_sv(prob, order, 16, 0.125, SolverConfig(tol=1e-13))
+        assert traj.pe1_calls == len(seen) > 0
+        if not prob.separable:
+            assert traj.pe1_calls == traj.total_sweeps + 2 * 16 * len(yoshida_schedule(order))
 
     def test_invalid_config(self):
         prob = make_mass_spring()

@@ -260,7 +260,7 @@ class TestPeUpdate:
             return 0.5 * (P * P).sum()
 
         prob = HamiltonianProblem(
-            name="free", dim=1, nbodies=1,
+            name="free",
             x0=np.array([[0.0]]), p0=np.array([[1.0]]),
             separable=True,
             hamiltonian=ham,
@@ -354,7 +354,7 @@ class TestSolveBlock:
         # dp/dt = 1 / (x - 2) from (x, p) = (1, 1); with dt = 1 the predictor
         # puts node 1 at x = 2 exactly, where the right-hand side divides by 0
         prob = HamiltonianProblem(
-            name="pole", dim=1, nbodies=1,
+            name="pole",
             x0=prec.asarray([[1.0]]), p0=prec.asarray([[1.0]]),
             separable=True,
             first_rhs=lambda X, P: (P.copy(), 1 / (X - 2)),
@@ -565,17 +565,21 @@ class TestGrowthBound:
         assert len(got_calls) == len(ref_calls)
         return got, len(got_calls)
 
-    @pytest.mark.parametrize("fills,sweep,message", [
-        ([2e7], 1, "from 1.000e+00 to 2.000e+07"),
-        ([None, None, 3e7], 3, "to 3.000e+07"),
-        ([-1e3, 1e6, -1e9, 1e12, -1e19], 5, "from 1.000e+12 to 1.000e+19"),
-        ([1e5, 1e10, 1e15, 2e21], 4, "from 1.000e+15 to 2.000e+21"),
-    ], ids=["first-sweep", "third-sweep", "staircase", "past-the-anchor-scale"])
-    def test_growth_refused_at_the_same_sweep(self, monkeypatch, fills, sweep, message):
+    @pytest.mark.parametrize("fills,sweep,message,prec", [
+        pytest.param(fills, sweep, message, prec, id=name + suffix)
+        for prec, suffix in ((NATIVE, ""), (DDOUBLE, "-ddouble"))
+        for name, fills, sweep, message in [
+            ("first-sweep", [2e7], 1, "from 1.000e+00 to 2.000e+07"),
+            ("third-sweep", [None, None, 3e7], 3, "to 3.000e+07"),
+            ("staircase", [-1e3, 1e6, -1e9, 1e12, -1e19], 5, "from 1.000e+12 to 1.000e+19"),
+            ("past-the-anchor-scale", [1e5, 1e10, 1e15, 2e21], 4, "from 1.000e+15 to 2.000e+21"),
+        ]
+    ])
+    def test_growth_refused_at_the_same_sweep(self, monkeypatch, fills, sweep, message, prec):
         # each rise but the last stays within the limit, although the block
         # passes GROWTH_LIMIT times its anchor scale on the way
-        got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1,
-                                  lambda k: fills[k])
+        prob = _without_twin(make_mass_spring(precision=prec))
+        got, calls = self.compare(monkeypatch, prob, "zd", 1, 0.1, lambda k: fills[k])
         assert got[0] == "diverged" and message in got[1] and calls == sweep
 
     def test_overflowing_change_refused_like_the_reference(self, monkeypatch):
@@ -608,8 +612,8 @@ class TestGrowthBound:
         got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
         assert got[0] == "converged" and got[2] == calls == 6
         # max-norms per sweep: the change; past the anchor scale's limit also
-        # the new block's, and the block's own only after a sweep that took
-        # none ("n" a norm, "s" a sweep, the two before the first sweep set up)
+        # the block's and the new block's ("n" a norm, "s" a sweep, the two
+        # before the first sweep set up)
         events = []
         se, _ = _scripted_se(lambda k: events.append("s") or fills[k])
         monkeypatch.setattr(blocksolver, "se_update", se)
@@ -617,7 +621,7 @@ class TestGrowthBound:
         prob = make_mass_spring()
         anchor = make_anchor(prob, 0.0, prob.x0, prob.p0, "zd")
         solve_block(anchor, prob, coeff_table(1, "zd", 0.1), SolverConfig())
-        assert [len(norms) for norms in "".join(events).split("s")] == [2, 1, 3, 2, 2, 2, 1]
+        assert [len(norms) for norms in "".join(events).split("s")] == [2, 1, 3, 3, 3, 3, 1]
 
     @pytest.mark.parametrize("script,outcome,calls", [
         ({1: 1e8}, "diverged", 2),
@@ -680,6 +684,16 @@ class TestGrowthBound:
         fills = [0.5, 0.9, 0.6, 0.85, 1e7]
         got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
         assert got == ("diverged", "block norm grew from 8.500e-01 to 1.000e+07 in one sweep "
+                                   "(last contraction n/a, Newton matrix dropped)") and calls == 5
+
+
+    def test_mid_block_build_takes_the_exact_norm(self, monkeypatch):
+        # the swings lift the bound to about 4.5 while |Z| stays 0.5; M built
+        # after them must limit the corrected step by the exact norm, 1e6, so
+        # the jump to 3e6 drops M and is refused; the bound would admit it
+        fills = [0.5, -0.5, 0.5, -0.5, 3e6]
+        got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
+        assert got == ("diverged", "block norm grew from 5.000e-01 to 3.000e+06 in one sweep "
                                    "(last contraction n/a, Newton matrix dropped)") and calls == 5
 
 
@@ -845,7 +859,7 @@ class TestMixedPrecision:
         # sweeps then raise the divergence
         def pole(prec):
             return HamiltonianProblem(
-                name="pole", dim=1, nbodies=1,
+                name="pole",
                 x0=prec.asarray([[1.0]]), p0=prec.asarray([[1.0]]),
                 separable=True,
                 first_rhs=lambda X, P: (P.copy(), 1 / (X - 2)),
@@ -1121,7 +1135,7 @@ class TestPolynomialReproduction:
             return ddq(P) * DP, np.zeros_like(X)
 
         return HamiltonianProblem(
-            name="poly", dim=1, nbodies=1,
+            name="poly",
             x0=np.array([[0.0]]), p0=np.array([[0.0]]),
             separable=False,
             hamiltonian=lambda X, P: q(P[0, 0]) - X[0, 0],
@@ -1157,7 +1171,7 @@ class TestSymmetryAndInvariance:
             return -sp, sx
 
         twisted = HamiltonianProblem(
-            name="twisted", dim=1, nbodies=2,
+            name="twisted",
             x0=-base.p0, p0=base.x0,
             separable=False,
             hamiltonian=lambda X, P: base.hamiltonian(P, -X),

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from structham import harness
 from structham.baselines import integrate_sv
 from structham.blocksolver import integrate
 from structham.cli import build_parser, main as cli_main
@@ -197,6 +198,13 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep(RunConfig(problem="pendulum", scheme="zds", N=1, T=1.0, R=1), [20, 10])
 
+    def test_repeated_ns_rejected_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(ConfigurationError, match="Ns must be strictly ascending"):
+            sweep(RunConfig(problem="mass_spring", scheme="zds", N=20, T=1.0, R=2), [20, 20])
+        assert runs == []
+
     def test_accounting_identity_in_rows(self):
         base = RunConfig(problem="pendulum", scheme="zds", N=60, T=10.0, R=3)
         for row in sweep(base, [60, 120]).rows:
@@ -226,6 +234,19 @@ class TestDriftSeries:
         config = RunConfig(problem="pendulum", scheme="zds", N=10, T=1.0, R=1)
         with pytest.raises(ConfigurationError):
             drift_series(config, "L")
+
+    def test_run_rejects_unknown_quantity_before_integrating(self, monkeypatch):
+        monkeypatch.setattr(harness, "integrate", lambda *args, **kwargs: pytest.fail("integrated"))
+        config = RunConfig(problem="pendulum", scheme="zds", N=10, T=1.0, R=1)
+        with pytest.raises(ConfigurationError, match="quantity 'Q' is not an invariant of pendulum"):
+            run(config, drift_quantities=("Q",))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_run_rejects_fewer_than_one_sample(self, monkeypatch, samples):
+        monkeypatch.setattr(harness, "integrate", lambda *args, **kwargs: pytest.fail("integrated"))
+        config = RunConfig(problem="pendulum", scheme="zds", N=10, T=1.0, R=1)
+        with pytest.raises(ConfigurationError, match="need drift_samples >= 1"):
+            run(config, drift_quantities=("H",), drift_samples=samples)
 
     def test_equilibrium_start_stays_flat(self):
         # trivial dynamics: invariant deviation stays at rounding level
@@ -298,6 +319,24 @@ class TestCli:
         ]) == 2
         captured = capsys.readouterr()
         assert "configuration error: --Ns" in captured.err and "lists no step count" in captured.err
+        assert captured.out == ""
+
+    def test_repeated_step_counts_exit_2(self, capsys):
+        assert cli_main([
+            "sweep", "--problem", "mass_spring", "--scheme", "zds", "--R", "2", "--T", "1", "--Ns", "20,20",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: Ns must be strictly ascending" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_drift_samples_below_one_exit_2(self, samples, capsys):
+        assert cli_main([
+            "drift", "--problem", "mass_spring", "--scheme", "zds", "--R", "2", "--N", "20", "--T", "1",
+            "--samples", samples,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: need drift_samples >= 1, got drift_samples={samples}" in captured.err
         assert captured.out == ""
 
     def test_configuration_error_in_a_sweep_row_exits_2(self, capsys):

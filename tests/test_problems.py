@@ -14,6 +14,7 @@ from structham.harness import RunConfig, run
 from structham.numerics import DDOUBLE, NATIVE, DoubleDouble, max_abs, sin_cos
 from structham.problems import (
     PROBLEM_NAMES,
+    HamiltonianProblem,
     InvariantSpec,
     SingularityError,
     build_problem,
@@ -825,6 +826,22 @@ class TestCatalog:
             prob = build_problem(name)
             assert prob.x0.shape == (prob.dim, prob.nbodies)
             assert prob.invariants[0].name == "H"
+
+    def test_sizes_follow_x0(self):
+        # dim and nbodies are read off x0: for the catalog, for a problem
+        # built by hand, and after x0 is reassigned
+        prob = build_problem("outer_solar")
+        assert (prob.dim, prob.nbodies) == (3, 6)
+        hand = HamiltonianProblem(name="line", x0=np.zeros((1, 4)), p0=np.zeros((1, 4)),
+                                  separable=True)
+        assert (hand.dim, hand.nbodies) == (1, 4)
+        with pytest.raises(TypeError):  # no size to declare
+            HamiltonianProblem(name="line", dim=2, x0=np.zeros((1, 4)), p0=np.zeros((1, 4)),
+                               separable=True)
+        prob.x0 = prob.x0 * 1.5
+        assert (prob.dim, prob.nbodies) == (3, 6)
+        prob.x0 = prob.x0[:2, :3]
+        assert (prob.dim, prob.nbodies) == (2, 3)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
