@@ -13,7 +13,6 @@ from .secoeff import (
     CoeffTable,
     ConfigurationError,
     Formulation,
-    RawBasis,
     assemble_tables,
     coeff_table,
     exactness_residual,
@@ -22,7 +21,6 @@ from .secoeff import (
 from .blocksolver import (
     BlockAnchor,
     DivergenceError,
-    IterStats,
     NonConvergenceError,
     SolverConfig,
     Trajectory,
@@ -48,6 +46,6 @@ from .problems import (
     project_lrl,
 )
 from .baselines import integrate_sv, sv_step_nonseparable, sv_step_separable, yoshida_schedule
-from .harness import ErrorReport, RunConfig, convergence_order, drift_series, run, sweep
+from .harness import ErrorReport, RunConfig, convergence_order, run, sweep
 
 __version__ = "0.1.0"

@@ -53,7 +53,7 @@ twin's predictor and an M built there, to max(tol, 1e-14), ended early by
 any error it raises; then, from that solve's last finite iterate lifted
 into the problem's precision, the block's own solve with the same M.  A
 wrong twin costs sweeps, not accuracy.  Probes, float64 sweeps and the
-lift's PE refresh each count in ``IterStats`` as one sweep of R node
+lift's PE refresh each count in ``state.sweeps`` as one sweep of R node
 evaluations per level.
 """
 
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +70,6 @@ from .secoeff import CoeffTable, ConfigurationError, Formulation, coeff_table
 
 __all__ = [
     "SolverConfig",
-    "IterStats",
     "BlockAnchor",
     "BlockState",
     "Trajectory",
@@ -132,35 +132,15 @@ class SolverConfig:
         return problem.precision.default_tol if self.tol is None else self.tol
 
 
-@dataclass
-class IterStats:
-    """Fixed-point effort for one block: sweeps and PE calls.
-
-    Sweeps exclude the predictor (one PE call of R nodes per level, or R
-    Taylor steps), but include the probes of any M and a float64 phase's
-    sweeps and refresh: all that ``state.sweeps`` counts.
-    """
-
-    iterations: int = 0
-    pe1_calls: int = 0
-
-
-class BlockAnchor:
+class BlockAnchor(NamedTuple):
     """Known values at the block's entry node t_n, stacked as ``W`` (2, L, I, K).
 
     ``prev``, if set, stacks the same values at t_n - dt, on the trajectory
     that produced ``W``: the predictor then extrapolates from both nodes.
     """
 
-    def __init__(self, t, W: np.ndarray, prev: np.ndarray | None = None):
-        self.t, self.W, self.prev = t, W, prev
-
-    @property
-    def levels(self) -> int:
-        return self.W.shape[1]
-
-    def level(self, s: int) -> np.ndarray:
-        return self.W[:, s]
+    W: np.ndarray
+    prev: np.ndarray | None = None
 
 
 class BlockState:
@@ -179,9 +159,6 @@ class BlockState:
         self.DS = self.Y[:, 1:-R].reshape((2, levels - 1, R + 1) + like.shape)
         self.Z = self.Y[:, -R:]
 
-    Zx = property(lambda self: self.Z[0])
-    Zp = property(lambda self: self.Z[1])
-
     def set_anchor(self, W: np.ndarray) -> None:
         self.Y[:, 0], self.DS[:, :, 0] = W[:, 0], W[:, 1:]
 
@@ -190,12 +167,12 @@ class BlockState:
         return np.concatenate([self.Z[:, r, None], self.DS[:, :, r + 1]], axis=1)
 
 
-def make_anchor(problem, t, X, P, formulation) -> BlockAnchor:
+def make_anchor(problem, X, P, formulation) -> BlockAnchor:
     """Anchor with derivatives computed from the physical equations at (X, P)."""
     W = np.empty((2, Formulation.parse(formulation).levels) + X.shape, dtype=X.dtype)
     W[0, 0], W[1, 0] = X, P
     pe_update(problem, W[:, None, 0], W[:, 1:, None])
-    return BlockAnchor(t, W)
+    return BlockAnchor(W)
 
 
 def init_block(
@@ -227,7 +204,7 @@ def init_block(
         return _predict(anchor, problem, table)
     table64 = coeff_table(table.R, table.formulation, table.dt, NATIVE)
     prev64 = None if anchor.prev is None else NATIVE.asarray(anchor.prev)
-    anchor64 = BlockAnchor(anchor.t, NATIVE.asarray(anchor.W), prev64)
+    anchor64 = BlockAnchor(NATIVE.asarray(anchor.W), prev64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             state64 = _predict(anchor64, twin, table64)
@@ -238,10 +215,10 @@ def init_block(
             state64.newton = _newton_matrix(twin, table64, state64)
         newton = state64.newton
         try:
-            _sweep(twin, table64, state64, max(tol, NATIVE.default_tol), config.max_iter, anchor64)
+            _sweep(twin, table64, state64, max(tol, NATIVE.default_tol), config.max_iter)
         except (DivergenceError, NonConvergenceError):
             pass  # no refused sweep reaches Z: the last finite iterate is lifted
-        state = BlockState(anchor.levels, table.R, anchor.W[0, 0])
+        state = BlockState(anchor.W.shape[1], table.R, anchor.W[0, 0])
         state.set_anchor(anchor.W)
         state.Z[...] = problem.precision.asarray(state64.Z)
         pe_update(problem, state.Z, state.DS[:, :, 1:])
@@ -251,7 +228,7 @@ def init_block(
 
 def _predict(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
     # the predictor of init_block, in the problem's precision
-    state = BlockState(anchor.levels, table.R, anchor.W[0, 0])
+    state = BlockState(anchor.W.shape[1], table.R, anchor.W[0, 0])
     state.set_anchor(anchor.W)
     if anchor.prev is not None:
         # Z = E [W_-1 | W_0], summed in column order as in se_update
@@ -261,15 +238,15 @@ def _predict(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
             state.Z[...] = Z
             pe_update(problem, state.Z, state.DS[:, :, 1:])
             return state
-    return _taylor(anchor, problem, table, state)
+    return _taylor(problem, table, state)
 
 
-def _taylor(anchor: BlockAnchor, problem, table: CoeffTable, state: BlockState) -> BlockState:
+def _taylor(problem, table: CoeffTable, state: BlockState) -> BlockState:
     dt = problem.precision.real(table.dt)
     second = table.formulation is Formulation.ZDS
     half_dt2 = dt * dt * 0.5 if second else None
-    Z, D = anchor.level(0), anchor.level(1)
-    S = anchor.level(2) if second else None
+    Z, D = state.Y[:, 0], state.DS[:, 0, 0]
+    S = state.DS[:, 1, 0] if second else None
     for r in range(table.R):
         Z = Z + dt * D
         if second:
@@ -397,12 +374,11 @@ def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverC
         state = init_block(anchor, problem, table, config)
         if problem.native is None:
             state.newton = newton
-        _sweep(problem, table, state, config.resolved_tol(problem), config.max_iter, anchor)
-    return state, IterStats(state.sweeps, table.R * (1 + state.sweeps))
+        _sweep(problem, table, state, config.resolved_tol(problem), config.max_iter)
+    return state
 
 
-def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: int,
-           anchor: BlockAnchor) -> None:
+def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: int) -> None:
     """Sweeps on ``state`` until the change is at most tol, each added to
     ``state.sweeps``: the fixed-point loop of every block (module docstring).
 
@@ -426,7 +402,7 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
     """
     Z, derivs, newton = state.Z, state.DS[:, :, 1:], state.newton
     slow = 0 if problem.precision is NATIVE else None  # slow plain sweeps in a row
-    scale_ref = max(max_abs(anchor.level(0)), 1.0)
+    scale_ref = max(max_abs(state.Y[:, 0]), 1.0)  # the anchor's values
     safe = GROWTH_LIMIT * scale_ref  # at most the growth limit of any sweep
     bound = max_abs(Z)
     step = np.empty_like(Z)
@@ -575,30 +551,30 @@ def integrate(
 
     X = problem.x0
     P = problem.p0
-    anchor = make_anchor(problem, precision.real(0), X, P, form)
+    anchor = make_anchor(problem, X, P, form)
     traj = Trajectory(pe1_calls=1)
     record = node_recorder(traj, N, store_every, observer)
-    record(0, anchor.t, X, P)
+    record(0, precision.real(0), X, P)
 
     step, newton = 0, None
     while step < N:
         r_this = min(R, N - step)
         table = main_table if r_this == R else coeff_table(r_this, form, dt, precision)
         try:
-            state, stats = solve_block(anchor, problem, table, config, newton if r_this == R else None)
+            state = solve_block(anchor, problem, table, config, newton if r_this == R else None)
         except (NonConvergenceError, DivergenceError) as err:
             err.args = (f"block starting at step {step}: {err}",)  # keeps .residual
             raise
         newton = state.newton  # M^-1 of a problem without a twin, kept while it still halves
         traj.n_blocks += 1
-        traj.total_sweeps += stats.iterations
-        traj.pe1_calls += stats.pe1_calls
+        traj.total_sweeps += state.sweeps
+        traj.pe1_calls += r_this * (1 + state.sweeps)
 
         Xl = Pl = None
         for r in range(1, r_this + 1):
             idx = step + r
             t_r = precision.real(idx) * dt_scalar
-            Xr, Pr = state.Zx[r - 1], state.Zp[r - 1]
+            Xr, Pr = state.Z[0, r - 1], state.Z[1, r - 1]
             if project is not None:
                 Xr, Pr = project(Xr, Pr)
             record(idx, t_r, Xr, Pr)
@@ -607,9 +583,9 @@ def integrate(
         step += r_this
         if project is not None:
             # a projected node is off the block's polynomial: no extrapolation
-            anchor = make_anchor(problem, precision.real(step) * dt_scalar, Xl, Pl, form)
+            anchor = make_anchor(problem, Xl, Pl, form)
             traj.pe1_calls += 1
         else:
             prev = state.node(r_this - 2) if r_this > 1 else anchor.W
-            anchor = BlockAnchor(precision.real(step) * dt_scalar, state.node(r_this - 1), prev)
+            anchor = BlockAnchor(state.node(r_this - 1), prev)
     return traj

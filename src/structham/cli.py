@@ -11,7 +11,7 @@ import contextlib
 import sys
 
 from .blocksolver import DivergenceError, NonConvergenceError
-from .harness import STRUCTURAL_SCHEMES, SV_SCHEMES, RunConfig, SweepResult, _report_row, drift_series, run, sweep
+from .harness import STRUCTURAL_SCHEMES, SV_SCHEMES, RunConfig, SweepResult, _report_row, run, sweep
 from .numerics import PRECISIONS
 from .problems import PROBLEM_NAMES
 from .secoeff import ConfigurationError, Formulation, coeff_table, dump_coeff_csv
@@ -60,15 +60,8 @@ def _output(path):
         yield fh
 
 
-def _write_manifest(args, config):
-    if args.manifest:
-        with _output(args.manifest) as fh:
-            fh.write(config.manifest() + "\n")
-
-
 def _cmd_run(args) -> int:
-    config = _config_from_args(args).validated()
-    _write_manifest(args, config)
+    config = args.config = _config_from_args(args).validated()
     report = run(config)
     parts = [f"problem={config.problem}", f"scheme={config.scheme}"]
     if config.R is not None:
@@ -93,8 +86,7 @@ def _cmd_sweep(args) -> int:
     Ns = [int(v) for v in args.Ns.split(",") if v.strip()]
     if not Ns:
         raise ConfigurationError(f"--Ns {args.Ns!r} lists no step count")
-    config = _config_from_args(args, N=Ns[0]).validated()
-    _write_manifest(args, config)
+    config = args.config = _config_from_args(args, N=Ns[0]).validated()
     text = sweep(config, Ns).to_csv()
     with _output(args.out) as fh:
         fh.write(text)
@@ -102,9 +94,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_drift(args) -> int:
-    config = _config_from_args(args).validated()
-    _write_manifest(args, config)
-    series = drift_series(config, args.quantity, samples=args.samples)
+    config = args.config = _config_from_args(args).validated()
+    series = run(config, (args.quantity,), args.samples).drift[args.quantity]
     lines = ["t,deviation"] + [f"{t:.5e},{dev:.5e}" for t, dev in series]
     with _output(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -157,16 +148,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
     except (ConfigurationError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonConvergenceError, DivergenceError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
+        code = EXIT_SOLVER
+    # the harness accepted the run: it returned, or a solver failure ended it
+    if getattr(args, "manifest", None):
+        with _output(args.manifest) as fh:
+            fh.write(args.config.manifest() + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ __all__ = [
     "convergence_order",
     "sweep",
     "SweepResult",
-    "drift_series",
     "CSV_COLUMNS",
 ]
 
@@ -99,7 +98,7 @@ class ErrorReport:
     nb_iter_avg: float = 0.0
     nb_call_avg: float = 0.0
     drift: dict = field(default_factory=dict)  # quantity -> list[(t, deviation)]
-    scales: dict = field(default_factory=dict)  # quantity -> magnitude (end nodes, or q at t=0)
+    scales: dict = field(default_factory=dict)  # quantity -> magnitude (max |X| over the nodes, or q at t=0)
 
 
 class _ChunkedMetrics:
@@ -120,6 +119,7 @@ class _ChunkedMetrics:
         self.refs = [] if problem.exact_solution else sorted(refs, key=lambda r: r.t)
         self.ref_tol = 1e-9 * max(1.0, T)
         self.x_err = None  # max position error, or the error at the last reference time
+        self.x_scale = 0.0  # max |X| over the nodes so far
         self.q0 = {}  # name -> the first node's value, shaped (m,)
         self.max_dev = {inv.name: 0.0 for inv in problem.invariants}
         self.series = {inv.name: [] for inv in problem.invariants if inv.name in drift}
@@ -138,6 +138,7 @@ class _ChunkedMetrics:
         if not n:
             return
         t, X, P = self.t[:n], self.X[:n], self.P[:n]
+        self.x_scale = max(self.x_scale, max_abs(X))
         if self.problem.exact_solution is not None:
             err = max_abs(X - self.problem.exact_solution(t)[0])
             self.x_err = err if self.x_err is None else max(self.x_err, err)
@@ -204,7 +205,7 @@ def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> Err
     )
     if observer.x_err is not None:
         report.errors["x"] = float(observer.x_err)
-        report.scales["x"] = max(max_abs(traj.xs[0]), max_abs(traj.xs[-1]))
+        report.scales["x"] = observer.x_scale
     for inv in problem.invariants:
         report.errors[inv.name] = float(observer.max_dev[inv.name])
         report.scales[inv.name] = max_abs(observer.q0[inv.name])
@@ -298,9 +299,3 @@ def sweep(base: RunConfig, Ns) -> SweepResult:
         prev = (dt, dict(report.errors), noise)
         rows.append(row)
     return SweepResult(rows)
-
-
-def drift_series(config: RunConfig, quantity: str, samples: int = 200):
-    """Deviation |q(t) - q(0)| sampled at ``samples`` evenly spaced nodes."""
-    report = run(config, drift_quantities=(quantity,), drift_samples=samples)
-    return report.drift[quantity]

@@ -44,7 +44,6 @@ __all__ = [
     "DDOUBLE",
     "PRECISIONS",
     "sqrt",
-    "cos",
     "sin_cos",
     "log",
     "max_abs",
@@ -591,14 +590,6 @@ def sqrt(x):
     if isinstance(x, np.ndarray):
         return np.sqrt(x)
     return math.sqrt(x)
-
-
-def cos(x):
-    if isinstance(x, DoubleDouble):
-        return x.cos()
-    if isinstance(x, np.ndarray):
-        return np.cos(x)
-    return math.cos(x)
 
 
 def sin_cos(x):

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import NATIVE, Precision, cos as ncos, log as nlog, sin_cos, sqrt as nsqrt
+from .numerics import NATIVE, Precision, log as nlog, sin_cos, sqrt as nsqrt
 
 __all__ = [
     "HamiltonianProblem",
@@ -87,8 +87,8 @@ class HamiltonianProblem:
     """``first_rhs``, ``second_rhs``, ``hamiltonian`` and the invariants act
     node by node on (..., I, K) states, and ``exact_solution`` on (...) times
     (see the module docstring): a stack of nodes gets, node for node, the
-    words of a call on each one alone.  The sizes I (``dim``) and K
-    (``nbodies``) are read off ``x0``, which no field can contradict."""
+    words of a call on each one alone.  The sizes I and K are read off
+    ``x0``, which no field can contradict."""
 
     name: str
     x0: np.ndarray
@@ -106,9 +106,6 @@ class HamiltonianProblem:
     # (see blocksolver.init_block); the catalog builders fill it when they
     # build at another precision
     native: HamiltonianProblem | None = field(default=None, compare=False, repr=False)
-
-    dim = property(lambda self: self.x0.shape[-2])  # I
-    nbodies = property(lambda self: self.x0.shape[-1])  # K
 
 
 def _twinned(builder):
@@ -180,14 +177,8 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
         x, p = _at(X, 0, 0), _at(P, 0, 0)
         return p * p / (2 * m_) + k_ * x * x * 0.5
 
-    def velocity(V):  # V / m_; at m = 1 the copy has the quotient's words
-        return V.copy() if m_ == 1 else V / m_
-
-    def first_rhs(X, P):
-        return velocity(P), neg_k * X
-
-    def second_rhs(X, P, DX, DP):
-        return velocity(DP), neg_k * DX
+    def first_rhs(X, P):  # at m = 1 the copy has the quotient's words
+        return P.copy() if m_ == 1 else P / m_, neg_k * X
 
     def exact(t):
         s, c = sin_cos(t * omega)
@@ -200,7 +191,7 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
         separable=True,
         hamiltonian=hamiltonian,
         first_rhs=first_rhs,
-        second_rhs=second_rhs,
+        second_rhs=lambda X, P, DX, DP: first_rhs(DX, DP),  # linear: the map applied to D
         invariants=(InvariantSpec("H", hamiltonian),),
         exact_solution=exact,
         parameters={"m": m_, "kappa": k_, "omega": omega},
@@ -260,13 +251,6 @@ def make_two_spring(
         DP[..., 0, 1] = -(k2_ * (x2 - x1))
         return P / masses, DP
 
-    def second_rhs(X, P, DX, DP):
-        v1, v2 = _at(DX, 0, 0), _at(DX, 0, 1)
-        SP = np.empty_like(P)
-        SP[..., 0, 0] = -(k1_ * v1 + k2_ * (v1 - v2))
-        SP[..., 0, 1] = -(k2_ * (v2 - v1))
-        return DP / masses, SP
-
     def exact(t):
         ph1 = w1 * t + a1_
         ph2 = w2 * t + a2_
@@ -286,7 +270,7 @@ def make_two_spring(
         separable=True,
         hamiltonian=hamiltonian,
         first_rhs=first_rhs,
-        second_rhs=second_rhs,
+        second_rhs=lambda X, P, DX, DP: first_rhs(DX, DP),  # linear: the map applied to D
         invariants=(InvariantSpec("H", hamiltonian),),
         exact_solution=exact,
         parameters={"omega1": w1, "omega2": w2, "k1": k1_, "k2": k2_, "m1": m1_, "m2": m2_},
@@ -322,7 +306,7 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
 
     def hamiltonian(X, P):
         x, p = _at(X, 0, 0), _at(P, 0, 0)
-        return p * p / (2 * ml2) + mgl * (1 - ncos(x))
+        return p * p / (2 * ml2) + mgl * (1 - sin_cos(x)[1])
 
     def first_rhs(X, P):
         return P / ml2, neg_mgl * np.sin(X)
@@ -627,12 +611,9 @@ def make_outer_solar(precision=NATIVE) -> HamiltonianProblem:
     """Sun plus the five outer bodies; au / day / solar-mass units, momenta = m v."""
     masses = [row[1] for row in _OUTER_SOLAR]
     X0 = [[row[2][i] for row in _OUTER_SOLAR] for i in range(3)]
-    m_ = [precision.real(v) for v in masses]
-    V0 = [[precision.real(row[3][i]) for row in _OUTER_SOLAR] for i in range(3)]
-    P0 = np.empty((3, len(m_)), dtype=precision.dtype)
-    for i in range(3):
-        for k in range(len(m_)):
-            P0[i, k] = m_[k] * V0[i][k]
+    m_ = precision.asarray([precision.real(v) for v in masses])
+    V0 = precision.asarray([[precision.real(row[3][i]) for row in _OUTER_SOLAR] for i in range(3)])
+    P0 = m_ * V0  # momenta m v
     prob = make_nbody(masses, OUTER_SOLAR_G, X0, P0, name="outer_solar", precision=precision)
     prob.parameters["bodies"] = tuple(row[0] for row in _OUTER_SOLAR)
     return prob

@@ -47,7 +47,6 @@ from .numerics import NATIVE, PRECISIONS, DoubleDouble, Precision
 
 __all__ = [
     "Formulation",
-    "RawBasis",
     "CoeffTable",
     "ConfigurationError",
     "kernel_basis",
@@ -98,24 +97,6 @@ def _check_block_size(R: int) -> None:
         raise ConfigurationError(f"block size R={R} outside supported range 1..{MAX_BLOCK_SIZE}")
 
 
-@dataclass(frozen=True)
-class RawBasis:
-    """Orthonormal basis of the structural-equation kernel on the unit grid.
-
-    ``vectors_dd`` has shape (R, levels*(R+1)) with double-double entries;
-    column s*(R+1) + r holds derivative order s at node r.
-    """
-
-    R: int
-    formulation: Formulation
-    vectors_dd: np.ndarray
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """float64 view of the basis."""
-        return np.array([[float(v) for v in row] for row in self.vectors_dd])
-
-
 def _orthonormalize(vectors: list[list[Fraction]]) -> np.ndarray:
     """Gram-Schmidt in exact rationals, in the given order, then each vector
     divided by its norm in double-double; the first entry of largest
@@ -138,7 +119,7 @@ def _orthonormalize(vectors: list[list[Fraction]]) -> np.ndarray:
 
 def _unit_kernel(R: int, form: Formulation) -> list[list[Fraction]]:
     """The kernel rows [T_r | e_r] of ``_unit_table`` in the column order of
-    ``RawBasis``, reduced to the identity on the last R columns
+    ``kernel_basis``, reduced to the identity on the last R columns
     (D_1..D_R for ZD, S_1..S_R for ZDS) by Gauss-Jordan over R rows."""
     T = _unit_table(R, form)
     A = [[t[0], *(Fraction(int(m == r)) for m in range(R)), *t[1:]] for r, t in enumerate(T)]
@@ -151,12 +132,18 @@ def _unit_kernel(R: int, form: Formulation) -> list[list[Fraction]]:
 
 
 @lru_cache(maxsize=None)
-def _kernel_basis_cached(R: int, form: Formulation) -> RawBasis:
-    return RawBasis(R, form, _orthonormalize(_unit_kernel(R, form)))
+def _kernel_basis_cached(R: int, form: Formulation) -> np.ndarray:
+    V = _orthonormalize(_unit_kernel(R, form))
+    V.flags.writeable = False
+    return V
 
 
-def kernel_basis(R: int, formulation) -> RawBasis:
-    """Deterministic orthonormal kernel basis of the reduced exactness system."""
+def kernel_basis(R: int, formulation) -> np.ndarray:
+    """Deterministic orthonormal kernel basis of the reduced exactness system.
+
+    A read-only (R, levels*(R+1)) array of double-double entries; column
+    s*(R+1) + r holds derivative order s at node r.
+    """
     form = Formulation.parse(formulation)
     _check_block_size(R)
     return _kernel_basis_cached(R, form)
@@ -330,7 +317,7 @@ def dump_coeff_csv(table: CoeffTable, stream) -> None:
     """
     stream.write("formulation,R,m,r,s,value\n")
     R, form = table.R, table.formulation
-    V = kernel_basis(R, form).vectors_dd
+    V = kernel_basis(R, form)
     dt = DoubleDouble.from_any(table.dt)
     pows = [DoubleDouble(1.0), dt, dt * dt]
     for m in range(R):

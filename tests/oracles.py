@@ -9,7 +9,6 @@ import numpy as np
 from structham.blocksolver import (
     GROWTH_LIMIT,
     DivergenceError,
-    IterStats,
     NonConvergenceError,
     _newton_matrix,
     init_block,
@@ -29,7 +28,7 @@ def coefficient_blocks(table):
 
 def probe_linear_rhs(problem):
     """Extract the (2n x 2n) matrix of a problem with linear first_rhs."""
-    n = problem.dim * problem.nbodies
+    n = problem.x0.size
     shape = problem.x0.shape
     A = np.zeros((2 * n, 2 * n))
     for j in range(2 * n):
@@ -52,7 +51,7 @@ def dense_block_oracle(problem, table, anchor):
     equations enter through the probed linear map, the structural equations
     through kron products.  Entirely independent of the fixed-point path.
     """
-    n = problem.dim * problem.nbodies
+    n = problem.x0.size
     R = table.R
     A = probe_linear_rhs(problem)
     Ex = np.hstack([np.eye(n), np.zeros((n, n))])
@@ -61,7 +60,7 @@ def dense_block_oracle(problem, table, anchor):
     B_d = np.asarray(c.B_d, float)
     M_x = np.kron(np.eye(R), Ex) + np.kron(B_d, Ex @ A)
     M_p = np.kron(np.eye(R), Ep) + np.kron(B_d, Ep @ A)
-    (x0, p0), (dx0, dp0) = anchor.level(0), anchor.level(1)
+    (x0, p0), (dx0, dp0) = anchor.W[:, 0], anchor.W[:, 1]
     rhs_x = -(np.kron(c.b_z, x0.ravel()) + np.kron(c.b_d, dx0.ravel()))
     rhs_p = -(np.kron(c.b_z, p0.ravel()) + np.kron(c.b_d, dp0.ravel()))
     if c.B_s is not None:
@@ -69,7 +68,7 @@ def dense_block_oracle(problem, table, anchor):
         A2 = A @ A
         M_x += np.kron(B_s, Ex @ A2)
         M_p += np.kron(B_s, Ep @ A2)
-        sx0, sp0 = anchor.level(2)
+        sx0, sp0 = anchor.W[:, 2]
         rhs_x -= np.kron(c.b_s, sx0.ravel())
         rhs_p -= np.kron(c.b_s, sp0.ravel())
     M = np.vstack([M_x, M_p])
@@ -189,10 +188,9 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
         state = init_block(anchor, problem, table, config)
         if problem.native is None:
             state.newton = newton
-        # the predictor's own sweeps (a float64 phase) count as sweeps
-        stats = IterStats(state.sweeps, table.R * (1 + state.sweeps))
+        # state.sweeps starts at the predictor's own sweeps (a float64 phase)
         Z, derivs = state.Z, state.DS[:, :, 1:]
-        scale_ref = max(max_abs(anchor.level(0)), 1.0)
+        scale_ref = max(max_abs(anchor.W[:, 0]), 1.0)
         prev_norm = max_abs(Z)
         newton = state.newton
         had, diff, prev_diff, slow = newton is not None, math.inf, math.inf, 0
@@ -228,11 +226,10 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
             derivs[0, 0], derivs[1, 0] = Dx, Dp
             if second:
                 derivs[0, 1], derivs[1, 1] = problem.second_rhs(Z[0], Z[1], Dx, Dp)
-            stats.pe1_calls += table.R
-            stats.iterations += 1
+            state.sweeps += 1
             if verdict:
                 state.newton = newton
-                return state, stats
+                return state
             norm = max_abs(Z)
             if norm > GROWTH_LIMIT * max(prev_norm, scale_ref):
                 raise DivergenceError(
@@ -244,7 +241,6 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
                 if slow == 3 and sweep < config.max_iter:
                     newton, slow = _newton_matrix(problem, table, state), None
                     had = had or newton is not None
-                    stats.iterations += Z.size
-                    stats.pe1_calls += table.R * Z.size
+                    state.sweeps += Z.size
                     diff = math.inf
     raise NonConvergenceError(f"reference loop not converged (last change {diff:.3e})", diff)

@@ -16,12 +16,11 @@ from structham.harness import (
     NOISE_ULPS,
     RunConfig,
     convergence_order,
-    drift_series,
     run,
     sweep,
 )
 from structham.numerics import PRECISIONS, max_abs
-from structham.problems import build_problem
+from structham.problems import build_problem, make_mass_spring
 from structham.secoeff import ConfigurationError
 
 
@@ -144,6 +143,21 @@ class TestSweep:
         for got, ref in zip([row["ordx"] for row in result.rows[1:]], [3.7, 3.9, 4.0]):
             assert abs(got - ref) <= 0.4
 
+    def test_noise_floor_scale_spans_the_orbit(self, monkeypatch):
+        # x = sin t over [0, pi]: both end nodes sit near 0 and the orbit
+        # reaches 1.  The position scale is the largest |X| over every node,
+        # so two roundoff-level errors print no order (the end nodes' scale
+        # printed -1.92)
+        monkeypatch.setattr(harness, "build_problem",
+                            lambda name, precision: make_mass_spring(x0=0.0, p0=1.0, precision=precision))
+        base = RunConfig(problem="mass_spring", scheme="zds", N=128, T=math.pi, R=4)
+        traj = integrate(make_mass_spring(x0=0.0, p0=1.0), "zds", 4, 128, math.pi)
+        assert max(max_abs(traj.xs[0]), max_abs(traj.xs[-1])) < 1e-15
+        assert run(base).scales["x"] == max(max_abs(X) for X in traj.xs) == pytest.approx(1.0)
+        rows = sweep(base, [128, 256]).rows
+        assert all(row["ex"] <= NOISE_ULPS * 128 * 2.0**-53 for row in rows)
+        assert "ordx" not in rows[1] and "ordH" not in rows[1]
+
     def test_single_row_no_orders(self):
         result = sweep(RunConfig(problem="mass_spring", scheme="zds", N=0, T=10.0, R=1), [60])
         assert "ordx" not in result.rows[0]
@@ -214,7 +228,7 @@ class TestSweep:
 class TestDriftSeries:
     def test_series_shape_and_sampling(self):
         config = RunConfig(problem="pendulum", scheme="zds", N=600, T=30.0, R=2)
-        series = drift_series(config, "H", samples=40)
+        series = run(config, ("H",), 40).drift["H"]
         assert len(series) == 40
         ts = [t for t, _ in series]
         assert ts == sorted(ts)
@@ -226,14 +240,14 @@ class TestDriftSeries:
         config = RunConfig(problem="kepler", scheme="zds", N=600, T=20.0, R=2)
         assert config.N + 1 > 2 * CHUNK  # three chunks
         picks = set(np.round(np.linspace(0, config.N, min(samples, config.N + 1))).astype(int).tolist())
-        series = drift_series(config, quantity, samples=samples)
+        series = run(config, (quantity,), samples).drift[quantity]
         assert len(series) == len(picks)
         assert series == per_node_metrics(config, quantity, picks)[1]
 
     def test_unknown_quantity(self):
         config = RunConfig(problem="pendulum", scheme="zds", N=10, T=1.0, R=1)
         with pytest.raises(ConfigurationError):
-            drift_series(config, "L")
+            run(config, ("L",))
 
     def test_run_rejects_unknown_quantity_before_integrating(self, monkeypatch):
         monkeypatch.setattr(harness, "integrate", lambda *args, **kwargs: pytest.fail("integrated"))
@@ -403,6 +417,24 @@ class TestCli:
         text = out.read_text().strip().split("\n")
         assert text[0] == "formulation,R,m,r,s,value"
         assert len(text) == 7
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", "--R", "2", "--T", "1", "--Ns", "20,20"], 2),
+        (["drift", "--R", "2", "--N", "20", "--T", "1", "--samples", "0"], 2),
+        (["drift", "--R", "2", "--N", "20", "--T", "1", "--quantity", "L"], 2),
+        (["sweep", "--R", "4", "--T", "1", "--Ns", "2,8"], 2),  # N < R, raised in integrate
+        (["run", "--R", "13", "--N", "26", "--T", "1"], 2),
+        (["drift", "--R", "2", "--N", "20", "--T", "1"], 0),
+        (["run", "--R", "2", "--N", "10", "--T", "10.0", "--problem", "em_scb"], 3),
+    ])
+    def test_manifest_only_for_accepted_runs(self, argv, code, tmp_path, capsys):
+        # the harness accepts a run when it returns or a solver failure ends it
+        manifest = tmp_path / "m.json"
+        problem = [] if "--problem" in argv else ["--problem", "mass_spring"]
+        assert cli_main([*argv, *problem, "--scheme", "zds", "--manifest", str(manifest)]) == code
+        assert manifest.exists() == (code != 2)
+        if code == 3:
+            assert json.loads(manifest.read_text())["problem"] == "em_scb"
 
     def test_manifest(self, tmp_path):
         manifest = tmp_path / "m.json"

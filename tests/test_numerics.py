@@ -18,7 +18,6 @@ from structham.numerics import (
     _SIN_COS_J,
     _dd,
     all_finite,
-    cos as ncos,
     max_abs,
     sin_cos,
     two_prod,
@@ -523,7 +522,7 @@ class TestElementary:
         x[:4] = (0.0, -0.0, 5e-324, -1e-300)
         s, c = sin_cos(x)
         assert len(x) == 200_000
-        for got, fn in ((s, math.sin), (c, math.cos), (ncos(x), math.cos)):
+        for got, fn in ((s, math.sin), (c, math.cos)):
             want = np.array([fn(v) for v in x.tolist()])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
