@@ -8,8 +8,8 @@ alternates:
 * a structural update -- new Z blocks from the coefficient table, pure
   linear algebra, no physics;
 * a physical update -- derivative blocks refreshed from the problem's
-  Hamiltonian right-hand sides, no discretization; one call per level
-  evaluates all R nodes.
+  Hamiltonian right-hand sides, no discretization; one call evaluates
+  every level at all R nodes.
 
 The x and p blocks use the same structural coefficients and couple only
 through the physical equations, so a block is one phase-space array ``Y`` of
@@ -328,19 +328,20 @@ def se_update(table: CoeffTable, state: BlockState) -> np.ndarray:
 def pe_update(problem, Z: np.ndarray, out: np.ndarray) -> None:
     """Derivative blocks refreshed from the physical equations at all R nodes.
 
-    One ``first_rhs`` call (and, when ``out`` holds two levels, one
-    ``second_rhs`` call) takes the (2, R, I, K) node block ``Z`` at once;
-    the right-hand sides act node by node.  D (and S) are written into
-    ``out`` (2, L-1, R, I, K), such as the node part of ``BlockState.DS``.
+    One ``problem.derivatives`` call takes the (2, R, I, K) node block
+    ``Z`` at once and acts node by node.  D (and, when ``out`` holds two
+    levels, S) are written into ``out`` (2, L-1, R, I, K), such as the node
+    part of ``BlockState.DS``.
     """
     Zx, Zp = Z[0], Z[1]  # two indexings: unpacking iterates and costs more
-    shape = Zx.shape
-    Dx, Dp = problem.first_rhs(Zx, Zp)
+    shape, L = Zx.shape, out.shape[1]
+    levels = problem.derivatives(Zx, Zp, L)
+    Dx, Dp = levels[0]  # no loop over the levels: on a 1x1 state it costs as much as a ufunc
     if getattr(Dx, "shape", None) != shape or getattr(Dp, "shape", None) != shape:
         raise _node_block_error(problem, "first_rhs", shape, Dx, Dp)
     out[0, 0], out[1, 0] = Dx, Dp
-    if out.shape[1] > 1:
-        Sx, Sp = problem.second_rhs(Zx, Zp, Dx, Dp)
+    if L > 1:
+        Sx, Sp = levels[1]
         if getattr(Sx, "shape", None) != shape or getattr(Sp, "shape", None) != shape:
             raise _node_block_error(problem, "second_rhs", shape, Sx, Sp)
         out[0, 1], out[1, 1] = Sx, Sp

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import sys
 
 from .blocksolver import DivergenceError, NonConvergenceError
@@ -61,7 +62,8 @@ def _output(path):
 
 
 def _cmd_run(args) -> int:
-    config = args.config = _config_from_args(args).validated()
+    config = _config_from_args(args).validated()
+    args.record = vars(config)
     report = run(config)
     parts = [f"problem={config.problem}", f"scheme={config.scheme}"]
     if config.R is not None:
@@ -86,7 +88,8 @@ def _cmd_sweep(args) -> int:
     Ns = [int(v) for v in args.Ns.split(",") if v.strip()]
     if not Ns:
         raise ConfigurationError(f"--Ns {args.Ns!r} lists no step count")
-    config = args.config = _config_from_args(args, N=Ns[0]).validated()
+    config = _config_from_args(args, N=Ns[0]).validated()
+    args.record = {key: value for key, value in vars(config).items() if key != "N"} | {"Ns": Ns}
     text = sweep(config, Ns).to_csv()
     with _output(args.out) as fh:
         fh.write(text)
@@ -94,7 +97,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_drift(args) -> int:
-    config = args.config = _config_from_args(args).validated()
+    config = _config_from_args(args).validated()
+    args.record = vars(config) | {"quantity": args.quantity, "samples": args.samples}
     series = run(config, (args.quantity,), args.samples).drift[args.quantity]
     lines = ["t,deviation"] + [f"{t:.5e},{dev:.5e}" for t, dev in series]
     with _output(args.out) as fh:
@@ -157,10 +161,11 @@ def main(argv=None) -> int:
     except (NonConvergenceError, DivergenceError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         code = EXIT_SOLVER
-    # the harness accepted the run: it returned, or a solver failure ended it
+    # the harness accepted the run: it returned, or a solver failure ended it;
+    # the manifest records its configuration and the command's own arguments
     if getattr(args, "manifest", None):
         with _output(args.manifest) as fh:
-            fh.write(args.config.manifest() + "\n")
+            fh.write(json.dumps(args.record, sort_keys=True) + "\n")
     return code
 
 

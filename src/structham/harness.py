@@ -15,14 +15,16 @@ module) reduced by max_abs: the values of one call per node.
 
 Iteration accounting follows nb_iter_avg = total_iter / N (total_iter counts
 one initialization unit per block plus all fixed-point sweeps) and
-nb_call_avg = R * nb_iter_avg for the structural schemes; Stormer-Verlet
-rows report measured right-hand-side calls per step instead.
+nb_call_avg = R * nb_iter_avg for the structural schemes.  Stormer-Verlet
+rows report right-hand-side evaluations per step instead: for a separable
+problem the forces, one per stage and one at t = 0 (N * stages + 1 in all),
+and for a non-separable one a call per fixed-point iteration and two
+explicit calls per stage.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -85,9 +87,6 @@ class RunConfig:
             raise ConfigurationError("LRL projection applies to the kepler problem only")
         SolverConfig(tol=self.tol, max_iter=self.max_iter)  # checks tol and max_iter
         return self
-
-    def manifest(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 @dataclass

@@ -594,12 +594,10 @@ def sqrt(x):
 
 def sin_cos(x):
     """(sin x, cos x); a DoubleDouble reduces and expands its argument once."""
+    if isinstance(x, np.ndarray):  # first: the pendulum's PE calls it on every sweep
+        return _SIN_COS(x) if x.dtype.hasobject else (np.sin(x), np.cos(x))
     if isinstance(x, DoubleDouble):
         return x.sin_cos()
-    if isinstance(x, np.ndarray):
-        if x.dtype == object:
-            return _SIN_COS(x)
-        return np.sin(x), np.cos(x)
     return math.sin(x), math.cos(x)
 
 

@@ -26,9 +26,9 @@ sum x^4/4::
     second_rhs = lambda X, P, DX, DP: (DP.copy(), -(3 * X * X * DX))
 
 Right-hand sides are pure functions of the values passed in, and return
-arrays that the caller owns.  A kernel may therefore keep what it computed
-at the last state and reuse it for a call at equal values, as the n-body
-kernel does; a caller may mutate its arrays between calls.
+arrays that the caller owns.  A separable problem, H = T(P) + V(X), has
+``velocity`` (grad_P T) and ``force`` (-grad_X V), the leapfrog's maps.  The
+pendulum and the n-body kernel share work between D and S in ``derivatives``.
 """
 
 from __future__ import annotations
@@ -84,19 +84,28 @@ class ReferenceValue(NamedTuple):
 
 @dataclass
 class HamiltonianProblem:
-    """``first_rhs``, ``second_rhs``, ``hamiltonian`` and the invariants act
+    """The right-hand sides, ``hamiltonian`` and the invariants act
     node by node on (..., I, K) states, and ``exact_solution`` on (...) times
     (see the module docstring): a stack of nodes gets, node for node, the
     words of a call on each one alone.  The sizes I and K are read off
-    ``x0``, which no field can contradict."""
+    ``x0``, which no field can contradict.
+
+    The problem is separable when it has a ``force``; without a
+    ``first_rhs`` its own is then (velocity(P), force(X)).
+    ``derivatives(X, P, levels)`` returns the tuple (D,) or, at levels 2,
+    (D, S), each an (X, P) pair.  One passed in must give the words of
+    ``first_rhs`` and ``second_rhs``; without one, it calls them as the
+    problem holds them at the call, so a wrapper set on either sees it."""
 
     name: str
     x0: np.ndarray
     p0: np.ndarray
-    separable: bool
     hamiltonian: Callable = field(repr=False, default=None)
     first_rhs: Callable = field(repr=False, default=None)
     second_rhs: Callable = field(repr=False, default=None)
+    force: Callable | None = field(repr=False, default=None)  # X -> dP, for H = T(P) + V(X)
+    velocity: Callable | None = field(repr=False, default=None)  # P -> dX, likewise
+    derivatives: Callable = field(repr=False, default=None, compare=False)
     invariants: tuple = ()
     exact_solution: Callable | None = field(repr=False, default=None)
     reference_values: tuple = ()
@@ -106,6 +115,23 @@ class HamiltonianProblem:
     # (see blocksolver.init_block); the catalog builders fill it when they
     # build at another precision
     native: HamiltonianProblem | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if (self.force is None) != (self.velocity is None):
+            raise ValueError(f"{self.name}: a separable problem gives both force and velocity")
+        if self.first_rhs is None and self.force is not None:
+            velocity, force = self.velocity, self.force
+            self.first_rhs = lambda X, P: (velocity(P), force(X))
+        if self.derivatives is None:
+            self.derivatives = self._rhs_derivatives
+
+    @property
+    def separable(self) -> bool:
+        return self.force is not None
+
+    def _rhs_derivatives(self, X, P, levels):
+        D = self.first_rhs(X, P)
+        return (D, self.second_rhs(X, P, *D)) if levels == 2 else (D,)
 
 
 def _twinned(builder):
@@ -177,8 +203,11 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
         x, p = _at(X, 0, 0), _at(P, 0, 0)
         return p * p / (2 * m_) + k_ * x * x * 0.5
 
-    def first_rhs(X, P):  # at m = 1 the copy has the quotient's words
-        return P.copy() if m_ == 1 else P / m_, neg_k * X
+    def velocity(P):  # at m = 1 the copy has the quotient's words
+        return P.copy() if m_ == 1 else P / m_
+
+    def force(X):
+        return neg_k * X
 
     def exact(t):
         s, c = sin_cos(t * omega)
@@ -188,10 +217,10 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
         name="mass_spring",
         x0=_row(x0_),
         p0=_row(p0_),
-        separable=True,
         hamiltonian=hamiltonian,
-        first_rhs=first_rhs,
-        second_rhs=lambda X, P, DX, DP: first_rhs(DX, DP),  # linear: the map applied to D
+        second_rhs=lambda X, P, DX, DP: (velocity(DP), force(DX)),  # linear: the map applied to D
+        force=force,
+        velocity=velocity,
         invariants=(InvariantSpec("H", hamiltonian),),
         exact_solution=exact,
         parameters={"m": m_, "kappa": k_, "omega": omega},
@@ -244,12 +273,15 @@ def make_two_spring(
         d = x2 - x1
         return p1 * p1 / (2 * m1_) + p2 * p2 / (2 * m2_) + k1_ * x1 * x1 * 0.5 + k2_ * d * d * 0.5
 
-    def first_rhs(X, P):
+    def velocity(P):
+        return P / masses
+
+    def force(X):
         x1, x2 = _at(X, 0, 0), _at(X, 0, 1)
-        DP = np.empty_like(P)
-        DP[..., 0, 0] = -(k1_ * x1 + k2_ * (x1 - x2))
-        DP[..., 0, 1] = -(k2_ * (x2 - x1))
-        return P / masses, DP
+        F = np.empty_like(X)
+        F[..., 0, 0] = -(k1_ * x1 + k2_ * (x1 - x2))
+        F[..., 0, 1] = -(k2_ * (x2 - x1))
+        return F
 
     def exact(t):
         ph1 = w1 * t + a1_
@@ -267,10 +299,10 @@ def make_two_spring(
         name="two_spring",
         x0=X0,
         p0=P0,
-        separable=True,
         hamiltonian=hamiltonian,
-        first_rhs=first_rhs,
-        second_rhs=lambda X, P, DX, DP: first_rhs(DX, DP),  # linear: the map applied to D
+        second_rhs=lambda X, P, DX, DP: (velocity(DP), force(DX)),  # linear: the map applied to D
+        force=force,
+        velocity=velocity,
         invariants=(InvariantSpec("H", hamiltonian),),
         exact_solution=exact,
         parameters={"omega1": w1, "omega2": w2, "k1": k1_, "k2": k2_, "m1": m1_, "m2": m2_},
@@ -308,11 +340,21 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
         x, p = _at(X, 0, 0), _at(P, 0, 0)
         return p * p / (2 * ml2) + mgl * (1 - sin_cos(x)[1])
 
-    def first_rhs(X, P):
-        return P / ml2, neg_mgl * np.sin(X)
+    def velocity(P):
+        return P / ml2
+
+    def force(X):
+        return neg_mgl * np.sin(X)
 
     def second_rhs(X, P, DX, DP):
         return DP / ml2, neg_mgl * np.cos(X) * DX
+
+    def derivatives(X, P, levels):
+        if levels == 1:
+            return ((velocity(P), force(X)),)
+        s, c = sin_cos(X)  # np.sin's and np.cos's words, one reduction per ddouble entry
+        DX, DP = P / ml2, neg_mgl * s
+        return (DX, DP), (DP / ml2, neg_mgl * c * DX)
 
     refs = ()
     if default_x0 and float(m_) == 1.0 and float(g_) == 1.0 and float(l_) == 1.0 and float(p0_) == 0.0:
@@ -325,10 +367,11 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
         name="pendulum",
         x0=_row(x0_),
         p0=_row(p0_),
-        separable=True,
         hamiltonian=hamiltonian,
-        first_rhs=first_rhs,
         second_rhs=second_rhs,
+        force=force,
+        velocity=velocity,
+        derivatives=derivatives,
         invariants=(InvariantSpec("H", hamiltonian),),
         reference_values=refs,
         parameters={"m": m_, "g": g_, "l": l_},
@@ -380,9 +423,8 @@ def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianPr
         p1, p2 = _at(P, 0, 0), _at(P, 1, 0)
         return (p1 * p1 + p2 * p2) * 0.5 - 1 / r
 
-    def first_rhs(X, P):
-        r3 = _r3(X)[3]
-        return P.copy(), -(X / _lift(r3, 2))
+    def force(X):
+        return -(X / _lift(_r3(X)[3], 2))
 
     def second_rhs(X, P, DX, DP):
         x1, x2, r, r3 = _r3(X)
@@ -401,10 +443,10 @@ def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianPr
         name="kepler",
         x0=X0,
         p0=P0,
-        separable=True,
         hamiltonian=hamiltonian,
-        first_rhs=first_rhs,
         second_rhs=second_rhs,
+        force=force,
+        velocity=lambda P: P.copy(),
         invariants=(
             InvariantSpec("H", hamiltonian),
             InvariantSpec("L", angular_momentum),
@@ -473,12 +515,8 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
     3-vector for I = 3 (monitored in max-norm).  No diagonal fill: self terms
     vanish on the zero diagonal of the differences, and the pair-by-pair
     collision check runs only when some squared distance is exactly zero.
-
-    The pair geometry (differences, distances) and force of the last
-    position state evaluated are kept and reused by the next call at the
-    same positions: ``second_rhs`` after ``first_rhs`` on a block, and the
-    leapfrog's kicks at one X.  States match by shape, dtype and bytes.  The
-    returned arrays are always fresh, never views of what is kept.
+    ``derivatives`` works out the pair geometry (differences, distances)
+    once for D and S, and ``force`` gives D's momentum half alone.
     """
     m = precision.asarray(masses)
     K = m.shape[0]
@@ -502,22 +540,16 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
     iu, ju = np.triu_indices(K, 1)
     GMMp = (G_ * m[iu]) * m[ju]  # the pairs k < l, row-major
 
-    memo = {"key": None}  # the last position state evaluated and its pair geometry
+    add = np.add.reduce  # .sum's words without its Python wrapper
 
-    def _pair_geometry(X):
-        # object arrays compare by entry pointers: memo["X"] keeps the last
-        # state's immutable DoubleDouble entries alive, so equal bytes mean
-        # the same values
-        key = (X.shape, X.dtype, X.tobytes())
-        if key != memo["key"]:
-            diff = X[..., :, None, :] - X[..., :, :, None]  # diff[..., i, k, l] = x^l_i - x^k_i
-            d2 = (diff * diff).sum(axis=-3) + EYE  # (..., K, K), 1 on the diagonal
-            if np.count_nonzero(d2) < d2.size:  # the first node's first pair k < l
-                k, l = np.argwhere(d2 == 0)[0][-2:]
-                raise SingularityError(f"bodies {k} and {l} collide")
-            d3 = d2 * np.sqrt(d2)
-            memo.update(key=key, X=X.copy(), diff=diff, d2=d2, d3=d3, w=GMM / d3, DP=None)
-        return memo
+    def pair_geometry(X):
+        diff = X[..., :, None, :] - X[..., :, :, None]  # diff[..., i, k, l] = x^l_i - x^k_i
+        d2 = add(diff * diff, axis=-3) + EYE  # (..., K, K), 1 on the diagonal
+        if np.count_nonzero(d2) < d2.size:  # the first node's first pair k < l
+            k, l = np.argwhere(d2 == 0)[0][-2:]
+            raise SingularityError(f"bodies {k} and {l} collide")
+        d3 = d2 * np.sqrt(d2)
+        return diff, d2, d3, (GMM / d3)[..., None, :, :]
 
     def hamiltonian(X, P):
         kin = ((P * P).sum(axis=-2) / m2).sum(axis=-1)
@@ -526,21 +558,24 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
         pot = 0 * kin - np.add.accumulate(GMMp / np.sqrt((dx * dx).sum(axis=-2)), axis=-1)[..., -1]
         return kin + pot
 
-    def first_rhs(X, P):
-        g = _pair_geometry(X)
-        if g["DP"] is None:
-            g["DP"] = (g["w"][..., None, :, :] * g["diff"]).sum(axis=-1)  # (..., I, K)
-        return P / m_row, g["DP"].copy()
+    def force(X):
+        diff, _, _, w = pair_geometry(X)
+        return add(w * diff, axis=-1)  # (..., I, K)
 
-    def second_rhs(X, P, DX, DP):
-        g = _pair_geometry(X)
-        diff, d2, d3 = g["diff"], g["d2"], g["d3"]
+    def velocity(P):
+        return P / m_row
+
+    def second(geometry, DX, DP):
+        diff, d2, d3, w = geometry
         vdiff = DX[..., :, None, :] - DX[..., :, :, None]
-        inner = (diff * vdiff).sum(axis=-3)  # <u, v> per pair
-        u = g["w"][..., None, :, :]
+        inner = add(diff * vdiff, axis=-3)  # <u, v> per pair
         v = (GMM3 * inner / (d3 * d2))[..., None, :, :]
-        SP = (u * vdiff - v * diff).sum(axis=-1)
-        return DP / m_row, SP
+        return DP / m_row, add(w * vdiff - v * diff, axis=-1)
+
+    def derivatives(X, P, levels):
+        geometry = diff, _, _, w = pair_geometry(X)
+        D = velocity(P), add(w * diff, axis=-1)
+        return (D, second(geometry, *D)) if levels == 2 else (D,)
 
     if I == 2:
         def angular_momentum(X, P):
@@ -555,10 +590,11 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
         name=name,
         x0=X0,
         p0=P0,
-        separable=True,
         hamiltonian=hamiltonian,
-        first_rhs=first_rhs,
-        second_rhs=second_rhs,
+        second_rhs=lambda X, P, DX, DP: second(pair_geometry(X), DX, DP),
+        force=force,
+        velocity=velocity,
+        derivatives=derivatives,
         invariants=(InvariantSpec("H", hamiltonian), InvariantSpec("L", angular_momentum)),
         parameters={"masses": m, "G": G_},
         precision=precision,
@@ -818,7 +854,6 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
         name=f"em_{variant}",
         x0=X0,
         p0=P0,
-        separable=False,
         hamiltonian=hamiltonian,
         first_rhs=first_rhs,
         second_rhs=second_rhs,

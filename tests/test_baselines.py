@@ -8,7 +8,7 @@ import pytest
 
 from structham.baselines import integrate_sv, sv_step_nonseparable, sv_step_separable, yoshida_schedule
 from structham.blocksolver import DivergenceError, NonConvergenceError, SolverConfig
-from structham.numerics import DDOUBLE, NATIVE
+from structham.numerics import DDOUBLE, NATIVE, DoubleDouble
 from structham.problems import (
     HamiltonianProblem,
     build_problem,
@@ -65,17 +65,54 @@ class TestYoshidaSchedule:
         assert abs(measured - order) <= 0.4
 
 
+def leapfrog(prob, X, P, dt):
+    X, P, _ = sv_step_separable(prob, X, P, prob.force(X), dt)
+    return X, P
+
+
+def kick_drift_kick(prob, X, P, dt):
+    """The leapfrog from three first_rhs calls: kick at X, drift at P_half, kick at X'."""
+    _, F0 = prob.first_rhs(X, P)
+    Ph = P + (0.5 * dt) * F0
+    V, _ = prob.first_rhs(X, Ph)
+    Xn = X + dt * V
+    _, F1 = prob.first_rhs(Xn, Ph)
+    return Xn, Ph + (0.5 * dt) * F1
+
+
+def words(A):
+    """Every float64 word of an array as hex: (hi, lo) for double-double."""
+    return [(v.hi.hex(), v.lo.hex()) if isinstance(v, DoubleDouble) else float(v).hex() for v in A.ravel()]
+
+
 class TestSeparableStep:
     def test_hand_example(self):
         prob = make_mass_spring()
-        X, P, calls = sv_step_separable(prob, prob.x0, prob.p0, 0.1)
+        force, forces = prob.force, []
+        prob.force = lambda X: forces.append(X) or force(X)
+        X, P, F = sv_step_separable(prob, prob.x0, prob.p0, force(prob.x0), 0.1)
         assert float(X[0, 0]) == pytest.approx(0.995)
         assert float(P[0, 0]) == pytest.approx(-0.09975)
-        assert calls == 3
+        assert len(forces) == 1 and forces[0] is X and words(F) == words(force(X))
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("name, T", [("outer_solar", 2000.0), ("pendulum", 4.0), ("kepler", 1.0)])
+    def test_first_same_as_last_equals_kick_drift_kick(self, name, T, prec):
+        # one force per stage, the last one carried into the next stage, gives
+        # every word of the three-call leapfrog at every node
+        prob = build_problem(name, prec)
+        N, gammas = 6, yoshida_schedule(4)
+        traj = integrate_sv(prob, 4, N, T)
+        X, P = prob.x0, prob.p0
+        for n in range(1, N + 1):
+            for g in gammas:
+                X, P = kick_drift_kick(prob, X, P, g * (T / N))
+            assert words(traj.xs[n]) == words(X) and words(traj.ps[n]) == words(P)
+        assert traj.pe1_calls == N * len(gammas) + 1
 
     def test_zero_step_identity(self):
         prob = make_pendulum()
-        X, P, _ = sv_step_separable(prob, prob.x0, prob.p0, 0.0)
+        X, P = leapfrog(prob, prob.x0, prob.p0, 0.0)
         assert np.array_equal(np.asarray(X, float), np.asarray(prob.x0, float))
         assert np.array_equal(np.asarray(P, float), np.asarray(prob.p0, float))
 
@@ -83,7 +120,7 @@ class TestSeparableStep:
         prob = make_mass_spring()
         M = np.zeros((2, 2))
         for j, (x, p) in enumerate([(1.0, 0.0), (0.0, 1.0)]):
-            X, P, _ = sv_step_separable(prob, np.array([[x]]), np.array([[p]]), dt)
+            X, P = leapfrog(prob, np.array([[x]]), np.array([[p]]), dt)
             M[0, j] = X[0, 0]
             M[1, j] = P[0, 0]
         return M
@@ -100,8 +137,8 @@ class TestSeparableStep:
 
     def test_reversibility(self):
         prob = make_pendulum()
-        X, P, _ = sv_step_separable(prob, prob.x0, prob.p0, 0.2)
-        X, P, _ = sv_step_separable(prob, X, P, -0.2)
+        X, P = leapfrog(prob, prob.x0, prob.p0, 0.2)
+        X, P = leapfrog(prob, X, P, -0.2)
         assert float(np.max(np.abs(X - prob.x0))) <= 1e-12
         assert float(np.max(np.abs(P - prob.p0))) <= 1e-12
 
@@ -120,7 +157,6 @@ def make_shear_problem():
     return HamiltonianProblem(
         name="shear",
         x0=np.array([[0.5]]), p0=np.array([[1.25]]),
-        separable=False,
         hamiltonian=lambda X, P: 0.5 * float((P[0, 0] - X[0, 0]) ** 2),
         first_rhs=first_rhs,
         second_rhs=second_rhs,
@@ -130,7 +166,7 @@ def make_shear_problem():
 class TestNonSeparableStep:
     def test_reduces_to_leapfrog_on_separable(self):
         prob = make_pendulum()
-        Xa, Pa, _ = sv_step_separable(prob, prob.x0, prob.p0, 0.1)
+        Xa, Pa = leapfrog(prob, prob.x0, prob.p0, 0.1)
         (Xb, Pb, iters, _) = sv_step_nonseparable(prob, prob.x0, prob.p0, 0.1, tol=1e-14)
         assert float(np.max(np.abs(Xa - Xb))) <= 1e-13
         assert float(np.max(np.abs(Pa - Pb))) <= 1e-13
@@ -224,15 +260,20 @@ class TestIntegrateSV:
     @pytest.mark.parametrize("name", ["em_challenging", "pendulum"])
     @pytest.mark.parametrize("order", [2, 4])
     def test_counted_calls_are_the_calls_made(self, name, order):
-        # the non-separable step counts its iterations plus two, the
-        # separable one three per stage; both are the calls first_rhs sees
+        # the non-separable step counts its iterations plus two, the calls
+        # first_rhs sees; the separable path one force per stage and one at
+        # t = 0, the calls force sees
         prob = build_problem(name)
-        rhs, seen = prob.first_rhs, []
-        prob.first_rhs = lambda X, P: seen.append(1) or rhs(X, P)
+        stages = 16 * len(yoshida_schedule(order))
+        attr = "force" if prob.separable else "first_rhs"
+        rhs, seen = getattr(prob, attr), []
+        setattr(prob, attr, lambda *args: seen.append(1) or rhs(*args))
         traj = integrate_sv(prob, order, 16, 0.125, SolverConfig(tol=1e-13))
         assert traj.pe1_calls == len(seen) > 0
-        if not prob.separable:
-            assert traj.pe1_calls == traj.total_sweeps + 2 * 16 * len(yoshida_schedule(order))
+        if prob.separable:
+            assert traj.pe1_calls == stages + 1
+        else:
+            assert traj.pe1_calls == traj.total_sweeps + 2 * stages
 
     def test_invalid_config(self):
         prob = make_mass_spring()

@@ -262,7 +262,6 @@ class TestPeUpdate:
         prob = HamiltonianProblem(
             name="free",
             x0=np.array([[0.0]]), p0=np.array([[1.0]]),
-            separable=True,
             hamiltonian=ham,
             first_rhs=lambda X, P: (P.copy(), np.zeros_like(X)),
             second_rhs=lambda X, P, DX, DP: (DP.copy(), np.zeros_like(X)),
@@ -284,12 +283,13 @@ class TestPeUpdate:
     def test_one_call_per_level_for_all_nodes(self):
         prob = make_two_spring()
         seen = []
-        first, second = prob.first_rhs, prob.second_rhs
+        first, second, derivatives = prob.first_rhs, prob.second_rhs, prob.derivatives
         prob.first_rhs = lambda X, P: seen.append(("first", X.shape)) or first(X, P)
         prob.second_rhs = lambda X, P, DX, DP: seen.append(("second", X.shape)) or second(X, P, DX, DP)
+        prob.derivatives = lambda X, P, levels: seen.append(("both", levels)) or derivatives(X, P, levels)
         Z = np.stack([prob.x0 * (1 + r) for r in range(3)])
         Dx, Dp, Sx, Sp = _pe(prob, Z, -Z)
-        assert seen == [("first", (3, 1, 2)), ("second", (3, 1, 2))]
+        assert seen == [("both", 2), ("first", (3, 1, 2)), ("second", (3, 1, 2))]
         for r in range(3):
             D = first(Z[r], -Z[r])
             assert np.array_equal(Dx[r], D[0]) and np.array_equal(Dp[r], D[1])
@@ -359,7 +359,6 @@ class TestSolveBlock:
         prob = HamiltonianProblem(
             name="pole",
             x0=prec.asarray([[1.0]]), p0=prec.asarray([[1.0]]),
-            separable=True,
             first_rhs=lambda X, P: (P.copy(), 1 / (X - 2)),
             second_rhs=lambda X, P, DX, DP: (DP.copy(), -(DX / ((X - 2) * (X - 2)))),
             precision=prec,
@@ -864,7 +863,6 @@ class TestMixedPrecision:
             return HamiltonianProblem(
                 name="pole",
                 x0=prec.asarray([[1.0]]), p0=prec.asarray([[1.0]]),
-                separable=True,
                 first_rhs=lambda X, P: (P.copy(), 1 / (X - 2)),
                 second_rhs=lambda X, P, DX, DP: (DP.copy(), -(DX / ((X - 2) * (X - 2)))),
                 precision=prec,
@@ -889,10 +887,10 @@ class TestMixedPrecision:
         prob = build_problem(name, DDOUBLE)
         nodes = {NATIVE: 0, DDOUBLE: 0}
         for p in (prob, prob.native):
-            def counted(X, P, rhs=p.first_rhs, prec=p.precision):
+            def counted(X, P, levels, derivatives=p.derivatives, prec=p.precision):
                 nodes[prec] += math.prod(X.shape[:-2])
-                return rhs(X, P)
-            p.first_rhs = counted
+                return derivatives(X, P, levels)
+            p.derivatives = counted
         traj = integrate(prob, form, R, 6 * R, 6 * R * dt)
         assert traj.pe1_calls == R * traj.total_iter + 1 == nodes[NATIVE] + nodes[DDOUBLE]
         assert nodes[NATIVE] > 0
@@ -1138,7 +1136,6 @@ class TestPolynomialReproduction:
         return HamiltonianProblem(
             name="poly",
             x0=np.array([[0.0]]), p0=np.array([[0.0]]),
-            separable=False,
             hamiltonian=lambda X, P: q(P[0, 0]) - X[0, 0],
             first_rhs=first_rhs,
             second_rhs=second_rhs,
@@ -1174,7 +1171,6 @@ class TestSymmetryAndInvariance:
         twisted = HamiltonianProblem(
             name="twisted",
             x0=-base.p0, p0=base.x0,
-            separable=False,
             hamiltonian=lambda X, P: base.hamiltonian(P, -X),
             first_rhs=first_rhs,
             second_rhs=second_rhs,

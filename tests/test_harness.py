@@ -109,7 +109,7 @@ class TestRun:
     def test_sv_run_counts_calls(self):
         report = run(RunConfig(problem="mass_spring", scheme="sv2", N=96, T=10.0))
         assert report.total_iter == 0  # separable: no implicit solves
-        assert report.nb_call_avg == pytest.approx(3.0)
+        assert report.nb_call_avg == (96 + 1) / 96  # one force per stage and one at t = 0
 
 
 class TestConvergenceOrder:
@@ -435,6 +435,17 @@ class TestCli:
         assert manifest.exists() == (code != 2)
         if code == 3:
             assert json.loads(manifest.read_text())["problem"] == "em_scb"
+
+    def test_manifest_records_the_command(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        common = ["--problem", "mass_spring", "--scheme", "zds", "--R", "2", "--T", "1",
+                  "--manifest", str(manifest)]
+        assert cli_main(["sweep", *common, "--Ns", "20,40"]) == 0
+        blob = json.loads(manifest.read_text())
+        assert blob["Ns"] == [20, 40] and "N" not in blob
+        assert cli_main(["drift", *common, "--N", "20", "--quantity", "H", "--samples", "5"]) == 0
+        blob = json.loads(manifest.read_text())
+        assert (blob["N"], blob["quantity"], blob["samples"]) == (20, "H", 5)
 
     def test_manifest(self, tmp_path):
         manifest = tmp_path / "m.json"

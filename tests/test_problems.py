@@ -469,6 +469,11 @@ class TestNBody:
         X = np.array([[0.3, 0.3], [0.1, 0.1]])
         with pytest.raises(SingularityError):
             prob.first_rhs(X, np.zeros((2, 2)))
+        with pytest.raises(SingularityError):
+            prob.force(X)
+        for levels in (1, 2):
+            with pytest.raises(SingularityError):
+                prob.derivatives(X, np.zeros((2, 2)), levels)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -595,14 +600,17 @@ class TestNBodyKernel:
         X = prec.asarray(base[:, list(columns)])
         Z = prec.asarray(np.zeros((3, 3)))
         message = f"bodies {pair[0]} and {pair[1]} collide"
-        with pytest.raises(SingularityError, match=message):
-            prob.first_rhs(X, Z)
-        with pytest.raises(SingularityError, match=message):
-            prob.second_rhs(X, Z, Z, Z)
+        for call in (lambda: prob.first_rhs(X, Z), lambda: prob.second_rhs(X, Z, Z, Z),
+                     lambda: prob.force(X), lambda: prob.derivatives(X, Z, 1),
+                     lambda: prob.derivatives(X, Z, 2)):
+            with pytest.raises(SingularityError, match=message):
+                call()
 
-    # The kernel keeps the pair geometry and force of the last position state
-    # it evaluated.  Every call below is checked against the reference, which
-    # keeps nothing, so a stale or aliased memo entry shows as a changed word.
+    # The test_memo_* cases run the call patterns of the block solver and the
+    # leapfrog, in which a kernel that kept state between calls would give a
+    # stale or aliased result: D and S from ``derivatives``, F from ``force``
+    # and V from ``velocity``, each checked against the reference called node
+    # by node, which keeps nothing.
 
     @staticmethod
     def kernel(prec, seed, I=3, K=4):
@@ -619,126 +627,125 @@ class TestNBodyKernel:
         prob = make_nbody(masses, G, state(), state(), precision=prec)
         _, ref_f, ref_s, _ = reference_nbody(masses, G, prec)
 
-        def check(got, ref, *args):
-            # got against ref called node by node on (..., I, K) arguments
+        def reference(ref, *args):
+            # ref called node by node on (..., I, K) arguments, stacked
             lead = args[0].shape[:-2]
             nodes = [ref(*(A[idx] for A in args)) for idx in np.ndindex(lead)]
-            for c in range(2):
-                want = np.stack([pair[c] for pair in nodes]).reshape(args[0].shape)
-                assert got[c].shape == want.shape
-                assert words(got[c]) == words(want)
+            return [np.stack([pair[c] for pair in nodes]).reshape(args[0].shape) for c in range(2)]
+
+        def check(got, want):
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == w.shape
+                assert words(g) == words(w)
+            return got
+
+        def derivatives(X, P, levels=2):
+            got = prob.derivatives(X, P, levels)
+            D = check(got[0], reference(ref_f, X, P))
+            if levels == 2:
+                check(got[1], reference(ref_s, X, P, *D))
+            assert len(got) == levels
             return got
 
         def first(X, P):
-            return check(prob.first_rhs(X, P), ref_f, X, P)
+            # (velocity, force), checked half by half
+            return check((prob.velocity(P), prob.force(X)), reference(ref_f, X, P))
 
-        def second(X, P, DX, DP):
-            return check(prob.second_rhs(X, P, DX, DP), ref_s, X, P, DX, DP)
-
-        return state, first, second
+        return state, derivatives, first
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_memo_leapfrog_pattern(self, prec):
-        state, first, _ = self.kernel(prec, 1)
+        state, _, first = self.kernel(prec, 1)
         X, P = state(), state()
         h = prec.real(0.01)
-        for _ in range(3):  # (X, P), (X, Ph), (Xn, Ph), then the next stage at (Xn, Pn)
-            _, F0 = first(X, P)
-            Ph = P + h * F0
-            V, _ = first(X, Ph)
-            X = X + h * V
-            _, F1 = first(X, Ph)
-            P = Ph + h * F1
+        F = first(X, P)[1]
+        for _ in range(3):  # each stage's closing force opens the next one
+            Ph = P + h * F
+            X = X + h * first(X, Ph)[0]
+            F = first(X, Ph)[1]
+            P = Ph + h * F
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_memo_block_pattern(self, prec):
-        state, first, second = self.kernel(prec, 2)
+        state, derivatives, _ = self.kernel(prec, 2)
         X, P = state(3), state(3)
-        D = first(X, P)
-        second(X, P, *D)
-        second(X, P, state(3), state(3))  # same positions, other directions
-        first(X, state(3))
+        derivatives(X, P)
+        derivatives(X, state(3))  # same positions, other momenta
+        derivatives(X, P, 1)
         X2, P2 = X.reshape((1, 3) + X.shape[1:]), P.reshape((1, 3) + X.shape[1:])
-        second(X2, P2, *first(X2, P2))  # the same bytes under another shape
+        derivatives(X2, P2)  # the same values under another shape
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_memo_node_call_between_block_calls(self, prec):
-        state, first, second = self.kernel(prec, 3)
+        state, derivatives, first = self.kernel(prec, 3)
         X, P = state(2), state(2)
-        D = first(X, P)
+        derivatives(X, P, 1)
         first(X[1], P[1])
-        second(X, P, *D)
-        second(X[0], P[0], D[0][0], D[1][0])
-        first(X, P)
+        derivatives(X, P)
+        derivatives(X[0], P[0])
+        derivatives(X, P, 1)
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_memo_misses_after_in_place_change(self, prec):
-        state, first, second = self.kernel(prec, 4)
+        state, derivatives, first = self.kernel(prec, 4)
         X, P = state(2), state(2)
-        D = first(X, P)
+        derivatives(X, P)
         X[1, 0, 2] = X[1, 0, 2] + prec.real(0.5)  # the same array, one entry new
-        second(X, P, *D)
+        derivatives(X, P)
         first(X, P)
         X[...] = state(2)  # every entry new
-        first(X, P)
+        derivatives(X, P, 1)
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_memo_returns_fresh_arrays(self, prec):
-        state, first, second = self.kernel(prec, 5)
+        state, derivatives, first = self.kernel(prec, 5)
         X, P = state(), state()
         V, F = first(X, P)
         V[...] = prec.real(7)
         F[...] = prec.real(7)
-        _, F2 = first(X, P)
-        F2 += prec.real(1)
-        D = first(X, P)
-        assert not np.shares_memory(D[1], F2)
-        second(X, P, *D)
+        D, S = derivatives(X, P)
+        for A in D + S:
+            A += prec.real(1)
+        F2 = first(X, P)[1]
+        (_, DP), _ = derivatives(X, P)
+        assert not np.shares_memory(DP, F2)
+        for A in (V, F, F2, DP, *D, *S):
+            assert not (np.shares_memory(A, X) or np.shares_memory(A, P))
 
     def test_memo_ddouble_state_rebuilt_from_equal_values(self):
-        state, first, second = self.kernel(DDOUBLE, 6)
+        state, derivatives, first = self.kernel(DDOUBLE, 6)
         P = state()
         X = state()
-        D = first(X, P)
+        D, S = derivatives(X, P)
         rebuilt = DDOUBLE.asarray([[DoubleDouble(v.hi, v.lo) for v in row] for row in X])
-        for got, want in zip(first(rebuilt, P), D):
-            assert words(got) == words(want)
-        second(rebuilt, P, *D)
-
-    def test_memo_keeps_the_last_ddouble_state_alive(self):
-        # object arrays are keyed by entry pointers, which is sound only while
-        # the entries keyed on cannot be freed and their addresses reused
-        state, first, _ = self.kernel(DDOUBLE, 8)
-        X, P, Y = state(), state(), state()
-        refs = [sys.getrefcount(v) for v in X.flat]
-        first(X, P)
-        assert [sys.getrefcount(v) for v in X.flat] == [r + 1 for r in refs]
-        first(Y, P)
-        assert [sys.getrefcount(v) for v in X.flat] == refs
+        for got, want in zip(derivatives(rebuilt, P), (D, S)):
+            for g, w in zip(got, want):
+                assert words(g) == words(w)
+        assert words(first(rebuilt, P)[1]) == words(D[1])
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_memo_untouched_by_a_collision(self, prec):
-        state, first, second = self.kernel(prec, 7)
+        state, derivatives, first = self.kernel(prec, 7)
         X, P = state(), state()
-        D = first(X, P)
+        derivatives(X, P)
         Xc = X.copy()
         Xc[:, 3] = Xc[:, 1]
         for _ in range(2):
+            for levels in (1, 2):
+                with pytest.raises(SingularityError, match="^bodies 1 and 3 collide$"):
+                    derivatives(Xc, P, levels)
             with pytest.raises(SingularityError, match="^bodies 1 and 3 collide$"):
                 first(Xc, P)
-            with pytest.raises(SingularityError, match="^bodies 1 and 3 collide$"):
-                second(Xc, P, *D)
-        second(X, P, *D)
+        derivatives(X, P)
         first(X, P)
-        Y = state()
-        second(Y, P, *first(Y, P))
+        derivatives(state(), P)
 
     @pytest.mark.parametrize("scheme, R, pe1_calls, nb_call_avg", [
-        ("sv6", None, 2592, 27.0),
+        ("sv6", None, 865, 9.010416666666666),  # 96 * 9 stages + 1
         ("zds", 2, 783, 8.145833333333334),  # 1371 and 14.27 before float64 blocks built M
     ])
     def test_call_counts_unchanged_by_memo(self, scheme, R, pe1_calls, nb_call_avg):
-        # every right-hand-side call is counted, hit or miss
+        # SV counts one force per stage and one at t = 0; ZDS R nodes per sweep
         prob = make_three_body_eight()
         T = prob.parameters["period"]
         traj = integrate(prob, scheme, R, 96, T) if R else integrate_sv(prob, 6, 96, T)
@@ -830,13 +837,25 @@ class TestCatalog:
     def test_sizes_follow_x0(self):
         # the sizes I and K are x0's shape: a problem has no field to
         # declare them, which could contradict x0
-        hand = HamiltonianProblem(name="line", x0=np.zeros((1, 4)), p0=np.zeros((1, 4)),
-                                  separable=True)
+        hand = HamiltonianProblem(name="line", x0=np.zeros((1, 4)), p0=np.zeros((1, 4)))
         assert hand.x0.shape == (1, 4) and not hasattr(hand, "dim")
         for size in ("dim", "nbodies"):
             with pytest.raises(TypeError):
-                HamiltonianProblem(name="line", x0=np.zeros((1, 4)), p0=np.zeros((1, 4)),
-                                   separable=True, **{size: 2})
+                HamiltonianProblem(name="line", x0=np.zeros((1, 4)), p0=np.zeros((1, 4)), **{size: 2})
+
+    def test_separable_means_a_force(self):
+        for name in PROBLEM_NAMES:
+            prob = build_problem(name)
+            assert prob.separable == (prob.velocity is not None) == (not name.startswith("em_"))
+        hand = HamiltonianProblem(name="line", x0=np.zeros((1, 1)), p0=np.zeros((1, 1)))
+        assert not hand.separable
+        with pytest.raises(AttributeError):
+            hand.separable = True
+        with pytest.raises(TypeError):
+            HamiltonianProblem(name="line", x0=np.zeros((1, 1)), p0=np.zeros((1, 1)), separable=True)
+        for half in ("force", "velocity"):
+            with pytest.raises(ValueError, match="^line: a separable problem gives both force and velocity$"):
+                HamiltonianProblem(name="line", x0=np.zeros((1, 1)), p0=np.zeros((1, 1)), **{half: np.copy})
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -893,6 +912,20 @@ class TestBatchedContract:
         for got, want in zip(prob.second_rhs(X2, P2, D[0].reshape(shape), D[1].reshape(shape)), S):
             assert words(got) == words(want)
 
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("name", ALL_PROBLEMS)
+    def test_derivatives_force_and_velocity_give_the_rhs_words(self, name, prec):
+        prob = build_problem(name, precision=prec)
+        X, P = node_stack(prob, 3, np.random.default_rng([len(name), 11]))
+        D = prob.first_rhs(X, P)
+        S = prob.second_rhs(X, P, *D)
+        (D1,) = prob.derivatives(X, P, 1)
+        D2, S2 = prob.derivatives(X, P, 2)
+        for got, want in ((D1, D), (D2, D), (S2, S)):
+            assert [words(a) for a in got] == [words(a) for a in want]
+        if prob.separable:
+            assert words(prob.velocity(P)) == words(D[0]) and words(prob.force(X)) == words(D[1])
+
     # T of a four-step run that the block solver converges on at R = 2
     RUN_T = {"outer_solar": 200.0, "em_scb": 2e-3}
 
@@ -931,10 +964,10 @@ class TestBatchedContract:
         X[1, :, 2] = X[1, :, 1]  # node 1: bodies 1 and 2
         X[2, :, 1] = X[2, :, 0]  # node 2: bodies 0 and 1
         P = np.stack([prob.p0] * 3)
-        with pytest.raises(SingularityError, match="^bodies 1 and 2 collide$"):
-            prob.first_rhs(X, P)
-        with pytest.raises(SingularityError, match="^bodies 1 and 2 collide$"):
-            prob.second_rhs(X, P, P, P)
+        for call in (lambda: prob.first_rhs(X, P), lambda: prob.second_rhs(X, P, P, P),
+                     lambda: prob.force(X), lambda: prob.derivatives(X, P, 2)):
+            with pytest.raises(SingularityError, match="^bodies 1 and 2 collide$"):
+                call()
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     @pytest.mark.parametrize("name, node, message", [
