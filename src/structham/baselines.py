@@ -6,7 +6,8 @@ one force per stage (Hairer, Lubich and Wanner, *Geometric Numerical
 Integration*, II.4 and V.3).  The
 non-separable path is the symmetric semi-implicit form (two adjoint
 half-maps, each implicit relation solved by plain fixed point, for parity
-with the structural solver's accounting).  Orders 4, 6 and 8 come from the
+with the structural solver's accounting), on D from the problem's
+``derivatives`` at level 1.  Orders 4, 6 and 8 come from the
 Yoshida triple jump applied recursively, so stage counts are 3, 9 and 27.
 """
 
@@ -99,14 +100,15 @@ def sv_step_nonseparable(problem, X, P, dt, tol, max_iter=SolverConfig.max_iter)
     Returns (X', P', fixed_point_iters, rhs_calls): one right-hand-side call
     per fixed-point iteration and the two explicit calls, fixed_point_iters + 2.
     """
-    kick = lambda y: P + (0.5 * dt) * problem.first_rhs(X, y)[1]
+    rhs = lambda x, p: problem.derivatives(x, p, 1)[0]  # D, the first-order right-hand side
+    kick = lambda y: P + (0.5 * dt) * rhs(X, y)[1]
     Ph, it1 = _fixed_point(kick, P, tol, max_iter, "momentum half-step")
 
-    A0, _ = problem.first_rhs(X, Ph)
-    drift = lambda y: X + (0.5 * dt) * (A0 + problem.first_rhs(y, Ph)[0])
+    A0, _ = rhs(X, Ph)
+    drift = lambda y: X + (0.5 * dt) * (A0 + rhs(y, Ph)[0])
     Xn, it2 = _fixed_point(drift, X, tol, max_iter, "position half-step")
 
-    _, Fp = problem.first_rhs(Xn, Ph)
+    _, Fp = rhs(Xn, Ph)
     Pn = Ph + (0.5 * dt) * Fp
     return Xn, Pn, it1 + it2, it1 + it2 + 2
 

@@ -338,21 +338,21 @@ def pe_update(problem, Z: np.ndarray, out: np.ndarray) -> None:
     levels = problem.derivatives(Zx, Zp, L)
     Dx, Dp = levels[0]  # no loop over the levels: on a 1x1 state it costs as much as a ufunc
     if getattr(Dx, "shape", None) != shape or getattr(Dp, "shape", None) != shape:
-        raise _node_block_error(problem, "first_rhs", shape, Dx, Dp)
+        raise _node_block_error(problem, "D", shape, Dx, Dp)
     out[0, 0], out[1, 0] = Dx, Dp
     if L > 1:
         Sx, Sp = levels[1]
         if getattr(Sx, "shape", None) != shape or getattr(Sp, "shape", None) != shape:
-            raise _node_block_error(problem, "second_rhs", shape, Sx, Sp)
+            raise _node_block_error(problem, "S", shape, Sx, Sp)
         out[0, 1], out[1, 1] = Sx, Sp
 
 
-def _node_block_error(problem, name: str, shape: tuple, a, b) -> ConfigurationError:
-    # a right-hand side written for one (I, K) node would broadcast node 0's
+def _node_block_error(problem, level: str, shape: tuple, a, b) -> ConfigurationError:
+    # physical equations written for one (I, K) node would broadcast node 0's
     # values over the whole block
     return ConfigurationError(
-        f"{problem.name} {name} returned shapes {np.shape(a)} and {np.shape(b)} for "
-        f"node block {shape}: right-hand sides must act node by node on (..., I, K) states"
+        f"{problem.name} derivatives returned {level} shapes {np.shape(a)} and {np.shape(b)} for "
+        f"node block {shape}: the physical equations must act node by node on (..., I, K) states"
     )
 
 

@@ -1,11 +1,11 @@
 """Benchmark catalog: Hamiltonian systems with analytic derivative maps.
 
-Every problem supplies the Hamiltonian, the first-order right-hand side
-(dX/dt = grad_P H, dP/dt = -grad_X H), its analytic time derivative (the
-second-order right-hand side used by ZDS), the conserved quantities to
-monitor, and, where available, a closed-form solution or reference endpoint
-values.  Second derivatives are hand-coded per problem so that call counting
-stays meaningful; a finite-difference test suite cross-checks all of them.
+Every problem supplies the Hamiltonian, its physical equations as one map
+``derivatives``: the first-order right-hand side D (dX/dt = grad_P H,
+dP/dt = -grad_X H) and its analytic time derivative S (the second-order
+right-hand side used by ZDS), the conserved quantities to monitor, and,
+where available, a closed-form solution or reference endpoint values.  S is
+hand-coded per problem; a finite-difference test suite cross-checks them all.
 
 States are body-space matrices of shape (I, K): K bodies in dimension I,
 one column per body.  Scalar problems use (1, 1).  All numeric constants go
@@ -25,10 +25,10 @@ sum x^4/4::
     first_rhs = lambda X, P: (P.copy(), -(X * X * X))
     second_rhs = lambda X, P, DX, DP: (DP.copy(), -(3 * X * X * DX))
 
-Right-hand sides are pure functions of the values passed in, and return
-arrays that the caller owns.  A separable problem, H = T(P) + V(X), has
-``velocity`` (grad_P T) and ``force`` (-grad_X V), the leapfrog's maps.  The
-pendulum and the n-body kernel share work between D and S in ``derivatives``.
+The maps are pure functions of the values passed in, and return arrays that
+the caller owns.  A separable problem, H = T(P) + V(X), also has ``velocity``
+(grad_P T) and ``force`` (-grad_X V), the leapfrog's maps.  The catalog's
+nonlinear problems work out what D and S share once per ``derivatives`` call.
 """
 
 from __future__ import annotations
@@ -84,25 +84,25 @@ class ReferenceValue(NamedTuple):
 
 @dataclass
 class HamiltonianProblem:
-    """The right-hand sides, ``hamiltonian`` and the invariants act
-    node by node on (..., I, K) states, and ``exact_solution`` on (...) times
-    (see the module docstring): a stack of nodes gets, node for node, the
-    words of a call on each one alone.  The sizes I and K are read off
-    ``x0``, which no field can contradict.
+    """``derivatives``, ``hamiltonian`` and the invariants act node by node
+    on (..., I, K) states, and ``exact_solution`` on (...) times (see the
+    module docstring): a stack of nodes gets, node for node, the words of a
+    call on each one alone.  The sizes I and K are read off ``x0``, which no
+    field can contradict.
 
-    The problem is separable when it has a ``force``; without a
-    ``first_rhs`` its own is then (velocity(P), force(X)).
     ``derivatives(X, P, levels)`` returns the tuple (D,) or, at levels 2,
-    (D, S), each an (X, P) pair.  One passed in must give the words of
-    ``first_rhs`` and ``second_rhs``; without one, it calls them as the
-    problem holds them at the call, so a wrapper set on either sees it."""
+    (D, S), each an (X, P) pair.  A problem passes it or else ``first_rhs``
+    (D) and ``second_rhs`` (S), which the default calls as the problem holds
+    them at the call, so a wrapper set on either sees it.  The problem is
+    separable when it has a ``force``; with no other map, D is then
+    (velocity(P), force(X))."""
 
     name: str
     x0: np.ndarray
     p0: np.ndarray
     hamiltonian: Callable = field(repr=False, default=None)
-    first_rhs: Callable = field(repr=False, default=None)
-    second_rhs: Callable = field(repr=False, default=None)
+    first_rhs: Callable | None = field(repr=False, default=None)
+    second_rhs: Callable | None = field(repr=False, default=None)
     force: Callable | None = field(repr=False, default=None)  # X -> dP, for H = T(P) + V(X)
     velocity: Callable | None = field(repr=False, default=None)  # P -> dX, likewise
     derivatives: Callable = field(repr=False, default=None, compare=False)
@@ -119,11 +119,16 @@ class HamiltonianProblem:
     def __post_init__(self):
         if (self.force is None) != (self.velocity is None):
             raise ValueError(f"{self.name}: a separable problem gives both force and velocity")
+        if self.derivatives is not None:
+            if self.first_rhs is not None or self.second_rhs is not None:
+                raise ValueError(f"{self.name}: a problem gives derivatives or first_rhs and second_rhs, not both")
+            return
         if self.first_rhs is None and self.force is not None:
             velocity, force = self.velocity, self.force
             self.first_rhs = lambda X, P: (velocity(P), force(X))
-        if self.derivatives is None:
-            self.derivatives = self._rhs_derivatives
+        if self.first_rhs is None:
+            raise ValueError(f"{self.name}: a problem gives derivatives, first_rhs, or force and velocity")
+        self.derivatives = self._rhs_derivatives
 
     @property
     def separable(self) -> bool:
@@ -346,9 +351,6 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
     def force(X):
         return neg_mgl * np.sin(X)
 
-    def second_rhs(X, P, DX, DP):
-        return DP / ml2, neg_mgl * np.cos(X) * DX
-
     def derivatives(X, P, levels):
         if levels == 1:
             return ((velocity(P), force(X)),)
@@ -368,7 +370,6 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
         x0=_row(x0_),
         p0=_row(p0_),
         hamiltonian=hamiltonian,
-        second_rhs=second_rhs,
         force=force,
         velocity=velocity,
         derivatives=derivatives,
@@ -426,12 +427,14 @@ def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianPr
     def force(X):
         return -(X / _lift(_r3(X)[3], 2))
 
-    def second_rhs(X, P, DX, DP):
+    def derivatives(X, P, levels):
         x1, x2, r, r3 = _r3(X)
+        DX, DP = D = P.copy(), -(X / _lift(r3, 2))
+        if levels == 1:
+            return (D,)
         r5 = r3 * r * r
         dot = x1 * _at(DX, 0, 0) + x2 * _at(DX, 1, 0)
-        SP = -(DX / _lift(r3, 2)) + X * _lift(3 * dot / r5, 2)
-        return DP.copy(), SP
+        return D, (DP.copy(), -(DX / _lift(r3, 2)) + X * _lift(3 * dot / r5, 2))
 
     def angular_momentum(X, P):
         return _at(P, 1, 0) * _at(X, 0, 0) - _at(P, 0, 0) * _at(X, 1, 0)
@@ -444,9 +447,9 @@ def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianPr
         x0=X0,
         p0=P0,
         hamiltonian=hamiltonian,
-        second_rhs=second_rhs,
         force=force,
         velocity=lambda P: P.copy(),
+        derivatives=derivatives,
         invariants=(
             InvariantSpec("H", hamiltonian),
             InvariantSpec("L", angular_momentum),
@@ -565,17 +568,15 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
     def velocity(P):
         return P / m_row
 
-    def second(geometry, DX, DP):
-        diff, d2, d3, w = geometry
+    def derivatives(X, P, levels):
+        diff, d2, d3, w = pair_geometry(X)
+        DX, DP = D = velocity(P), add(w * diff, axis=-1)
+        if levels == 1:
+            return (D,)
         vdiff = DX[..., :, None, :] - DX[..., :, :, None]
         inner = add(diff * vdiff, axis=-3)  # <u, v> per pair
         v = (GMM3 * inner / (d3 * d2))[..., None, :, :]
-        return DP / m_row, add(w * vdiff - v * diff, axis=-1)
-
-    def derivatives(X, P, levels):
-        geometry = diff, _, _, w = pair_geometry(X)
-        D = velocity(P), add(w * diff, axis=-1)
-        return (D, second(geometry, *D)) if levels == 2 else (D,)
+        return D, (DP / m_row, add(w * vdiff - v * diff, axis=-1))
 
     if I == 2:
         def angular_momentum(X, P):
@@ -591,7 +592,6 @@ def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> Hamiltonian
         x0=X0,
         p0=P0,
         hamiltonian=hamiltonian,
-        second_rhs=lambda X, P, DX, DP: second(pair_geometry(X), DX, DP),
         force=force,
         velocity=velocity,
         derivatives=derivatives,
@@ -688,7 +688,9 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
       defaults x0 = (0.5, -0.25, -0.25), p0 = (0, 0, -1).
 
     Both variants are static (the explicit time derivative of A vanishes).
-    The potentials take positions x shaped (..., 3), one row per node.
+    The potentials take positions x shaped (..., 3), one row per node, and
+    their data ``_q(x)`` worked out once per call: |x|^2 and |x| (``scb``),
+    or x1, x2, x3, |x|^2 and each coordinate's sine and cosine.
     """
     if variant not in ("scb", "challenging"):
         raise ValueError(f"unknown EM variant {variant!r}")
@@ -705,36 +707,35 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
         soft = precision.real("0.1")
         big = precision.real(1000)
 
-        def _r2(x):
+        def _q(x):
             x1, x2, x3 = _at(x, 0), _at(x, 1), _at(x, 2)
-            return x1 * x1 + x2 * x2 + x3 * x3
+            r2 = x1 * x1 + x2 * x2 + x3 * x3
+            return r2, nsqrt(r2)
 
-        def phi(x):
-            r = nsqrt(_r2(x))
-            return -(1 / (soft + r))
+        def phi(x, pos):
+            return -(1 / (soft + pos[1]))
 
-        def grad_phi(x):
-            r = nsqrt(_r2(x))
+        def grad_phi(x, pos):
+            r = pos[1]
             c = 1 / (r * (soft + r) * (soft + r))
             return x * _lift(c, 1)
 
-        def hess_phi(x):
-            r2 = _r2(x)
-            r = nsqrt(r2)
+        def hess_phi(x, pos):
+            r2, r = pos
             sr = soft + r
             diag = 1 / (r * sr * sr)
             mix = 1 / (r2 * r * sr * sr) + 2 / (r2 * sr * sr * sr)
             return np.where(_EYE3, _lift(diag, 2), zero) - x[..., :, None] * x[..., None, :] * _lift(mix, 2)
 
-        def vec_A(x):
+        def vec_A(x, pos):
             return _vec(x, zero, big * x[..., 0], zero)
 
-        def jac_A(x):
+        def jac_A(x, pos):
             J = np.full(x.shape + (3,), zero, x.dtype)
             J[..., 1, 0] = big
             return J
 
-        def hess_A(x):
+        def hess_A(x, pos):
             return np.full(x.shape + (3, 3), zero, x.dtype)
 
     else:
@@ -743,26 +744,28 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
         if p0 is None:
             p0 = (0, 0, -1)
 
-        def _trig(x):
+        def _q(x):
             x1, x2, x3 = _at(x, 0), _at(x, 1), _at(x, 2)
+            if _has_zero(x1):
+                raise SingularityError("EM challenging potential at x1 = 0")
             s1, c1 = sin_cos(x1)
             s2, c2 = sin_cos(x2)
             s3, c3 = sin_cos(x3)
-            return s1, c1, s2, c2, s3, c3
+            return x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3, s1, c1, s2, c2, s3, c3
 
-        def phi(x):
-            s1, c1, s2, c2, s3, c3 = _trig(x)
+        def phi(x, pos):
+            s1, c1, s2, c2, s3, c3 = pos[4:]
             return 2 * c1 * c1 + s1 * s1 * (s2 * c2 + s3 * c3)
 
-        def grad_phi(x):
-            s1, c1, s2, c2, s3, c3 = _trig(x)
+        def grad_phi(x, pos):
+            s1, c1, s2, c2, s3, c3 = pos[4:]
             g = s2 * c2 + s3 * c3
             return _vec(
                 x, 2 * s1 * c1 * (g - 2), s1 * s1 * (c2 * c2 - s2 * s2), s1 * s1 * (c3 * c3 - s3 * s3)
             )
 
-        def hess_phi(x):
-            s1, c1, s2, c2, s3, c3 = _trig(x)
+        def hess_phi(x, pos):
+            s1, c1, s2, c2, s3, c3 = pos[4:]
             g = s2 * c2 + s3 * c3
             sin2x1 = 2 * s1 * c1
             cos2x2 = c2 * c2 - s2 * s2
@@ -776,18 +779,12 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
             H[..., 2, 2] = -2 * s1 * s1 * (2 * s3 * c3)
             return H
 
-        def _q(x):
-            x1, x2, x3 = _at(x, 0), _at(x, 1), _at(x, 2)
-            if _has_zero(x1):
-                raise SingularityError("EM challenging potential at x1 = 0")
-            return x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3
-
-        def vec_A(x):
-            x1, x2, _, q = _q(x)
+        def vec_A(x, pos):
+            x1, x2, _, q = pos[:4]
             return _vec(x, q, q * x2 / x1, -2 * nlog(1 + q))
 
-        def jac_A(x):
-            x1, x2, x3, q = _q(x)
+        def jac_A(x, pos):
+            x1, x2, x3, q = pos[:4]
             x1sq = x1 * x1
             tail = x2 * x2 + x3 * x3
             c = -4 / (1 + q)
@@ -799,8 +796,8 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
             J[..., 2, :] = _lift(c, 1) * x
             return J
 
-        def hess_A(x):
-            x1, x2, x3, q = _q(x)
+        def hess_A(x, pos):
+            x1, x2, x3, q = pos[:4]
             x1sq = x1 * x1
             H = np.empty(x.shape + (3, 3), x.dtype)
             # A1 = r^2
@@ -826,37 +823,36 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
 
     def hamiltonian(X, P):
         x = X[..., 0]
-        v = P[..., 0] - e_ * vec_A(x)
-        return (v * v).sum(axis=-1) / (2 * m_) + e_ * phi(x)
+        pos = _q(x)
+        v = P[..., 0] - e_ * vec_A(x, pos)
+        return (v * v).sum(axis=-1) / (2 * m_) + e_ * phi(x, pos)
 
-    def first_rhs(X, P):
+    def derivatives(X, P, levels):
         x = X[..., 0]
-        dx = (P[..., 0] - e_ * vec_A(x)) / m_
-        J = jac_A(x)
-        dp = e_ * (_mv(J.swapaxes(-1, -2), dx) - grad_phi(x))
-        return dx[..., None], dp[..., None]
-
-    def second_rhs(X, P, DX, DP):
-        x = X[..., 0]
-        dx = DX[..., 0]
-        J = jac_A(x)
-        sx = (DP[..., 0] - e_ * _mv(J, dx)) / m_
-        HA = hess_A(x)
+        pos = _q(x)
+        J = jac_A(x, pos)
+        JT = J.swapaxes(-1, -2)
+        dx = (P[..., 0] - e_ * vec_A(x, pos)) / m_
+        dp = e_ * (_mv(JT, dx) - grad_phi(x, pos))
+        D = dx[..., None], dp[..., None]
+        if levels == 1:
+            return (D,)
+        sx = (dp - e_ * _mv(J, dx)) / m_
+        HA = hess_A(x, pos)
         # w_ell: HA[j, ell, i] dx_i dx_j added onto zero over i, then j, in that order
         terms = HA.swapaxes(-3, -2).swapaxes(-2, -1) * dx[..., None, :, None] * dx[..., None, None, :]
         terms = terms.reshape(x.shape + (9,))
         terms[..., 0] = zero + terms[..., 0]
         w = np.add.accumulate(terms, axis=-1)[..., -1]
-        sp = e_ * (_mv(J.swapaxes(-1, -2), sx) + w - _mv(hess_phi(x), dx))
-        return sx[..., None], sp[..., None]
+        sp = e_ * (_mv(JT, sx) + w - _mv(hess_phi(x, pos), dx))
+        return D, (sx[..., None], sp[..., None])
 
     return HamiltonianProblem(
         name=f"em_{variant}",
         x0=X0,
         p0=P0,
         hamiltonian=hamiltonian,
-        first_rhs=first_rhs,
-        second_rhs=second_rhs,
+        derivatives=derivatives,
         invariants=(InvariantSpec("H", hamiltonian),),
         parameters={"m": m_, "e": e_, "variant": variant},
         precision=precision,

@@ -13,7 +13,8 @@ from structham.blocksolver import (
     _newton_matrix,
     init_block,
 )
-from structham.numerics import NATIVE, all_finite, max_abs
+from structham.numerics import NATIVE, all_finite, log as nlog, max_abs, sin_cos, sqrt as nsqrt
+from structham.problems import _EYE3, SingularityError, _at, _has_zero, _lift, _mv, _vec
 from structham.secoeff import Formulation
 
 
@@ -27,7 +28,7 @@ def coefficient_blocks(table):
 
 
 def probe_linear_rhs(problem):
-    """Extract the (2n x 2n) matrix of a problem with linear first_rhs."""
+    """Extract the (2n x 2n) matrix of a problem with a linear first-order right-hand side."""
     n = problem.x0.size
     shape = problem.x0.shape
     A = np.zeros((2 * n, 2 * n))
@@ -38,7 +39,7 @@ def probe_linear_rhs(problem):
             X.flat[j] = 1.0
         else:
             P.flat[j - n] = 1.0
-        DX, DP = problem.first_rhs(X, P)
+        (DX, DP), = problem.derivatives(X, P, 1)
         A[:n, j] = DX.ravel()
         A[n:, j] = DP.ravel()
     return A
@@ -222,10 +223,10 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
                 elif not verdict:
                     newton = None
             Z[...] = Z_new
-            Dx, Dp = problem.first_rhs(Z[0], Z[1])
-            derivs[0, 0], derivs[1, 0] = Dx, Dp
+            levels = problem.derivatives(Z[0], Z[1], 2 if second else 1)
+            derivs[0, 0], derivs[1, 0] = levels[0]
             if second:
-                derivs[0, 1], derivs[1, 1] = problem.second_rhs(Z[0], Z[1], Dx, Dp)
+                derivs[0, 1], derivs[1, 1] = levels[1]
             state.sweeps += 1
             if verdict:
                 state.newton = newton
@@ -244,3 +245,189 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
                     state.sweeps += Z.size
                     diff = math.inf
     raise NonConvergenceError(f"reference loop not converged (last change {diff:.3e})", diff)
+
+
+# ---------------------------------------------------------------------------
+# the physical equations as first_rhs and second_rhs, written before the
+# catalog fused them into one ``derivatives`` per problem: references that
+# the fused maps must match word for word
+# ---------------------------------------------------------------------------
+
+def reference_pendulum(problem):
+    """The pendulum's (first_rhs, second_rhs) at ``problem``'s parameters."""
+    m_, g_, l_ = (problem.parameters[k] for k in ("m", "g", "l"))
+    ml2 = m_ * l_ * l_
+    neg_mgl = -(m_ * g_ * l_)
+
+    def first_rhs(X, P):
+        return P / ml2, neg_mgl * np.sin(X)
+
+    def second_rhs(X, P, DX, DP):
+        return DP / ml2, neg_mgl * np.cos(X) * DX
+
+    return first_rhs, second_rhs
+
+
+def reference_kepler(problem):
+    """Kepler's (first_rhs, second_rhs); ``problem`` has no parameters."""
+
+    def _r3(X):
+        # position components, r and r^3 per node
+        x1, x2 = _at(X, 0, 0), _at(X, 1, 0)
+        r2 = x1 * x1 + x2 * x2
+        if _has_zero(r2):
+            raise SingularityError("Kepler evaluation at |x| = 0")
+        r = nsqrt(r2)
+        return x1, x2, r, r2 * r
+
+    def first_rhs(X, P):
+        return P.copy(), -(X / _lift(_r3(X)[3], 2))
+
+    def second_rhs(X, P, DX, DP):
+        x1, x2, r, r3 = _r3(X)
+        r5 = r3 * r * r
+        dot = x1 * _at(DX, 0, 0) + x2 * _at(DX, 1, 0)
+        SP = -(DX / _lift(r3, 2)) + X * _lift(3 * dot / r5, 2)
+        return DP.copy(), SP
+
+    return first_rhs, second_rhs
+
+
+def reference_em(problem):
+    """The EM particle's (first_rhs, second_rhs) at ``problem``'s variant,
+    charge, mass and precision, each field function working out its own
+    position data."""
+    variant, precision = problem.parameters["variant"], problem.precision
+    m_, e_ = problem.parameters["m"], problem.parameters["e"]
+    zero = precision.real(0)
+    one = precision.real(1)
+
+    if variant == "scb":
+        soft = precision.real("0.1")
+        big = precision.real(1000)
+
+        def _r2(x):
+            x1, x2, x3 = _at(x, 0), _at(x, 1), _at(x, 2)
+            return x1 * x1 + x2 * x2 + x3 * x3
+
+        def grad_phi(x):
+            r = nsqrt(_r2(x))
+            c = 1 / (r * (soft + r) * (soft + r))
+            return x * _lift(c, 1)
+
+        def hess_phi(x):
+            r2 = _r2(x)
+            r = nsqrt(r2)
+            sr = soft + r
+            diag = 1 / (r * sr * sr)
+            mix = 1 / (r2 * r * sr * sr) + 2 / (r2 * sr * sr * sr)
+            return np.where(_EYE3, _lift(diag, 2), zero) - x[..., :, None] * x[..., None, :] * _lift(mix, 2)
+
+        def vec_A(x):
+            return _vec(x, zero, big * x[..., 0], zero)
+
+        def jac_A(x):
+            J = np.full(x.shape + (3,), zero, x.dtype)
+            J[..., 1, 0] = big
+            return J
+
+        def hess_A(x):
+            return np.full(x.shape + (3, 3), zero, x.dtype)
+
+    else:
+        def _trig(x):
+            x1, x2, x3 = _at(x, 0), _at(x, 1), _at(x, 2)
+            s1, c1 = sin_cos(x1)
+            s2, c2 = sin_cos(x2)
+            s3, c3 = sin_cos(x3)
+            return s1, c1, s2, c2, s3, c3
+
+        def grad_phi(x):
+            s1, c1, s2, c2, s3, c3 = _trig(x)
+            g = s2 * c2 + s3 * c3
+            return _vec(
+                x, 2 * s1 * c1 * (g - 2), s1 * s1 * (c2 * c2 - s2 * s2), s1 * s1 * (c3 * c3 - s3 * s3)
+            )
+
+        def hess_phi(x):
+            s1, c1, s2, c2, s3, c3 = _trig(x)
+            g = s2 * c2 + s3 * c3
+            sin2x1 = 2 * s1 * c1
+            cos2x2 = c2 * c2 - s2 * s2
+            cos2x3 = c3 * c3 - s3 * s3
+            H = np.empty(x.shape + (3,), x.dtype)
+            H[..., 0, 0] = 2 * (c1 * c1 - s1 * s1) * (g - 2)
+            H[..., 0, 1] = H[..., 1, 0] = sin2x1 * cos2x2
+            H[..., 0, 2] = H[..., 2, 0] = sin2x1 * cos2x3
+            H[..., 1, 1] = -2 * s1 * s1 * (2 * s2 * c2)
+            H[..., 1, 2] = H[..., 2, 1] = zero
+            H[..., 2, 2] = -2 * s1 * s1 * (2 * s3 * c3)
+            return H
+
+        def _q(x):
+            x1, x2, x3 = _at(x, 0), _at(x, 1), _at(x, 2)
+            if _has_zero(x1):
+                raise SingularityError("EM challenging potential at x1 = 0")
+            return x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3
+
+        def vec_A(x):
+            x1, x2, _, q = _q(x)
+            return _vec(x, q, q * x2 / x1, -2 * nlog(1 + q))
+
+        def jac_A(x):
+            x1, x2, x3, q = _q(x)
+            x1sq = x1 * x1
+            tail = x2 * x2 + x3 * x3
+            c = -4 / (1 + q)
+            J = np.empty(x.shape + (3,), x.dtype)
+            J[..., 0, :] = 2 * x
+            J[..., 1, 0] = x2 - x2 * tail / x1sq
+            J[..., 1, 1] = (q + 2 * x2 * x2) / x1
+            J[..., 1, 2] = 2 * x2 * x3 / x1
+            J[..., 2, :] = _lift(c, 1) * x
+            return J
+
+        def hess_A(x):
+            x1, x2, x3, q = _q(x)
+            x1sq = x1 * x1
+            H = np.empty(x.shape + (3, 3), x.dtype)
+            # A1 = r^2
+            H[..., 0, :, :] = zero
+            H[..., 0, 0, 0] = H[..., 0, 1, 1] = H[..., 0, 2, 2] = 2 * one
+            # A2 = r^2 x2 / x1
+            tail = x2 * x2 + x3 * x3
+            H[..., 1, 0, 0] = 2 * x2 * tail / (x1sq * x1)
+            H[..., 1, 0, 1] = H[..., 1, 1, 0] = one - (3 * x2 * x2 + x3 * x3) / x1sq
+            H[..., 1, 0, 2] = H[..., 1, 2, 0] = -2 * x2 * x3 / x1sq
+            H[..., 1, 1, 1] = 6 * x2 / x1
+            H[..., 1, 1, 2] = H[..., 1, 2, 1] = 2 * x3 / x1
+            H[..., 1, 2, 2] = 2 * x2 / x1
+            # A3 = -2 log(1 + r^2)
+            u = 1 + q
+            a = -4 / u
+            b = 8 / (u * u)
+            H[..., 2, :, :] = np.where(_EYE3, _lift(a, 2), zero) + _lift(b, 2) * x[..., :, None] * x[..., None, :]
+            return H
+
+    def first_rhs(X, P):
+        x = X[..., 0]
+        dx = (P[..., 0] - e_ * vec_A(x)) / m_
+        J = jac_A(x)
+        dp = e_ * (_mv(J.swapaxes(-1, -2), dx) - grad_phi(x))
+        return dx[..., None], dp[..., None]
+
+    def second_rhs(X, P, DX, DP):
+        x = X[..., 0]
+        dx = DX[..., 0]
+        J = jac_A(x)
+        sx = (DP[..., 0] - e_ * _mv(J, dx)) / m_
+        HA = hess_A(x)
+        # w_ell: HA[j, ell, i] dx_i dx_j added onto zero over i, then j, in that order
+        terms = HA.swapaxes(-3, -2).swapaxes(-2, -1) * dx[..., None, :, None] * dx[..., None, None, :]
+        terms = terms.reshape(x.shape + (9,))
+        terms[..., 0] = zero + terms[..., 0]
+        w = np.add.accumulate(terms, axis=-1)[..., -1]
+        sp = e_ * (_mv(J.swapaxes(-1, -2), sx) + w - _mv(hess_phi(x), dx))
+        return sx[..., None], sp[..., None]
+
+    return first_rhs, second_rhs

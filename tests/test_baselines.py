@@ -71,12 +71,12 @@ def leapfrog(prob, X, P, dt):
 
 
 def kick_drift_kick(prob, X, P, dt):
-    """The leapfrog from three first_rhs calls: kick at X, drift at P_half, kick at X'."""
-    _, F0 = prob.first_rhs(X, P)
+    """The leapfrog from three evaluations of D: kick at X, drift at P_half, kick at X'."""
+    _, F0 = prob.derivatives(X, P, 1)[0]
     Ph = P + (0.5 * dt) * F0
-    V, _ = prob.first_rhs(X, Ph)
+    V, _ = prob.derivatives(X, Ph, 1)[0]
     Xn = X + dt * V
-    _, F1 = prob.first_rhs(Xn, Ph)
+    _, F1 = prob.derivatives(Xn, Ph, 1)[0]
     return Xn, Ph + (0.5 * dt) * F1
 
 
@@ -261,11 +261,11 @@ class TestIntegrateSV:
     @pytest.mark.parametrize("order", [2, 4])
     def test_counted_calls_are_the_calls_made(self, name, order):
         # the non-separable step counts its iterations plus two, the calls
-        # first_rhs sees; the separable path one force per stage and one at
+        # derivatives sees; the separable path one force per stage and one at
         # t = 0, the calls force sees
         prob = build_problem(name)
         stages = 16 * len(yoshida_schedule(order))
-        attr = "force" if prob.separable else "first_rhs"
+        attr = "force" if prob.separable else "derivatives"
         rhs, seen = getattr(prob, attr), []
         setattr(prob, attr, lambda *args: seen.append(1) or rhs(*args))
         traj = integrate_sv(prob, order, 16, 0.125, SolverConfig(tol=1e-13))

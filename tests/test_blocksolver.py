@@ -113,15 +113,15 @@ class TestExtrapolatedPredictor:
 
     def test_one_batched_pe_call(self):
         prob = make_kepler()
-        calls, rhs = [], prob.first_rhs
+        calls, derivatives = [], prob.derivatives
 
-        def counted(X, P):
+        def counted(X, P, levels):
             calls.append(X.shape)
-            return rhs(X, P)
+            return derivatives(X, P, levels)
 
         table = coeff_table(4, "zds", 0.01)
         first = make_anchor(prob, prob.x0, prob.p0, "zds")
-        prob.first_rhs = counted
+        prob.derivatives = counted
         block = solve_block(first, prob, table, SolverConfig())
         anchor = BlockAnchor(block.node(3), block.node(2))
         calls.clear()
@@ -296,17 +296,37 @@ class TestPeUpdate:
             S = second(Z[r], -Z[r], *D)
             assert np.array_equal(Sx[r], S[0]) and np.array_equal(Sp[r], S[1])
 
+    @staticmethod
+    def node_only(X, P, *_):
+        # written for one (I, K) node: it would broadcast node 0's
+        # derivatives over the whole block
+        return np.array([[P[0, 0]]]), np.array([[0.0]])
+
     @pytest.mark.parametrize("level", ["first_rhs", "second_rhs"])
     def test_node_only_rhs_rejected(self, level):
-        # written for one (I, K) node, such a right-hand side would broadcast
-        # node 0's derivatives over the whole block
-        def node_only(X, P, *_):
-            return np.array([[P[0, 0]]]), np.array([[0.0]])
-
+        # the default derivatives is named, with the level its rhs gave
         prob = make_mass_spring()
-        setattr(prob, level, node_only)
+        setattr(prob, level, self.node_only)
         Z = np.linspace(0.5, 1.5, 3).reshape(3, 1, 1)
-        with pytest.raises(ConfigurationError, match=f"{level} returned shapes .* node by node"):
+        D_or_S = "D" if level == "first_rhs" else "S"
+        message = rf"^mass_spring derivatives returned {D_or_S} shapes .* for node block \(3, 1, 1\): .* node by node"
+        with pytest.raises(ConfigurationError, match=message):
+            _pe(prob, Z, Z)
+
+    @pytest.mark.parametrize("level", ["D", "S"])
+    def test_node_only_fused_derivatives_rejected(self, level):
+        # a problem's own derivatives is named too, with the level at fault
+        prob = make_pendulum()
+        derivatives = prob.derivatives
+
+        def fused(X, P, levels):
+            D, S = derivatives(X, P, 2)
+            return (self.node_only(X, P), S) if level == "D" else (D, self.node_only(X, P))
+
+        prob.derivatives = fused
+        Z = np.linspace(0.5, 1.5, 3).reshape(3, 1, 1)
+        message = rf"^pendulum derivatives returned {level} shapes .* for node block \(3, 1, 1\): .* node by node"
+        with pytest.raises(ConfigurationError, match=message):
             _pe(prob, Z, Z)
 
 
@@ -499,11 +519,14 @@ class TestLeanSweep:
         spring = make_mass_spring(kappa=2.7, precision=prec)
         k = spring.parameters["kappa"]
         with np.errstate(over="ignore", invalid="ignore"):
+            (pend_dx, pend_dp), (_, pend_sp) = pend.derivatives(X, D, 2)
+            (spring_dx, spring_dp), (_, spring_sp) = spring.derivatives(X, D, 2)
             for got, want in (
-                (pend.first_rhs(X, D)[1], -(mgl * np.sin(X))),
-                (pend.second_rhs(X, X, D, D)[1], -(mgl * np.cos(X) * D)),
-                (spring.first_rhs(X, D)[1], -(k * X)),
-                (spring.second_rhs(X, X, D, D)[1], -(k * D)),
+                (pend_dp, -(mgl * np.sin(X))),
+                (pend_sp, -(mgl * np.cos(X) * pend_dx)),
+                (pend.force(X), -(mgl * np.sin(X))),
+                (spring_dp, -(k * X)),
+                (spring_sp, -(k * spring_dx)),
             ):
                 assert _words([got]) == _words([want])
 

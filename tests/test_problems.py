@@ -32,6 +32,8 @@ from structham.problems import (
     project_lrl,
 )
 
+from oracles import reference_em, reference_kepler, reference_pendulum
+
 ALL_PROBLEMS = list(PROBLEM_NAMES)
 
 
@@ -49,6 +51,11 @@ def random_states(problem, n, rng, scale=0.05):
     sp = scale * (pmag if pmag > 0 else 1.0)
     for _ in range(n):
         yield X0 + sx * rng.standard_normal(X0.shape), P0 + sp * rng.standard_normal(P0.shape)
+
+
+def rhs(problem, X, P):
+    """D, the first-order right-hand side, from the problem's physical equations."""
+    return problem.derivatives(X, P, 1)[0]
 
 
 def fd_gradient(f, X, P, h=1e-6):
@@ -75,7 +82,7 @@ class TestFirstRhsMatchesHamiltonian:
         checked = 0
         for X, P in random_states(prob, 100, rng):
             try:
-                DX, DP = prob.first_rhs(X, P)
+                DX, DP = rhs(prob, X, P)
                 gX, gP = fd_gradient(lambda a, b: float(prob.hamiltonian(a, b)), X, P)
             except SingularityError:
                 continue
@@ -87,26 +94,25 @@ class TestFirstRhsMatchesHamiltonian:
 
     @pytest.mark.parametrize("name", ALL_PROBLEMS)
     def test_second_rhs_is_flow_derivative(self, name):
-        # second_rhs must equal d/dt first_rhs along the flow: compare with
-        # (first_rhs(Z + eps*dZ) - first_rhs(Z - eps*dZ)) / (2 eps), whose
-        # error decays quadratically in eps
+        # S must equal d/dt D along the flow: compare with
+        # (D(Z + eps*dZ) - D(Z - eps*dZ)) / (2 eps), whose error decays
+        # quadratically in eps
         prob = build_problem(name)
         rng = np.random.default_rng(hash(name) % 2**31)
 
         def fd_second(X, P, DX, DP, eps):
-            ax, ap = prob.first_rhs(X + eps * DX, P + eps * DP)
-            bx, bp = prob.first_rhs(X - eps * DX, P - eps * DP)
+            ax, ap = rhs(prob, X + eps * DX, P + eps * DP)
+            bx, bp = rhs(prob, X - eps * DX, P - eps * DP)
             return (ax - bx) / (2 * eps), (ap - bp) / (2 * eps)
 
         checked = 0
         decay_checked = 0
         for X, P in random_states(prob, 12, rng):
             try:
-                DX, DP = prob.first_rhs(X, P)
+                (DX, DP), (SX, SP) = prob.derivatives(X, P, 2)
                 # keep the FD excursion state-scale bounded when the flow is fast
                 speed = max(np.max(np.abs(np.asarray(DX, float))),
                             np.max(np.abs(np.asarray(DP, float))), 1.0)
-                SX, SP = prob.second_rhs(X, P, DX, DP)
                 eps0 = 3e-2 / speed
                 errs = []
                 for eps in (eps0, eps0 / 8):
@@ -115,7 +121,7 @@ class TestFirstRhsMatchesHamiltonian:
             except SingularityError:
                 continue
             scale = max(np.max(np.abs(SX)), np.max(np.abs(SP)), 1.0)
-            # FD cancellation noise ~ eps_mach * |first_rhs| / eps
+            # FD cancellation noise ~ eps_mach * |D| / eps
             noise0 = 1e-15 * speed / eps0
             assert errs[0] <= 5e-2 * scale + 10 * noise0
             if errs[0] > 100 * (8 * noise0) and errs[0] > 1e-12 * scale:
@@ -140,12 +146,11 @@ class TestFirstRhsMatchesHamiltonian:
         for Xf, Pf in random_states(native, 2, rng):
             X = DDOUBLE.asarray(Xf)
             P = DDOUBLE.asarray(Pf)
-            DX, DP = prob.first_rhs(X, P)
+            (DX, DP), (SX, SP) = prob.derivatives(X, P, 2)
             speed = max(max_abs(DX), max_abs(DP), 1.0)
-            SX, SP = prob.second_rhs(X, P, DX, DP)
             eps = DoubleDouble(1e-8 / speed)
-            ax, ap = prob.first_rhs(X + eps * DX, P + eps * DP)
-            bx, bp = prob.first_rhs(X - eps * DX, P - eps * DP)
+            ax, ap = rhs(prob, X + eps * DX, P + eps * DP)
+            bx, bp = rhs(prob, X - eps * DX, P - eps * DP)
             fx = (ax - bx) / (2 * eps)
             fp = (ap - bp) / (2 * eps)
             scale = max(max_abs(SX), max_abs(SP), 1.0)
@@ -165,7 +170,7 @@ class TestFirstRhsMatchesHamiltonian:
             X = DDOUBLE.asarray(Xf)
             P = DDOUBLE.asarray(Pf)
             try:
-                DX, DP = prob.first_rhs(X, P)
+                DX, DP = rhs(prob, X, P)
                 Hp = prob.hamiltonian(X + h * DX, P + h * DP)
                 Hm = prob.hamiltonian(X - h * DX, P - h * DP)
             except SingularityError:
@@ -202,7 +207,7 @@ class TestMassSpring:
         h = 1e-5
         for t in (0.3, 1.7, 9.2):
             X, P = prob.exact_solution(t)
-            DX, DP = prob.first_rhs(X, P)
+            DX, DP = rhs(prob, X, P)
             Xp, Pp = prob.exact_solution(t + h)
             Xm, Pm = prob.exact_solution(t - h)
             assert abs((Xp[0, 0] - Xm[0, 0]) / (2 * h) - DX[0, 0]) <= 1e-10
@@ -270,7 +275,7 @@ class TestTwoSpring:
         h = 1e-5
         for t in (0.4, 2.9):
             X, P = prob.exact_solution(t)
-            DX, DP = prob.first_rhs(X, P)
+            DX, DP = rhs(prob, X, P)
             Xp, _ = prob.exact_solution(t + h)
             Xm, _ = prob.exact_solution(t - h)
             fd = (np.asarray(Xp, float) - np.asarray(Xm, float)) / (2 * h)
@@ -292,8 +297,8 @@ class TestPendulum:
 
     def test_equilibrium_is_fixed_point(self):
         prob = make_pendulum(x0=0.0, p0=0.0)
-        DX, DP = prob.first_rhs(prob.x0, prob.p0)
-        assert max_abs(DX) == 0.0 and max_abs(DP) == 0.0
+        for level in prob.derivatives(prob.x0, prob.p0, 2):
+            assert max_abs(level[0]) == 0.0 and max_abs(level[1]) == 0.0
 
     def test_period_agm_value(self):
         Tp = pendulum_period()
@@ -347,30 +352,16 @@ class TestKepler:
     def test_circular_orbit_balance(self):
         prob = make_kepler(x0=(1.0, 0.0), p0=(0.0, 1.0))
         assert float(prob.hamiltonian(prob.x0, prob.p0)) == pytest.approx(-0.5, abs=1e-14)
-        DX, DP = prob.first_rhs(prob.x0, prob.p0)
-        SX, _ = prob.second_rhs(prob.x0, prob.p0, DX, DP)
+        _, (SX, _) = prob.derivatives(prob.x0, prob.p0, 2)
         assert np.allclose(np.asarray(SX, float), -np.asarray(prob.x0, float), atol=1e-14)
-
-    def test_second_rhs_is_jacobian_vector_product(self):
-        # off the trajectory (DX != P) second_rhs must still be the
-        # directional derivative of first_rhs along (DX, DP)
-        prob = make_kepler()
-        rng = np.random.default_rng(11)
-        h = 1e-6
-        for _ in range(10):
-            X = np.array([[0.4], [0.1]]) + 0.1 * rng.standard_normal((2, 1))
-            P, DX, DP = (rng.standard_normal((2, 1)) for _ in range(3))
-            SX, SP = prob.second_rhs(X, P, DX, DP)
-            plus = prob.first_rhs(X + h * DX, P + h * DP)
-            minus = prob.first_rhs(X - h * DX, P - h * DP)
-            for got, fp, fm in zip((SX, SP), plus, minus):
-                fd = (fp - fm) / (2 * h)
-                assert np.allclose(got, fd, rtol=1e-7, atol=1e-7)
 
     def test_singularity(self):
         prob = make_kepler()
+        for levels in (1, 2):
+            with pytest.raises(SingularityError):
+                prob.derivatives(np.array([[0.0], [0.0]]), prob.p0, levels)
         with pytest.raises(SingularityError):
-            prob.first_rhs(np.array([[0.0], [0.0]]), prob.p0)
+            prob.force(np.array([[0.0], [0.0]]))
 
     def test_lrl_constant_on_analytic_ellipse(self):
         a, e = 1.3, 0.4
@@ -438,8 +429,7 @@ class TestNBody:
         X0 = [[0.5, -0.5], [0.0, 0.0]]
         P0 = [[0.0, 0.0], [0.5, -0.5]]
         prob = make_nbody([1.0, 1.0], 1.0, X0, P0)
-        DX, DP = prob.first_rhs(prob.x0, prob.p0)
-        SX, _ = prob.second_rhs(prob.x0, prob.p0, DX, DP)
+        _, (SX, _) = prob.derivatives(prob.x0, prob.p0, 2)
         acc = np.asarray(SX, float)
         assert acc[:, 0] == pytest.approx([-1.0, 0.0], abs=1e-14)
         assert acc[:, 1] == pytest.approx([1.0, 0.0], abs=1e-14)
@@ -460,15 +450,13 @@ class TestNBody:
         for _ in range(20):
             X = rng.standard_normal((3, 4)) * 2
             P = rng.standard_normal((3, 4))
-            _, DP = prob.first_rhs(X, P)
+            _, DP = rhs(prob, X, P)
             force_scale = np.max(np.abs(np.asarray(DP, float))) + 1e-30
             assert np.max(np.abs(np.asarray(DP, float).sum(axis=1))) <= 1e-13 * force_scale
 
     def test_collision_raises(self):
         prob = make_nbody([1.0, 1.0], 1.0, [[0.5, -0.5], [0.0, 0.0]], [[0.0] * 2] * 2)
         X = np.array([[0.3, 0.3], [0.1, 0.1]])
-        with pytest.raises(SingularityError):
-            prob.first_rhs(X, np.zeros((2, 2)))
         with pytest.raises(SingularityError):
             prob.force(X)
         for levels in (1, 2):
@@ -578,15 +566,14 @@ class TestNBodyKernel:
             G = rng.uniform(0.1, 2.0)
             prob = make_nbody(masses, G, state(), state(), precision=prec)
             ref_h, ref_f, ref_s, ref_l = reference_nbody(masses, G, prec)
-            X, P, DX, DP = state(), state(), state(), state()
+            X, P = state(), state()
             Z = prec.asarray(np.zeros((I, K)))  # H is then the potential alone, whose sum order shows
             assert words(prob.hamiltonian(X, Z)) == words(ref_h(X, Z))
             assert words(prob.hamiltonian(X, P)) == words(ref_h(X, P))
             assert words(prob.invariants[1].evaluator(X, P)) == words(ref_l(X, P))
-            for got, want in zip(prob.first_rhs(X, P), ref_f(X, P)):
-                assert words(got) == words(want)
-            for got, want in zip(prob.second_rhs(X, P, DX, DP), ref_s(X, P, DX, DP)):
-                assert words(got) == words(want)
+            D = ref_f(X, P)
+            for got, want in zip(prob.derivatives(X, P, 2), (D, ref_s(X, P, *D))):
+                assert [words(a) for a in got] == [words(a) for a in want]
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     @pytest.mark.parametrize("columns, pair", [
@@ -600,8 +587,7 @@ class TestNBodyKernel:
         X = prec.asarray(base[:, list(columns)])
         Z = prec.asarray(np.zeros((3, 3)))
         message = f"bodies {pair[0]} and {pair[1]} collide"
-        for call in (lambda: prob.first_rhs(X, Z), lambda: prob.second_rhs(X, Z, Z, Z),
-                     lambda: prob.force(X), lambda: prob.derivatives(X, Z, 1),
+        for call in (lambda: prob.force(X), lambda: prob.derivatives(X, Z, 1),
                      lambda: prob.derivatives(X, Z, 2)):
             with pytest.raises(SingularityError, match=message):
                 call()
@@ -775,7 +761,7 @@ class TestOuterSolar:
 class TestElectromagnetic:
     def test_scb_initial_velocity(self):
         prob = make_em_particle("scb")
-        DX, _ = prob.first_rhs(prob.x0, prob.p0)
+        DX, _ = rhs(prob, prob.x0, prob.p0)
         v = np.asarray(DX, float).ravel()
         assert v == pytest.approx([0.0, -899.0, 0.0], abs=1e-12)
 
@@ -783,7 +769,7 @@ class TestElectromagnetic:
         prob = make_em_particle("scb", e=0.0)
         X = np.array([[0.3], [0.4], [0.5]])
         P = np.array([[1.0], [2.0], [3.0]])
-        DX, DP = prob.first_rhs(X, P)
+        DX, DP = rhs(prob, X, P)
         assert np.array_equal(np.asarray(DX, float), np.asarray(P, float))
         assert np.max(np.abs(np.asarray(DP, float))) == 0.0
 
@@ -798,7 +784,7 @@ class TestElectromagnetic:
             return float(prob.hamiltonian(xv[:, None], pv[:, None]))
 
         p = np.array([0.0, 0.0, -1.0])
-        DX, DP = prob.first_rhs(x[:, None], p[:, None])
+        DX, DP = rhs(prob, x[:, None], p[:, None])
         for i in range(3):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
@@ -814,8 +800,11 @@ class TestElectromagnetic:
     def test_challenging_singular_at_x1_zero(self):
         prob = make_em_particle("challenging")
         X = np.array([[0.0], [0.2], [0.3]])
-        with pytest.raises(SingularityError):
-            prob.first_rhs(X, np.zeros((3, 1)))
+        for call in (lambda: prob.derivatives(X, np.zeros((3, 1)), 1),
+                     lambda: prob.derivatives(X, np.zeros((3, 1)), 2),
+                     lambda: prob.hamiltonian(X, np.zeros((3, 1)))):
+            with pytest.raises(SingularityError):
+                call()
 
     def test_nonseparable_flag(self):
         assert not build_problem("em_scb").separable
@@ -825,6 +814,11 @@ class TestElectromagnetic:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             make_em_particle("exotic")
+
+
+def free_rhs(X, P, *_):
+    """D (or S) of a free particle, H = p^2/2: hand-built problems' rhs."""
+    return P.copy(), np.zeros_like(X)
 
 
 class TestCatalog:
@@ -837,25 +831,46 @@ class TestCatalog:
     def test_sizes_follow_x0(self):
         # the sizes I and K are x0's shape: a problem has no field to
         # declare them, which could contradict x0
-        hand = HamiltonianProblem(name="line", x0=np.zeros((1, 4)), p0=np.zeros((1, 4)))
+        hand = HamiltonianProblem(name="line", x0=np.zeros((1, 4)), p0=np.zeros((1, 4)), first_rhs=free_rhs)
         assert hand.x0.shape == (1, 4) and not hasattr(hand, "dim")
         for size in ("dim", "nbodies"):
             with pytest.raises(TypeError):
-                HamiltonianProblem(name="line", x0=np.zeros((1, 4)), p0=np.zeros((1, 4)), **{size: 2})
+                HamiltonianProblem(name="line", x0=np.zeros((1, 4)), p0=np.zeros((1, 4)), first_rhs=free_rhs,
+                                   **{size: 2})
 
     def test_separable_means_a_force(self):
         for name in PROBLEM_NAMES:
             prob = build_problem(name)
             assert prob.separable == (prob.velocity is not None) == (not name.startswith("em_"))
-        hand = HamiltonianProblem(name="line", x0=np.zeros((1, 1)), p0=np.zeros((1, 1)))
+        hand = HamiltonianProblem(name="line", x0=np.zeros((1, 1)), p0=np.zeros((1, 1)), first_rhs=free_rhs)
         assert not hand.separable
         with pytest.raises(AttributeError):
             hand.separable = True
         with pytest.raises(TypeError):
-            HamiltonianProblem(name="line", x0=np.zeros((1, 1)), p0=np.zeros((1, 1)), separable=True)
+            HamiltonianProblem(name="line", x0=np.zeros((1, 1)), p0=np.zeros((1, 1)), first_rhs=free_rhs, separable=True)
         for half in ("force", "velocity"):
             with pytest.raises(ValueError, match="^line: a separable problem gives both force and velocity$"):
                 HamiltonianProblem(name="line", x0=np.zeros((1, 1)), p0=np.zeros((1, 1)), **{half: np.copy})
+
+    def test_no_physical_equations_refused(self):
+        # a problem with no map to D would build and then fail in the first
+        # solver call; it fails at construction instead
+        with pytest.raises(ValueError, match="^bare: a problem gives derivatives, first_rhs, or force and velocity$"):
+            HamiltonianProblem("bare", np.ones((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="^bare: a problem gives derivatives, first_rhs, or force and velocity$"):
+            HamiltonianProblem("bare", np.ones((1, 1)), np.zeros((1, 1)), second_rhs=lambda X, P, DX, DP: (DP, DX))
+
+    @pytest.mark.parametrize("pair", ["first_rhs", "second_rhs"])
+    def test_derivatives_with_an_rhs_refused(self, pair):
+        # two definitions of the same physics, of which the solvers would use one
+        def derivatives(X, P, levels):
+            return free_rhs(X, P), free_rhs(X, P)
+
+        with pytest.raises(ValueError, match="^both: a problem gives derivatives or first_rhs and second_rhs, not both$"):
+            HamiltonianProblem("both", np.ones((1, 1)), np.zeros((1, 1)), derivatives=derivatives, **{pair: free_rhs})
+        for name in PROBLEM_NAMES:
+            prob = build_problem(name)
+            assert (prob.first_rhs is None) == (prob.second_rhs is None) == (name not in ("mass_spring", "two_spring"))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -895,30 +910,44 @@ class TestBatchedContract:
         rng = np.random.default_rng([len(name), 7])
         for n in range(1, 5):
             X, P = node_stack(prob, n, rng)
-            D = prob.first_rhs(X, P)
-            S = prob.second_rhs(X, P, *D)
-            nodes = [prob.first_rhs(X[r], P[r]) for r in range(n)]
-            for c in range(2):
-                assert D[c].shape == X.shape and S[c].shape == X.shape
-                assert words(D[c]) == words(np.stack([pair[c] for pair in nodes]))
-            nodes = [prob.second_rhs(X[r], P[r], D[0][r], D[1][r]) for r in range(n)]
-            for c in range(2):
-                assert words(S[c]) == words(np.stack([pair[c] for pair in nodes]))
+            for levels in (1, 2):
+                stacked = prob.derivatives(X, P, levels)
+                nodes = [prob.derivatives(X[r], P[r], levels) for r in range(n)]
+                assert len(stacked) == levels
+                for level, got in enumerate(stacked):
+                    for c in range(2):
+                        assert got[c].shape == X.shape
+                        assert words(got[c]) == words(np.stack([node[level][c] for node in nodes]))
         # more than one leading axis: the same values, node for node
         shape = (2, 2) + X.shape[1:]
-        X2, P2 = X.reshape(shape), P.reshape(shape)
-        for got, want in zip(prob.first_rhs(X2, P2), D):
-            assert words(got) == words(want)
-        for got, want in zip(prob.second_rhs(X2, P2, D[0].reshape(shape), D[1].reshape(shape)), S):
-            assert words(got) == words(want)
+        for got, want in zip(prob.derivatives(X.reshape(shape), P.reshape(shape), 2), stacked):
+            assert [a.shape for a in got] == [shape] * 2
+            assert [words(a) for a in got] == [words(a) for a in want]
+
+    @staticmethod
+    def reference_rhs(prob):
+        """(first_rhs, second_rhs) of a catalog problem, written apart from
+        its ``derivatives``: the linear problems' own pair, the n-body maps
+        term by term, and the rest as they were before their maps were fused."""
+        if prob.first_rhs is not None:
+            return prob.first_rhs, prob.second_rhs
+        if "masses" in prob.parameters:
+            _, first_rhs, second_rhs, _ = reference_nbody(prob.parameters["masses"], prob.parameters["G"],
+                                                           prob.precision)
+            return first_rhs, second_rhs
+        if prob.name.startswith("em_"):
+            return reference_em(prob)
+        return {"pendulum": reference_pendulum, "kepler": reference_kepler}[prob.name](prob)
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     @pytest.mark.parametrize("name", ALL_PROBLEMS)
     def test_derivatives_force_and_velocity_give_the_rhs_words(self, name, prec):
         prob = build_problem(name, precision=prec)
         X, P = node_stack(prob, 3, np.random.default_rng([len(name), 11]))
-        D = prob.first_rhs(X, P)
-        S = prob.second_rhs(X, P, *D)
+        first_rhs, second_rhs = self.reference_rhs(prob)
+        # the reference node by node: reference_nbody takes one (I, K) node
+        D = [np.stack(c) for c in zip(*(first_rhs(X[r], P[r]) for r in range(3)))]
+        S = [np.stack(c) for c in zip(*(second_rhs(X[r], P[r], D[0][r], D[1][r]) for r in range(3)))]
         (D1,) = prob.derivatives(X, P, 1)
         D2, S2 = prob.derivatives(X, P, 2)
         for got, want in ((D1, D), (D2, D), (S2, S)):
@@ -964,8 +993,7 @@ class TestBatchedContract:
         X[1, :, 2] = X[1, :, 1]  # node 1: bodies 1 and 2
         X[2, :, 1] = X[2, :, 0]  # node 2: bodies 0 and 1
         P = np.stack([prob.p0] * 3)
-        for call in (lambda: prob.first_rhs(X, P), lambda: prob.second_rhs(X, P, P, P),
-                     lambda: prob.force(X), lambda: prob.derivatives(X, P, 2)):
+        for call in (lambda: prob.force(X), lambda: prob.derivatives(X, P, 1), lambda: prob.derivatives(X, P, 2)):
             with pytest.raises(SingularityError, match="^bodies 1 and 2 collide$"):
                 call()
 
@@ -979,7 +1007,6 @@ class TestBatchedContract:
         X = np.stack([prob.x0] * 3)
         X[node, 0] = prec.real(0)
         P = np.stack([prob.p0] * 3)
-        with pytest.raises(SingularityError, match=message):
-            prob.first_rhs(X, P)
-        with pytest.raises(SingularityError, match=message):
-            prob.second_rhs(X, P, P, P)
+        for levels in (1, 2):
+            with pytest.raises(SingularityError, match=message):
+                prob.derivatives(X, P, levels)
