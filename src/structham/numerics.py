@@ -10,7 +10,10 @@ package:
 The double-double layer is built on the classical error-free transforms
 (two_sum / two_prod with Dekker splitting, since ``math.fma`` is not
 available on this interpreter).  The arithmetic of :class:`DoubleDouble`
-inlines them and renormalizes each result once.  Elementary functions use
+inlines them on the two words, which private slots hold behind read-only
+``hi`` and ``lo``, renormalizes each result once and stores its words
+directly; a float or small int operand becomes one word without the
+constructor.  Values pickle and copy.  Elementary functions use
 range reduction with two-word constants followed by truncated Taylor /
 atanh series.  sin and cos share one reduction by pi/2 and then one by the
 nearest j/16, whose sines and cosines are stored double-double literals;
@@ -90,22 +93,22 @@ class DoubleDouble:
     All operations return renormalized values; relative accuracy of +,-,*,/
     is a few units of 2**-104.
 
-    The arithmetic dunders inline two_sum, the Dekker split, two_prod and
-    quick_two_sum in the order of the textbook formulas, and build their
-    result with ``_dd``, which skips the constructor's second two_sum.
+    The words live in private slots behind the read-only ``hi`` and ``lo``.
+    The arithmetic reads the slots, inlines two_sum, the Dekker split,
+    two_prod and quick_two_sum in the order of the textbook formulas, and
+    stores its result's words directly with ``_dd`` or ``_word``.
     """
 
-    __slots__ = ("hi", "lo")
+    __slots__ = ("_hi", "_lo")
+    hi = property(operator.attrgetter("_hi"), doc="The high word, fl(hi + lo).")
+    lo = property(operator.attrgetter("_lo"), doc="The low word, the rounding error of hi.")
 
     def __init__(self, hi: float = 0.0, lo: float = -0.0):  # two_sum(-0.0, -0.0) keeps -0.0
         s, e = two_sum(float(hi), float(lo))
         if e != e and s == s:  # an infinite s leaves inf - inf in e: store (±inf, 0.0)
             e = 0.0
-        object.__setattr__(self, "hi", s)
-        object.__setattr__(self, "lo", e)
-
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError("DoubleDouble is immutable")
+        self._hi = s
+        self._lo = e
 
     # -- construction -------------------------------------------------------
 
@@ -132,26 +135,20 @@ class DoubleDouble:
             return cls(value)
         if t is int and -_TWO53 < value < _TWO53:
             return cls(float(value))
-        if isinstance(value, str):
-            return cls.from_fraction(Fraction(value))
-        if isinstance(value, Fraction):
-            return cls.from_fraction(value)
-        if isinstance(value, int):
-            if abs(value) < _TWO53:
-                return cls(float(value))
+        if isinstance(value, (str, Fraction, int)):  # exact: a big int takes two words
             return cls.from_fraction(Fraction(value))
         return cls(float(value))
 
     # -- conversions --------------------------------------------------------
 
     def __float__(self) -> float:
-        return self.hi + self.lo
+        return self._hi + self._lo
 
     def __bool__(self) -> bool:
-        return self.hi != 0.0 or self.lo != 0.0
+        return self._hi != 0.0 or self._lo != 0.0
 
     def __repr__(self) -> str:
-        return f"DoubleDouble({self.hi!r}, {self.lo!r})"
+        return f"DoubleDouble({self._hi!r}, {self._lo!r})"
 
     def __str__(self) -> str:
         return self.to_decimal_string(32)
@@ -160,11 +157,11 @@ class DoubleDouble:
         """Scientific-notation rendering with ``ndigits`` significant digits."""
         import decimal
 
-        if not math.isfinite(self.hi):
-            return repr(self.hi)
+        if not math.isfinite(self._hi):
+            return repr(self._hi)
         with decimal.localcontext() as ctx:
             ctx.prec = ndigits + 10
-            d = decimal.Decimal(self.hi) + decimal.Decimal(self.lo)
+            d = decimal.Decimal(self._hi) + decimal.Decimal(self._lo)
             text = f"{d:.{ndigits - 1}E}"
         if d.is_zero():  # Decimal renders a zero with exponent +(ndigits - 1)
             text = text[: text.index("E")] + "E+0"
@@ -176,27 +173,12 @@ class DoubleDouble:
         o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.hi, o.hi
-        s = a + b
-        bb = s - a
-        e = (a - (s - bb)) + (b - bb)
-        a, b = self.lo, o.lo
-        t = a + b
-        bb = t - a
-        f = (a - (t - bb)) + (b - bb)
-        e += t
-        hi = s + e
-        e -= hi - s
-        e += f
-        x = hi + e
-        if not x:  # an exact zero: float64's sign, -0.0 only for (-0) + (-0)
-            return _word(s if not s else 0.0)
-        return _dd(x, e - (x - hi), s)
+        return _sum(self._hi, self._lo, o._hi, o._lo)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _dd(-self.hi, -self.lo)
+        return _dd(-self._hi, -self._lo)
 
     def __pos__(self):
         return self
@@ -205,19 +187,19 @@ class DoubleDouble:
         o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
-        return self + _dd(-o.hi, -o.lo)
+        return _sum(self._hi, self._lo, -o._hi, -o._lo + 0.0)  # the words of -o, as _dd builds them
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _sum(o._hi, o._lo, -self._hi, -self._lo + 0.0)
 
     def __mul__(self, other):
         o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.hi, o.hi
+        a, b = self._hi, o._hi
         p = a * b
         if not p:  # a zero hi word: (p, 0.0) keeps float64's sign of the zero product
             return _word(p)
@@ -228,7 +210,7 @@ class DoubleDouble:
         bh = c - (c - b)
         bl = b - bh
         e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        e += a * o.lo + self.lo * b + self.lo * o.lo
+        e += a * o._lo + self._lo * b + self._lo * o._lo
         hi = p + e
         return _dd(hi, e - (hi - p), p)
 
@@ -240,22 +222,22 @@ class DoubleDouble:
         o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
-        b = o.hi
+        b = o._hi
         try:
-            q1 = self.hi / b
+            q1 = self._hi / b
         except ZeroDivisionError:  # float64's quotient: NaN for 0/0 and NaN/0, else ±inf
-            nan = self.hi == 0.0 or self.hi != self.hi
-            return _word(math.nan if nan else math.copysign(math.inf, self.hi) * math.copysign(1.0, b))
+            nan = self._hi == 0.0 or self._hi != self._hi
+            return _word(math.nan if nan else math.copysign(math.inf, self._hi) * math.copysign(1.0, b))
         if not q1:  # a zero numerator, or an underflow: float64's signed zero
             return _word(q1)
         c = _SPLITTER * b
         bh = c - (c - b)
-        rh, rl = _remainder(self.hi, self.lo, o, bh, q1)
+        rh, rl = _remainder(self._hi, self._lo, o, bh, q1)
         q2 = rh / b
         rh, _ = _remainder(rh, rl, o, bh, q2)
         hi = q1 + q2
         out = _dd(hi, q2 - (hi - q1)) + rh / b
-        return out if out.hi == out.hi else _word(q1)
+        return out if out._hi == out._hi else _word(q1)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -264,7 +246,7 @@ class DoubleDouble:
         return o / self
 
     def __abs__(self):
-        return -self if self.hi < 0.0 else self
+        return -self if self._hi < 0.0 else self
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -286,10 +268,10 @@ class DoubleDouble:
         o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
             return NotImplemented
-        if self.hi != o.hi:
-            return -1 if self.hi < o.hi else 1
-        if self.lo != o.lo:
-            return -1 if self.lo < o.lo else 1
+        if self._hi != o._hi:
+            return -1 if self._hi < o._hi else 1
+        if self._lo != o._lo:
+            return -1 if self._lo < o._lo else 1
         return 0
 
     def _order(test):  # a comparison dunder: test(_cmp(self, other), 0)
@@ -303,28 +285,28 @@ class DoubleDouble:
     del _order
 
     def __hash__(self):
-        return hash((self.hi, self.lo))
+        return hash((self._hi, self._lo))
 
     # -- elementary functions -------------------------------------------------
 
     def sqrt(self):
-        if self.hi < 0.0:
+        if self._hi < 0.0:
             raise ValueError("sqrt of negative double-double")
-        if self.hi == 0.0 and self.lo == 0.0:
+        if self._hi == 0.0 and self._lo == 0.0:
             return DoubleDouble(0.0)
-        y = DoubleDouble(math.sqrt(self.hi))
+        y = DoubleDouble(math.sqrt(self._hi))
         # one dd Newton step lifts the 53-bit seed to full precision
         return (y + self / y) * 0.5
 
     def _scale_pow2(self, k: int) -> "DoubleDouble":
-        return DoubleDouble(math.ldexp(self.hi, k), math.ldexp(self.lo, k))
+        return DoubleDouble(math.ldexp(self._hi, k), math.ldexp(self._lo, k))
 
     def sin_cos(self):
         """(sin x, cos x) from one range reduction and one pair of series.
 
         Like float64, NaN and ±inf give (nan, nan).
         """
-        if not math.isfinite(self.hi):
+        if not math.isfinite(self._hi):
             nan = _word(math.nan)
             return nan, nan
         r, q = _reduce_half_pi(self)
@@ -342,12 +324,12 @@ class DoubleDouble:
         return self.sin_cos()[1]
 
     def log(self):
-        if self.hi <= 0.0:
+        if self._hi <= 0.0:
             raise ValueError("log of non-positive double-double")
-        _, e2 = math.frexp(self.hi)  # hi = f * 2**e2, f in [0.5, 1)
+        _, e2 = math.frexp(self._hi)  # hi = f * 2**e2, f in [0.5, 1)
         e = e2 - 1
         m = self._scale_pow2(-e)  # m in [1, 2)
-        if m.hi > _SQRT2:
+        if m._hi > _SQRT2:
             m = m._scale_pow2(-1)
             e += 1
         s = (m - 1.0) / (m + 1.0)
@@ -358,14 +340,12 @@ class DoubleDouble:
             term = term * s2
             contrib = term * recip
             total = total + contrib
-            if abs(contrib.hi) <= _SERIES_CUTOFF * abs(total.hi):
+            if abs(contrib._hi) <= _SERIES_CUTOFF * abs(total._hi):
                 break
         return total * 2.0 + _LN2 * e
 
 
 _new = object.__new__
-_set_hi = DoubleDouble.hi.__set__
-_set_lo = DoubleDouble.lo.__set__
 
 
 def _dd(hi: float, lo: float, plain: float = math.nan) -> DoubleDouble:
@@ -381,8 +361,8 @@ def _dd(hi: float, lo: float, plain: float = math.nan) -> DoubleDouble:
     s = hi + lo
     if s - hi == 0.0:
         x = _new(DoubleDouble)
-        _set_hi(x, s)
-        _set_lo(x, lo + 0.0)
+        x._hi = s
+        x._lo = lo + 0.0
         return x
     return DoubleDouble(hi, lo) if s == s else _word(plain)
 
@@ -391,15 +371,35 @@ def _word(v: float) -> DoubleDouble:
     # (v, 0.0) with v's sign of zero kept, or (nan, nan); no arithmetic on an
     # infinite v, whose inf - inf would raise numpy's invalid-operation flag
     x = _new(DoubleDouble)
-    _set_hi(x, v)
-    _set_lo(x, 0.0 if v == v else v)
+    x._hi = v
+    x._lo = 0.0 if v == v else v
     return x
 
 
+def _sum(a: float, al: float, b: float, bl: float) -> DoubleDouble:
+    """(a + al) + (b + bl) for normalized pairs: the two two_sums, then two quick_two_sums."""
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb)
+    t = al + bl
+    bb = t - al
+    f = (al - (t - bb)) + (bl - bb)
+    e += t
+    hi = s + e
+    e -= hi - s
+    e += f
+    x = hi + e
+    if not x:  # an exact zero: float64's sign, -0.0 only for (-0) + (-0)
+        return _word(s if not s else 0.0)
+    return _dd(x, e - (x - hi), s)
+
+
 def _coerce(value):
-    """The DoubleDouble value of an int or float operand; None for other types."""
+    """The DoubleDouble of an int or float operand, a ``_word`` below 2**53; None for other types."""
     if type(value) is float:
-        return DoubleDouble(value)
+        return _word(value)
+    if type(value) is int and -_TWO53 < value < _TWO53:
+        return _word(float(value))
     if isinstance(value, (int, float)):
         return DoubleDouble.from_any(value)
     return None
@@ -408,19 +408,19 @@ def _coerce(value):
 def _remainder(rh: float, rl: float, o: DoubleDouble, bh: float, q: float) -> tuple[float, float]:
     """Words of (rh + rl) - o * q, as ``__sub__`` of ``__mul__`` forms them.
 
-    ``bh`` is the high half of the Dekker split of ``o.hi``.  The product is
+    ``bh`` is the high half of the Dekker split of ``o._hi``.  The product is
     not renormalized before it is subtracted: that would change only the
     sign of zero words, and a zero remainder reaches the quotient only as a
     zero correction, which the final ``__add__`` makes +0.0.
     """
-    b = o.hi
+    b = o._hi
     bl = b - bh
     p = b * q
     c = _SPLITTER * q
     qh = c - (c - q)
     ql = q - qh
     e = ((bh * qh - p) + bh * ql + bl * qh) + bl * ql
-    e += o.lo * q
+    e += o._lo * q
     ph = p + e
     pl = e - (ph - p)
     a, b = rh, -ph
@@ -495,14 +495,14 @@ def _reduce_half_pi(x: DoubleDouble) -> tuple[DoubleDouble, int]:
         return x, 0
     k = round(xf / float(_HALF_PI))
     r = x - _HALF_PI * k
-    while abs(r.hi) > _REDUCED:
-        j = round(r.hi / float(_HALF_PI))
+    while abs(r._hi) > _REDUCED:
+        j = round(r._hi / float(_HALF_PI))
         r = r - _HALF_PI * j
         k += j
-    while r.hi > _QUARTER_PI:
+    while r._hi > _QUARTER_PI:
         r = r - _HALF_PI
         k += 1
-    while r.hi < -_QUARTER_PI:
+    while r._hi < -_QUARTER_PI:
         r = r + _HALF_PI
         k -= 1
     return r, k % 4
@@ -515,14 +515,14 @@ def _sin_cos_reduced(r: DoubleDouble) -> tuple[DoubleDouble, DoubleDouble]:
     # j/16 (about 22 operations).  sin(t) = t * (1 + ...) keeps t's sign of
     # zero.  Relative error stays near 2**-104; r's own absolute error from
     # the reduction, a few |k| * 2**-107, dominates it near the zeros.
-    j = round(16.0 * r.hi)
+    j = round(16.0 * r._hi)
     t = r
     if j:  # r.hi - j/16 is exact (Sterbenz), and when nonzero at least ulp(r.hi) >= 2 |r.lo|
-        th = r.hi - 0.0625 * j
-        s = th + r.lo
-        t = _dd(s, r.lo - (s - th))
+        th = r._hi - 0.0625 * j
+        s = th + r._lo
+        t = _dd(s, r._lo - (s - th))
     u = t * t
-    v = u.hi
+    v = u._hi
     st = t * (_ONE + u * (_S1 + u * (_S2 + u * (_S3 + v * (_S4 + v * (_S5 + v * _S6))))))
     ct = _ONE + u * (_C1 + u * (_C2 + u * (_C3 + v * (_C4 + v * (_C5 + v * (_C6 + v * _C7))))))
     if not j:

@@ -208,8 +208,7 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
         x, p = _at(X, 0, 0), _at(P, 0, 0)
         return p * p / (2 * m_) + k_ * x * x * 0.5
 
-    def velocity(P):  # at m = 1 the copy has the quotient's words
-        return P.copy() if m_ == 1 else P / m_
+    velocity = (lambda P: P.copy()) if m_ == 1 else (lambda P: P / m_)  # m = 1 tested once; the copy has the quotient's words
 
     def force(X):
         return neg_k * X

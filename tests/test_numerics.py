@@ -1,7 +1,10 @@
 """Tests for the scalar backends: error-free transforms and double-double."""
 
+import copy
+import itertools
 import math
 import operator
+import pickle
 import random
 import time
 import warnings
@@ -254,6 +257,7 @@ def _f64(op, a, b):
 class TestFastKernel:
     SPECIAL = (0.0, -0.0, 1.0, -3.0, 0.5, 6.0, 0.1, 1e-300, -1e300, 5e-324, 1.7e308,
                math.inf, -math.inf, math.nan)
+    INTS = (0, 1, -1, 2**53 - 1, -(2**53 - 1), 2**53, 2**60)  # one word below 2**53, parsed above
 
     @staticmethod
     def random_pairs(n, seed):
@@ -267,7 +271,7 @@ class TestFastKernel:
             out.append(two_sum(hi, lo))
         return out
 
-    def check(self, a, b):
+    def check(self, a, b, n):
         x, y = DoubleDouble(*a), DoubleDouble(*b)
         for op, ref, f in ((x.__add__, ref_sum, np.add), (x.__sub__, ref_difference, np.subtract),
                            (x.__mul__, ref_product, np.multiply), (x.__truediv__, ref_quotient, np.divide)):
@@ -285,19 +289,24 @@ class TestFastKernel:
                                  (lambda: x / v, lambda: ref_quotient(a, fv), _f64(np.divide, x.hi, w)),
                                  (lambda: v / x, lambda: ref_quotient(fv, a), _f64(np.divide, w, x.hi))):
             assert _apply(got) == _expected(want, plain), (a, v)
+        dn = DoubleDouble.from_any(n)  # an int operand n acts as its DoubleDouble
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert _apply(op, x, n) == _apply(op, x, dn), (op.__name__, a, n)
+            assert _apply(op, n, x) == _apply(op, dn, x), (op.__name__, n, a)
 
     def test_bitwise_equal_to_reference_random(self):
         pairs = self.random_pairs(12_000, 31)
         rng = random.Random(37)
         for a in pairs:
-            self.check(a, rng.choice(pairs))
+            self.check(a, rng.choice(pairs), rng.choice(self.INTS))
 
     def test_bitwise_equal_to_reference_special(self):
         pairs = [two_sum(h, lo) for h in self.SPECIAL for lo in (0.0, 1e-17)]
         pairs += self.random_pairs(20, 41)
+        ints = itertools.cycle(self.INTS)
         for a in pairs:
             for b in pairs:
-                self.check(a, b)
+                self.check(a, b, next(ints))
 
     def test_int_operands(self):
         rng = random.Random(43)
@@ -328,6 +337,18 @@ class TestFastKernel:
         x = DoubleDouble(1.0) + DoubleDouble(2.0**-60)
         with pytest.raises(AttributeError):
             x.hi = 0.0
+        with pytest.raises(AttributeError):
+            x.lo = 0.0
+
+    def test_pickle_and_copy_keep_both_words(self):
+        values = [DoubleDouble(1.0) + DoubleDouble(2.0**-60)] + [DoubleDouble(h) for h in self.SPECIAL]
+        for x in values:
+            for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert type(y) is DoubleDouble and words(y) == words(x), x
+                with pytest.raises(AttributeError):
+                    y.hi = 0.0
+        arr = copy.deepcopy(np.array(values, dtype=object))
+        assert [words(y) for y in arr] == [words(x) for x in values]
 
     def test_unsupported_operand(self):
         with pytest.raises(TypeError):
