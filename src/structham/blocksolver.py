@@ -23,14 +23,15 @@ to the rows before Z_1..Z_R, for x and p together.  An anchor stacks its
 values as (2, L, I, K).
 
 A block writes its anchor rows once, in the predictor; no sweep touches
-them.  Each sweep takes one max-norm, of the change of Z.  It is also the
+them.  A sweep takes the max-norm of its step only: of the change of Z,
+and while M is held of the correction too.  The change's norm is also the
 finiteness test: Z is finite on entry (the predictor and every accepted
 sweep checked it), so a finite norm proves the new Z finite; only a
 non-finite norm, which an overflowing difference of finite values also
-gives, needs a scan of the new Z.  And it advances the one bound on the
-block's norm that the loop keeps, exact whenever M is held: the growth
-test takes the norms of Z and the new Z only once that bound passes
-GROWTH_LIMIT times the anchor scale (``_sweep``).
+gives, needs a scan of the new Z.  The loop keeps no norm of the block:
+as |Z_new| <= |Z| + |step|, only a step above half GROWTH_LIMIT times the
+anchor scale takes the norms of Z and the new Z for the growth test
+(``_sweep``).
 
 Every block after the first starts from the Hermite polynomial through
 the previous node and the anchor, as implicit Runge-Kutta codes extrapolate
@@ -98,8 +99,6 @@ class DivergenceError(RuntimeError):
 
 # a sweep that grows the block's max-norm more than this factor diverges
 GROWTH_LIMIT = 1e6
-# 1 + 4u (u = 2**-53): widens a sum of float norms into a bound on the norm
-_ROUNDING = 1.0 + 2.0**-51
 
 
 @dataclass(frozen=True)
@@ -392,27 +391,22 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
     the last contraction factor and the fate of M; the refused sweep leaves
     Z as it was.
 
-    ``bound`` >= |Z| throughout: a plain sweep widens it by the change,
-    |Z_new| <= |Z| + |Z_new - Z|, times 1 + 4u (u = 2**-53) for the rounding
-    of the difference, of its float conversion and of the sum.  It equals
-    |Z| exactly on entry, after a new M, after an accepted corrected step
-    and after a growth test, so the corrected step's limit reads an exact
-    norm whenever M is held.  The limit, GROWTH_LIMIT max(|Z|, scale), is
-    never below ``safe``, so only a bound past ``safe`` needs the growth
-    test, which takes the norms of Z and Z_new.
+    No norm of the block is kept.  As |Z_new| <= |Z| + |step|, a sweep can
+    pass the growth limit, GROWTH_LIMIT max(|Z|, scale), only by a step
+    above (GROWTH_LIMIT - 1) scale, so only a step above ``gate`` takes the
+    norms of Z and the candidate: the change on the plain path, the
+    correction (whose norm the stop test reads too) on the corrected one.
     """
     Z, derivs, newton = state.Z, state.DS[:, :, 1:], state.newton
     slow = 0 if problem.precision is NATIVE else None  # slow plain sweeps in a row
     scale_ref = max(max_abs(state.Y[:, 0]), 1.0)  # the anchor's values
-    safe = GROWTH_LIMIT * scale_ref  # at most the growth limit of any sweep
-    bound = max_abs(Z)
+    gate = 0.5 * GROWTH_LIMIT * scale_ref  # no smaller step passes the growth limit
     step = np.empty_like(Z)
     diff = prev_diff = math.inf
     for _ in range(max_iter):
         if slow == _SLOW_RUN:
             slow, state.sweeps = None, state.sweeps + Z.size
             state.newton = newton = _newton_matrix(problem, table, state)
-            bound = max_abs(Z)
             diff = math.inf  # the first corrected change need not halve the plain one
         Z_new = se_update(table, state)
         # both components enter the stopping norm: the x-block alone can
@@ -430,24 +424,23 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
             # positions through dt/m ~ 5e4, so a change of 4e-31, all in p,
             # was followed by one of 9e-27
             correction = (newton * NATIVE.asarray(step).reshape(-1)).sum(axis=1).reshape(Z.shape)
-            done = done and max_abs(correction) <= tol
+            size = max_abs(correction)
+            done = done and size <= tol
             if not done:
                 corrected = Z + correction
-                norm = max_abs(corrected)
-                limit = GROWTH_LIMIT * max(bound, scale_ref)
-                if diff <= _NEWTON_RATE * prev_diff and norm <= limit:  # False for NaN
-                    Z_new, bound = corrected, norm
+                # every comparison False for NaN: a NaN step drops M
+                if diff <= _NEWTON_RATE * prev_diff and (
+                        size <= gate or max_abs(corrected) <= GROWTH_LIMIT * max(max_abs(Z), scale_ref)):
+                    Z_new = corrected
                 else:
                     newton = None
-        if not done and newton is None:
-            bound = (bound + diff) * _ROUNDING
-            if bound > safe:
-                old, bound = max_abs(Z), max_abs(Z_new)
-                if bound > GROWTH_LIMIT * max(old, scale_ref):
-                    raise DivergenceError(
-                        f"block norm grew from {old:.3e} to {bound:.3e} in one sweep "
-                        f"({_verdict(diff, prev_diff, state.newton, newton)})"
-                    )
+        if not done and newton is None and not diff <= gate:  # a NaN change is tested
+            old, norm = max_abs(Z), max_abs(Z_new)
+            if norm > GROWTH_LIMIT * max(old, scale_ref):
+                raise DivergenceError(
+                    f"block norm grew from {old:.3e} to {norm:.3e} in one sweep "
+                    f"({_verdict(diff, prev_diff, state.newton, newton)})"
+                )
         Z[...] = Z_new
         pe_update(problem, Z, derivs)
         state.sweeps += 1

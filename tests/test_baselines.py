@@ -292,6 +292,12 @@ class TestIntegrateSV:
         with pytest.raises(ConfigurationError, match="store_every >= 1"):
             integrate_sv(make_mass_spring(), 2, 10, 1.0, store_every=store_every)
 
+    def test_non_finite_state_refused(self):
+        # dt = 3 is past the leapfrog's stability limit 2 for omega = 1: the
+        # state grows about 6.85-fold per step and overflows at step 369
+        with pytest.raises(DivergenceError, match="^SV step 369: non-finite state in SV step$"):
+            integrate_sv(make_mass_spring(), 2, 1000, 3000.0)
+
     def test_nonconvergence_keeps_its_residual(self):
         # the step prefix is added to the raised error itself, so the
         # residual its fixed point measured survives

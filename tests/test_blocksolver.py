@@ -572,8 +572,9 @@ def _outcome(run):
 
 
 class TestGrowthBound:
-    """The growth test read from a bound on the block's norm refuses at the
-    sweep, and with the words, of the loop that takes the norm every sweep."""
+    """The growth test, which takes norms only on a step past the gate,
+    refuses at the sweep, and with the words, of the loop that takes the
+    norm every sweep."""
 
     @staticmethod
     def compare(monkeypatch, problem, form, R, dt, script, ddouble_only=False, max_iter=200):
@@ -598,11 +599,14 @@ class TestGrowthBound:
             ("third-sweep", [None, None, 3e7], 3, "to 3.000e+07"),
             ("staircase", [-1e3, 1e6, -1e9, 1e12, -1e19], 5, "from 1.000e+12 to 1.000e+19"),
             ("past-the-anchor-scale", [1e5, 1e10, 1e15, 2e21], 4, "from 1.000e+15 to 2.000e+21"),
+            ("just-under-the-limit", [0.5, 1e6 + 0.25], 2, "from 5.000e-01 to 1.000e+06"),
         ]
     ])
     def test_growth_refused_at_the_same_sweep(self, monkeypatch, fills, sweep, message, prec):
         # each rise but the last stays within the limit, although the block
-        # passes GROWTH_LIMIT times its anchor scale on the way
+        # may pass GROWTH_LIMIT times its anchor scale on the way; the last
+        # change of just-under-the-limit, 999 999.75, is just under
+        # GROWTH_LIMIT times the anchor scale, so a gate that high misses it
         prob = _without_twin(make_mass_spring(precision=prec))
         got, calls = self.compare(monkeypatch, prob, "zd", 1, 0.1, lambda k: fills[k])
         assert got[0] == "diverged" and message in got[1] and calls == sweep
@@ -623,8 +627,8 @@ class TestGrowthBound:
                                    "(last contraction 6.61e+03, Newton matrix none)") and calls == 3
 
     def test_loose_bound_over_a_small_block_refuses_nothing(self, monkeypatch):
-        # the block swings between +-6e5: each change of 1.2e6 lifts the
-        # bound past 1e6, the anchor scale's limit, while the norm stays 6e5
+        # the block swings between +-6e5: each change of 1.2e6 passes the
+        # gate, so the norms are taken, while the norm stays 6e5
         got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1,
                                   lambda k: 6e5 * (-1) ** k, max_iter=30)
         assert got == ("not converged", 1.2e6) and calls == 30
@@ -636,9 +640,9 @@ class TestGrowthBound:
         fills = [1e5, 1e10, 1e15, 1.01e15, 1.02e15, 1.02e15]
         got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
         assert got[0] == "converged" and got[2] == calls == 6
-        # max-norms per sweep: the change; past the anchor scale's limit also
-        # the block's and the new block's ("n" a norm, "s" a sweep, the two
-        # before the first sweep set up)
+        # max-norms per sweep: the change; for a change past the gate also
+        # the block's and the new block's ("n" a norm, "s" a sweep, the one
+        # before the first sweep the anchor scale)
         events = []
         se, _ = _scripted_se(lambda k: events.append("s") or fills[k])
         monkeypatch.setattr(blocksolver, "se_update", se)
@@ -646,7 +650,7 @@ class TestGrowthBound:
         prob = make_mass_spring()
         anchor = make_anchor(prob, prob.x0, prob.p0, "zd")
         solve_block(anchor, prob, coeff_table(1, "zd", 0.1), SolverConfig())
-        assert [len(norms) for norms in "".join(events).split("s")] == [2, 1, 3, 3, 3, 3, 1]
+        assert [len(norms) for norms in "".join(events).split("s")] == [1, 1, 3, 3, 3, 3, 1]
 
     @pytest.mark.parametrize("script,outcome,calls", [
         ({1: 1e8}, "diverged", 2),
@@ -658,7 +662,7 @@ class TestGrowthBound:
         # the ddouble sweeps after the float64 phase; a scaled SE output
         # drops M (the change does not halve, or the corrected block
         # outgrows the limit), and the plain sweeps that follow test the
-        # growth from the bound
+        # growth of a step past the gate
         prob = make_mass_spring(precision=DDOUBLE)
         got, n = self.compare(monkeypatch, prob, "zds", 2, 0.1,
                               lambda k: ("x", script[k]) if k in script else None, ddouble_only=True)
@@ -669,9 +673,8 @@ class TestGrowthBound:
     def test_growth_after_a_corrected_step(self, monkeypatch):
         # a corrected step lifts the block from about 0.1 to 0.68..0.92, below
         # the anchor scale 1; the next sweep fills it with 1e6 + 0.25, past
-        # the limit 1e6, and drops M.  Only a bound reset to the corrected
-        # norm passes 1e6 there: one left at 0.1 reaches about
-        # 0.1 + (1e6 + 0.25 - 0.68), and the growth would go untested
+        # the limit 1e6, and drops M.  Its change, about 1e6 - 0.9, passes
+        # the gate, so the plain growth test reads the corrected norm
         prob = make_mass_spring(x0=0.1, precision=DDOUBLE)
         got, n = self.compare(monkeypatch, prob, "zds", 2, 0.1,
                               lambda k: {0: 0.8, 1: 1e6 + 0.25}.get(k), ddouble_only=True)
@@ -702,10 +705,11 @@ class TestGrowthBound:
                      lambda k: ("x", 1e8) if k == sweep else None)
 
     def test_growth_after_a_mid_block_build(self, monkeypatch):
-        # three slow plain sweeps of a small float64 block (no norm taken,
-        # the bound stays below the limit) build M; the next SE output jumps
-        # to 1e7, so the corrected block outgrows the limit and M is dropped,
-        # and the plain growth test refuses the jump from the block's norm
+        # three slow plain sweeps of a small float64 block (no norm of the
+        # block taken: each change is below the gate) build M; the next SE
+        # output jumps to 1e7, so the corrected block outgrows the limit and
+        # M is dropped, and the plain growth test refuses the jump from the
+        # block's norm
         fills = [0.5, 0.9, 0.6, 0.85, 1e7]
         got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
         assert got == ("diverged", "block norm grew from 8.500e-01 to 1.000e+07 in one sweep "
@@ -713,9 +717,9 @@ class TestGrowthBound:
 
 
     def test_mid_block_build_takes_the_exact_norm(self, monkeypatch):
-        # the swings lift the bound to about 4.5 while |Z| stays 0.5; M built
-        # after them must limit the corrected step by the exact norm, 1e6, so
-        # the jump to 3e6 drops M and is refused; the bound would admit it
+        # the block swings between +-0.5; M built after the swings must limit
+        # the corrected step by the block's norm, to 1e6, so the jump to 3e6
+        # drops M and is refused
         fills = [0.5, -0.5, 0.5, -0.5, 3e6]
         got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
         assert got == ("diverged", "block norm grew from 5.000e-01 to 3.000e+06 in one sweep "
@@ -1106,6 +1110,10 @@ class TestIntegrate:
     def test_store_every_below_one_rejected(self, store_every):
         with pytest.raises(ConfigurationError, match="store_every >= 1"):
             integrate(make_mass_spring(), "zds", 2, 10, 1.0, SolverConfig(), store_every=store_every)
+
+    def test_unknown_formulation_rejected(self):
+        with pytest.raises(ConfigurationError, match="^unknown formulation 'zx'$"):
+            integrate(make_mass_spring(), "zx", 2, 10, 1.0)
 
     def test_run_accounting_identity(self):
         prob = make_pendulum()

@@ -187,6 +187,16 @@ class TestMassSpring:
         with pytest.raises(ValueError):
             make_mass_spring(m=0.0)
 
+    @pytest.mark.parametrize("kappa", ["2.5", "0.1"])
+    def test_twin_holds_float_parameters(self, kappa):
+        # a DoubleDouble argument rounds to float64 in the float64 twin
+        value = DoubleDouble.from_any(kappa)
+        prob = make_mass_spring(kappa=value, precision=DDOUBLE)
+        twin = prob.native
+        assert twin.precision is NATIVE and twin.native is None
+        held = twin.parameters["kappa"]
+        assert type(held) is float and held == float(Fraction(kappa)) == float(value)
+
     def test_exact_solution_period(self):
         prob = make_mass_spring()
         X, P = prob.exact_solution(2 * math.pi)
@@ -281,6 +291,17 @@ class TestTwoSpring:
             fd = (np.asarray(Xp, float) - np.asarray(Xm, float)) / (2 * h)
             assert np.max(np.abs(fd - np.asarray(DX, float))) <= 1e-9
 
+    @pytest.mark.parametrize("name", ["k1", "k2", "m1", "m2"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_parameter_validation(self, name, value):
+        with pytest.raises(ValueError, match="^all two-spring parameters must be positive$"):
+            make_two_spring(**{name: value})
+
+    def test_equal_frequencies_rejected(self):
+        # k1 / m1 = 1e30 and k2 / m2 = 1e30: the two modes coincide in float64
+        with pytest.raises(ValueError, match="w1 == w2$"):
+            make_two_spring(k1=1e30, k2=1, m1=1, m2=1e-30)
+
     def test_resonant_configuration_rejected(self):
         # equal masses and stiffnesses k1 = 0 would degenerate; pick a case
         # with k2 == m2 w2^2 instead: m1 -> infinity limit approximated
@@ -324,6 +345,11 @@ class TestPendulum:
         with pytest.raises(ValueError):
             pendulum_period(modulus=1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"g": 0}, {"m": -1.0}, {"length": 0.0}])
+    def test_parameter_validation(self, kwargs):
+        with pytest.raises(ValueError, match="^pendulum parameters must be positive$"):
+            make_pendulum(**kwargs)
+
 
 def kepler_ellipse_state(a, e, t):
     """Analytic Kepler orbit (mu = 1) via Newton on the eccentric anomaly."""
@@ -362,6 +388,10 @@ class TestKepler:
                 prob.derivatives(np.array([[0.0], [0.0]]), prob.p0, levels)
         with pytest.raises(SingularityError):
             prob.force(np.array([[0.0], [0.0]]))
+
+    def test_zero_initial_position_rejected(self):
+        with pytest.raises(ValueError, match="^Kepler initial position must be nonzero$"):
+            make_kepler(x0=(0, 0))
 
     def test_lrl_constant_on_analytic_ellipse(self):
         a, e = 1.3, 0.4
@@ -476,6 +506,8 @@ class TestNBody:
             make_nbody([1, 1], 1, [[0, 1, 2], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]])
         with pytest.raises(ValueError, match="shape"):  # P0 in another dimension
             make_nbody([1, 1], 1, [[0, 1], [0, 0]], [[0, 0], [0, 0], [0, 0]])
+        with pytest.raises(ValueError, match="^n-body supports I = 2 or 3$"):  # a line
+            make_nbody([1, 1], 1, [[0, 1]], [[0, 0]])
 
 
 def reference_nbody(masses, G, precision):

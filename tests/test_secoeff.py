@@ -413,6 +413,10 @@ class TestExactnessResidual:
     def test_zd_r4_degree5_exact(self):
         assert exactness_residual(coeff_table(4, "zd", 0.2), 5) <= 1e-10
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be >= 0$"):
+            exactness_residual(coeff_table(2, "zd", 0.1), -1)
+
 
 class TestCsvDump:
     def test_dump_shape_and_precision(self):
