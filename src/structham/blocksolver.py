@@ -30,8 +30,10 @@ sweep checked it), so a finite norm proves the new Z finite; only a
 non-finite norm, which an overflowing difference of finite values also
 gives, needs a scan of the new Z.  The loop keeps no norm of the block:
 as |Z_new| <= |Z| + |step|, only a step above half GROWTH_LIMIT times the
-anchor scale takes the norms of Z and the new Z for the growth test
-(``_sweep``).
+anchor scale takes the norms of Z and the new Z for the growth test, and
+as that scale is at least 1, only a step above half GROWTH_LIMIT reads it
+(``_sweep``).  An accepted corrected step is added to Z in place; the
+step and the correction have buffers, and flat views, made once per block.
 
 Every block after the first starts from the Hermite polynomial through
 the previous node and the anchor, as implicit Runge-Kutta codes extrapolate
@@ -99,6 +101,7 @@ class DivergenceError(RuntimeError):
 
 # a sweep that grows the block's max-norm more than this factor diverges
 GROWTH_LIMIT = 1e6
+_UNIT_GATE = 0.5 * GROWTH_LIMIT  # the growth test's gate at anchor scale 1, the least scale
 
 
 @dataclass(frozen=True)
@@ -393,15 +396,19 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
 
     No norm of the block is kept.  As |Z_new| <= |Z| + |step|, a sweep can
     pass the growth limit, GROWTH_LIMIT max(|Z|, scale), only by a step
-    above (GROWTH_LIMIT - 1) scale, so only a step above ``gate`` takes the
-    norms of Z and the candidate: the change on the plain path, the
-    correction (whose norm the stop test reads too) on the corrected one.
+    above (GROWTH_LIMIT - 1) scale, so only a step above the gate, 0.5
+    GROWTH_LIMIT scale, takes the norms of Z and the candidate: the change
+    on the plain path, the correction (whose norm the stop test reads too)
+    on the corrected one.  The anchor's scale, max(|Y_0|, 1), is read only
+    for a step past ``_UNIT_GATE``, the gate at scale 1.  An accepted
+    correction is added to Z in place.
     """
     Z, derivs, newton = state.Z, state.DS[:, :, 1:], state.newton
-    slow = 0 if problem.precision is NATIVE else None  # slow plain sweeps in a row
-    scale_ref = max(max_abs(state.Y[:, 0]), 1.0)  # the anchor's values
-    gate = 0.5 * GROWTH_LIMIT * scale_ref  # no smaller step passes the growth limit
-    step = np.empty_like(Z)
+    native = problem.precision is NATIVE
+    slow = 0 if native else None  # slow plain sweeps in a row
+    scale = None  # max(|anchor values|, 1), read at the first step past the unit gate
+    step, correction = np.empty_like(Z), np.empty(Z.shape)  # M^-1 step is float64 at any precision
+    flat_step, flat_correction = step.reshape(-1), correction.reshape(-1)  # views
     diff = prev_diff = math.inf
     for _ in range(max_iter):
         if slow == _SLOW_RUN:
@@ -423,25 +430,30 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
             # moves x from p, and outer_solar's momenta (~1e-6) reach the
             # positions through dt/m ~ 5e4, so a change of 4e-31, all in p,
             # was followed by one of 9e-27
-            correction = (newton * NATIVE.asarray(step).reshape(-1)).sum(axis=1).reshape(Z.shape)
+            np.add.reduce(newton * (flat_step if native else NATIVE.asarray(flat_step)),
+                          axis=1, out=flat_correction)
             size = max_abs(correction)
             done = done and size <= tol
             if not done:
-                corrected = Z + correction
+                if not size <= _UNIT_GATE:
+                    scale = scale or max(max_abs(state.Y[:, 0]), 1.0)
                 # every comparison False for NaN: a NaN step drops M
-                if diff <= _NEWTON_RATE * prev_diff and (
-                        size <= gate or max_abs(corrected) <= GROWTH_LIMIT * max(max_abs(Z), scale_ref)):
-                    Z_new = corrected
+                if diff <= _NEWTON_RATE * prev_diff and (size <= _UNIT_GATE * (scale or 1.0)
+                        or max_abs(Z + correction) <= GROWTH_LIMIT * max(max_abs(Z), scale)):
+                    Z += correction
                 else:
                     newton = None
-        if not done and newton is None and not diff <= gate:  # a NaN change is tested
-            old, norm = max_abs(Z), max_abs(Z_new)
-            if norm > GROWTH_LIMIT * max(old, scale_ref):
-                raise DivergenceError(
-                    f"block norm grew from {old:.3e} to {norm:.3e} in one sweep "
-                    f"({_verdict(diff, prev_diff, state.newton, newton)})"
-                )
-        Z[...] = Z_new
+        if not done and newton is None and not diff <= _UNIT_GATE:  # a NaN change is tested
+            scale = scale or max(max_abs(state.Y[:, 0]), 1.0)
+            if not diff <= _UNIT_GATE * scale:
+                old, norm = max_abs(Z), max_abs(Z_new)
+                if norm > GROWTH_LIMIT * max(old, scale):
+                    raise DivergenceError(
+                        f"block norm grew from {old:.3e} to {norm:.3e} in one sweep "
+                        f"({_verdict(diff, prev_diff, state.newton, newton)})"
+                    )
+        if done or newton is None:  # else Z holds the corrected step
+            Z[...] = Z_new
         pe_update(problem, Z, derivs)
         state.sweeps += 1
         if done:

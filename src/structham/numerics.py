@@ -14,8 +14,9 @@ inlines them on the two words, which private slots hold behind read-only
 ``hi`` and ``lo``, renormalizes each result once and stores its words
 directly; a float or small int operand becomes one word without the
 constructor.  Values pickle and copy.  Elementary functions use
-range reduction with two-word constants followed by truncated Taylor /
-atanh series.  sin and cos share one reduction by pi/2 and then one by the
+range reduction followed by truncated Taylor / atanh series.  sin and cos
+share one reduction by pi/2, in four Cody-Waite parts (Cody and Waite,
+*Software Manual for the Elementary Functions*, 1980), and then one by the
 nearest j/16, whose sines and cosines are stored double-double literals;
 fixed series on the remainder |t| <= 1/32 and the angle-addition formulas
 finish them, as in the QD library of Hida, Li and Bailey (ARITH 2001).
@@ -443,7 +444,10 @@ _SQRT2 = 1.4142135623730951
 _SERIES_CUTOFF = 1e-35  # truncate log's series once a term falls below this of the sum
 
 PI_DD = DoubleDouble(3.141592653589793, 1.2246467991473532e-16)
-_HALF_PI = DoubleDouble(1.5707963267948966, 6.123233995736766e-17)
+_HALF_PI = 1.5707963267948966  # float64 pi/2, the divisor that rounds k
+# pi/2 in Cody-Waite parts, two of 33 bits and two float64 words; their sum is pi/2 to 4e-54
+_PIO2_1, _PIO2_2 = 1.5707963267341256, 6.077100506303966e-11
+_PIO2_3, _PIO2_4 = 2.0222662487959506e-21, 1.0085854035872483e-37
 _QUARTER_PI = 0.7853981633974484
 _REDUCED = 16.0  # |r| left to the one-step corrections of _reduce_half_pi
 _LN2 = DoubleDouble(0.6931471805599453, 2.3190468138462996e-17)
@@ -483,29 +487,39 @@ _ATANH_RECIP = tuple(DoubleDouble.from_fraction(Fraction(1, 2 * k + 1)) for k in
 
 
 def _reduce_half_pi(x: DoubleDouble) -> tuple[DoubleDouble, int]:
-    # r = x - k*pi/2 with |r| <= pi/4 (+1 ulp); accuracy degrades slowly as
-    # |x| grows (absolute error ~ |k| * 2**-107), fine for |x| <~ 1e6.  A k
-    # rounded from the float quotient is off by up to about |x| * 2**-51,
-    # so |r| can stay far above pi/4: k is rounded again from r until
-    # |r| <= _REDUCED, each pass shrinking |r| about 2**51-fold (about 20
-    # passes for the largest float), and then stepped by one.  Up to |x| ~
-    # 1e16 the first r is already below _REDUCED.
+    # r = x - k*pi/2 with |r| <= pi/4 (+1 ulp), each step by k pi/2 in
+    # Cody-Waite parts (``_minus_half_pi``), so that for |x| <~ 1e6 r keeps
+    # about 2**-106 |r| near a zero too.  A k rounded from the float
+    # quotient is off by up to about |x| * 2**-51: k is rounded again from
+    # r until |r| <= _REDUCED, each pass shrinking |r| about 2**51-fold
+    # (about 20 passes for the largest float, none up to |x| ~ 1e16), and
+    # then stepped by one.
     xf = float(x)
     if abs(xf) <= _QUARTER_PI:
         return x, 0
-    k = round(xf / float(_HALF_PI))
-    r = x - _HALF_PI * k
+    k = round(xf / _HALF_PI)
+    r = _minus_half_pi(x, k)
     while abs(r._hi) > _REDUCED:
-        j = round(r._hi / float(_HALF_PI))
-        r = r - _HALF_PI * j
+        j = round(r._hi / _HALF_PI)
+        r = _minus_half_pi(r, j)
         k += j
     while r._hi > _QUARTER_PI:
-        r = r - _HALF_PI
+        r = _minus_half_pi(r, 1)
         k += 1
     while r._hi < -_QUARTER_PI:
-        r = r + _HALF_PI
+        r = _minus_half_pi(r, -1)
         k -= 1
     return r, k % 4
+
+
+def _minus_half_pi(r: DoubleDouble, k: int) -> DoubleDouble:
+    # r - k pi/2, pi/2 = _PIO2_1 + .. + _PIO2_4: k _PIO2_1 and k _PIO2_2 are
+    # exact for |k| < 2**20, two_prod keeps k _PIO2_3 exact, and k _PIO2_4
+    # (about |k| 2**-123) rounds once; past |k| ~ 2**996, two_prod's NaN
+    # error word leaves the float64 difference of the high words (``_sum``)
+    p, e = two_prod(float(k), _PIO2_3)
+    r = r - k * _PIO2_1 - k * _PIO2_2
+    return _sum(r._hi, r._lo, -p, -e) - k * _PIO2_4
 
 
 def _sin_cos_reduced(r: DoubleDouble) -> tuple[DoubleDouble, DoubleDouble]:
@@ -513,8 +527,7 @@ def _sin_cos_reduced(r: DoubleDouble) -> tuple[DoubleDouble, DoubleDouble]:
     # series of t in Horner form, three double-double levels under a float64
     # tail, then the angle-addition formulas with the table's sin and cos of
     # j/16 (about 22 operations).  sin(t) = t * (1 + ...) keeps t's sign of
-    # zero.  Relative error stays near 2**-104; r's own absolute error from
-    # the reduction, a few |k| * 2**-107, dominates it near the zeros.
+    # zero.  Relative error stays near 2**-104, near the zeros too.
     j = round(16.0 * r._hi)
     t = r
     if j:  # r.hi - j/16 is exact (Sterbenz), and when nonzero at least ulp(r.hi) >= 2 |r.lo|

@@ -591,23 +591,27 @@ class TestGrowthBound:
         assert len(got_calls) == len(ref_calls)
         return got, len(got_calls)
 
-    @pytest.mark.parametrize("fills,sweep,message,prec", [
-        pytest.param(fills, sweep, message, prec, id=name + suffix)
+    @pytest.mark.parametrize("fills,sweep,message,prec,x0", [
+        pytest.param(fills, sweep, message, prec, x0, id=name + suffix)
         for prec, suffix in ((NATIVE, ""), (DDOUBLE, "-ddouble"))
-        for name, fills, sweep, message in [
-            ("first-sweep", [2e7], 1, "from 1.000e+00 to 2.000e+07"),
-            ("third-sweep", [None, None, 3e7], 3, "to 3.000e+07"),
-            ("staircase", [-1e3, 1e6, -1e9, 1e12, -1e19], 5, "from 1.000e+12 to 1.000e+19"),
-            ("past-the-anchor-scale", [1e5, 1e10, 1e15, 2e21], 4, "from 1.000e+15 to 2.000e+21"),
-            ("just-under-the-limit", [0.5, 1e6 + 0.25], 2, "from 5.000e-01 to 1.000e+06"),
+        for name, fills, sweep, message, x0 in [
+            ("first-sweep", [2e7], 1, "from 1.000e+00 to 2.000e+07", 1.0),
+            ("third-sweep", [None, None, 3e7], 3, "to 3.000e+07", 1.0),
+            ("staircase", [-1e3, 1e6, -1e9, 1e12, -1e19], 5, "from 1.000e+12 to 1.000e+19", 1.0),
+            ("past-the-anchor-scale", [1e5, 1e10, 1e15, 2e21], 4, "from 1.000e+15 to 2.000e+21", 1.0),
+            ("just-under-the-limit", [0.5, 1e6 + 0.25], 2, "from 5.000e-01 to 1.000e+06", 1.0),
+            ("under-a-large-anchor-scale", [1.0, 1e7, 1e17], 3, "from 1.000e+07 to 1.000e+17", 1e3),
         ]
     ])
-    def test_growth_refused_at_the_same_sweep(self, monkeypatch, fills, sweep, message, prec):
+    def test_growth_refused_at_the_same_sweep(self, monkeypatch, fills, sweep, message, prec, x0):
         # each rise but the last stays within the limit, although the block
         # may pass GROWTH_LIMIT times its anchor scale on the way; the last
         # change of just-under-the-limit, 999 999.75, is just under
-        # GROWTH_LIMIT times the anchor scale, so a gate that high misses it
-        prob = _without_twin(make_mass_spring(precision=prec))
+        # GROWTH_LIMIT times the anchor scale, so a gate that high misses it.
+        # Under-a-large-anchor-scale: the anchor's scale is 1e3, so the rise
+        # from 1 to 1e7 passes the unit gate but stays within the limit,
+        # 1e6 times the scale; a growth test that takes the scale as 1 refuses it
+        prob = _without_twin(make_mass_spring(x0=x0, precision=prec))
         got, calls = self.compare(monkeypatch, prob, "zd", 1, 0.1, lambda k: fills[k])
         assert got[0] == "diverged" and message in got[1] and calls == sweep
 
@@ -641,8 +645,9 @@ class TestGrowthBound:
         got, calls = self.compare(monkeypatch, make_mass_spring(), "zd", 1, 0.1, lambda k: fills[k])
         assert got[0] == "converged" and got[2] == calls == 6
         # max-norms per sweep: the change; for a change past the gate also
-        # the block's and the new block's ("n" a norm, "s" a sweep, the one
-        # before the first sweep the anchor scale)
+        # the block's and the new block's ("n" a norm, "s" a sweep); the
+        # anchor scale is read at the first change past the unit gate, the
+        # second sweep's
         events = []
         se, _ = _scripted_se(lambda k: events.append("s") or fills[k])
         monkeypatch.setattr(blocksolver, "se_update", se)
@@ -650,7 +655,43 @@ class TestGrowthBound:
         prob = make_mass_spring()
         anchor = make_anchor(prob, prob.x0, prob.p0, "zd")
         solve_block(anchor, prob, coeff_table(1, "zd", 0.1), SolverConfig())
-        assert [len(norms) for norms in "".join(events).split("s")] == [1, 1, 3, 3, 3, 3, 1]
+        assert [len(norms) for norms in "".join(events).split("s")] == [0, 1, 4, 3, 3, 3, 1]
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_step_under_the_anchor_gate_takes_no_block_norm(self, monkeypatch, prec):
+        # the anchor's scale is 1e3: the rise from 1 to 1e7 passes the unit
+        # gate, so the scale is read, but not the gate, 5e8, so neither the
+        # block's norm nor the new block's is; the rise to 1e17 takes both
+        fills, events = [1.0, 1e7, 1e17], []
+        se, _ = _scripted_se(lambda k: events.append("s") or fills[k])
+        monkeypatch.setattr(blocksolver, "se_update", se)
+        monkeypatch.setattr(blocksolver, "max_abs", lambda a: events.append("n") or max_abs(a))
+        prob = _without_twin(make_mass_spring(x0=1e3, precision=prec))
+        anchor = make_anchor(prob, prob.x0, prob.p0, "zd")
+        with pytest.raises(DivergenceError, match=r"^block norm grew from 1\.000e\+07 to 1\.000e\+17"):
+            solve_block(anchor, prob, coeff_table(1, "zd", 0.1, prec), SolverConfig())
+        assert [len(norms) for norms in "".join(events).split("s")] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("entry,fills", [(1.0, [1e8]), (math.nan, [1e8]), (1.0, [None, 1e8])],
+                             ids=["past-the-limit", "nan-correction", "after-a-corrected-step"])
+    def test_refused_corrected_sweep_leaves_the_block(self, monkeypatch, prec, entry, fills):
+        # M^-1 = entry I.  The last sweep's SE output, 1e8, drops M: its
+        # corrected block outgrows the limit, or its correction is NaN, or
+        # (after a corrected step, taken in place) its change does not
+        # halve.  The plain growth test then refuses the sweep, which must
+        # leave the block word for word as the sweep found it
+        prob = _without_twin(make_mass_spring(precision=prec))
+        table = coeff_table(2, "zds", 0.1, prec)
+        state = init_block(make_anchor(prob, prob.x0, prob.p0, "zds"), prob, table)
+        state.newton = entry * np.eye(state.Z.size)
+        se, calls = _scripted_se(lambda k: fills[k])
+        monkeypatch.setattr(blocksolver, "se_update", se)
+        message = r"^block norm grew from .* to 1\.000e\+08 in one sweep \(last contraction .*, Newton matrix dropped\)$"
+        with pytest.raises(DivergenceError, match=message), np.errstate(invalid="ignore"):
+            blocksolver._sweep(prob, table, state, prec.default_tol, 200)
+        assert len(calls) == len(fills)
+        assert _words([state.Z]) == _words([calls[-1]])
 
     @pytest.mark.parametrize("script,outcome,calls", [
         ({1: 1e8}, "diverged", 2),

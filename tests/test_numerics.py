@@ -18,6 +18,10 @@ from structham.numerics import (
     NATIVE,
     PI_DD,
     DoubleDouble,
+    _PIO2_1,
+    _PIO2_2,
+    _PIO2_3,
+    _PIO2_4,
     _SIN_COS_J,
     _dd,
     all_finite,
@@ -578,8 +582,8 @@ class TestElementary:
             assert (words(s), words(c)) == want
 
     @staticmethod
-    def _check_sin_cos(xs, per_x=0.0):
-        """|error| <= 1e-28 |ref| + per_x |x| for sin and cos of each x, against mpmath."""
+    def _check_sin_cos(xs):
+        """|error| <= 1e-28 |ref| for sin and cos of each x, against mpmath."""
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 60
         for x in xs:
@@ -588,7 +592,7 @@ class TestElementary:
             for got, ref in zip(x.sin_cos(), (mpmath.sin(arg), mpmath.cos(arg))):
                 g = dd_to_fraction(got)
                 err = abs(mpmath.mpf(g.numerator) / g.denominator - ref)
-                assert err <= 1e-28 * abs(ref) + per_x * abs(arg), f"{x!r}: error {err} of {ref}"
+                assert err <= 1e-28 * abs(ref), f"{x!r}: error {err} of {ref}"
 
     def test_sin_cos_at_table_cell_edges(self):
         # (2j + 1)/32 leaves t = +-1/32 after the table's j/16, the widest
@@ -603,14 +607,28 @@ class TestElementary:
         self._check_sin_cos(xs)
 
     def test_sin_cos_at_quarter_pi_and_near_multiples_of_half_pi(self):
-        # at d = 1e-3 from a zero the reduction's absolute error (below 1e-31
-        # for |x| <= 13) is still below 1e-28 relative
+        # near a zero the result is as small as the reduced argument, so the
+        # reduction's absolute error must stay far below it: pi + 1e-10 and
+        # pi/2 + 1e-14 read 3e-23 and 1.5e-19 relative with pi/2 in two words
         quarter = PI_DD * 0.25
         xs = [quarter, -quarter, quarter + 1e-20, quarter - 1e-20]
         xs += [DoubleDouble(v) for v in (0.7853981633974483, 0.7853981633974484, -0.7853981633974484)]
         for k in range(-8, 9):
             xs += [PI_DD * (0.5 * k) + d for d in (0.1, -0.1, 1e-3, -1e-3, 0.7, -0.7)]
+        xs += [PI_DD + 1e-10, PI_DD * 0.5 + 1e-14]
         self._check_sin_cos(xs)
+
+    def test_half_pi_parts(self):
+        # Cody-Waite: two parts of at most 33 bits, so that k times each is
+        # exact for |k| < 2**20, then the nearest floats to what is left
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 80
+        for part in (_PIO2_1, _PIO2_2):
+            assert Fraction(part).numerator.bit_length() <= 33
+        rest = mpmath.pi / 2 - _PIO2_1 - _PIO2_2
+        assert _PIO2_3 == float(rest) and _PIO2_4 == float(rest - _PIO2_3)
+        assert abs(rest - _PIO2_3 - _PIO2_4) <= 1e-53
+        assert _PIO2_1 == float(mpmath.nint(mpmath.pi / 2 * 2**32) / 2**32)
 
     @pytest.mark.parametrize("x", [1e-3, 2.0**-30, 1e-8, 1e-20, 1e-100, 1e-160, 1e-300, 1e-310, 5e-324])
     def test_sin_cos_of_tiny_arguments(self, x):
@@ -619,16 +637,15 @@ class TestElementary:
             self._check_sin_cos([DoubleDouble(x, x * 2.0**-60), DoubleDouble(-x, x * 2.0**-70)])
 
     def test_sin_cos_of_large_arguments_with_low_words(self):
-        # the reduction rounds k pi/2 to a double-double, an absolute error
-        # of up to about |x| 2**-106 on r (7e-29 measured at |x| < 1e4) that
-        # the relative bound cannot absorb near a zero; |x| 2**-105 allows it
+        # k pi/2 in Cody-Waite parts is exact to far below 2**-106 |r| for
+        # |x| < 1e4 (a two-word pi/2 left up to 7e-29 absolute on r)
         rng = random.Random(41)
         xs = []
         for _ in range(200):
             hi = rng.choice((-1, 1)) * 10.0 ** rng.uniform(0, 4)
             xs.append(DoubleDouble(hi, hi * rng.uniform(-1, 1) * 2.0**-54))
         xs += [DoubleDouble(1e4, 3e-13), DoubleDouble(-1e4, -1e-14), DoubleDouble(9999.5, 1e-13)]
-        self._check_sin_cos(xs, per_x=2.0**-105)
+        self._check_sin_cos(xs)
 
     def test_table_literals_are_the_nearest_double_doubles(self):
         mpmath = pytest.importorskip("mpmath")
