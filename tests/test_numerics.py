@@ -609,7 +609,7 @@ class TestElementary:
     def test_sin_cos_at_quarter_pi_and_near_multiples_of_half_pi(self):
         # near a zero the result is as small as the reduced argument, so the
         # reduction's absolute error must stay far below it: pi + 1e-10 and
-        # pi/2 + 1e-14 read 3e-23 and 1.5e-19 relative with pi/2 in two words
+        # pi/2 + 1e-14 need pi/2 to more than two words
         quarter = PI_DD * 0.25
         xs = [quarter, -quarter, quarter + 1e-20, quarter - 1e-20]
         xs += [DoubleDouble(v) for v in (0.7853981633974483, 0.7853981633974484, -0.7853981633974484)]
@@ -637,8 +637,8 @@ class TestElementary:
             self._check_sin_cos([DoubleDouble(x, x * 2.0**-60), DoubleDouble(-x, x * 2.0**-70)])
 
     def test_sin_cos_of_large_arguments_with_low_words(self):
-        # k pi/2 in Cody-Waite parts is exact to far below 2**-106 |r| for
-        # |x| < 1e4 (a two-word pi/2 left up to 7e-29 absolute on r)
+        # up to |x| = 1e4 the reduction's absolute error stays far below
+        # 1e-28 |r|, next to a zero too
         rng = random.Random(41)
         xs = []
         for _ in range(200):
