@@ -33,7 +33,8 @@ as |Z_new| <= |Z| + |step|, only a step above half GROWTH_LIMIT times the
 anchor scale takes the norms of Z and the new Z for the growth test, and
 as that scale is at least 1, only a step above half GROWTH_LIMIT reads it
 (``_sweep``).  An accepted corrected step is added to Z in place; the
-step and the correction have buffers, and flat views, made once per block.
+step has a buffer, and a flat view, made once per block, and the
+correction one made at the block's first corrected sweep.
 
 Every block after the first starts from the Hermite polynomial through
 the previous node and the anchor, as implicit Runge-Kutta codes extrapolate
@@ -407,8 +408,8 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
     native = problem.precision is NATIVE
     slow = 0 if native else None  # slow plain sweeps in a row
     scale = None  # max(|anchor values|, 1), read at the first step past the unit gate
-    step, correction = np.empty_like(Z), np.empty(Z.shape)  # M^-1 step is float64 at any precision
-    flat_step, flat_correction = step.reshape(-1), correction.reshape(-1)  # views
+    step = np.empty_like(Z)
+    flat_step, correction = step.reshape(-1), None  # a view; the correction's buffer comes with M
     diff = prev_diff = math.inf
     for _ in range(max_iter):
         if slow == _SLOW_RUN:
@@ -430,6 +431,9 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
             # moves x from p, and outer_solar's momenta (~1e-6) reach the
             # positions through dt/m ~ 5e4, so a change of 4e-31, all in p,
             # was followed by one of 9e-27
+            if correction is None:  # M^-1 step is float64 at any precision
+                correction = np.empty(Z.shape)
+                flat_correction = correction.reshape(-1)
             np.add.reduce(newton * (flat_step if native else NATIVE.asarray(flat_step)),
                           axis=1, out=flat_correction)
             size = max_abs(correction)

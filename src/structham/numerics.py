@@ -448,6 +448,7 @@ _HALF_PI = 1.5707963267948966  # float64 pi/2, the divisor that rounds k
 # pi/2 in Cody-Waite parts, two of 33 bits and two float64 words; their sum is pi/2 to 4e-54
 _PIO2_1, _PIO2_2 = 1.5707963267341256, 6.077100506303966e-11
 _PIO2_3, _PIO2_4 = 2.0222662487959506e-21, 1.0085854035872483e-37
+_PIO2_PARTS = (_PIO2_1, _PIO2_2, _PIO2_3)  # the parts _minus_half_pi takes by two_prod
 _QUARTER_PI = 0.7853981633974484
 _REDUCED = 16.0  # |r| left to the one-step corrections of _reduce_half_pi
 _LN2 = DoubleDouble(0.6931471805599453, 2.3190468138462996e-17)
@@ -489,9 +490,10 @@ _ATANH_RECIP = tuple(DoubleDouble.from_fraction(Fraction(1, 2 * k + 1)) for k in
 def _reduce_half_pi(x: DoubleDouble) -> tuple[DoubleDouble, int]:
     # r = x - k*pi/2 with |r| <= pi/4 (+1 ulp), each step by k pi/2 in
     # Cody-Waite parts (``_minus_half_pi``), so that for |x| <~ 1e6 r keeps
-    # about 2**-106 |r| near a zero too.  A k rounded from the float
-    # quotient is off by up to about |x| * 2**-51: k is rounded again from
-    # r until |r| <= _REDUCED, each pass shrinking |r| about 2**51-fold
+    # about 2**-106 |r| near a zero too, and beyond, up to |x| ~ 1e17 at
+    # least, an absolute error near 1e-32.  A k rounded from the
+    # float quotient is off by up to about |x| * 2**-51: k is rounded again
+    # from r until |r| <= _REDUCED, each pass shrinking |r| about 2**51-fold
     # (about 20 passes for the largest float, none up to |x| ~ 1e16), and
     # then stepped by one.
     xf = float(x)
@@ -513,13 +515,16 @@ def _reduce_half_pi(x: DoubleDouble) -> tuple[DoubleDouble, int]:
 
 
 def _minus_half_pi(r: DoubleDouble, k: int) -> DoubleDouble:
-    # r - k pi/2, pi/2 = _PIO2_1 + .. + _PIO2_4: k _PIO2_1 and k _PIO2_2 are
-    # exact for |k| < 2**20, two_prod keeps k _PIO2_3 exact, and k _PIO2_4
-    # (about |k| 2**-123) rounds once; past |k| ~ 2**996, two_prod's NaN
-    # error word leaves the float64 difference of the high words (``_sum``)
-    p, e = two_prod(float(k), _PIO2_3)
-    r = r - k * _PIO2_1 - k * _PIO2_2
-    return _sum(r._hi, r._lo, -p, -e) - k * _PIO2_4
+    # r - k pi/2, pi/2 = _PIO2_1 + .. + _PIO2_4: two_prod keeps k _PIO2_1,
+    # k _PIO2_2 and k _PIO2_3 exact for every k (the first two need no
+    # error word for |k| < 2**20), and k _PIO2_4 (about |k| 2**-123) rounds
+    # once; past |k| ~ 2**996, two_prod's NaN error word leaves the float64
+    # difference of the high words (``_sum``)
+    kf = float(k)
+    for part in _PIO2_PARTS:
+        p, e = two_prod(kf, part)
+        r = _sum(r._hi, r._lo, -p, -e)
+    return r - k * _PIO2_4
 
 
 def _sin_cos_reduced(r: DoubleDouble) -> tuple[DoubleDouble, DoubleDouble]:

@@ -582,8 +582,8 @@ class TestElementary:
             assert (words(s), words(c)) == want
 
     @staticmethod
-    def _check_sin_cos(xs):
-        """|error| <= 1e-28 |ref| for sin and cos of each x, against mpmath."""
+    def _check_sin_cos(xs, per_x=0.0):
+        """|error| <= 1e-28 |ref| + per_x |x| for sin and cos of each x, against mpmath."""
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 60
         for x in xs:
@@ -592,7 +592,7 @@ class TestElementary:
             for got, ref in zip(x.sin_cos(), (mpmath.sin(arg), mpmath.cos(arg))):
                 g = dd_to_fraction(got)
                 err = abs(mpmath.mpf(g.numerator) / g.denominator - ref)
-                assert err <= 1e-28 * abs(ref), f"{x!r}: error {err} of {ref}"
+                assert err <= 1e-28 * abs(ref) + per_x * abs(arg), f"{x!r}: error {err} of {ref}"
 
     def test_sin_cos_at_table_cell_edges(self):
         # (2j + 1)/32 leaves t = +-1/32 after the table's j/16, the widest
@@ -646,6 +646,11 @@ class TestElementary:
             xs.append(DoubleDouble(hi, hi * rng.uniform(-1, 1) * 2.0**-54))
         xs += [DoubleDouble(1e4, 3e-13), DoubleDouble(-1e4, -1e-14), DoubleDouble(9999.5, 1e-13)]
         self._check_sin_cos(xs)
+        # past |k| = 2**20, k times each 33-bit part of pi/2 needs its error
+        # word: without it r is off by about |x| 2**-53
+        big = [DoubleDouble(s * m * rng.uniform(1, 9.9)) for m in (1e7, 1e12, 1e16) for s in (1, -1)]
+        big += [DoubleDouble(x.hi, x.hi * 2.0**-60) for x in big]
+        self._check_sin_cos(big, per_x=2.0**-105)
 
     def test_table_literals_are_the_nearest_double_doubles(self):
         mpmath = pytest.importorskip("mpmath")
