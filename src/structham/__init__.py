@@ -19,13 +19,12 @@ from .secoeff import (
     kernel_basis,
 )
 from .blocksolver import (
-    BlockAnchor,
+    BlockState,
     DivergenceError,
     NonConvergenceError,
     SolverConfig,
     Trajectory,
     integrate,
-    make_anchor,
     solve_block,
 )
 from .problems import (

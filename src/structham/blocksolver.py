@@ -22,19 +22,20 @@ and for the L levels Z, D (and, for ZDS, S) the rows
 to the rows before Z_1..Z_R, for x and p together.  An anchor stacks its
 values as (2, L, I, K).
 
-A block writes its anchor rows once, in the predictor; no sweep touches
-them.  A sweep takes the max-norm of its step only: of the change of Z,
-and while M is held of the correction too.  The change's norm is also the
-finiteness test: Z is finite on entry (the predictor and every accepted
-sweep checked it), so a finite norm proves the new Z finite; only a
-non-finite norm, which an overflowing difference of finite values also
-gives, needs a scan of the new Z.  The loop keeps no norm of the block:
-as |Z_new| <= |Z| + |step|, only a step above half GROWTH_LIMIT times the
-anchor scale takes the norms of Z and the new Z for the growth test, and
-as that scale is at least 1, only a step above half GROWTH_LIMIT reads it
-(``_sweep``).  An accepted corrected step is added to Z in place; the
-step has a buffer, and a flat view, made once per block, and the
-correction one made at the block's first corrected sweep.
+``integrate`` allocates one ``BlockState`` per block size (and one for a
+float64 twin): the workspace every block of that size writes in place.
+The predictor writes the anchor rows, which no sweep touches, and Z; each
+sweep the SE buffers, the float64 step and correction, Z and the node
+derivatives; after the block, the hand-over copies its last node and the
+node before into the next block's anchor and history.  A sweep takes the
+max-norm of its step only, of both rows in one reduction while M is held.
+The change's norm is also the finiteness test: Z is finite on entry, so a
+finite norm proves the new Z finite; only a non-finite norm, which an
+overflowing difference of finite values also gives, needs a scan of the
+new Z.  The loop keeps no norm of the block: as |Z_new| <= |Z| + |step|,
+only a step above half GROWTH_LIMIT times the anchor scale takes the
+norms of Z and the new Z for the growth test, and as that scale is at
+least 1, only a step above half GROWTH_LIMIT reads it (``_sweep``).
 
 Every block after the first starts from the Hermite polynomial through
 the previous node and the anchor, as implicit Runge-Kutta codes extrapolate
@@ -48,7 +49,7 @@ its change G(Z) - Z, and while M is held the correction, is at most tol.  A
 corrected change that does not at least halve, or a corrected block that is
 not finite or outgrows the growth limit, drops M, and plain sweeps follow.
 A float64 block whose plain sweeps contract slowly builds M from its own
-sweep map and hands it to the next block of its table.
+sweep map and hands it to the next block of its state, so of its table.
 
 A problem in extended precision has a float64 twin (``problem.native``),
 and each of its blocks runs that loop twice, as in mixed-precision
@@ -65,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,12 +74,10 @@ from .secoeff import CoeffTable, ConfigurationError, Formulation, coeff_table
 
 __all__ = [
     "SolverConfig",
-    "BlockAnchor",
     "BlockState",
     "Trajectory",
     "NonConvergenceError",
     "DivergenceError",
-    "make_anchor",
     "init_block",
     "se_update",
     "pe_update",
@@ -135,60 +133,71 @@ class SolverConfig:
         return problem.precision.default_tol if self.tol is None else self.tol
 
 
-class BlockAnchor(NamedTuple):
-    """Known values at the block's entry node t_n, stacked as ``W`` (2, L, I, K).
-
-    ``prev``, if set, stacks the same values at t_n - dt, on the trajectory
-    that produced ``W``: the predictor then extrapolates from both nodes.
-    """
-
-    W: np.ndarray
-    prev: np.ndarray | None = None
-
-
 class BlockState:
-    """One unfilled block's stacked array ``Y`` (layout in the module docstring).
+    """The workspace of every block of one table in one integration, all
+    allocated here and written in place by each block (module docstring).
 
-    ``Z`` (2, R, I, K) and ``DS`` (2, L-1, R+1, I, K: per derivative level
-    the anchor, then the R nodes) are views into ``Y``, for node values
-    shaped and typed like ``like``.  ``sweeps`` counts the block's sweeps
-    of R PE nodes per level, probes included; ``newton`` is M^-1, which the
-    sweeps may drop, build or hand on.
+    ``Y`` (layout in the module docstring) has the views ``Z`` (2, R, I, K)
+    and ``DS`` (2, L-1, R+1, I, K: per derivative level the anchor, then
+    the R nodes).  ``H`` is the predictor's input [``prev`` | ``W``], the
+    anchor and, read while ``extrapolate`` is set, the node before it, each
+    stacked as (2, L, I, K).  ``terms`` and ``sums`` hold the SE product
+    and running sums; ``steps``, float64 at either precision, the step
+    G(Z) - Z and its correction, also shaped like Z as ``step`` and
+    ``correction``.  ``sweeps`` counts the block's sweeps of R PE nodes per
+    level, probes included; ``newton`` is M^-1, which the sweeps may drop,
+    build or hand on to the next block; ``twin`` is the float64 twin's
+    state, if the problem has one.
     """
 
-    def __init__(self, levels: int, R: int, like: np.ndarray):
-        self.levels, self.sweeps, self.newton = levels, 0, None
-        self.Y = np.empty((2, levels * (R + 1)) + like.shape, dtype=like.dtype)
-        self.DS = self.Y[:, 1:-R].reshape((2, levels - 1, R + 1) + like.shape)
+    def __init__(self, problem, table: CoeffTable):
+        like, L, R = problem.x0, table.formulation.levels, table.R
+        self.problem, self.table, self.levels = problem, table, L
+        self.sweeps, self.newton, self.extrapolate = 0, None, False
+        self.Y = np.empty((2, L * (R + 1)) + like.shape, dtype=like.dtype)
+        self.DS = self.Y[:, 1:-R].reshape((2, L - 1, R + 1) + like.shape)
         self.Z = self.Y[:, -R:]
+        self.H = np.zeros((2, 2 * L) + like.shape, dtype=like.dtype)  # a twin rounds all of it
+        self.prev, self.W = self.H[:, :L], self.H[:, L:]
+        self.terms = np.empty((2,) + table.C.shape + like.shape, dtype=like.dtype)
+        self.sums = np.empty_like(self.terms)
+        self.steps = np.empty((2, self.Z.size))
+        self.step, self.correction = (row.reshape(self.Z.shape) for row in self.steps)
+        self.twin = None if problem.native is None else BlockState(
+            problem.native, coeff_table(R, table.formulation, table.dt, NATIVE))
 
-    def set_anchor(self, W: np.ndarray) -> None:
-        self.Y[:, 0], self.DS[:, :, 0] = W[:, 0], W[:, 1:]
+    def start(self, X, P) -> None:
+        """Anchor the next block at (X, P), with derivatives from the physical
+        equations and no earlier node to extrapolate from."""
+        self.W[0, 0], self.W[1, 0] = X, P
+        pe_update(self.problem, self.W[:, None, 0], self.W[:, 1:, None])
+        self.extrapolate = False
 
-    def node(self, r: int) -> np.ndarray:
-        """Copy of the values at block node r (0-based), stacked like an anchor."""
-        return np.concatenate([self.Z[:, r, None], self.DS[:, :, r + 1]], axis=1)
+    def hand_on(self, nxt: BlockState) -> None:
+        """Anchor ``nxt``, maybe this state, at this block's last node and the one before."""
+        R = self.table.R
+        if R > 1:
+            nxt.prev[:, 0], nxt.prev[:, 1:] = self.Z[:, R - 2], self.DS[:, :, R - 1]
+        else:  # the node before is this block's anchor
+            nxt.prev[...] = self.W
+        nxt.W[:, 0], nxt.W[:, 1:] = self.Z[:, R - 1], self.DS[:, :, R]
+        nxt.extrapolate = True
+
+    def load_anchor(self) -> None:
+        """Copy the anchor ``W`` into the anchor rows of ``Y``."""
+        self.Y[:, 0], self.DS[:, :, 0] = self.W[:, 0], self.W[:, 1:]
 
 
-def make_anchor(problem, X, P, formulation) -> BlockAnchor:
-    """Anchor with derivatives computed from the physical equations at (X, P)."""
-    W = np.empty((2, Formulation.parse(formulation).levels) + X.shape, dtype=X.dtype)
-    W[0, 0], W[1, 0] = X, P
-    pe_update(problem, W[:, None, 0], W[:, 1:, None])
-    return BlockAnchor(W)
-
-
-def init_block(
-    anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig = SolverConfig()
-) -> BlockState:
-    """Predicted block with its derivatives refreshed from the PE.
+def init_block(state: BlockState, config: SolverConfig = SolverConfig()) -> None:
+    """Predicted block with its derivatives refreshed from the PE, written
+    into ``state`` from its anchor.
 
     The predictor evaluates the two-node Hermite polynomial through
-    ``anchor.prev`` and the anchor (the table's ``E``) at the R nodes and
-    refreshes them in one PE call.  Without ``anchor.prev`` (the first
-    block, or an anchor a projection moved), or when that is not finite, it
-    takes Taylor steps node by node.  Without a float64 twin
-    (``problem.native`` is None) it runs in the problem's precision.  With
+    ``state.prev`` and the anchor (the table's ``E``) at the R nodes and
+    refreshes them in one PE call.  Without ``state.extrapolate`` (the
+    first block, or an anchor a projection moved), or when that is not
+    finite, it takes Taylor steps node by node.  Without a float64 twin
+    (``state.twin`` is None) it runs in the problem's precision.  With
     one, the float64 phase (module docstring): the twin's predictor from
     the rounded anchor and previous node; unless that leaves a non-finite
     derivative, M from one probe per unknown (2 R I K, one batched PE call;
@@ -198,53 +207,51 @@ def init_block(
     predictor go non-finite, the predictor runs in the problem's precision.
 
     ``state.sweeps`` counts the probes, float64 sweeps and refresh, each R
-    PE calls per level; ``state.newton`` is the M^-1 built at the twin's
-    predictor, or None.
+    PE calls per level.  With a twin, ``state.newton`` becomes the M^-1
+    built at the twin's predictor, or None; without one it is kept.
     """
-    tol = config.resolved_tol(problem)
-    twin = problem.native
+    tol = config.resolved_tol(state.problem)
+    twin = state.twin
     if twin is None:
-        return _predict(anchor, problem, table)
-    table64 = coeff_table(table.R, table.formulation, table.dt, NATIVE)
-    prev64 = None if anchor.prev is None else NATIVE.asarray(anchor.prev)
-    anchor64 = BlockAnchor(NATIVE.asarray(anchor.W), prev64)
+        return _predict(state)
+    twin.H[...], twin.extrapolate = state.H, state.extrapolate  # rounded as NATIVE.asarray rounds
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            state64 = _predict(anchor64, twin, table64)
+            _predict(twin)
         except DivergenceError:
-            return _predict(anchor, problem, table)
-        if all_finite(state64.DS):
-            state64.sweeps = state64.Z.size  # one sweep per probe
-            state64.newton = _newton_matrix(twin, table64, state64)
-        newton = state64.newton
+            state.newton = None
+            return _predict(state)
+        twin.newton = None
+        if all_finite(twin.DS):
+            twin.sweeps = twin.Z.size  # one sweep per probe
+            twin.newton = _newton_matrix(twin)
+        newton = twin.newton
         try:
-            _sweep(twin, table64, state64, max(tol, NATIVE.default_tol), config.max_iter)
+            _sweep(twin, max(tol, NATIVE.default_tol), config.max_iter)
         except (DivergenceError, NonConvergenceError):
             pass  # no refused sweep reaches Z: the last finite iterate is lifted
-        state = BlockState(anchor.W.shape[1], table.R, anchor.W[0, 0])
-        state.set_anchor(anchor.W)
-        state.Z[...] = problem.precision.asarray(state64.Z)
-        pe_update(problem, state.Z, state.DS[:, :, 1:])
-    state.sweeps, state.newton = state64.sweeps + 1, newton
-    return state
+        state.load_anchor()
+        state.Z[...] = state.problem.precision.asarray(twin.Z)
+        pe_update(state.problem, state.Z, state.DS[:, :, 1:])
+    state.sweeps, state.newton = twin.sweeps + 1, newton
 
 
-def _predict(anchor: BlockAnchor, problem, table: CoeffTable) -> BlockState:
-    # the predictor of init_block, in the problem's precision
-    state = BlockState(anchor.W.shape[1], table.R, anchor.W[0, 0])
-    state.set_anchor(anchor.W)
-    if anchor.prev is not None:
-        # Z = E [W_-1 | W_0], summed in column order as in se_update
-        H = np.concatenate([anchor.prev, anchor.W], axis=1)
-        Z = np.add.accumulate(table.E[:, :, None, None] * H[:, None], axis=2)[:, :, -1]
+def _predict(state: BlockState) -> None:
+    # the predictor of init_block, in the state's precision
+    state.sweeps = 0
+    state.load_anchor()
+    if state.extrapolate:
+        # Z = E [prev | W], summed in column order as in se_update
+        Z = np.add.accumulate(state.table.E[:, :, None, None] * state.H[:, None], axis=2)[:, :, -1]
         if all_finite(Z):
             state.Z[...] = Z
-            pe_update(problem, state.Z, state.DS[:, :, 1:])
-            return state
-    return _taylor(problem, table, state)
+            pe_update(state.problem, state.Z, state.DS[:, :, 1:])
+            return
+    _taylor(state)
 
 
-def _taylor(problem, table: CoeffTable, state: BlockState) -> BlockState:
+def _taylor(state: BlockState) -> None:
+    problem, table = state.problem, state.table
     dt = problem.precision.real(table.dt)
     second = table.formulation is Formulation.ZDS
     half_dt2 = dt * dt * 0.5 if second else None
@@ -261,7 +268,6 @@ def _taylor(problem, table: CoeffTable, state: BlockState) -> BlockState:
         D = state.DS[:, 0, r + 1]
         if second:
             S = state.DS[:, 1, r + 1]
-    return state
 
 
 _PROBE_STEP = math.sqrt(NATIVE.eps)  # forward-difference step, relative to max(|z|, 1)
@@ -272,13 +278,14 @@ _NEWTON_RATE = 0.5
 _SLOW_RUN, _SLOW_RATE, _SLOW_FLOOR = 3, 0.1, 1e3
 
 
-def _newton_matrix(twin, table: CoeffTable, state: BlockState):
+def _newton_matrix(state: BlockState):
     """M^-1 for M = I - G' at the float64 block ``state``; None when M is
     singular or not finite.
 
     Column j of G' is (G(Z + h_j e_j) - G(Z)) / h_j: C applied to the change
     of the node derivatives, SE being linear.
     """
+    twin, table = state.problem, state.table
     Z, R = state.Z, table.R
     n, z = Z.size, Z.reshape(-1)
     h = (z + _PROBE_STEP * np.maximum(np.abs(z), 1.0)) - z  # exact: probe j is z + h_j e_j
@@ -312,20 +319,21 @@ def _inverse(M: np.ndarray):
     return inverse if all_finite(inverse) else None
 
 
-def se_update(table: CoeffTable, state: BlockState) -> np.ndarray:
+def se_update(state: BlockState) -> np.ndarray:
     """New Z block from the structural equations (no physics evaluated).
 
-    Applies the table's matrix C to ``Y``; the (2, R, I, K) result unpacks
-    as ``Zx, Zp``.  The anchor rows of ``Y`` are written once per block, by
-    ``init_block`` (or ``set_anchor``), and no sweep writes them.  The
-    products are summed strictly in column order by ``np.add.accumulate``:
-    matmul and sum may pair the terms differently depending on how Y lies in
-    memory, while this order gives the same bits every time and, at R = 1,
-    those of the term-by-term formula.
+    Applies the table's matrix C to ``Y``; the (2, R, I, K) result, a view
+    into ``state.sums`` that the next call overwrites, unpacks as
+    ``Zx, Zp``.  The anchor rows of ``Y`` are written once per block, by
+    ``init_block``, and no sweep writes them.  The products are summed
+    strictly in column order by ``np.add.accumulate``: matmul and sum may
+    pair the terms differently depending on how Y lies in memory, while
+    this order gives the same bits every time and, at R = 1, those of the
+    term-by-term formula.
     """
-    m = table.C.shape[1]
-    terms = table.C[:, :, None, None] * state.Y[:, None, :m]
-    return np.add.accumulate(terms, axis=2)[:, :, -1]
+    C = state.table.C
+    np.multiply(C[:, :, None, None], state.Y[:, None, :C.shape[1]], out=state.terms)
+    return np.add.accumulate(state.terms, axis=2, out=state.sums)[:, :, -1]
 
 
 def pe_update(problem, Z: np.ndarray, out: np.ndarray) -> None:
@@ -359,30 +367,25 @@ def _node_block_error(problem, level: str, shape: tuple, a, b) -> ConfigurationE
     )
 
 
-def solve_block(anchor: BlockAnchor, problem, table: CoeffTable, config: SolverConfig, newton=None):
-    """Solve of one R-block.
+def solve_block(state: BlockState, config: SolverConfig = SolverConfig()) -> None:
+    """Solve, in place, of the block anchored in ``state``.
 
     Alternates se_update / pe_update from the predictor (``init_block``)
     until the max-norm difference of successive Z blocks (positions and
     momenta, all nodes) drops to tol, the steps corrected through
-    ``state.newton`` if set (module docstring).  The returned state, the SE
-    output of that last sweep with the PE refreshed, satisfies the physical
-    equations exactly at every node and the structural equations to
-    tolerance.  Only these sweeps, in the problem's precision, decide
+    ``state.newton`` if set (module docstring).  The state then holds the
+    SE output of that last sweep with the PE refreshed: it satisfies the
+    physical equations exactly at every node and the structural equations
+    to tolerance.  Only these sweeps, in the problem's precision, decide
     convergence, with the full ``max_iter`` budget after the predictor.
-    Without a twin, M^-1 starts as ``newton`` and ends in ``state.newton``.
+    A diverging sweep overflows: ``integrate`` silences numpy's warnings
+    once for all its blocks.
     """
-    # overflow during a diverging sweep is expected and handled via the
-    # finiteness checks; keep numpy quiet about it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state = init_block(anchor, problem, table, config)
-        if problem.native is None:
-            state.newton = newton
-        _sweep(problem, table, state, config.resolved_tol(problem), config.max_iter)
-    return state
+    init_block(state, config)
+    _sweep(state, config.resolved_tol(state.problem), config.max_iter)
 
 
-def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: int) -> None:
+def _sweep(state: BlockState, tol: float, max_iter: int) -> None:
     """Sweeps on ``state`` until the change is at most tol, each added to
     ``state.sweeps``: the fixed-point loop of every block (module docstring).
 
@@ -404,23 +407,27 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
     for a step past ``_UNIT_GATE``, the gate at scale 1.  An accepted
     correction is added to Z in place.
     """
-    Z, derivs, newton = state.Z, state.DS[:, :, 1:], state.newton
-    native = problem.precision is NATIVE
-    slow = 0 if native else None  # slow plain sweeps in a row
+    problem, Z, derivs, newton = state.problem, state.Z, state.DS[:, :, 1:], state.newton
+    steps, step, correction = state.steps, state.step, state.correction
+    slow = 0 if problem.precision is NATIVE else None  # slow plain sweeps in a row
     scale = None  # max(|anchor values|, 1), read at the first step past the unit gate
-    step = np.empty_like(Z)
-    flat_step, correction = step.reshape(-1), None  # a view; the correction's buffer comes with M
     diff = prev_diff = math.inf
     for _ in range(max_iter):
         if slow == _SLOW_RUN:
             slow, state.sweeps = None, state.sweeps + Z.size
-            state.newton = newton = _newton_matrix(problem, table, state)
+            state.newton = newton = _newton_matrix(state)
             diff = math.inf  # the first corrected change need not halve the plain one
-        Z_new = se_update(table, state)
+        Z_new = se_update(state)
         # both components enter the stopping norm: the x-block alone can
         # stagnate for one sweep of the alternating map while p still moves;
-        # a finite change proves Z_new finite (module docstring)
-        change = max_abs(np.subtract(Z_new, Z, out=step))
+        # a finite change proves Z_new finite (module docstring).  A ddouble
+        # step is rounded as NATIVE.asarray rounds it
+        np.subtract(Z_new, Z, out=step, casting="unsafe")
+        if newton is None:
+            change = max_abs(step)
+        else:  # the M^-1 step is float64 at any precision
+            np.add.reduce(newton * steps[0], axis=1, out=steps[1])
+            change, size = np.maximum.reduce(np.abs(steps), axis=1).tolist()
         if not math.isfinite(change) and not all_finite(Z_new):
             raise DivergenceError("non-finite block value during fixed-point sweep "
                                   f"({_verdict(diff, prev_diff, state.newton, newton)})")
@@ -431,12 +438,6 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
             # moves x from p, and outer_solar's momenta (~1e-6) reach the
             # positions through dt/m ~ 5e4, so a change of 4e-31, all in p,
             # was followed by one of 9e-27
-            if correction is None:  # M^-1 step is float64 at any precision
-                correction = np.empty(Z.shape)
-                flat_correction = correction.reshape(-1)
-            np.add.reduce(newton * (flat_step if native else NATIVE.asarray(flat_step)),
-                          axis=1, out=flat_correction)
-            size = max_abs(correction)
             done = done and size <= tol
             if not done:
                 if not size <= _UNIT_GATE:
@@ -467,7 +468,7 @@ def _sweep(problem, table: CoeffTable, state: BlockState, tol: float, max_iter: 
             slow = slow + 1 if diff > _SLOW_RATE * prev_diff and diff > _SLOW_FLOOR * tol else 0
     raise NonConvergenceError(
         f"fixed point not converged after {max_iter} sweeps (last change "
-        f"{diff:.3e} in positions and momenta over all {table.R} block nodes, "
+        f"{diff:.3e} in positions and momenta over all {state.table.R} block nodes, "
         f"tol {tol:.1e}; {_verdict(diff, prev_diff, state.newton, newton)})",
         residual=diff,
     )
@@ -543,12 +544,14 @@ def integrate(
     """Advance the problem over [0, T] in N uniform steps by R-sized blocks.
 
     The trajectory has N+1 nodes including t=0.  When R does not divide N the
-    final block uses a freshly assembled table of size N mod R.  ``observer``
-    (if given) receives every accepted node as (step_index, t, X, P).
-    ``project``, if set, maps (X, P) -> (X, P) after each accepted node; the
-    anchor of the next block is then rebuilt from the projected state.
-    ``store_every`` decimates what the returned Trajectory keeps (metrics
-    consumers should stream through observers instead).
+    final block uses a freshly assembled table of size N mod R, with its own
+    workspace, and starts without the full blocks' M.  ``observer`` (if
+    given) receives every accepted node as (step_index, t, X, P); X and P
+    may be views that later blocks overwrite.  ``project``, if set, maps
+    (X, P) -> (X, P) after each accepted node; the anchor of the next block
+    is then rebuilt from the projected state.  ``store_every`` decimates
+    what the returned Trajectory keeps (metrics consumers should stream
+    through observers instead).
     """
     form = Formulation.parse(formulation)
     dt = checked_step(N, T, store_every)
@@ -557,45 +560,42 @@ def integrate(
 
     precision = problem.precision
     dt_scalar = precision.real(dt)
-    main_table = coeff_table(R, form, dt, precision)
-
-    X = problem.x0
-    P = problem.p0
-    anchor = make_anchor(problem, X, P, form)
+    state = BlockState(problem, coeff_table(R, form, dt, precision))
+    state.start(problem.x0, problem.p0)
     traj = Trajectory(pe1_calls=1)
     record = node_recorder(traj, N, store_every, observer)
-    record(0, precision.real(0), X, P)
+    record(0, precision.real(0), problem.x0, problem.p0)
 
-    step, newton = 0, None
-    while step < N:
-        r_this = min(R, N - step)
-        table = main_table if r_this == R else coeff_table(r_this, form, dt, precision)
-        try:
-            state = solve_block(anchor, problem, table, config, newton if r_this == R else None)
-        except (NonConvergenceError, DivergenceError) as err:
-            err.args = (f"block starting at step {step}: {err}",)  # keeps .residual
-            raise
-        newton = state.newton  # M^-1 of a problem without a twin, kept while it still halves
-        traj.n_blocks += 1
-        traj.total_sweeps += state.sweeps
-        traj.pe1_calls += r_this * (1 + state.sweeps)
+    step = 0
+    # a diverging sweep overflows, and the finiteness checks handle it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while step < N:
+            r_this = state.table.R
+            try:
+                solve_block(state, config)
+            except (NonConvergenceError, DivergenceError) as err:
+                err.args = (f"block starting at step {step}: {err}",)  # keeps .residual
+                raise
+            traj.n_blocks += 1
+            traj.total_sweeps += state.sweeps
+            traj.pe1_calls += r_this * (1 + state.sweeps)
 
-        Xl = Pl = None
-        for r in range(1, r_this + 1):
-            idx = step + r
-            t_r = precision.real(idx) * dt_scalar
-            Xr, Pr = state.Z[0, r - 1], state.Z[1, r - 1]
+            for r in range(1, r_this + 1):
+                idx = step + r
+                t_r = precision.real(idx) * dt_scalar
+                Xr, Pr = state.Z[0, r - 1], state.Z[1, r - 1]
+                if project is not None:
+                    Xr, Pr = project(Xr, Pr)
+                record(idx, t_r, Xr, Pr)
+
+            step += r_this
+            short = 0 < N - step < R  # the last block, with its own table and workspace
+            nxt = BlockState(problem, coeff_table(N - step, form, dt, precision)) if short else state
             if project is not None:
-                Xr, Pr = project(Xr, Pr)
-            record(idx, t_r, Xr, Pr)
-            Xl, Pl = Xr, Pr
-
-        step += r_this
-        if project is not None:
-            # a projected node is off the block's polynomial: no extrapolation
-            anchor = make_anchor(problem, Xl, Pl, form)
-            traj.pe1_calls += 1
-        else:
-            prev = state.node(r_this - 2) if r_this > 1 else anchor.W
-            anchor = BlockAnchor(state.node(r_this - 1), prev)
+                # a projected node is off the block's polynomial: no extrapolation
+                nxt.start(Xr, Pr)
+                traj.pe1_calls += 1
+            elif step < N:
+                state.hand_on(nxt)
+            state = nxt
     return traj

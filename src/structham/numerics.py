@@ -134,8 +134,8 @@ class DoubleDouble:
             return value
         if t is float:
             return cls(value)
-        if t is int and -_TWO53 < value < _TWO53:
-            return cls(float(value))
+        if t is int and -_TWO53 < value < _TWO53:  # exact in one word: no normalization
+            return _word(float(value))
         if isinstance(value, (str, Fraction, int)):  # exact: a big int takes two words
             return cls.from_fraction(Fraction(value))
         return cls(float(value))

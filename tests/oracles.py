@@ -45,12 +45,13 @@ def probe_linear_rhs(problem):
     return A
 
 
-def dense_block_oracle(problem, table, anchor):
+def dense_block_oracle(problem, table, W):
     """Direct dense solve of the combined structural+physical linear system.
 
     Unknowns are node-major [Zx_r; Zp_r] stacked over r = 1..R; the physical
     equations enter through the probed linear map, the structural equations
     through kron products.  Entirely independent of the fixed-point path.
+    ``W`` is the block's anchor, stacked as (2, L, I, K).
     """
     n = problem.x0.size
     R = table.R
@@ -61,7 +62,7 @@ def dense_block_oracle(problem, table, anchor):
     B_d = np.asarray(c.B_d, float)
     M_x = np.kron(np.eye(R), Ex) + np.kron(B_d, Ex @ A)
     M_p = np.kron(np.eye(R), Ep) + np.kron(B_d, Ep @ A)
-    (x0, p0), (dx0, dp0) = anchor.W[:, 0], anchor.W[:, 1]
+    (x0, p0), (dx0, dp0) = W[:, 0], W[:, 1]
     rhs_x = -(np.kron(c.b_z, x0.ravel()) + np.kron(c.b_d, dx0.ravel()))
     rhs_p = -(np.kron(c.b_z, p0.ravel()) + np.kron(c.b_d, dp0.ravel()))
     if c.B_s is not None:
@@ -69,7 +70,7 @@ def dense_block_oracle(problem, table, anchor):
         A2 = A @ A
         M_x += np.kron(B_s, Ex @ A2)
         M_p += np.kron(B_s, Ep @ A2)
-        sx0, sp0 = anchor.W[:, 2]
+        sx0, sp0 = W[:, 2]
         rhs_x -= np.kron(c.b_s, sx0.ravel())
         rhs_p -= np.kron(c.b_s, sp0.ravel())
     M = np.vstack([M_x, M_p])
@@ -164,14 +165,14 @@ def _extrapolation_kernel(R: int, form) -> tuple[list[int], list[list[Fraction]]
     return _rational_kernel(_monomial_derivatives(2 * L, L, range(-1, R + 1))[:, order])
 
 
-def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
+def reference_solve_block(state, config, se=None):
     """The fixed-point loop as first written, a drop-in for ``solve_block``.
 
     Every sweep copies the anchor into the anchor rows of ``Y``, scans the
     new Z block for finiteness before taking the change norm, and reads the
     growth norm back from the strided Z view.  While the block holds a
     float64 matrix M^-1 (a twin's from ``init_block``, or for a float64
-    problem ``newton``, held from the block before), a sweep is accepted
+    problem the one ``state`` held from its block before), a sweep is accepted
     only if the correction M^-1 times the change is within tol too;
     otherwise it steps by that correction, as long as the change at least
     halves and the corrected block passes the growth test.  The first time
@@ -180,18 +181,17 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
     more than 1e3 tol and by more than a tenth of the change before, when a
     sweep is left to use it; its probes count as sweeps, and the first
     corrected change need not halve the last plain one.  ``se``, if given,
-    takes the place of the structural product, called as ``se(table, state)``.
+    takes the place of the structural product, called as ``se(state)``.
     """
+    problem, table, anchor = state.problem, state.table, state.W
     tol = config.resolved_tol(problem)
     second = table.formulation is Formulation.ZDS
     m = table.C.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state = init_block(anchor, problem, table, config)
-        if problem.native is None:
-            state.newton = newton
+        init_block(state, config)
         # state.sweeps starts at the predictor's own sweeps (a float64 phase)
         Z, derivs = state.Z, state.DS[:, :, 1:]
-        scale_ref = max(max_abs(anchor.W[:, 0]), 1.0)
+        scale_ref = max(max_abs(anchor[:, 0]), 1.0)
         prev_norm = max_abs(Z)
         newton = state.newton
         had, diff, prev_diff, slow = newton is not None, math.inf, math.inf, 0
@@ -202,12 +202,12 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
             return f"last contraction {theta}, Newton matrix {matrix}"
 
         for sweep in range(1, config.max_iter + 1):
-            state.set_anchor(anchor.W)
+            state.Y[:, 0], state.DS[:, :, 0] = anchor[:, 0], anchor[:, 1:]
             if se is None:
                 terms = table.C[:, :, None, None] * state.Y[:, None, :m]
                 Z_new = np.add.accumulate(terms, axis=2)[:, :, -1]
             else:
-                Z_new = se(table, state)
+                Z_new = se(state)
             if not all_finite(Z_new):
                 raise DivergenceError(f"non-finite block value during fixed-point sweep ({explain()})")
             prev_diff, diff = diff, max_abs(Z_new - Z)
@@ -240,7 +240,7 @@ def reference_solve_block(anchor, problem, table, config, newton=None, se=None):
             if problem.precision is NATIVE and newton is None and slow is not None:
                 slow = slow + 1 if diff > 0.1 * prev_diff and diff > 1e3 * tol else 0
                 if slow == 3 and sweep < config.max_iter:
-                    newton, slow = _newton_matrix(problem, table, state), None
+                    newton, slow = _newton_matrix(state), None
                     had = had or newton is not None
                     state.sweeps += Z.size
                     diff = math.inf

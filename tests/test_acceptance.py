@@ -25,11 +25,11 @@ import pytest
 
 from structham.baselines import integrate_sv
 from structham.blocksolver import (
+    BlockState,
     DivergenceError,
     NonConvergenceError,
     SolverConfig,
     integrate,
-    make_anchor,
     solve_block,
 )
 from structham.harness import RunConfig, convergence_order, run
@@ -372,10 +372,10 @@ class TestAcceptance:
             prob = builder()
             for form in ("zd", "zds"):
                 for R in (1, 2, 3, 4):
-                    anchor = make_anchor(prob, prob.x0, prob.p0, form)
-                    table = coeff_table(R, form, dt)
-                    state = solve_block(anchor, prob, table, SolverConfig(tol=tol))
-                    Zx_ref, Zp_ref = dense_block_oracle(prob, table, anchor)
+                    state = BlockState(prob, coeff_table(R, form, dt))
+                    state.start(prob.x0, prob.p0)
+                    solve_block(state, SolverConfig(tol=tol))
+                    Zx_ref, Zp_ref = dense_block_oracle(prob, state.table, state.W)
                     n = prob.x0.size
                     dev = max(
                         float(np.max(np.abs(state.Z[0].reshape(R, n) - Zx_ref))),

@@ -10,14 +10,12 @@ import pytest
 from structham import blocksolver
 from structham.baselines import integrate_sv
 from structham.blocksolver import (
-    BlockAnchor,
     BlockState,
     DivergenceError,
     NonConvergenceError,
     SolverConfig,
     integrate,
     init_block,
-    make_anchor,
     pe_update,
     se_update,
     solve_block,
@@ -39,12 +37,19 @@ from structham.secoeff import ConfigurationError, Formulation, coeff_table
 from oracles import coefficient_blocks, dense_block_oracle, reference_solve_block
 
 
+def _block(problem, table):
+    """A workspace for ``table`` anchored at the problem's initial state, as
+    integrate anchors its first block."""
+    state = BlockState(problem, table)
+    state.start(problem.x0, problem.p0)
+    return state
+
+
 class TestInitBlock:
     def test_mass_spring_hand_values(self):
         prob = make_mass_spring()
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zd")
-        table = coeff_table(1, "zd", 0.1)
-        state = init_block(anchor, prob, table)
+        state = _block(prob, coeff_table(1, "zd", 0.1))
+        init_block(state)
         assert state.Z[0, 0][0, 0] == pytest.approx(1.0)
         assert state.Z[1, 0][0, 0] == pytest.approx(-0.1)
         Dx, Dp = state.DS[:, 0, 1:]
@@ -53,15 +58,15 @@ class TestInitBlock:
 
     def test_equilibrium_constant_block(self):
         prob = make_pendulum(x0=0.0, p0=0.0)
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
-        state = init_block(anchor, prob, coeff_table(3, "zds", 0.2))
+        state = _block(prob, coeff_table(3, "zds", 0.2))
+        init_block(state)
         assert np.max(np.abs(state.Z[0])) == 0.0
         assert np.max(np.abs(state.Z[1])) == 0.0
 
     def test_kepler_second_order_predictor(self):
         prob = make_kepler()
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
-        state = init_block(anchor, prob, coeff_table(1, "zds", 0.01))
+        state = _block(prob, coeff_table(1, "zds", 0.01))
+        init_block(state)
         assert state.Z[0, 0][0, 0] == pytest.approx(0.4 - 3.125e-4, abs=1e-15)
         assert state.Z[0, 0][1, 0] == pytest.approx(0.02, abs=1e-15)
 
@@ -93,23 +98,24 @@ class TestExtrapolatedPredictor:
 
     @pytest.mark.parametrize("R", [1, 3])
     def test_history_is_the_previous_node(self, monkeypatch, R):
+        # each block's (extrapolate, prev, W) as init_block finds them
         anchors, init = [], blocksolver.init_block
 
-        def recorded(anchor, *args):
-            anchors.append(anchor)
-            return init(anchor, *args)
+        def recorded(state, *args):
+            anchors.append((state.extrapolate, state.prev.copy(), state.W.copy()))
+            return init(state, *args)
 
         monkeypatch.setattr(blocksolver, "init_block", recorded)
         prob = make_pendulum()
         traj = integrate(prob, "zds", R, 4 * R, 0.4 * R)
-        assert anchors[0].prev is None
-        for b, anchor in enumerate(anchors[1:], 1):
+        assert anchors[0][0] is False
+        for b, (extrapolate, prev, W) in enumerate(anchors[1:], 1):
             # one node of history, stacked like the anchor: t_n - dt
-            assert anchor.prev.shape == anchor.W.shape
+            assert extrapolate and prev.shape == W.shape
             n = b * R - 1
-            assert _words([anchor.prev[0, 0], anchor.prev[1, 0]]) == _words([traj.xs[n], traj.ps[n]])
+            assert _words([prev[0, 0], prev[1, 0]]) == _words([traj.xs[n], traj.ps[n]])
             if R == 1:
-                assert anchor.prev is anchors[b - 1].W
+                assert _words([prev]) == _words([anchors[b - 1][2]])
 
     def test_one_batched_pe_call(self):
         prob = make_kepler()
@@ -120,24 +126,26 @@ class TestExtrapolatedPredictor:
             return derivatives(X, P, levels)
 
         table = coeff_table(4, "zds", 0.01)
-        first = make_anchor(prob, prob.x0, prob.p0, "zds")
+        state = _block(prob, table)
         prob.derivatives = counted
-        block = solve_block(first, prob, table, SolverConfig())
-        anchor = BlockAnchor(block.node(3), block.node(2))
+        solve_block(state, SolverConfig())
+        state.hand_on(state)
         calls.clear()
-        state = init_block(anchor, prob, table)
+        init_block(state)
         assert calls == [(4, 2, 1)]  # all R nodes at once
-        H = np.concatenate([anchor.prev, anchor.W], axis=1)
+        H = np.concatenate([state.prev, state.W], axis=1)
         Z = np.add.accumulate(table.E[:, :, None, None] * H[:, None], axis=2)[:, :, -1]
         assert _words([state.Z]) == _words([Z])
 
     def test_non_finite_extrapolation_falls_back_to_taylor(self):
         prob = make_pendulum()
         table = coeff_table(2, "zds", 0.1)
-        W = make_anchor(prob, prob.x0, prob.p0, "zds").W
+        state, plain = _block(prob, table), _block(prob, table)
+        state.prev[...], state.extrapolate = math.inf, True
         with np.errstate(invalid="ignore"):
-            state = init_block(BlockAnchor(W, np.full_like(W, math.inf)), prob, table)
-        assert _words([state.Y]) == _words([init_block(BlockAnchor(W), prob, table).Y])
+            init_block(state)
+        init_block(plain)
+        assert _words([state.Y]) == _words([plain.Y])
 
     def test_sweeps_per_block(self):
         # with a Taylor start every block: 11.0 and 36.625
@@ -147,57 +155,81 @@ class TestExtrapolatedPredictor:
         assert spring.total_sweeps / spring.n_blocks < 36.625
 
 
+class TestHandOver:
+    """Runs whose blocks hand over in place: a short last block with its own
+    workspace, multi-block ddouble runs with the float64 twin, and projected
+    runs, pinned word for word."""
+
+    @pytest.mark.parametrize("name,prec,R,N,T,digest", [
+        ("pendulum", NATIVE, 3, 31, 31 / 3, "6404993cc75d94d8"),
+        ("mass_spring", DDOUBLE, 2, 25, 25 / 24, "295c5f027cc6f92b"),
+        # its float64 phase drops M in 3 of its 6 blocks
+        ("em_scb", DDOUBLE, 2, 12, 0.006, "ee70bc7ce76013ac"),
+    ], ids=["pendulum-short-last", "mass_spring-ddouble-short-last", "em_scb-ddouble"])
+    def test_words_unchanged(self, name, prec, R, N, T, digest):
+        assert _trajectory_hash(integrate(build_problem(name, prec), "zds", R, N, T)) == digest
+
+    @pytest.mark.parametrize("R,digest", [(2, "bea5682568abdfde"), (3, "f437a5b3e59679cc")])
+    def test_projected_run_with_a_short_last_block(self, R, digest):
+        prob = make_kepler()
+        R0 = lrl_scalar(prob.x0[:, 0], prob.p0[:, 0])
+        traj = integrate(prob, "zds", R, 301, 30.0, project=lambda X, P: project_lrl(X, P, R0))
+        assert _trajectory_hash(traj) == digest
+
+
 class TestSeUpdate:
     def test_zero_state_linearity(self):
         prob = make_mass_spring(x0=0.0, p0=0.0)
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
-        table = coeff_table(2, "zds", 0.5)
-        state = init_block(anchor, prob, table)
-        Zx, Zp = se_update(table, state)
+        state = _block(prob, coeff_table(2, "zds", 0.5))
+        init_block(state)
+        Zx, Zp = se_update(state)
         assert np.max(np.abs(Zx)) == 0.0
         assert np.max(np.abs(Zp)) == 0.0
 
     def test_quadratic_reproduction_zds_r1(self):
         # x(t) = t^2 with anchor (Z, D, S) = (0, 0, 2) and candidate node
         # values D1 = 2, S1 = 2 must return Z1 = 1 at dt = 1
-        table = coeff_table(1, "zds", 1.0)
         W = np.zeros((2, 3, 1, 1))
         W[0, 2] = 2.0  # x's S
-        state = BlockState(3, 1, W[0, 0])
+        state = BlockState(make_mass_spring(), coeff_table(1, "zds", 1.0))
         state.Z[...] = 0.0
         state.DS[:, :, 1:] = 0.0
         state.DS[0, :, 1:] = 2.0  # x's D1 and S1
-        state.set_anchor(W)
-        Zx, _ = se_update(table, state)
+        state.W[...] = W
+        state.load_anchor()
+        Zx, _ = se_update(state)
         assert Zx[0][0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_cubic_reproduction_zd_r2(self):
         # x(t) = t^3 sampled with D = 3 t^2: predicted (Z1, Z2) = (1, 8)
-        table = coeff_table(2, "zd", 1.0)
         W = np.zeros((2, 2, 1, 1))
-        state = BlockState(2, 2, W[0, 0])
+        state = BlockState(make_mass_spring(), coeff_table(2, "zd", 1.0))
         state.Z[...] = 0.0
         state.DS[:, :, 1:] = 0.0
         state.DS[0, 0, 1:, 0, 0] = 3.0, 12.0
-        state.set_anchor(W)
-        Zx, _ = se_update(table, state)
+        state.W[...] = W
+        state.load_anchor()
+        Zx, _ = se_update(state)
         assert Zx[0][0, 0] == pytest.approx(1.0, abs=1e-12)
         assert Zx[1][0, 0] == pytest.approx(8.0, abs=1e-12)
 
 
 class TestStackedSeUpdate:
     @staticmethod
-    def _random_block(rng, precision, R, second, shape=(2, 3)):
+    def _random_block(rng, table, shape=(2, 3)):
+        # a workspace for (2, 3) node values: three_body_eight's
+        precision = table.precision
+
         def draw(*lead):
             return precision.asarray(rng.uniform(-1.0, 1.0, lead + shape))
 
-        L = 2 + second
-        anchor = BlockAnchor(draw(2, L))
-        state = BlockState(L, R, anchor.W[0, 0])
-        state.Z[...] = draw(2, R)
+        L = table.formulation.levels
+        state = BlockState(build_problem("three_body_eight", precision), table)
+        state.W[...] = draw(2, L)
+        state.Z[...] = draw(2, table.R)
         for s in range(1, L):
-            state.DS[:, s - 1, 1:] = draw(2, R)
-        return anchor, state
+            state.DS[:, s - 1, 1:] = draw(2, table.R)
+        return state
 
     @pytest.mark.parametrize(
         "precision,tol", [(NATIVE, 1e-14), (DDOUBLE, 1e-28)], ids=["double", "ddouble"]
@@ -209,17 +241,17 @@ class TestStackedSeUpdate:
         t = coefficient_blocks(table)
         second = t.B_s is not None
         rng = np.random.default_rng(10 * R + second)
-        anchor, state = self._random_block(rng, precision, R, second)
-        state.set_anchor(anchor.W)
-        Zx, Zp = se_update(table, state)
+        state = self._random_block(rng, table)
+        state.load_anchor()
+        Zx, Zp = se_update(state)
         for c, new in enumerate((Zx, Zp)):
-            z0, d0, D = anchor.W[c, 0], anchor.W[c, 1], state.DS[c, 0, 1:]
+            z0, d0, D = state.W[c, 0], state.W[c, 1], state.DS[c, 0, 1:]
             for r in range(R):
                 ref = t.b_z[r] * z0 + t.b_d[r] * d0
                 for j in range(R):
                     ref = ref + t.B_d[r, j] * D[j]
                 if second:
-                    s0, S = anchor.W[c, 2], state.DS[c, 1, 1:]
+                    s0, S = state.W[c, 2], state.DS[c, 1, 1:]
                     ref = ref + t.b_s[r] * s0
                     for j in range(R):
                         ref = ref + t.B_s[r, j] * S[j]
@@ -336,10 +368,10 @@ class TestSolveBlock:
     def test_oracle_equivalence_mass_spring(self, R, form):
         prob = make_mass_spring()
         tol = 1e-14
-        anchor = make_anchor(prob, prob.x0, prob.p0, form)
         table = coeff_table(R, form, 0.1)
-        state = solve_block(anchor, prob, table, SolverConfig(tol=tol))
-        Zx_ref, Zp_ref = dense_block_oracle(prob, table, anchor)
+        state = _block(prob, table)
+        solve_block(state, SolverConfig(tol=tol))
+        Zx_ref, Zp_ref = dense_block_oracle(prob, table, state.W)
         assert np.max(np.abs(state.Z[0, :, 0, 0] - Zx_ref[:, 0])) <= 10 * tol
         assert np.max(np.abs(state.Z[1, :, 0, 0] - Zp_ref[:, 0])) <= 10 * tol
 
@@ -348,17 +380,17 @@ class TestSolveBlock:
     def test_oracle_equivalence_two_spring(self, R, form):
         prob = make_two_spring()
         tol = 1e-14
-        anchor = make_anchor(prob, prob.x0, prob.p0, form)
         table = coeff_table(R, form, 0.05)
-        state = solve_block(anchor, prob, table, SolverConfig(tol=tol))
-        Zx_ref, Zp_ref = dense_block_oracle(prob, table, anchor)
+        state = _block(prob, table)
+        solve_block(state, SolverConfig(tol=tol))
+        Zx_ref, Zp_ref = dense_block_oracle(prob, table, state.W)
         assert np.max(np.abs(state.Z[0].reshape(R, 2) - Zx_ref)) <= 10 * tol
         assert np.max(np.abs(state.Z[1].reshape(R, 2) - Zp_ref)) <= 10 * tol
 
     def test_equilibrium_one_iteration(self):
         prob = make_pendulum(x0=0.0, p0=0.0)
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
-        state = solve_block(anchor, prob, coeff_table(2, "zds", 0.3), SolverConfig())
+        state = _block(prob, coeff_table(2, "zds", 0.3))
+        solve_block(state, SolverConfig())
         assert state.sweeps == 1
         assert np.max(np.abs(state.Z[0])) == 0.0
 
@@ -367,8 +399,8 @@ class TestSolveBlock:
         # a one-block run counts the block's sweeps, and R PE nodes for each
         # and for the predictor, plus the t=0 anchor's one
         prob, T = make_pendulum(), 0.1 * R
-        anchor = make_anchor(prob, prob.x0, prob.p0, form)
-        state = solve_block(anchor, prob, coeff_table(R, form, T / R), SolverConfig())
+        state = _block(prob, coeff_table(R, form, T / R))
+        solve_block(state, SolverConfig())
         traj = integrate(prob, form, R, R, T)
         assert traj.total_sweeps == state.sweeps and traj.pe1_calls == R * (state.sweeps + 1) + 1
 
@@ -388,16 +420,16 @@ class TestSolveBlock:
 
     def test_divergence_detected(self):
         prob = make_mass_spring()
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zd")
-        with pytest.raises(DivergenceError):
-            solve_block(anchor, prob, coeff_table(1, "zd", 1e8), SolverConfig())
+        state = _block(prob, coeff_table(1, "zd", 1e8))
+        with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
+            solve_block(state, SolverConfig())
 
     def test_nonconvergence_message_states_residual(self):
         prob = make_pendulum()
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
+        state = _block(prob, coeff_table(2, "zds", 0.1))
         tol = 1e-14
         with pytest.raises(NonConvergenceError) as info:
-            solve_block(anchor, prob, coeff_table(2, "zds", 0.1), SolverConfig(tol=tol, max_iter=2))
+            solve_block(state, SolverConfig(tol=tol, max_iter=2))
         err = info.value
         assert err.residual > tol
         assert f"{err.residual:.3e} in positions and momenta" in str(err)
@@ -412,15 +444,15 @@ class TestSolveBlock:
         # three such sweeps the block builds M, and this linear block is then
         # solved.  With no sweep left to use M, the cap is reached and named
         prob = make_mass_spring()
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zd")
         table = coeff_table(1, "zd", 4.0)
-        state = solve_block(anchor, prob, table, SolverConfig(max_iter=50))
-        Zx_ref, Zp_ref = dense_block_oracle(prob, table, anchor)
+        state = _block(prob, table)
+        solve_block(state, SolverConfig(max_iter=50))
+        Zx_ref, Zp_ref = dense_block_oracle(prob, table, state.W)
         assert max_abs(state.Z[0, :, 0, 0] - Zx_ref[:, 0]) <= 1e-13
         assert max_abs(state.Z[1, :, 0, 0] - Zp_ref[:, 0]) <= 1e-13
         assert state.newton is not None and state.sweeps == 4 + 2 + 2  # plain, probes, corrected
         with pytest.raises(NonConvergenceError, match=r"; last contraction 2, Newton matrix none\)$"):
-            solve_block(anchor, prob, table, SolverConfig(max_iter=4))
+            solve_block(_block(prob, table), SolverConfig(max_iter=4))
 
 
 def _words(arrays):
@@ -477,11 +509,10 @@ class TestLeanSweep:
             return (Dx, np.full_like(Dp, prec.real(bad))) if len(calls) == k else (Dx, Dp)
 
         prob.first_rhs = first_rhs
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
-        table = coeff_table(2, "zds", 0.1, prec)
+        state = _block(prob, coeff_table(2, "zds", 0.1, prec))
         message = f"non-finite block value during fixed-point sweep (last contraction {verdict})"
-        with pytest.raises(DivergenceError) as info:
-            solve_block(anchor, prob, table, SolverConfig(precision=prec))
+        with pytest.raises(DivergenceError) as info, np.errstate(invalid="ignore"):
+            solve_block(state, SolverConfig(precision=prec))
         assert str(info.value) == message
         assert len(calls) == k
 
@@ -490,21 +521,21 @@ class TestLeanSweep:
         # limit of 1e6), then the largest float: finite, but its change from
         # -1e300 overflows to inf
         values = iter([-(10.0 ** (5 * k)) for k in range(1, 61)] + [sys.float_info.max])
-        monkeypatch.setattr(blocksolver, "se_update", lambda table, state: np.full_like(state.Z, next(values)))
-        prob = make_mass_spring()
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zd")
-        with pytest.raises(DivergenceError, match=r"^block norm grew from 1\.000e\+300 to 1\.798e\+308"):
-            solve_block(anchor, prob, coeff_table(1, "zd", 0.1), SolverConfig())
+        monkeypatch.setattr(blocksolver, "se_update", lambda state: np.full_like(state.Z, next(values)))
+        state = _block(make_mass_spring(), coeff_table(1, "zd", 0.1))
+        with pytest.raises(DivergenceError, match=r"^block norm grew from 1\.000e\+300 to 1\.798e\+308"), \
+                np.errstate(over="ignore"):
+            solve_block(state, SolverConfig())
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_anchor_rows_unchanged_by_solve(self, prec):
         prob = make_pendulum(precision=prec)
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
-        W = _words([anchor.W])
-        state = solve_block(anchor, prob, coeff_table(3, "zds", 0.1, prec), SolverConfig(precision=prec))
+        state = _block(prob, coeff_table(3, "zds", 0.1, prec))
+        W = _words([state.W])
+        solve_block(state, SolverConfig(precision=prec))
         assert state.sweeps > 1
-        assert _words([state.Y[:, 0], state.DS[:, :, 0]]) == _words([anchor.W[:, 0], anchor.W[:, 1:]])
-        assert _words([anchor.W]) == W
+        assert _words([state.Y[:, 0], state.DS[:, :, 0]]) == _words([state.W[:, 0], state.W[:, 1:]])
+        assert _words([state.W]) == W
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
     def test_folded_negation_matches_written_out_formulas(self, prec):
@@ -544,8 +575,8 @@ def _scripted_se(script, ddouble_only=False):
     """
     calls = []
 
-    def se(table, state):
-        real = _REAL_SE(table, state)
+    def se(state):
+        real = _REAL_SE(state)
         if ddouble_only and state.Z.dtype != object:
             return real
         calls.append(state.Z.copy())
@@ -560,10 +591,11 @@ def _scripted_se(script, ddouble_only=False):
     return se, calls
 
 
-def _outcome(run):
-    """What a block solve ended with: its words and counts, or its refusal."""
+def _outcome(solve, state, config):
+    """What ``solve(state, config)`` ended with: its words and counts, or its refusal."""
     try:
-        state = run()
+        with np.errstate(over="ignore", invalid="ignore"):
+            solve(state, config)
     except DivergenceError as err:
         return "diverged", str(err)
     except NonConvergenceError as err:
@@ -578,15 +610,15 @@ class TestGrowthBound:
 
     @staticmethod
     def compare(monkeypatch, problem, form, R, dt, script, ddouble_only=False, max_iter=200):
-        anchor = make_anchor(problem, problem.x0, problem.p0, form)
         table = coeff_table(R, form, dt, problem.precision)
         config = SolverConfig(max_iter=max_iter)
         got_se, got_calls = _scripted_se(script, ddouble_only)
         monkeypatch.setattr(blocksolver, "se_update", got_se)
-        got = _outcome(lambda: solve_block(anchor, problem, table, config))
+        got = _outcome(solve_block, _block(problem, table), config)
         ref_se, ref_calls = _scripted_se(script, ddouble_only)
         monkeypatch.setattr(blocksolver, "se_update", ref_se)  # a float64 phase's sweeps
-        ref = _outcome(lambda: reference_solve_block(anchor, problem, table, config, se=ref_se))
+        ref = _outcome(lambda state, config: reference_solve_block(state, config, se=ref_se),
+                       _block(problem, table), config)
         assert got == ref
         assert len(got_calls) == len(ref_calls)
         return got, len(got_calls)
@@ -652,9 +684,7 @@ class TestGrowthBound:
         se, _ = _scripted_se(lambda k: events.append("s") or fills[k])
         monkeypatch.setattr(blocksolver, "se_update", se)
         monkeypatch.setattr(blocksolver, "max_abs", lambda a: events.append("n") or max_abs(a))
-        prob = make_mass_spring()
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zd")
-        solve_block(anchor, prob, coeff_table(1, "zd", 0.1), SolverConfig())
+        solve_block(_block(make_mass_spring(), coeff_table(1, "zd", 0.1)), SolverConfig())
         assert [len(norms) for norms in "".join(events).split("s")] == [0, 1, 4, 3, 3, 3, 1]
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
@@ -667,9 +697,9 @@ class TestGrowthBound:
         monkeypatch.setattr(blocksolver, "se_update", se)
         monkeypatch.setattr(blocksolver, "max_abs", lambda a: events.append("n") or max_abs(a))
         prob = _without_twin(make_mass_spring(x0=1e3, precision=prec))
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zd")
+        state = _block(prob, coeff_table(1, "zd", 0.1, prec))
         with pytest.raises(DivergenceError, match=r"^block norm grew from 1\.000e\+07 to 1\.000e\+17"):
-            solve_block(anchor, prob, coeff_table(1, "zd", 0.1, prec), SolverConfig())
+            solve_block(state, SolverConfig())
         assert [len(norms) for norms in "".join(events).split("s")] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
@@ -682,14 +712,14 @@ class TestGrowthBound:
         # halve.  The plain growth test then refuses the sweep, which must
         # leave the block word for word as the sweep found it
         prob = _without_twin(make_mass_spring(precision=prec))
-        table = coeff_table(2, "zds", 0.1, prec)
-        state = init_block(make_anchor(prob, prob.x0, prob.p0, "zds"), prob, table)
+        state = _block(prob, coeff_table(2, "zds", 0.1, prec))
+        init_block(state)
         state.newton = entry * np.eye(state.Z.size)
         se, calls = _scripted_se(lambda k: fills[k])
         monkeypatch.setattr(blocksolver, "se_update", se)
         message = r"^block norm grew from .* to 1\.000e\+08 in one sweep \(last contraction .*, Newton matrix dropped\)$"
         with pytest.raises(DivergenceError, match=message), np.errstate(invalid="ignore"):
-            blocksolver._sweep(prob, table, state, prec.default_tol, 200)
+            blocksolver._sweep(state, prec.default_tol, 200)
         assert len(calls) == len(fills)
         assert _words([state.Z]) == _words([calls[-1]])
 
@@ -729,16 +759,16 @@ class TestGrowthBound:
         prob = make_mass_spring(precision=DDOUBLE)
         iterates = []
 
-        def se(table, state):
-            real = _REAL_SE(table, state)
+        def se(state):
+            real = _REAL_SE(state)
             if state.Z.dtype == object:
                 return real
             iterates.append(state.Z.copy())
             return real * 1e8 if len(iterates) == sweep + 1 else real
 
         monkeypatch.setattr(blocksolver, "se_update", se)
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
-        state = init_block(anchor, prob, coeff_table(2, "zds", 0.1, DDOUBLE))
+        state = _block(prob, coeff_table(2, "zds", 0.1, DDOUBLE))
+        init_block(state)
         probes = state.Z.size
         assert len(iterates) == sweep + 1 and state.sweeps == probes + sweep + 1
         assert _words([state.Z]) == _words([DDOUBLE.asarray(iterates[sweep])])
@@ -817,9 +847,9 @@ class TestFloat64Newton:
         # without the M the full blocks hand on
         held, solve = [], blocksolver.solve_block
 
-        def recorded(anchor, problem, table, config, newton=None):
-            held.append((table.R, newton is not None))
-            return solve(anchor, problem, table, config, newton)
+        def recorded(state, config):
+            held.append((state.table.R, state.newton is not None))
+            return solve(state, config)
 
         monkeypatch.setattr(blocksolver, "solve_block", recorded)
         integrate(build_problem("pendulum"), "zds", 2, 7, 7 / 3)
@@ -938,8 +968,8 @@ class TestMixedPrecision:
 
         prob = pole(DDOUBLE)
         prob.native = pole(NATIVE)
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zd")
-        state = init_block(anchor, prob, coeff_table(1, "zd", 1.0, DDOUBLE))
+        state = _block(prob, coeff_table(1, "zd", 1.0, DDOUBLE))
+        init_block(state)
         assert state.sweeps == 1 and state.Z[0, 0, 0, 0] == 2
         with pytest.raises(DivergenceError, match="^block starting at step 0: non-finite block value"):
             integrate(prob, "zd", 1, 1, 1.0)
@@ -962,16 +992,17 @@ class TestMixedPrecision:
         traj = integrate(prob, form, R, 6 * R, 6 * R * dt)
         assert traj.pe1_calls == R * traj.total_iter + 1 == nodes[NATIVE] + nodes[DDOUBLE]
         assert nodes[NATIVE] > 0
-        anchor = make_anchor(prob, prob.x0, prob.p0, form)
-        table = coeff_table(R, form, dt, DDOUBLE)
-        presolved = init_block(anchor, prob, table).sweeps
-        assert solve_block(anchor, prob, table, SolverConfig(precision=DDOUBLE)).sweeps > presolved > 1
+        state = _block(prob, coeff_table(R, form, dt, DDOUBLE))
+        init_block(state)
+        presolved = state.sweeps
+        solve_block(state, SolverConfig(precision=DDOUBLE))
+        assert state.sweeps > presolved > 1
 
     def test_ddouble_sweeps_per_block(self, monkeypatch):
         # the ddouble-oscillator shape (criterion 12's step): after the lift,
         # at most 4 ddouble sweeps per block
         prob = make_mass_spring(precision=DDOUBLE)
-        calls, rhs, init = [1], prob.first_rhs, blocksolver.init_block  # make_anchor's call
+        calls, rhs, init = [1], prob.first_rhs, blocksolver.init_block  # the first anchor's call
 
         def counted(X, P):
             calls[-1] += 1
@@ -1002,8 +1033,8 @@ class TestMixedPrecision:
             return Dx, Dp
 
         prob.native.first_rhs = first_rhs
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
-        state = init_block(anchor, prob, coeff_table(2, "zds", 1 / 24, DDOUBLE))
+        state = _block(prob, coeff_table(2, "zds", 1 / 24, DDOUBLE))
+        init_block(state)
         assert state.newton is None and state.sweeps == 4 + 8 + 1 and probes == [8]
         got = integrate(prob, "zds", 2, 24, 1.0)
         ref = integrate(_without_twin(make_mass_spring(precision=DDOUBLE)), "zds", 2, 24, 1.0)
@@ -1015,15 +1046,14 @@ class TestMixedPrecision:
         # block it changed by at most tol; D and S are the PE at that Z
         outputs, se = [], blocksolver.se_update
 
-        def recorded(table, state):
-            outputs.append((se(table, state), state.Z.copy()))
+        def recorded(state):
+            outputs.append((se(state).copy(), state.Z.copy()))
             return outputs[-1][0]
 
         monkeypatch.setattr(blocksolver, "se_update", recorded)
         prob = make_pendulum(precision=DDOUBLE)
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
-        table = coeff_table(2, "zds", 0.1, DDOUBLE)
-        state = solve_block(anchor, prob, table, SolverConfig(precision=DDOUBLE))
+        state = _block(prob, coeff_table(2, "zds", 0.1, DDOUBLE))
+        solve_block(state, SolverConfig(precision=DDOUBLE))
         new, old = outputs[-1]
         assert _words([state.Z]) == _words([new])
         assert max_abs(new - old) <= DDOUBLE.default_tol
@@ -1034,10 +1064,10 @@ class TestMixedPrecision:
     def test_float64_predictor_failure_falls_back_to_taylor(self):
         prob = make_mass_spring(precision=DDOUBLE)
         prob.native.first_rhs = lambda X, P: (P / 0.0, X / 0.0)
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
         table = coeff_table(2, "zds", 0.1, DDOUBLE)
-        state = init_block(anchor, prob, table)
-        plain = init_block(anchor, _without_twin(make_mass_spring(precision=DDOUBLE)), table)
+        state, plain = _block(prob, table), _block(_without_twin(make_mass_spring(precision=DDOUBLE)), table)
+        init_block(state)
+        init_block(plain)
         assert state.sweeps == plain.sweeps == 0
         assert _words([state.Y]) == _words([plain.Y])
 
@@ -1049,9 +1079,10 @@ class TestSolverConfig:
     def test_default_config_solves_at_the_problem_precision(self, name):
         prob = build_problem(name, DDOUBLE)
         configs = (SolverConfig(), SolverConfig(precision=DDOUBLE))
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
         table = coeff_table(2, "zds", _CATALOG_STEP[name], DDOUBLE)
-        a, b = (solve_block(anchor, prob, table, c) for c in configs)
+        a, b = _block(prob, table), _block(prob, table)
+        solve_block(a, configs[0])
+        solve_block(b, configs[1])
         assert _words([a.Y]) == _words([b.Y]) and a.sweeps == b.sweeps
         a, b = (integrate(prob, "zds", 2, 6, 6 * _CATALOG_STEP[name], c) for c in configs)
         assert _words(a.xs + a.ps) == _words(b.xs + b.ps) and a.total_iter == b.total_iter
@@ -1060,11 +1091,10 @@ class TestSolverConfig:
     def test_mismatched_precision_raises_wherever_a_config_is_taken(self, prec, other):
         prob = make_mass_spring(precision=prec)
         config = SolverConfig(precision=other)
-        anchor = make_anchor(prob, prob.x0, prob.p0, "zds")
-        table = coeff_table(2, "zds", 0.1, prec)
+        state = _block(prob, coeff_table(2, "zds", 0.1, prec))
         calls = [
-            lambda: solve_block(anchor, prob, table, config),
-            lambda: init_block(anchor, prob, table, config),
+            lambda: solve_block(state, config),
+            lambda: init_block(state, config),
             lambda: integrate(prob, "zds", 2, 4, 0.4, config),
             lambda: integrate_sv(prob, 2, 4, 0.4, config),
         ]
