@@ -24,10 +24,14 @@ values as (2, L, I, K).
 
 ``integrate`` allocates one ``BlockState`` per block size (and one for a
 float64 twin): the workspace every block of that size writes in place.
-The predictor writes the anchor rows, which no sweep touches, and Z; each
-sweep the SE buffers, the float64 step and correction, Z and the node
-derivatives; after the block, the hand-over copies its last node and the
-node before into the next block's anchor and history.  A sweep takes the
+It also makes, once, every view the hot paths read or write, its arrays
+never rebound: the SE's and the predictor's products over (I, K)
+flattened, the PE's x and p inputs and targets, and the anchor and
+hand-over copies.  The predictor writes the anchor rows, which no sweep
+touches, and Z; each sweep the SE buffers, the float64 step and
+correction, Z and the node derivatives; after the block, the hand-over
+copies its last node and the node before into the next block's anchor
+and history.  A sweep takes the
 max-norm of its step only, of both rows in one reduction while M is held.
 The change's norm is also the finiteness test: Z is finite on entry, so a
 finite norm proves the new Z finite; only a non-finite norm, which an
@@ -141,13 +145,21 @@ class BlockState:
     and ``DS`` (2, L-1, R+1, I, K: per derivative level the anchor, then
     the R nodes).  ``H`` is the predictor's input [``prev`` | ``W``], the
     anchor and, read while ``extrapolate`` is set, the node before it, each
-    stacked as (2, L, I, K).  ``terms`` and ``sums`` hold the SE product
-    and running sums; ``steps``, float64 at either precision, the step
-    G(Z) - Z and its correction, also shaped like Z as ``step`` and
-    ``correction``.  ``sweeps`` counts the block's sweeps of R PE nodes per
-    level, probes included; ``newton`` is M^-1, which the sweeps may drop,
-    build or hand on to the next block; ``twin`` is the float64 twin's
-    state, if the problem has one.
+    stacked as (2, L, I, K).  ``steps``, float64 at either precision, holds
+    the step G(Z) - Z and its correction, also shaped like Z as ``step``
+    and ``correction``.  ``sweeps`` counts the block's sweeps of R PE nodes
+    per level, probes included; ``newton`` is M^-1, which the sweeps may
+    drop, build or hand on to the next block; ``twin`` is the float64
+    twin's state, if the problem has one.
+
+    The hot paths' operands are views made here once, into ``Y``, ``DS``,
+    ``H``, ``W`` and the running sums, which are never rebound:
+    ``se_ops`` and ``predictor_ops``, the products C Y and E H over flat
+    (I, K) (``_operands``); ``nodes``/``node_out`` and
+    ``anchor_nodes``/``anchor_out``, the PE's x and p inputs and targets
+    at the nodes and the anchor; ``anchor``/``anchor_rows``, the anchor in
+    W and in Y; ``history``/``tail``, the values and derivatives of
+    [prev | W] and of the block's last two nodes.
     """
 
     def __init__(self, problem, table: CoeffTable):
@@ -159,10 +171,20 @@ class BlockState:
         self.Z = self.Y[:, -R:]
         self.H = np.zeros((2, 2 * L) + like.shape, dtype=like.dtype)  # a twin rounds all of it
         self.prev, self.W = self.H[:, :L], self.H[:, L:]
-        self.terms = np.empty((2,) + table.C.shape + like.shape, dtype=like.dtype)
-        self.sums = np.empty_like(self.terms)
         self.steps = np.empty((2, self.Z.size))
         self.step, self.correction = (row.reshape(self.Z.shape) for row in self.steps)
+        flat = (2, 1, -1, like.size)
+        self.se_ops = _operands(table.C, self.Y.reshape(flat)[:, :, :table.C.shape[1]], self.Z.shape)
+        self.predictor_ops = _operands(table.E, self.H.reshape(flat), self.Z.shape)
+        # x and p halves; per derivative level, the pair of x and p rows (pe_update)
+        self.nodes, self.node_out = tuple(self.Z), tuple(zip(*self.DS[:, :, 1:]))
+        self.anchor_nodes, self.anchor_out = tuple(self.W[:, :1]), tuple(zip(*self.W[:, 1:, None]))
+        self.anchor, self.anchor_rows = (self.W[:, 0], self.W[:, 1:]), (self.Y[:, 0], self.DS[:, :, 0])
+        history = self.H.reshape((2, 2, L) + like.shape)
+        self.history = history[:, :, 0], history[:, :, 1:]
+        # the node before is the anchor at R = 1: rows 0 and 2L - 1 of Y
+        self.tail = (self.Y[:, -2:] if R > 1 else self.Y[:, ::2 * L - 1],
+                     self.DS[:, :, R - 1:].swapaxes(1, 2))
         self.twin = None if problem.native is None else BlockState(
             problem.native, coeff_table(R, table.formulation, table.dt, NATIVE))
 
@@ -170,22 +192,27 @@ class BlockState:
         """Anchor the next block at (X, P), with derivatives from the physical
         equations and no earlier node to extrapolate from."""
         self.W[0, 0], self.W[1, 0] = X, P
-        pe_update(self.problem, self.W[:, None, 0], self.W[:, 1:, None])
+        pe_update(self.problem, *self.anchor_nodes, self.anchor_out)
         self.extrapolate = False
 
     def hand_on(self, nxt: BlockState) -> None:
         """Anchor ``nxt``, maybe this state, at this block's last node and the one before."""
-        R = self.table.R
-        if R > 1:
-            nxt.prev[:, 0], nxt.prev[:, 1:] = self.Z[:, R - 2], self.DS[:, :, R - 1]
-        else:  # the node before is this block's anchor
-            nxt.prev[...] = self.W
-        nxt.W[:, 0], nxt.W[:, 1:] = self.Z[:, R - 1], self.DS[:, :, R]
+        values, derivs = nxt.history
+        values[...], derivs[...] = self.tail
         nxt.extrapolate = True
 
     def load_anchor(self) -> None:
         """Copy the anchor ``W`` into the anchor rows of ``Y``."""
-        self.Y[:, 0], self.DS[:, :, 0] = self.W[:, 0], self.W[:, 1:]
+        values, derivs = self.anchor_rows
+        values[...], derivs[...] = self.anchor
+
+
+def _operands(A: np.ndarray, rows: np.ndarray, shape: tuple) -> tuple:
+    """(A as (1, R, columns, 1), ``rows`` (2, 1, columns, I*K), terms, running
+    sums, their last viewed as ``shape``): A times rows summed as in se_update."""
+    terms = np.empty((2,) + A.shape + rows.shape[-1:], dtype=rows.dtype)
+    sums = np.empty_like(terms)
+    return A[None, :, :, None], rows, terms, sums, sums[:, :, -1].reshape(shape)
 
 
 def init_block(state: BlockState, config: SolverConfig = SolverConfig()) -> None:
@@ -232,7 +259,7 @@ def init_block(state: BlockState, config: SolverConfig = SolverConfig()) -> None
             pass  # no refused sweep reaches Z: the last finite iterate is lifted
         state.load_anchor()
         state.Z[...] = state.problem.precision.asarray(twin.Z)
-        pe_update(state.problem, state.Z, state.DS[:, :, 1:])
+        pe_update(state.problem, *state.nodes, state.node_out)
     state.sweeps, state.newton = twin.sweeps + 1, newton
 
 
@@ -242,10 +269,12 @@ def _predict(state: BlockState) -> None:
     state.load_anchor()
     if state.extrapolate:
         # Z = E [prev | W], summed in column order as in se_update
-        Z = np.add.accumulate(state.table.E[:, :, None, None] * state.H[:, None], axis=2)[:, :, -1]
+        E, H, terms, sums, Z = state.predictor_ops
+        np.multiply(E, H, out=terms)
+        np.add.accumulate(terms, axis=2, out=sums)
         if all_finite(Z):
             state.Z[...] = Z
-            pe_update(state.problem, state.Z, state.DS[:, :, 1:])
+            pe_update(state.problem, *state.nodes, state.node_out)
             return
     _taylor(state)
 
@@ -257,6 +286,7 @@ def _taylor(state: BlockState) -> None:
     half_dt2 = dt * dt * 0.5 if second else None
     Z, D = state.Y[:, 0], state.DS[:, 0, 0]
     S = state.DS[:, 1, 0] if second else None
+    X, P = state.nodes
     for r in range(table.R):
         Z = Z + dt * D
         if second:
@@ -264,7 +294,8 @@ def _taylor(state: BlockState) -> None:
         if not all_finite(Z):
             raise DivergenceError(f"non-finite predictor value at block node {r + 1}")
         state.Z[:, r] = Z
-        pe_update(problem, state.Z[:, r, None], state.DS[:, :, r + 1, None])
+        node = slice(r, r + 1)
+        pe_update(problem, X[node], P[node], [(x[node], p[node]) for x, p in state.node_out])
         D = state.DS[:, 0, r + 1]
         if second:
             S = state.DS[:, 1, r + 1]
@@ -292,7 +323,7 @@ def _newton_matrix(state: BlockState):
     probes = np.moveaxis((z + np.diag(h)).reshape((n,) + Z.shape), 0, 1)
     nodes = probes.reshape((2, n * R) + Z.shape[2:])
     derivs = np.empty((2, state.levels - 1) + nodes.shape[1:])
-    pe_update(twin, nodes, derivs)
+    pe_update(twin, *nodes, tuple(zip(*derivs)))
     change = derivs.reshape(derivs.shape[:2] + (n,) + Z.shape[1:]) - state.DS[:, :, None, 1:]
     C_nodes = table.C[:, 1:].reshape(R, state.levels - 1, R + 1)[:, :, 1:]
     G_prime = np.einsum("rsq,csnq...->ncr...", C_nodes, change).reshape(n, n).T / h
@@ -322,40 +353,42 @@ def _inverse(M: np.ndarray):
 def se_update(state: BlockState) -> np.ndarray:
     """New Z block from the structural equations (no physics evaluated).
 
-    Applies the table's matrix C to ``Y``; the (2, R, I, K) result, a view
-    into ``state.sums`` that the next call overwrites, unpacks as
-    ``Zx, Zp``.  The anchor rows of ``Y`` are written once per block, by
-    ``init_block``, and no sweep writes them.  The products are summed
-    strictly in column order by ``np.add.accumulate``: matmul and sum may
-    pair the terms differently depending on how Y lies in memory, while
-    this order gives the same bits every time and, at R = 1, those of the
-    term-by-term formula.
+    Applies the table's matrix C to ``Y``, its (I, K) flattened, through
+    the views of ``state.se_ops``; the (2, R, I, K) result, a view into
+    the running sums that the next call overwrites, unpacks as ``Zx, Zp``.
+    The anchor rows of ``Y`` are written once per block, by ``init_block``,
+    and no sweep writes them.  The products are summed strictly in column
+    order by ``np.add.accumulate``: matmul and sum may pair the terms
+    differently depending on how Y lies in memory, while this order gives
+    the same bits every time and, at R = 1, those of the term-by-term
+    formula.  Flattening (I, K) changes no product and no summation order.
     """
-    C = state.table.C
-    np.multiply(C[:, :, None, None], state.Y[:, None, :C.shape[1]], out=state.terms)
-    return np.add.accumulate(state.terms, axis=2, out=state.sums)[:, :, -1]
+    C, rows, terms, sums, Z_new = state.se_ops
+    np.multiply(C, rows, out=terms)
+    np.add.accumulate(terms, axis=2, out=sums)
+    return Z_new
 
 
-def pe_update(problem, Z: np.ndarray, out: np.ndarray) -> None:
+def pe_update(problem, X: np.ndarray, P: np.ndarray, out) -> None:
     """Derivative blocks refreshed from the physical equations at all R nodes.
 
-    One ``problem.derivatives`` call takes the (2, R, I, K) node block
-    ``Z`` at once and acts node by node.  D (and, when ``out`` holds two
-    levels, S) are written into ``out`` (2, L-1, R, I, K), such as the node
-    part of ``BlockState.DS``.
+    One ``problem.derivatives`` call takes the node block, split into its
+    positions ``X`` and momenta ``P`` (R, I, K), at once and acts node by
+    node.  D (and, when ``out`` holds two levels, S) are written into
+    ``out``: per level a pair of x and p targets shaped like X, such as
+    ``BlockState.node_out``.
     """
-    Zx, Zp = Z[0], Z[1]  # two indexings: unpacking iterates and costs more
-    shape, L = Zx.shape, out.shape[1]
-    levels = problem.derivatives(Zx, Zp, L)
-    Dx, Dp = levels[0]  # no loop over the levels: on a 1x1 state it costs as much as a ufunc
+    shape = X.shape
+    levels = problem.derivatives(X, P, len(out))
+    (Dx, Dp), (x, p) = levels[0], out[0]  # no loop over the levels: on a 1x1 state it costs as much as a ufunc
     if getattr(Dx, "shape", None) != shape or getattr(Dp, "shape", None) != shape:
         raise _node_block_error(problem, "D", shape, Dx, Dp)
-    out[0, 0], out[1, 0] = Dx, Dp
-    if L > 1:
-        Sx, Sp = levels[1]
+    x[...], p[...] = Dx, Dp
+    if len(out) > 1:
+        (Sx, Sp), (x, p) = levels[1], out[1]
         if getattr(Sx, "shape", None) != shape or getattr(Sp, "shape", None) != shape:
             raise _node_block_error(problem, "S", shape, Sx, Sp)
-        out[0, 1], out[1, 1] = Sx, Sp
+        x[...], p[...] = Sx, Sp
 
 
 def _node_block_error(problem, level: str, shape: tuple, a, b) -> ConfigurationError:
@@ -407,7 +440,8 @@ def _sweep(state: BlockState, tol: float, max_iter: int) -> None:
     for a step past ``_UNIT_GATE``, the gate at scale 1.  An accepted
     correction is added to Z in place.
     """
-    problem, Z, derivs, newton = state.problem, state.Z, state.DS[:, :, 1:], state.newton
+    problem, Z, newton = state.problem, state.Z, state.newton
+    (X, P), derivs = state.nodes, state.node_out
     steps, step, correction = state.steps, state.step, state.correction
     slow = 0 if problem.precision is NATIVE else None  # slow plain sweeps in a row
     scale = None  # max(|anchor values|, 1), read at the first step past the unit gate
@@ -459,7 +493,7 @@ def _sweep(state: BlockState, tol: float, max_iter: int) -> None:
                     )
         if done or newton is None:  # else Z holds the corrected step
             Z[...] = Z_new
-        pe_update(problem, Z, derivs)
+        pe_update(problem, X, P, derivs)
         state.sweeps += 1
         if done:
             state.newton = newton

@@ -1,7 +1,7 @@
 """Command-line harness: run / sweep / drift / coeffs subcommands.
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence or
-divergence.
+Exit codes: 0 success, 2 configuration error, 3 solver failure
+(non-convergence, divergence or a singularity of the physical equations).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from .blocksolver import DivergenceError, NonConvergenceError
 from .harness import STRUCTURAL_SCHEMES, SV_SCHEMES, RunConfig, SweepResult, _report_row, run, sweep
 from .numerics import PRECISIONS
-from .problems import PROBLEM_NAMES
+from .problems import PROBLEM_NAMES, SingularityError
 from .secoeff import ConfigurationError, Formulation, coeff_table, dump_coeff_csv
 
 EXIT_OK = 0
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergenceError, DivergenceError) as err:
+    except (NonConvergenceError, DivergenceError, SingularityError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         code = EXIT_SOLVER
     # the harness accepted the run: it returned, or a solver failure ended it;

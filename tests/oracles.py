@@ -165,6 +165,21 @@ def _extrapolation_kernel(R: int, form) -> tuple[list[int], list[list[Fraction]]
     return _rational_kernel(_monomial_derivatives(2 * L, L, range(-1, R + 1))[:, order])
 
 
+def reference_se(state):
+    """The structural product C Y as first written: a (2, R, columns, I, K)
+    broadcast of fresh views, summed in column order."""
+    C = state.table.C
+    terms = C[:, :, None, None] * state.Y[:, None, :C.shape[1]]
+    return np.add.accumulate(terms, axis=2)[:, :, -1]
+
+
+def reference_predictor(state):
+    """The extrapolated predictor E [prev | W] as first written, the same
+    broadcast over ``state.H``."""
+    terms = state.table.E[:, :, None, None] * state.H[:, None]
+    return np.add.accumulate(terms, axis=2)[:, :, -1]
+
+
 def reference_solve_block(state, config, se=None):
     """The fixed-point loop as first written, a drop-in for ``solve_block``.
 
@@ -186,7 +201,6 @@ def reference_solve_block(state, config, se=None):
     problem, table, anchor = state.problem, state.table, state.W
     tol = config.resolved_tol(problem)
     second = table.formulation is Formulation.ZDS
-    m = table.C.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         init_block(state, config)
         # state.sweeps starts at the predictor's own sweeps (a float64 phase)
@@ -203,11 +217,7 @@ def reference_solve_block(state, config, se=None):
 
         for sweep in range(1, config.max_iter + 1):
             state.Y[:, 0], state.DS[:, :, 0] = anchor[:, 0], anchor[:, 1:]
-            if se is None:
-                terms = table.C[:, :, None, None] * state.Y[:, None, :m]
-                Z_new = np.add.accumulate(terms, axis=2)[:, :, -1]
-            else:
-                Z_new = se(state)
+            Z_new = (se or reference_se)(state)
             if not all_finite(Z_new):
                 raise DivergenceError(f"non-finite block value during fixed-point sweep ({explain()})")
             prev_diff, diff = diff, max_abs(Z_new - Z)

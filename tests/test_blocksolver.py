@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,13 @@ from structham.problems import (
 )
 from structham.secoeff import ConfigurationError, Formulation, coeff_table
 
-from oracles import coefficient_blocks, dense_block_oracle, reference_solve_block
+from oracles import (
+    coefficient_blocks,
+    dense_block_oracle,
+    reference_predictor,
+    reference_se,
+    reference_solve_block,
+)
 
 
 def _block(problem, table):
@@ -270,10 +277,97 @@ class TestStackedSeUpdate:
         assert not C.flags.writeable and not table.E.flags.writeable
 
 
+class TestFlatProducts:
+    """The SE and predictor products over flat (I, K), word for word against
+    the (2, R, columns, I, K) broadcasts they replace, and the fixed views
+    every sweep reads and writes."""
+
+    @staticmethod
+    def _state(precision, form, R, shape, seed):
+        # a workspace of random words (ddouble ones with a full low word)
+        # whose physical equations return their inputs: D = (P, X)
+        problem = SimpleNamespace(x0=precision.asarray(np.zeros(shape)), native=None, name="echo",
+                                  derivatives=lambda X, P, levels: ((P, X),) * levels)
+        state = BlockState(problem, coeff_table(R, form, 0.3, precision))
+        rng = np.random.default_rng(seed)
+        state.Y[...] = precision.asarray(rng.uniform(-1.0, 1.0, state.Y.shape)) / 3
+        state.H[...] = precision.asarray(rng.uniform(-1.0, 1.0, state.H.shape)) / 7
+        return state
+
+    CASES = pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 6)], ids=str)
+    PRECISIONS = pytest.mark.parametrize("precision", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+
+    @CASES
+    @PRECISIONS
+    @pytest.mark.parametrize("form", ["zd", "zds"])
+    @pytest.mark.parametrize("R", [1, 2, 5, 12])
+    def test_se_update_matches_the_broadcast(self, R, form, precision, shape):
+        state = self._state(precision, form, R, shape, seed=R)
+        want = _words([reference_se(state)])
+        got = se_update(state)
+        assert got.shape == state.Z.shape and _words([got]) == want
+
+    @CASES
+    @PRECISIONS
+    @pytest.mark.parametrize("form", ["zd", "zds"])
+    @pytest.mark.parametrize("R", [1, 2, 5, 12])
+    def test_predictor_matches_the_broadcast(self, R, form, precision, shape):
+        state = self._state(precision, form, R, shape, seed=100 + R)
+        state.extrapolate = True
+        want = _words([reference_predictor(state)])
+        blocksolver._predict(state)
+        assert _words([state.Z]) == want
+        # the PE refreshed every node from that Z: D = (P, X)
+        assert _words([state.DS[:, 0, 1:]]) == _words([state.Z[::-1]])
+
+    @CASES
+    @PRECISIONS
+    @pytest.mark.parametrize("form", ["zd", "zds"])
+    @pytest.mark.parametrize("R", [1, 2, 5, 12])
+    def test_fixed_views_alias_the_workspace(self, R, form, precision, shape):
+        # a reshape that silently copied would feed the sweeps stale words
+        state = self._state(precision, form, R, shape, seed=0)
+        _, rows, _, sums, result = state.se_ops
+        _, H, _, p_sums, p_result = state.predictor_ops
+        views = {"se rows": (rows, state.Y), "se result": (result, sums),
+                 "predictor rows": (H, state.H), "predictor result": (p_result, p_sums)}
+        for name, home in [("nodes", state.Z), ("anchor_nodes", state.W), ("anchor", state.W),
+                           ("anchor_rows", state.Y), ("history", state.H), ("tail", state.Y),
+                           ("node_out", state.DS), ("anchor_out", state.W)]:
+            for i, view in enumerate(getattr(state, name)):
+                pairs = enumerate(view) if name.endswith("_out") else [("", view)]  # per level, x and p
+                views.update({f"{name}[{i}]{c}": (v, home) for c, v in pairs})
+        assert [name for name, (view, home) in views.items() if not np.shares_memory(view, home)] == []
+        assert result.shape == p_result.shape == state.Z.shape
+
+    @PRECISIONS
+    @pytest.mark.parametrize("R", [1, 2, 5])
+    def test_views_see_the_rows_they_name(self, R, precision):
+        state = self._state(precision, "zds", R, (2, 3), seed=1)
+        before = state.Y[:, 0] if R == 1 else state.Z[:, R - 2]  # the anchor rows at R = 1
+        expected = {
+            "nodes": (state.Z[0], state.Z[1]),
+            "node_out": [state.DS[c, s, 1:] for s in range(2) for c in range(2)],
+            "anchor_nodes": (state.W[0, :1], state.W[1, :1]),
+            "anchor_out": [state.W[c, s + 1, None] for s in range(2) for c in range(2)],
+            "anchor_rows": (state.Y[:, 0], state.DS[:, :, 0]),
+            "history": (np.stack([state.prev[:, 0], state.W[:, 0]], axis=1),
+                        np.stack([state.prev[:, 1:], state.W[:, 1:]], axis=1)),
+            "tail": (np.stack([before, state.Z[:, R - 1]], axis=1),
+                     np.stack([state.DS[:, :, R - 1], state.DS[:, :, R]], axis=1)),
+        }
+        for name, arrays in expected.items():
+            views = getattr(state, name)
+            if name.endswith("_out"):
+                views = [v for pair in views for v in pair]
+            assert [v.shape for v in views] == [a.shape for a in arrays], name
+            assert _words(views) == _words(arrays), name
+
+
 def _pe(prob, Zx, Zp):
     """D and S from ``pe_update`` at the node blocks (Zx, Zp), read from its ``out``."""
     out = np.empty((2, 2) + Zx.shape, dtype=Zx.dtype)
-    assert pe_update(prob, np.stack([Zx, Zp]), out) is None
+    assert pe_update(prob, Zx, Zp, tuple(zip(*out))) is None
     (Dx, Sx), (Dp, Sp) = out
     return Dx, Dp, Sx, Sp
 
@@ -360,6 +454,40 @@ class TestPeUpdate:
         message = rf"^pendulum derivatives returned {level} shapes .* for node block \(3, 1, 1\): .* node by node"
         with pytest.raises(ConfigurationError, match=message):
             _pe(prob, Z, Z)
+
+    @pytest.mark.parametrize("level", ["D", "S"])
+    @pytest.mark.parametrize("caller, nodes", [
+        ("start", 1), ("taylor", 1), ("extrapolated", 3), ("sweep", 3), ("probes", 18),
+    ])
+    def test_node_only_refused_by_every_caller(self, caller, nodes, level):
+        # every caller passes its own inputs and targets: the anchor's, a
+        # Taylor node's, the block's and the 2 R I K probes' (pendulum, R = 3)
+        prob = make_pendulum()
+        derivatives = prob.derivatives
+
+        def fused(X, P, levels):
+            D, S = derivatives(X, P, 2)
+            one = np.zeros((1, 1)), np.zeros((1, 1))  # as written for one (I, K) node
+            return (one, S) if level == "D" else (D, one)
+
+        state = BlockState(prob, coeff_table(3, "zds", 0.1))
+        if caller != "start":
+            state.start(prob.x0, prob.p0)
+            if caller != "taylor":
+                init_block(state)
+                if caller == "extrapolated":
+                    state.hand_on(state)
+        prob.derivatives = fused
+        message = rf"^pendulum derivatives returned {level} shapes .* for node block \({nodes}, 1, 1\): .* node by node"
+        with pytest.raises(ConfigurationError, match=message):
+            if caller == "start":
+                state.start(prob.x0, prob.p0)
+            elif caller in ("taylor", "extrapolated"):
+                init_block(state)
+            elif caller == "sweep":
+                blocksolver._sweep(state, 1e-14, 5)
+            else:
+                blocksolver._newton_matrix(state)
 
 
 class TestSolveBlock:
@@ -1058,7 +1186,7 @@ class TestMixedPrecision:
         assert _words([state.Z]) == _words([new])
         assert max_abs(new - old) <= DDOUBLE.default_tol
         derivs = np.empty_like(state.DS[:, :, 1:])
-        pe_update(prob, state.Z, derivs)
+        pe_update(prob, *state.nodes, tuple(zip(*derivs)))
         assert _words([derivs]) == _words([state.DS[:, :, 1:]])
 
     def test_float64_predictor_failure_falls_back_to_taylor(self):

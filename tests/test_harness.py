@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from structham import harness
+from structham import cli, harness
 from structham.baselines import integrate_sv
 from structham.blocksolver import integrate
 from structham.cli import build_parser, main as cli_main
@@ -20,7 +20,7 @@ from structham.harness import (
     sweep,
 )
 from structham.numerics import PRECISIONS, max_abs
-from structham.problems import build_problem, make_mass_spring
+from structham.problems import SingularityError, build_problem, make_mass_spring
 from structham.secoeff import ConfigurationError
 
 
@@ -426,15 +426,26 @@ class TestCli:
         (["run", "--R", "13", "--N", "26", "--T", "1"], 2),
         (["drift", "--R", "2", "--N", "20", "--T", "1"], 0),
         (["run", "--R", "2", "--N", "10", "--T", "10.0", "--problem", "em_scb"], 3),
+        (["run", "--R", "2", "--N", "10", "--T", "10.0", "--problem", "em_scb"],
+         SingularityError("bodies 0 and 1 collide")),
     ])
-    def test_manifest_only_for_accepted_runs(self, argv, code, tmp_path, capsys):
-        # the harness accepts a run when it returns or a solver failure ends it
+    def test_manifest_only_for_accepted_runs(self, argv, code, tmp_path, capsys, monkeypatch):
+        # the harness accepts a run when it returns or a solver failure ends
+        # it; ``code`` is the exit code, or a solver failure the run raises
+        if isinstance(code, Exception):
+            error, code = code, 3
+
+            def run(*args):
+                raise error
+
+            monkeypatch.setattr(cli, "run", run)
         manifest = tmp_path / "m.json"
         problem = [] if "--problem" in argv else ["--problem", "mass_spring"]
         assert cli_main([*argv, *problem, "--scheme", "zds", "--manifest", str(manifest)]) == code
         assert manifest.exists() == (code != 2)
         if code == 3:
             assert json.loads(manifest.read_text())["problem"] == "em_scb"
+            assert capsys.readouterr().err.startswith("solver failure: ")
 
     def test_manifest_records_the_command(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
