@@ -85,6 +85,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown precision {self.precision!r}")
         if self.project_lrl and self.problem != "kepler":
             raise ConfigurationError("LRL projection applies to the kepler problem only")
+        if self.project_lrl and self.scheme in SV_SCHEMES:
+            raise ConfigurationError(f"LRL projection applies to the structural schemes only, not {self.scheme}")
         SolverConfig(tol=self.tol, max_iter=self.max_iter)  # checks tol and max_iter
         return self
 

@@ -33,9 +33,12 @@ entries amortize.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -553,48 +556,37 @@ def _sin_cos_reduced(r: DoubleDouble) -> tuple[DoubleDouble, DoubleDouble]:
 # precision backends
 # ---------------------------------------------------------------------------
 
-class Precision:
-    """A scalar backend: constructs numbers and arrays at one working precision."""
+def _native_real(value) -> float:
+    return float(Fraction(value)) if isinstance(value, (str, Fraction)) else float(value)
 
-    def __init__(self, name: str, eps: float, default_tol: float, use_dd: bool):
-        self.name = name
-        self.eps = eps
-        self.default_tol = default_tol
-        self._dd = use_dd
+
+def _dd_asarray(data) -> np.ndarray:
+    raw = np.asarray(data, dtype=object)
+    out = np.empty(raw.shape, dtype=object)
+    out.flat = [DoubleDouble.from_any(v) for v in raw.flat]  # a ufunc pass would warn on inf and NaN entries
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Precision:
+    """A scalar backend, compared by identity: ``real`` parses a scalar (int, float,
+    decimal string, Fraction or DoubleDouble) and ``asarray`` an array of them."""
+
+    name: str
+    eps: float
+    default_tol: float
+    dtype: type
+    pi: object
+    real: Callable
+    asarray: Callable
 
     def __repr__(self):
         return f"Precision({self.name!r})"
 
-    def real(self, value):
-        """Parse a scalar (int, float, decimal string, or Fraction) at this precision."""
-        if isinstance(value, np.ndarray):
-            value = value.item()
-        if self._dd:
-            return DoubleDouble.from_any(value)
-        if isinstance(value, DoubleDouble):
-            return float(value)
-        if isinstance(value, (str, Fraction)):
-            return float(Fraction(value))
-        return float(value)
 
-    def pi(self):
-        return PI_DD if self._dd else math.pi
-
-    @property
-    def dtype(self):
-        return object if self._dd else np.float64
-
-    def asarray(self, data) -> np.ndarray:
-        if not self._dd:
-            return np.asarray(data, dtype=np.float64)
-        raw = np.asarray(data, dtype=object)
-        out = np.empty(raw.shape, dtype=object)
-        out.flat = [self.real(v) for v in raw.flat]  # a ufunc pass would warn on inf and NaN entries
-        return out
-
-
-NATIVE = Precision("double", eps=2.220446049250313e-16, default_tol=1e-14, use_dd=False)
-DDOUBLE = Precision("ddouble", eps=4.93e-32, default_tol=1e-30, use_dd=True)
+NATIVE = Precision("double", 2.220446049250313e-16, 1e-14, np.float64, math.pi,
+                   _native_real, functools.partial(np.asarray, dtype=np.float64))
+DDOUBLE = Precision("ddouble", 4.93e-32, 1e-30, object, PI_DD, DoubleDouble.from_any, _dd_asarray)
 PRECISIONS = {"double": NATIVE, "ddouble": DDOUBLE}
 
 

@@ -34,7 +34,6 @@ nonlinear problems work out what D and S share once per ``derivatives`` call.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .numerics import NATIVE, Precision, log as nlog, sin_cos, sqrt as nsqrt
+from .secoeff import ConfigurationError
 
 __all__ = [
     "HamiltonianProblem",
@@ -88,14 +88,14 @@ class HamiltonianProblem:
     on (..., I, K) states, and ``exact_solution`` on (...) times (see the
     module docstring): a stack of nodes gets, node for node, the words of a
     call on each one alone.  The sizes I and K are read off ``x0``, which no
-    field can contradict.
+    field can contradict; ``p0`` has its shape.
 
     ``derivatives(X, P, levels)`` returns the tuple (D,) or, at levels 2,
     (D, S), each an (X, P) pair.  A problem passes it or else ``first_rhs``
     (D) and ``second_rhs`` (S), which the default calls as the problem holds
     them at the call, so a wrapper set on either sees it.  The problem is
     separable when it has a ``force``; with no other map, D is then
-    (velocity(P), force(X))."""
+    (velocity(P), force(X)).  With no S it refuses levels 2 (ZDS): a ConfigurationError."""
 
     name: str
     x0: np.ndarray
@@ -119,6 +119,8 @@ class HamiltonianProblem:
     def __post_init__(self):
         if (self.force is None) != (self.velocity is None):
             raise ValueError(f"{self.name}: a separable problem gives both force and velocity")
+        if np.shape(self.p0) != np.shape(self.x0):
+            raise ValueError(f"{self.name}: p0 has shape {np.shape(self.p0)}, x0 {np.shape(self.x0)}")
         if self.derivatives is not None:
             if self.first_rhs is not None or self.second_rhs is not None:
                 raise ValueError(f"{self.name}: a problem gives derivatives or first_rhs and second_rhs, not both")
@@ -128,7 +130,7 @@ class HamiltonianProblem:
             self.first_rhs = lambda X, P: (velocity(P), force(X))
         if self.first_rhs is None:
             raise ValueError(f"{self.name}: a problem gives derivatives, first_rhs, or force and velocity")
-        self.derivatives = self._rhs_derivatives
+        self.derivatives = self._first_derivatives if self.second_rhs is None else self._rhs_derivatives
 
     @property
     def separable(self) -> bool:
@@ -138,22 +140,24 @@ class HamiltonianProblem:
         D = self.first_rhs(X, P)
         return (D, self.second_rhs(X, P, *D)) if levels == 2 else (D,)
 
+    def _first_derivatives(self, X, P, levels):
+        if levels == 2:
+            raise ConfigurationError(f"{self.name}: ZDS needs S, and the problem gives no second_rhs or derivatives")
+        return (self.first_rhs(X, P),)
+
 
 def _twinned(builder):
     """Builder that also gives a problem built at another precision its float64 twin.
 
-    The twin is the same builder call at NATIVE precision; the arguments'
-    numbers (strings, Fractions, DoubleDoubles) round to float64 there.
+    The twin is the same builder call at NATIVE, and so precision is keyword-only;
+    the arguments' numbers (strings, Fractions, DoubleDoubles) round to float64 there.
     """
-    signature = inspect.signature(builder)
 
     @functools.wraps(builder)
-    def build(*args, **kwargs):
-        problem = builder(*args, **kwargs)
-        if problem.precision is not NATIVE:
-            call = signature.bind(*args, **kwargs)
-            call.arguments["precision"] = NATIVE
-            problem.native = builder(*call.args, **call.kwargs)
+    def build(*args, precision=NATIVE, **kwargs):
+        problem = builder(*args, precision=precision, **kwargs)
+        if precision is not NATIVE:
+            problem.native = builder(*args, precision=NATIVE, **kwargs)
         return problem
 
     return build
@@ -191,7 +195,7 @@ def _lift(c, n):
 # ---------------------------------------------------------------------------
 
 @_twinned
-def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> HamiltonianProblem:
+def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, *, precision=NATIVE) -> HamiltonianProblem:
     """Linear one-dimensional oscillator, H = p^2/(2m) + kappa x^2/2."""
     if not (float(m) > 0 and float(kappa) > 0):
         raise ValueError("mass and stiffness must be positive")
@@ -239,7 +243,7 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, precision=NATIVE) -> Hami
 @_twinned
 def make_two_spring(
     k1=1.0, k2=5.0, m1=2.0, m2=1.0, A=1.0, B=2.0, alpha1=None, alpha2=None,
-    precision=NATIVE,
+    *, precision=NATIVE,
 ) -> HamiltonianProblem:
     """Two bodies chained by two springs; normal-mode closed-form solution.
 
@@ -248,7 +252,7 @@ def make_two_spring(
     """
     if not all(float(v) > 0 for v in (k1, k2, m1, m2)):
         raise ValueError("all two-spring parameters must be positive")
-    pi = precision.pi()
+    pi = precision.pi
     if alpha1 is None:
         alpha1 = pi / 2
     if alpha2 is None:
@@ -323,7 +327,7 @@ _PENDULUM_REF_P = -0.7189111241830892
 
 
 @_twinned
-def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -> HamiltonianProblem:
+def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, *, precision=NATIVE) -> HamiltonianProblem:
     """Planar pendulum, H = p^2/(2 m l^2) + m g l (1 - cos x).
 
     For the standard setup (m = g = l = 1, x0 = pi/4, p0 = 0) the problem
@@ -333,7 +337,7 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, precision=NATIVE) -
         raise ValueError("pendulum parameters must be positive")
     default_x0 = x0 is None
     if default_x0:
-        x0 = precision.pi() / 4
+        x0 = precision.pi / 4
     m_, g_, l_ = precision.real(m), precision.real(g), precision.real(length)
     ml2 = m_ * l_ * l_
     mgl = m_ * g_ * l_
@@ -402,7 +406,7 @@ def pendulum_period(m=1.0, g=1.0, length=1.0, modulus=None) -> float:
 # ---------------------------------------------------------------------------
 
 @_twinned
-def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), precision=NATIVE) -> HamiltonianProblem:
+def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), *, precision=NATIVE) -> HamiltonianProblem:
     """Planar Kepler problem, H = |p|^2/2 - 1/|x|, with H, L and LRL invariants."""
     X0 = precision.asarray([[x0[0]], [x0[1]]])
     P0 = precision.asarray([[p0[0]], [p0[1]]])
@@ -509,7 +513,7 @@ def project_lrl(X, P, R0):
 # ---------------------------------------------------------------------------
 
 @_twinned
-def make_nbody(masses, G, X0, P0, name="nbody", precision=NATIVE) -> HamiltonianProblem:
+def make_nbody(masses, G, X0, P0, name="nbody", *, precision=NATIVE) -> HamiltonianProblem:
     """Gravitational K-body problem in dimension I (2 or 3).
 
     H = sum_k |p^k|^2/(2 m_k) - sum_{k != l} G m_k m_l / (2 |x^k - x^l|).
@@ -675,7 +679,7 @@ _EYE3 = np.eye(3, dtype=bool)
 
 
 @_twinned
-def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NATIVE) -> HamiltonianProblem:
+def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, *, precision=NATIVE) -> HamiltonianProblem:
     """Charged particle with H = |p - e A(x)|^2/(2m) + e phi(x); non-separable.
 
     Variants:
@@ -729,13 +733,12 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, precision=NA
         def vec_A(x, pos):
             return _vec(x, zero, big * x[..., 0], zero)
 
-        def jac_A(x, pos):
-            J = np.full(x.shape + (3,), zero, x.dtype)
-            J[..., 1, 0] = big
-            return J
-
-        def hess_A(x, pos):
-            return np.full(x.shape + (3, 3), zero, x.dtype)
+        # A is linear in x: a constant Jacobian and a zero Hessian, made once
+        J_A = np.full((3, 3), zero, precision.dtype)
+        J_A[1, 0] = big
+        H_A = np.full((3, 3, 3), zero, precision.dtype)
+        J_A.flags.writeable = H_A.flags.writeable = False
+        jac_A, hess_A = (lambda x, pos: J_A), (lambda x, pos: H_A)
 
     else:
         if x0 is None:

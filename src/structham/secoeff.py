@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import NATIVE, PRECISIONS, DoubleDouble, Precision
+from .numerics import NATIVE, DoubleDouble, Precision
 
 __all__ = [
     "Formulation",
@@ -277,14 +277,14 @@ def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIV
 
 
 @lru_cache(maxsize=None)
-def _coeff_table_cached(R: int, form: Formulation, dt: float, prec_name: str) -> CoeffTable:
-    return assemble_tables(R, form, dt, PRECISIONS[prec_name])
+def _coeff_table_cached(R: int, form: Formulation, dt: float, precision: Precision) -> CoeffTable:
+    return assemble_tables(R, form, dt, precision)
 
 
 def coeff_table(R: int, formulation, dt: float, precision: Precision = NATIVE) -> CoeffTable:
     """Cached canonical table for (R, formulation, dt, precision)."""
     form = Formulation.parse(formulation)
-    return _coeff_table_cached(R, form, float(dt), precision.name)
+    return _coeff_table_cached(R, form, float(dt), precision)
 
 
 # ---------------------------------------------------------------------------

@@ -1027,9 +1027,11 @@ class TestMixedPrecision:
         assert "native" not in repr(prob)
 
     def test_twin_takes_the_builder_arguments(self):
-        prob = make_mass_spring(2.0, "0.3", 0.5, -0.1, DDOUBLE)  # precision passed by position
+        prob = make_mass_spring(2.0, "0.3", 0.5, -0.1, precision=DDOUBLE)  # the other arguments by position
         assert prob.native.parameters["kappa"] == 0.3 and prob.native.parameters["m"] == 2.0
         assert (prob.native.x0[0, 0], prob.native.p0[0, 0]) == (0.5, -0.1)
+        with pytest.raises(TypeError):  # precision is keyword-only
+            make_mass_spring(2.0, "0.3", 0.5, -0.1, DDOUBLE)
 
     @pytest.mark.parametrize("form,R", [("zds", 2), ("zd", 3)])
     @pytest.mark.parametrize("name", PROBLEM_NAMES)

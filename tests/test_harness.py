@@ -67,6 +67,7 @@ class TestRunConfig:
             dict(problem="kepler", scheme="zd", N=10, T=1.0, R=1, tol=-1.0),
             dict(problem="kepler", scheme="sv2", N=10, T=1.0, tol=math.nan),
             dict(problem="kepler", scheme="zds", N=10, T=1.0, R=1, max_iter=0),
+            dict(problem="kepler", scheme="sv2", N=100, T=1.0, project_lrl=True),  # SV would ignore it
         ],
     )
     def test_invalid(self, kwargs):

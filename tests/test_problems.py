@@ -31,6 +31,7 @@ from structham.problems import (
     pendulum_period,
     project_lrl,
 )
+from structham.secoeff import ConfigurationError
 
 from oracles import reference_em, reference_kepler, reference_pendulum
 
@@ -891,6 +892,30 @@ class TestCatalog:
             HamiltonianProblem("bare", np.ones((1, 1)), np.zeros((1, 1)))
         with pytest.raises(ValueError, match="^bare: a problem gives derivatives, first_rhs, or force and velocity$"):
             HamiltonianProblem("bare", np.ones((1, 1)), np.zeros((1, 1)), second_rhs=lambda X, P, DX, DP: (DP, DX))
+
+    def test_p0_of_another_shape_refused(self):
+        # it would broadcast against x0, and the solvers would return momenta
+        # of x0's shape
+        with pytest.raises(ValueError, match=r"^line: p0 has shape \(1, 1\), x0 \(2, 1\)$"):
+            HamiltonianProblem(name="line", x0=np.ones((2, 1)), p0=np.zeros((1, 1)), first_rhs=free_rhs)
+
+    @pytest.mark.parametrize("maps", [
+        dict(first_rhs=lambda X, P: (P.copy(), -X)),
+        dict(force=lambda X: -X, velocity=lambda P: P.copy()),
+    ], ids=["first_rhs", "force"])
+    def test_zds_without_s_is_a_configuration_error(self, maps):
+        # refused at the anchor's derivatives, before any sweep, naming the
+        # missing S; ZD and Stormer-Verlet take D alone and still run
+        prob = HamiltonianProblem(name="spring", x0=np.ones((1, 1)), p0=np.zeros((1, 1)), **maps)
+        first, calls = prob.first_rhs, []
+        prob.first_rhs = lambda X, P: calls.append(X.shape) or first(X, P)
+        with pytest.raises(ConfigurationError, match="^spring: ZDS needs S, .* no second_rhs or derivatives$"):
+            integrate(prob, "zds", 2, 4, 1.0)
+        assert calls == []
+        zd = integrate(prob, "zd", 2, 4, 1.0)
+        sv = integrate_sv(prob, 2, 4, 1.0)
+        for traj in (zd, sv):
+            assert abs(traj.xs[-1][0, 0] - math.cos(1.0)) < 0.1
 
     @pytest.mark.parametrize("pair", ["first_rhs", "second_rhs"])
     def test_derivatives_with_an_rhs_refused(self, pair):
