@@ -55,6 +55,14 @@ not finite or outgrows the growth limit, drops M, and plain sweeps follow.
 A float64 block whose plain sweeps contract slowly builds M from its own
 sweep map and hands it to the next block of its state, so of its table.
 
+The Newton build writes into operands of its state's own, made at the
+state's first build and never at a state that builds none (``_newton_matrix``,
+``_NewtonOperands``): the probes, as z plus the rows of a zero offsets array
+whose diagonal view receives the steps h, and their PE node blocks and
+targets; the change of the node derivatives; G'; the identity; and the
+Gauss-Jordan array [M | I], eliminated in place.  Each build returns its
+M^-1 as a new array, which the next build leaves as it is.
+
 A problem in extended precision has a float64 twin (``problem.native``),
 and each of its blocks runs that loop twice, as in mixed-precision
 iterative refinement: first the float64 block solve of the twin, from the
@@ -150,7 +158,9 @@ class BlockState:
     and ``correction``.  ``sweeps`` counts the block's sweeps of R PE nodes
     per level, probes included; ``newton`` is M^-1, which the sweeps may
     drop, build or hand on to the next block; ``twin`` is the float64
-    twin's state, if the problem has one.
+    twin's state, if the problem has one.  ``newton_ops``, the operands of
+    the Newton build (``_NewtonOperands``), stays None until the state's
+    first build makes them; every later build writes into them.
 
     The hot paths' operands are views made here once, into ``Y``, ``DS``,
     ``H``, ``W`` and the running sums, which are never rebound:
@@ -166,6 +176,7 @@ class BlockState:
         like, L, R = problem.x0, table.formulation.levels, table.R
         self.problem, self.table, self.levels = problem, table, L
         self.sweeps, self.newton, self.extrapolate = 0, None, False
+        self.newton_ops = None
         self.Y = np.empty((2, L * (R + 1)) + like.shape, dtype=like.dtype)
         self.DS = self.Y[:, 1:-R].reshape((2, L - 1, R + 1) + like.shape)
         self.Z = self.Y[:, -R:]
@@ -314,28 +325,67 @@ def _newton_matrix(state: BlockState):
     singular or not finite.
 
     Column j of G' is (G(Z + h_j e_j) - G(Z)) / h_j: C applied to the change
-    of the node derivatives, SE being linear.
+    of the node derivatives, SE being linear.  The operands are
+    ``state.newton_ops``, made at the state's first build and written in place
+    by every build; only the returned M^-1 is a new array.
     """
-    twin, table = state.problem, state.table
-    Z, R = state.Z, table.R
-    n, z = Z.size, Z.reshape(-1)
-    h = (z + _PROBE_STEP * np.maximum(np.abs(z), 1.0)) - z  # exact: probe j is z + h_j e_j
-    probes = np.moveaxis((z + np.diag(h)).reshape((n,) + Z.shape), 0, 1)
-    nodes = probes.reshape((2, n * R) + Z.shape[2:])
-    derivs = np.empty((2, state.levels - 1) + nodes.shape[1:])
-    pe_update(twin, *nodes, tuple(zip(*derivs)))
-    change = derivs.reshape(derivs.shape[:2] + (n,) + Z.shape[1:]) - state.DS[:, :, None, 1:]
-    C_nodes = table.C[:, 1:].reshape(R, state.levels - 1, R + 1)[:, :, 1:]
-    G_prime = np.einsum("rsq,csnq...->ncr...", C_nodes, change).reshape(n, n).T / h
-    return _inverse(np.eye(n) - G_prime)
+    if state.newton_ops is None:
+        state.newton_ops = _NewtonOperands(state)
+    w, Z = state.newton_ops, state.Z
+    h = w.h  # h_j = (z_j + step max(|z_j|, 1)) - z_j, exact: probe j is z + h_j e_j
+    np.abs(Z, out=h)
+    np.maximum(h, 1.0, out=h)
+    np.multiply(h, _PROBE_STEP, out=h)
+    np.add(Z, h, out=h)
+    np.subtract(h, Z, out=h)
+    np.add(w.z, w.offsets, out=w.probes)
+    pe_update(state.problem, *w.nodes, w.targets)
+    np.subtract(w.derivs, w.base, out=w.change)
+    np.einsum("rsq,csnq...->ncr...", w.C_nodes, w.change, out=w.G)
+    np.divide(w.G_prime, w.h_row, out=w.M)
+    np.subtract(w.identity, w.M, out=w.M)
+    w.I[...] = w.identity
+    return _inverse(w.A)
 
 
-def _inverse(M: np.ndarray):
-    """M^-1 by Gauss-Jordan elimination with partial pivoting; None when M is
-    singular or not finite.  Elementwise numpy only: numpy.linalg would map
-    LAPACK, about 1 MB of resident memory."""
-    n = len(M)
-    A = np.concatenate([M, np.eye(n)], axis=1)
+class _NewtonOperands:
+    """The operands of ``_newton_matrix`` on one float64 state, one probe per
+    unknown (n = 2 R I K).  Probe j is z plus row j of ``offsets`` (probes,
+    n), zero but for h_j on the diagonal, whose view ``h`` is shaped like Z;
+    ``probes`` (2, probes, R I K) holds them, ``nodes`` as the PE's x and p
+    node blocks, their derivatives going to ``targets``.  ``change`` is
+    ``derivs`` minus the state's node derivatives ``base``, and ``G`` the
+    einsum of C at the nodes with it, read as G' through ``G_prime``;
+    ``A`` is the Gauss-Jordan array [M | I].  Every probe operand leads with
+    the probe count."""
+
+    def __init__(self, state: BlockState):
+        Z, L, R = state.Z, state.levels, state.table.R
+        n = Z.size
+        offsets = np.zeros((n, n))
+        self.h = offsets.reshape(-1)[::n + 1].reshape(Z.shape)
+        self.h_row = self.h.reshape(-1)
+        self.z = Z.reshape(2, 1, -1)  # a view: Z's rows are contiguous per half
+        self.offsets = offsets.reshape(n, 2, -1).swapaxes(0, 1)
+        self.probes = np.empty((2, n, Z[0].size))
+        self.nodes = tuple(self.probes.reshape((2, n * R) + Z.shape[2:]))
+        derivs = np.empty((2, L - 1, n * R) + Z.shape[2:])
+        self.targets = tuple(zip(*derivs))
+        self.change = np.empty((2, L - 1, n) + Z.shape[1:])
+        self.derivs, self.base = derivs.reshape(self.change.shape), state.DS[:, :, None, 1:]
+        self.C_nodes = state.table.C[:, 1:].reshape(R, L - 1, R + 1)[:, :, 1:]
+        self.G = np.empty((n,) + Z.shape)
+        self.G_prime = self.G.reshape(n, n).T
+        self.identity = np.eye(n)
+        self.A = np.empty((n, 2 * n))
+        self.M, self.I = self.A[:, :n], self.A[:, n:]
+
+
+def _inverse(A: np.ndarray):
+    """M^-1 from the Gauss-Jordan array [M | I], eliminated in place with
+    partial pivoting; None when M is singular or not finite.  Elementwise
+    numpy only: numpy.linalg would map LAPACK, about 1 MB of resident memory."""
+    n = len(A)
     for j in range(n):
         p = j + np.abs(A[j:, j]).argmax()  # a NaN wins
         pivot = A[p, j]
@@ -347,7 +397,7 @@ def _inverse(M: np.ndarray):
         A -= np.multiply.outer(A[:, j], row)
         A[j] = row
     inverse = A[:, n:]
-    return inverse if all_finite(inverse) else None
+    return inverse.copy() if all_finite(inverse) else None  # A is the next build's
 
 
 def se_update(state: BlockState) -> np.ndarray:

@@ -570,7 +570,9 @@ def _dd_asarray(data) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Precision:
     """A scalar backend, compared by identity: ``real`` parses a scalar (int, float,
-    decimal string, Fraction or DoubleDouble) and ``asarray`` an array of them."""
+    decimal string, Fraction or DoubleDouble), ``asarray`` an array of them and
+    ``ratio(n, d)`` rounds the quotient of two ints (d > 0) correctly.  A copy
+    or an unpickled record is the module's own ``NATIVE`` or ``DDOUBLE``."""
 
     name: str
     eps: float
@@ -579,14 +581,21 @@ class Precision:
     pi: object
     real: Callable
     asarray: Callable
+    ratio: Callable
 
     def __repr__(self):
         return f"Precision({self.name!r})"
 
+    def __reduce__(self):
+        # a str names the module global: copy hands back the record itself and
+        # pickle stores its name, refusing a record that is not that global
+        return "NATIVE" if self is NATIVE else "DDOUBLE"
+
 
 NATIVE = Precision("double", 2.220446049250313e-16, 1e-14, np.float64, math.pi,
-                   _native_real, functools.partial(np.asarray, dtype=np.float64))
-DDOUBLE = Precision("ddouble", 4.93e-32, 1e-30, object, PI_DD, DoubleDouble.from_any, _dd_asarray)
+                   _native_real, functools.partial(np.asarray, dtype=np.float64), operator.truediv)
+DDOUBLE = Precision("ddouble", 4.93e-32, 1e-30, object, PI_DD, DoubleDouble.from_any, _dd_asarray,
+                    DoubleDouble.from_ratio)
 PRECISIONS = {"double": NATIVE, "ddouble": DDOUBLE}
 
 

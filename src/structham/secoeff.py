@@ -258,12 +258,11 @@ def assemble_tables(R: int, formulation, dt: float, precision: Precision = NATIV
     S = form.levels
     num, den = dt.as_integer_ratio()
     pows = [(num**s, den**s) for s in range(S)]
-    round_ = DoubleDouble.from_ratio if precision.dtype == object else operator.truediv
 
     def scaled(x: Fraction, s: int):
         # x * dt**s = (n a**s) / (d b**s): one correctly rounded int division
         try:
-            return round_(x.numerator * pows[s][0], x.denominator * pows[s][1])
+            return precision.ratio(x.numerator * pows[s][0], x.denominator * pows[s][1])
         except OverflowError:
             raise ConfigurationError(f"step dt={dt} overflows the order-{s} coefficients") from None
 
@@ -323,7 +322,5 @@ def dump_coeff_csv(table: CoeffTable, stream) -> None:
     for m in range(R):
         for s in range(form.levels):
             for r in range(R + 1):
-                v = V[m, s * (R + 1) + r] * pows[s]
-                if table.precision.dtype != object:
-                    v = DoubleDouble(float(v))
+                v = DoubleDouble.from_any(table.precision.real(V[m, s * (R + 1) + r] * pows[s]))
                 stream.write(f"{form.value},{R},{m + 1},{r},{s},{v.to_decimal_string(32)}\n")

@@ -7,11 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from structham.blocksolver import (
+    _PROBE_STEP,
     GROWTH_LIMIT,
     DivergenceError,
     NonConvergenceError,
     _newton_matrix,
     init_block,
+    pe_update,
 )
 from structham.numerics import NATIVE, all_finite, log as nlog, max_abs, sin_cos, sqrt as nsqrt
 from structham.problems import _EYE3, SingularityError, _at, _has_zero, _lift, _mv, _vec
@@ -178,6 +180,44 @@ def reference_predictor(state):
     broadcast over ``state.H``."""
     terms = state.table.E[:, :, None, None] * state.H[:, None]
     return np.add.accumulate(terms, axis=2)[:, :, -1]
+
+
+def reference_newton_matrix(state):
+    """M^-1 for M = I - G' at the float64 block ``state`` as first written:
+    every operand allocated per call, the probes z + diag(h) moved to node
+    blocks, G' transposed and scaled, and [M | I] concatenated
+    (``reference_inverse``)."""
+    twin, table = state.problem, state.table
+    Z, R = state.Z, table.R
+    n, z = Z.size, Z.reshape(-1)
+    h = (z + _PROBE_STEP * np.maximum(np.abs(z), 1.0)) - z  # exact: probe j is z + h_j e_j
+    probes = np.moveaxis((z + np.diag(h)).reshape((n,) + Z.shape), 0, 1)
+    nodes = probes.reshape((2, n * R) + Z.shape[2:])
+    derivs = np.empty((2, state.levels - 1) + nodes.shape[1:])
+    pe_update(twin, *nodes, tuple(zip(*derivs)))
+    change = derivs.reshape(derivs.shape[:2] + (n,) + Z.shape[1:]) - state.DS[:, :, None, 1:]
+    C_nodes = table.C[:, 1:].reshape(R, state.levels - 1, R + 1)[:, :, 1:]
+    G_prime = np.einsum("rsq,csnq...->ncr...", C_nodes, change).reshape(n, n).T / h
+    return reference_inverse(np.eye(n) - G_prime)
+
+
+def reference_inverse(M):
+    """M^-1 by Gauss-Jordan elimination with partial pivoting on a fresh
+    [M | I]; None when M is singular or not finite."""
+    n = len(M)
+    A = np.concatenate([M, np.eye(n)], axis=1)
+    for j in range(n):
+        p = j + np.abs(A[j:, j]).argmax()  # a NaN wins
+        pivot = A[p, j]
+        if not (pivot != 0.0 and math.isfinite(pivot)):
+            return None
+        if p != j:
+            A[[j, p]] = A[[p, j]]
+        row = A[j] / pivot
+        A -= np.multiply.outer(A[:, j], row)
+        A[j] = row
+    inverse = A[:, n:]
+    return inverse if all_finite(inverse) else None
 
 
 def reference_solve_block(state, config, se=None):

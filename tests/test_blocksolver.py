@@ -1,5 +1,6 @@
 """Block fixed-point solver tests, anchored on independent oracles."""
 
+import copy
 import hashlib
 import math
 import sys
@@ -38,6 +39,7 @@ from structham.secoeff import ConfigurationError, Formulation, coeff_table
 from oracles import (
     coefficient_blocks,
     dense_block_oracle,
+    reference_newton_matrix,
     reference_predictor,
     reference_se,
     reference_solve_block,
@@ -970,6 +972,18 @@ class TestFloat64Newton:
         traj = integrate(build_problem("em_challenging"), "zds", 3, 240, 20.0, store_every=240)
         assert traj.times[-1] == 20.0 and traj.n_blocks == 80 and builds[0] > 0
 
+    def test_deep_copied_problem_keeps_the_float64_path(self, monkeypatch):
+        # a copy that lost NATIVE's identity built no M and stalled at step 207
+        builds = self.builds(monkeypatch)
+        original = build_problem("em_challenging")
+        copied = copy.deepcopy(original)
+        assert copied.precision is NATIVE
+        want = integrate(original, "zds", 3, 240, 20.0)
+        count = builds[0]
+        got = integrate(copied, "zds", 3, 240, 20.0)
+        assert got.total_iter == want.total_iter == 1567 and builds[0] == 2 * count > 0
+        assert _words(got.xs + got.ps) == _words(want.xs + want.ps)
+
     def test_matrix_held_only_for_the_same_table(self, monkeypatch):
         # N = 3 R + 1: the short last block has its own table and starts
         # without the M the full blocks hand on
@@ -982,6 +996,110 @@ class TestFloat64Newton:
         monkeypatch.setattr(blocksolver, "solve_block", recorded)
         integrate(build_problem("pendulum"), "zds", 2, 7, 7 / 3)
         assert held == [(2, False), (2, True), (2, True), (1, False)]
+
+
+def _same_inverse(got, want):
+    """Both None, or float64 arrays of the same shape and words."""
+    if got is None or want is None:
+        return got is want
+    return got.dtype == want.dtype == np.float64 and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestNewtonWorkspace:
+    """M^-1 built in the state's workspace, word for word against the build
+    that allocated every operand per call, and the workspace made once."""
+
+    @staticmethod
+    def _float64_state(name, form, R, twin):
+        # a float64 state at its predictor: the problem's own, or the twin of
+        # the ddouble problem's state
+        precision = DDOUBLE if twin else NATIVE
+        state = BlockState(build_problem(name, precision), coeff_table(R, form, _CATALOG_STEP[name], precision))
+        state = state.twin if twin else state
+        state.start(state.problem.x0, state.problem.p0)
+        init_block(state)
+        return state
+
+    @staticmethod
+    def _move(state, k):
+        # another Z, its node derivatives refreshed as a sweep refreshes them
+        state.Z[...] = state.Z * (1.0 + 1e-3 * (k + 1)) + 1e-4 * k
+        pe_update(state.problem, *state.nodes, state.node_out)
+
+    # every problem, formulation, R and kind, but one 432-unknown outer_solar
+    # case at R = 12: each of its builds eliminates a 432 x 864 array
+    CASES = [(name, R, form, twin)
+             for name in ["mass_spring", "pendulum", "outer_solar", "kepler", "em_challenging"]
+             for R in [1, 2, 5, 12] for form in ["zd", "zds"] for twin in [False, True]
+             if not (name == "outer_solar" and R == 12 and (twin or form == "zd"))]
+
+    @pytest.mark.parametrize("name,R,form,twin", CASES,
+                             ids=[f"{n}-{R}-{f}-{'twin' if t else 'float64'}" for n, R, f, t in CASES])
+    def test_builds_match_the_reference(self, name, R, form, twin):
+        state = self._float64_state(name, form, R, twin)
+        assert state.newton_ops is None and state.problem.precision is NATIVE
+        inverses = []
+        for k in range(3):  # the same workspace at three Z
+            want = reference_newton_matrix(state)
+            got = blocksolver._newton_matrix(state)
+            assert _same_inverse(got, want), k
+            inverses.append((got, None if got is None else got.copy()))
+            ops = ops if k else state.newton_ops
+            assert state.newton_ops is ops
+            self._move(state, k)
+        assert all(_same_inverse(got, kept) for got, kept in inverses)
+        assert any(got is not None for got, _ in inverses)
+
+    def test_second_build_leaves_the_first_inverse(self):
+        state = self._float64_state("em_challenging", "zds", 2, twin=False)
+        first = blocksolver._newton_matrix(state)
+        kept = first.copy()
+        self._move(state, 0)
+        second = blocksolver._newton_matrix(state)
+        assert not np.shares_memory(first, state.newton_ops.A) and not np.shares_memory(first, second)
+        assert _same_inverse(first, kept) and not _same_inverse(second, kept)
+
+    @pytest.mark.parametrize("form", ["zd", "zds"])
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_operands_alias_their_arrays(self, R, form):
+        # a reshape that silently copied would probe stale words
+        state = self._float64_state("kepler", form, R, twin=False)
+        blocksolver._newton_matrix(state)
+        w = state.newton_ops
+        n = state.Z.size
+        views = {"h": (w.h, w.offsets), "h_row": (w.h_row, w.offsets), "z": (w.z, state.Y),
+                 "base": (w.base, state.DS), "G_prime": (w.G_prime, w.G), "M": (w.M, w.A), "I": (w.I, w.A)}
+        views.update({f"nodes[{c}]": (v, w.probes) for c, v in enumerate(w.nodes)})
+        views.update({f"targets[{s}][{c}]": (v, w.derivs) for s, pair in enumerate(w.targets)
+                      for c, v in enumerate(pair)})
+        assert [key for key, (view, home) in views.items() if not np.shares_memory(view, home)] == []
+        assert w.offsets.shape == w.probes.shape == (2, n, n // 2) and w.change.shape[2] == n
+        assert _words([w.h]) == _words([np.diag(w.offsets.swapaxes(0, 1).reshape(n, n)).reshape(state.Z.shape)])
+
+    def test_outer_solar_float64_run_makes_no_workspace(self, monkeypatch):
+        # its sweeps contract fast: no block builds M, and none pays for its operands
+        made, make = [], blocksolver._NewtonOperands
+        monkeypatch.setattr(blocksolver, "_NewtonOperands", lambda state: made.append(state) or make(state))
+        traj = integrate(build_problem("outer_solar"), "zds", 2, 48, 2500.0)
+        assert traj.n_blocks == 24 and made == []
+
+    def test_short_last_block_builds_in_its_own_workspace(self, monkeypatch):
+        # N = 2 R + 1 in ddouble: every block builds M on its twin, the last
+        # one on the twin of its own R = 1 state
+        built, build = [], blocksolver._newton_matrix
+
+        def checked(state):
+            want = reference_newton_matrix(state)
+            got = build(state)
+            built.append((state.table.R, state.newton_ops, _same_inverse(got, want), got is not None))
+            return got
+
+        monkeypatch.setattr(blocksolver, "_newton_matrix", checked)
+        integrate(build_problem("pendulum", DDOUBLE), "zds", 2, 5, 5 / 3)
+        assert [(R, same, ok) for R, _, same, ok in built] == [(2, True, True)] * 2 + [(1, True, True)]
+        (_, full, *_), _, (_, short, *_) = built
+        assert built[1][1] is full and short is not full
+        assert short.A.shape == (2, 4) and full.A.shape == (4, 8)
 
 
 def _trajectory_hash(traj):

@@ -765,6 +765,20 @@ class TestPrecisionBackends:
         assert NATIVE.default_tol == 1e-14
         assert DDOUBLE.default_tol == 1e-30
 
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_copies_are_the_same_record(self, prec):
+        # the solver and the table cache compare backends by identity
+        copies = [copy.copy(prec), copy.deepcopy(prec), copy.deepcopy([prec])[0]]
+        copies += [pickle.loads(pickle.dumps(prec, protocol=k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(c is prec for c in copies)
+
+    @pytest.mark.parametrize("n,d", [(1, 3), (-2, 7), (10**40 + 1, 3**50), (0, 5), (7, 1)])
+    def test_ratio_rounds_the_quotient(self, n, d):
+        assert NATIVE.ratio(n, d).hex() == float(Fraction(n, d)).hex()
+        got = DDOUBLE.ratio(n, d)
+        assert type(got) is DoubleDouble and words(got) == words(DoubleDouble.from_ratio(n, d))
+        assert abs(dd_to_fraction(got) - Fraction(n, d)) <= abs(Fraction(n, d)) * Fraction(2) ** -104
+
 
 def _max_abs_before_fast_path(arr) -> float:
     # max_abs as it read before float arrays took the first branch
