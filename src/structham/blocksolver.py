@@ -23,7 +23,8 @@ to the rows before Z_1..Z_R, for x and p together.  An anchor stacks its
 values as (2, L, I, K).
 
 ``integrate`` allocates one ``BlockState`` per block size (and one for a
-float64 twin): the workspace every block of that size writes in place.
+float64 twin), which makes its own table at the problem's precision: the
+workspace every block of that size writes in place.
 It also makes, once, every view the hot paths read or write, its arrays
 never rebound: the SE's and the predictor's products over (I, K)
 flattened, the PE's x and p inputs and targets, and the anchor and
@@ -82,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import NATIVE, Precision, all_finite, max_abs
-from .secoeff import CoeffTable, ConfigurationError, Formulation, coeff_table
+from .secoeff import ConfigurationError, Formulation, coeff_table
 
 __all__ = [
     "SolverConfig",
@@ -146,8 +147,10 @@ class SolverConfig:
 
 
 class BlockState:
-    """The workspace of every block of one table in one integration, all
+    """The workspace of every block of R steps of dt in one integration, all
     allocated here and written in place by each block (module docstring).
+    ``table`` is ``coeff_table(R, formulation, dt, problem.precision)``: at
+    the problem's precision, and the twin's state holds the float64 one.
 
     ``Y`` (layout in the module docstring) has the views ``Z`` (2, R, I, K)
     and ``DS`` (2, L-1, R+1, I, K: per derivative level the anchor, then
@@ -172,8 +175,9 @@ class BlockState:
     [prev | W] and of the block's last two nodes.
     """
 
-    def __init__(self, problem, table: CoeffTable):
-        like, L, R = problem.x0, table.formulation.levels, table.R
+    def __init__(self, problem, R: int, formulation, dt: float):
+        table = coeff_table(R, formulation, dt, problem.precision)
+        like, L = problem.x0, table.formulation.levels
         self.problem, self.table, self.levels = problem, table, L
         self.sweeps, self.newton, self.extrapolate = 0, None, False
         self.newton_ops = None
@@ -196,8 +200,7 @@ class BlockState:
         # the node before is the anchor at R = 1: rows 0 and 2L - 1 of Y
         self.tail = (self.Y[:, -2:] if R > 1 else self.Y[:, ::2 * L - 1],
                      self.DS[:, :, R - 1:].swapaxes(1, 2))
-        self.twin = None if problem.native is None else BlockState(
-            problem.native, coeff_table(R, table.formulation, table.dt, NATIVE))
+        self.twin = None if problem.native is None else BlockState(problem.native, R, formulation, dt)
 
     def start(self, X, P) -> None:
         """Anchor the next block at (X, P), with derivatives from the physical
@@ -293,23 +296,17 @@ def _predict(state: BlockState) -> None:
 def _taylor(state: BlockState) -> None:
     problem, table = state.problem, state.table
     dt = problem.precision.real(table.dt)
-    second = table.formulation is Formulation.ZDS
-    half_dt2 = dt * dt * 0.5 if second else None
-    Z, D = state.Y[:, 0], state.DS[:, 0, 0]
-    S = state.DS[:, 1, 0] if second else None
+    factors = (dt, dt * dt * 0.5)[:state.levels - 1]  # Z + dt D (+ dt^2/2 S), node by node
+    Z = state.Y[:, 0]
     X, P = state.nodes
     for r in range(table.R):
-        Z = Z + dt * D
-        if second:
-            Z = Z + half_dt2 * S
+        for level, c in enumerate(factors):
+            Z = Z + c * state.DS[:, level, r]
         if not all_finite(Z):
             raise DivergenceError(f"non-finite predictor value at block node {r + 1}")
         state.Z[:, r] = Z
         node = slice(r, r + 1)
         pe_update(problem, X[node], P[node], [(x[node], p[node]) for x, p in state.node_out])
-        D = state.DS[:, 0, r + 1]
-        if second:
-            S = state.DS[:, 1, r + 1]
 
 
 _PROBE_STEP = math.sqrt(NATIVE.eps)  # forward-difference step, relative to max(|z|, 1)
@@ -644,7 +641,7 @@ def integrate(
 
     precision = problem.precision
     dt_scalar = precision.real(dt)
-    state = BlockState(problem, coeff_table(R, form, dt, precision))
+    state = BlockState(problem, R, form, dt)
     state.start(problem.x0, problem.p0)
     traj = Trajectory(pe1_calls=1)
     record = node_recorder(traj, N, store_every, observer)
@@ -674,7 +671,7 @@ def integrate(
 
             step += r_this
             short = 0 < N - step < R  # the last block, with its own table and workspace
-            nxt = BlockState(problem, coeff_table(N - step, form, dt, precision)) if short else state
+            nxt = BlockState(problem, N - step, form, dt) if short else state
             if project is not None:
                 # a projected node is off the block's polynomial: no extrapolation
                 nxt.start(Xr, Pr)

@@ -184,9 +184,6 @@ class DoubleDouble:
     def __neg__(self):
         return _dd(-self._hi, -self._lo)
 
-    def __pos__(self):
-        return self
-
     def __sub__(self, other):
         o = other if type(other) is DoubleDouble else _coerce(other)
         if o is None:
@@ -288,8 +285,8 @@ class DoubleDouble:
     __le__, __gt__, __ge__ = _order(operator.le), _order(operator.gt), _order(operator.ge)
     del _order
 
-    def __hash__(self):
-        return hash((self._hi, self._lo))
+    def __hash__(self):  # a zero low word hashes as the float it equals
+        return hash((self._hi, self._lo) if self._lo else self._hi)
 
     # -- elementary functions -------------------------------------------------
 

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import NATIVE, Precision, log as nlog, sin_cos, sqrt as nsqrt
+from .numerics import NATIVE, PRECISIONS, Precision, log as nlog, sin_cos, sqrt as nsqrt
 from .secoeff import ConfigurationError
 
 __all__ = [
@@ -87,8 +87,10 @@ class HamiltonianProblem:
     """``derivatives``, ``hamiltonian`` and the invariants act node by node
     on (..., I, K) states, and ``exact_solution`` on (...) times (see the
     module docstring): a stack of nodes gets, node for node, the words of a
-    call on each one alone.  The sizes I and K are read off ``x0``, which no
-    field can contradict; ``p0`` has its shape.
+    call on each one alone.  The sizes I and K and the precision, ``NATIVE``
+    for float64 arrays and ``DDOUBLE`` for object ones (``DDOUBLE.asarray``),
+    are read off ``x0``, which no field can contradict; ``p0`` has its shape
+    and dtype, and any other dtype is a ValueError.
 
     ``derivatives(X, P, levels)`` returns the tuple (D,) or, at levels 2,
     (D, S), each an (X, P) pair.  A problem passes it or else ``first_rhs``
@@ -110,7 +112,7 @@ class HamiltonianProblem:
     exact_solution: Callable | None = field(repr=False, default=None)
     reference_values: tuple = ()
     parameters: dict = field(default_factory=dict)
-    precision: Precision = NATIVE
+    precision: Precision = field(init=False)
     # float64 twin of the same problem, whose block solve starts each block
     # (see blocksolver.init_block); the catalog builders fill it when they
     # build at another precision
@@ -121,6 +123,10 @@ class HamiltonianProblem:
             raise ValueError(f"{self.name}: a separable problem gives both force and velocity")
         if np.shape(self.p0) != np.shape(self.x0):
             raise ValueError(f"{self.name}: p0 has shape {np.shape(self.p0)}, x0 {np.shape(self.x0)}")
+        dtype, p_dtype = (getattr(a, "dtype", None) for a in (self.x0, self.p0))
+        self.precision = next((p for p in PRECISIONS.values() if p.dtype == dtype == p_dtype), None)
+        if self.precision is None:
+            raise ValueError(f"{self.name}: x0 has dtype {dtype}, p0 {p_dtype}: need both float64 or both object")
         if self.derivatives is not None:
             if self.first_rhs is not None or self.second_rhs is not None:
                 raise ValueError(f"{self.name}: a problem gives derivatives or first_rhs and second_rhs, not both")
@@ -232,7 +238,6 @@ def make_mass_spring(m=1.0, kappa=1.0, x0=1.0, p0=0.0, *, precision=NATIVE) -> H
         invariants=(InvariantSpec("H", hamiltonian),),
         exact_solution=exact,
         parameters={"m": m_, "kappa": k_, "omega": omega},
-        precision=precision,
     )
 
 
@@ -314,7 +319,6 @@ def make_two_spring(
         invariants=(InvariantSpec("H", hamiltonian),),
         exact_solution=exact,
         parameters={"omega1": w1, "omega2": w2, "k1": k1_, "k2": k2_, "m1": m1_, "m2": m2_},
-        precision=precision,
     )
 
 
@@ -379,7 +383,6 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, *, precision=NATIVE
         invariants=(InvariantSpec("H", hamiltonian),),
         reference_values=refs,
         parameters={"m": m_, "g": g_, "l": l_},
-        precision=precision,
     )
 
 
@@ -458,7 +461,6 @@ def make_kepler(x0=(0.4, 0.0), p0=(0.0, 2.0), *, precision=NATIVE) -> Hamiltonia
             InvariantSpec("L", angular_momentum),
             InvariantSpec("A", lrl),
         ),
-        precision=precision,
     )
 
 
@@ -600,7 +602,6 @@ def make_nbody(masses, G, X0, P0, name="nbody", *, precision=NATIVE) -> Hamilton
         derivatives=derivatives,
         invariants=(InvariantSpec("H", hamiltonian), InvariantSpec("L", angular_momentum)),
         parameters={"masses": m, "G": G_},
-        precision=precision,
     )
 
 
@@ -857,7 +858,6 @@ def make_em_particle(variant="scb", m=1.0, e=1.0, x0=None, p0=None, *, precision
         derivatives=derivatives,
         invariants=(InvariantSpec("H", hamiltonian),),
         parameters={"m": m_, "e": e_, "variant": variant},
-        precision=precision,
     )
 
 

@@ -372,7 +372,7 @@ class TestAcceptance:
             prob = builder()
             for form in ("zd", "zds"):
                 for R in (1, 2, 3, 4):
-                    state = BlockState(prob, coeff_table(R, form, dt))
+                    state = BlockState(prob, R, form, dt)
                     state.start(prob.x0, prob.p0)
                     solve_block(state, SolverConfig(tol=tol))
                     Zx_ref, Zp_ref = dense_block_oracle(prob, state.table, state.W)

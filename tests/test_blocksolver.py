@@ -47,9 +47,10 @@ from oracles import (
 
 
 def _block(problem, table):
-    """A workspace for ``table`` anchored at the problem's initial state, as
-    integrate anchors its first block."""
-    state = BlockState(problem, table)
+    """A workspace for ``table``, which must be the problem's own, anchored at
+    the problem's initial state, as integrate anchors its first block."""
+    state = BlockState(problem, table.R, table.formulation, table.dt)
+    assert state.table is table
     state.start(problem.x0, problem.p0)
     return state
 
@@ -78,6 +79,23 @@ class TestInitBlock:
         init_block(state)
         assert state.Z[0, 0][0, 0] == pytest.approx(0.4 - 3.125e-4, abs=1e-15)
         assert state.Z[0, 0][1, 0] == pytest.approx(0.02, abs=1e-15)
+
+
+class TestBlockStateTable:
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    @pytest.mark.parametrize("R,form", [(1, "zd"), (3, "zds")])
+    def test_table_at_the_problem_precision(self, R, form, prec):
+        # a state makes its own table, so of its problem's precision, and
+        # its twin's is the float64 one
+        prob = make_mass_spring(precision=prec)
+        state = BlockState(prob, R, form, 0.1)
+        assert state.table is coeff_table(R, form, 0.1, prec)
+        if prec is NATIVE:
+            assert state.twin is None
+        else:
+            assert state.twin.problem is prob.native and state.twin.table is coeff_table(R, form, 0.1, NATIVE)
+        with pytest.raises(TypeError):
+            BlockState(prob, coeff_table(R, form, 0.1, prec))
 
 
 class TestExtrapolatedPredictor:
@@ -200,7 +218,7 @@ class TestSeUpdate:
         # values D1 = 2, S1 = 2 must return Z1 = 1 at dt = 1
         W = np.zeros((2, 3, 1, 1))
         W[0, 2] = 2.0  # x's S
-        state = BlockState(make_mass_spring(), coeff_table(1, "zds", 1.0))
+        state = BlockState(make_mass_spring(), 1, "zds", 1.0)
         state.Z[...] = 0.0
         state.DS[:, :, 1:] = 0.0
         state.DS[0, :, 1:] = 2.0  # x's D1 and S1
@@ -212,7 +230,7 @@ class TestSeUpdate:
     def test_cubic_reproduction_zd_r2(self):
         # x(t) = t^3 sampled with D = 3 t^2: predicted (Z1, Z2) = (1, 8)
         W = np.zeros((2, 2, 1, 1))
-        state = BlockState(make_mass_spring(), coeff_table(2, "zd", 1.0))
+        state = BlockState(make_mass_spring(), 2, "zd", 1.0)
         state.Z[...] = 0.0
         state.DS[:, :, 1:] = 0.0
         state.DS[0, 0, 1:, 0, 0] = 3.0, 12.0
@@ -233,7 +251,7 @@ class TestStackedSeUpdate:
             return precision.asarray(rng.uniform(-1.0, 1.0, lead + shape))
 
         L = table.formulation.levels
-        state = BlockState(build_problem("three_body_eight", precision), table)
+        state = BlockState(build_problem("three_body_eight", precision), table.R, table.formulation, table.dt)
         state.W[...] = draw(2, L)
         state.Z[...] = draw(2, table.R)
         for s in range(1, L):
@@ -289,8 +307,8 @@ class TestFlatProducts:
         # a workspace of random words (ddouble ones with a full low word)
         # whose physical equations return their inputs: D = (P, X)
         problem = SimpleNamespace(x0=precision.asarray(np.zeros(shape)), native=None, name="echo",
-                                  derivatives=lambda X, P, levels: ((P, X),) * levels)
-        state = BlockState(problem, coeff_table(R, form, 0.3, precision))
+                                  precision=precision, derivatives=lambda X, P, levels: ((P, X),) * levels)
+        state = BlockState(problem, R, form, 0.3)
         rng = np.random.default_rng(seed)
         state.Y[...] = precision.asarray(rng.uniform(-1.0, 1.0, state.Y.shape)) / 3
         state.H[...] = precision.asarray(rng.uniform(-1.0, 1.0, state.H.shape)) / 7
@@ -472,7 +490,7 @@ class TestPeUpdate:
             one = np.zeros((1, 1)), np.zeros((1, 1))  # as written for one (I, K) node
             return (one, S) if level == "D" else (D, one)
 
-        state = BlockState(prob, coeff_table(3, "zds", 0.1))
+        state = BlockState(prob, 3, "zds", 0.1)
         if caller != "start":
             state.start(prob.x0, prob.p0)
             if caller != "taylor":
@@ -543,7 +561,6 @@ class TestSolveBlock:
             x0=prec.asarray([[1.0]]), p0=prec.asarray([[1.0]]),
             first_rhs=lambda X, P: (P.copy(), 1 / (X - 2)),
             second_rhs=lambda X, P, DX, DP: (DP.copy(), -(DX / ((X - 2) * (X - 2)))),
-            precision=prec,
         )
         with pytest.raises(DivergenceError):
             integrate(prob, "zd", 1, 1, 1.0)
@@ -1014,7 +1031,7 @@ class TestNewtonWorkspace:
         # a float64 state at its predictor: the problem's own, or the twin of
         # the ddouble problem's state
         precision = DDOUBLE if twin else NATIVE
-        state = BlockState(build_problem(name, precision), coeff_table(R, form, _CATALOG_STEP[name], precision))
+        state = BlockState(build_problem(name, precision), R, form, _CATALOG_STEP[name])
         state = state.twin if twin else state
         state.start(state.problem.x0, state.problem.p0)
         init_block(state)
@@ -1211,7 +1228,6 @@ class TestMixedPrecision:
                 x0=prec.asarray([[1.0]]), p0=prec.asarray([[1.0]]),
                 first_rhs=lambda X, P: (P.copy(), 1 / (X - 2)),
                 second_rhs=lambda X, P, DX, DP: (DP.copy(), -(DX / ((X - 2) * (X - 2)))),
-                precision=prec,
             )
 
         prob = pole(DDOUBLE)

@@ -24,6 +24,7 @@ from structham.numerics import (
     _PIO2_4,
     _SIN_COS_J,
     _dd,
+    _reduce_half_pi,
     all_finite,
     max_abs,
     sin_cos,
@@ -158,6 +159,21 @@ class TestDoubleDoubleArithmetic:
         x = DoubleDouble.from_any("1.5")
         assert float(x**3) == 3.375
         assert abs(float(x**-2 - DoubleDouble(1.0) / (x * x))) < 1e-30
+
+    def test_equal_values_hash_equal(self):
+        # a value with a zero low word hashes as the float it equals
+        third = DoubleDouble(1.0) / 3
+        assert hash(DoubleDouble(1.5)) == hash(DoubleDouble.from_any("1.5")) == hash(1.5)
+        assert hash(third) == hash(DoubleDouble(1.0) / DoubleDouble(3.0))
+        assert {DoubleDouble(2.0), DoubleDouble.from_any("2"), 2.0, 2} == {2.0}
+        assert len({third, DoubleDouble(1.0) / 3, DoubleDouble(third.hi)}) == 2
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_other_operands_are_a_type_error(self, op):
+        # each operator returns NotImplemented, so Python raises, whichever side the str is on
+        for a, b in ((DoubleDouble(1.0), "1"), ("1", DoubleDouble(1.0))):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 # Reference double-double arithmetic from the public error-free transforms:
@@ -443,11 +459,23 @@ class TestNonFinite:
         assert q.shape == (1, 1) and words(q[0, 0]) == words((math.inf, 0.0))
         assert max_abs(q) == math.inf and not all_finite(q)
 
+    def test_all_finite_of_a_scalar(self):
+        assert all_finite(2.0) and all_finite(DoubleDouble(2.0, 1e-20))
+        for v in (math.inf, -math.inf, math.nan):
+            assert not all_finite(v) and not all_finite(DoubleDouble(v))
+
+    @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+    def test_decimal_string_of_non_finite_is_float64s(self, v):
+        assert DoubleDouble(v).to_decimal_string() == str(DoubleDouble(v)) == repr(v)
+
 
 class TestElementary:
     def test_sqrt_exact_square(self):
         r = DoubleDouble(4.0).sqrt()
         assert r.hi == 2.0 and r.lo == 0.0
+
+    def test_sqrt_of_zero_is_zero(self):
+        assert words(DoubleDouble(0.0).sqrt()) == words((0.0, 0.0))
 
     def test_sqrt_negative_raises(self):
         with pytest.raises(ValueError):
@@ -617,6 +645,13 @@ class TestElementary:
             xs += [PI_DD * (0.5 * k) + d for d in (0.1, -0.1, 1e-3, -1e-3, 0.7, -0.7)]
         xs += [PI_DD + 1e-10, PI_DD * 0.5 + 1e-14]
         self._check_sin_cos(xs)
+
+    def test_sin_cos_after_an_upward_reduction_step(self):
+        # the quotient by pi/2 rounds to 8 here and leaves r just above pi/4:
+        # one more step by pi/2 brings it back
+        x = DoubleDouble(13.351768777756622)
+        assert round(float(x) / (math.pi / 2)) == 8 and _reduce_half_pi(x)[1] == 9 % 4
+        self._check_sin_cos([x])
 
     def test_half_pi_parts(self):
         # Cody-Waite: two parts of at most 33 bits, so that k times each is

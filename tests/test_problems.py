@@ -899,6 +899,52 @@ class TestCatalog:
         with pytest.raises(ValueError, match=r"^line: p0 has shape \(1, 1\), x0 \(2, 1\)$"):
             HamiltonianProblem(name="line", x0=np.ones((2, 1)), p0=np.zeros((1, 1)), first_rhs=free_rhs)
 
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_precision_is_the_arrays(self, prec):
+        # each builder's precision keyword makes the arrays, and the arrays the
+        # problem's precision; the twin, made at NATIVE, is float64
+        for name in PROBLEM_NAMES:
+            prob = build_problem(name, prec)
+            assert prob.precision is prec and prob.x0.dtype == prob.p0.dtype == np.dtype(prec.dtype)
+            assert prob.native is None if prec is NATIVE else prob.native.precision is NATIVE
+
+    def test_ddouble_arrays_make_a_ddouble_problem(self):
+        # the README quartic from DDOUBLE.asarray arrays, naming no precision:
+        # the count and the words of the ddouble run (a double run stops
+        # after 91 iterations)
+        def derivatives(X, P, levels):
+            D = P.copy(), -(X * X * X)
+            return (D, (D[1].copy(), -(3 * X * X * D[0]))) if levels == 2 else (D,)
+
+        prob = HamiltonianProblem("quartic", DDOUBLE.asarray([[1.0]]), DDOUBLE.asarray([[0.0]]),
+                                  derivatives=derivatives)
+        assert prob.precision is DDOUBLE and prob.native is None
+        traj = integrate(prob, "zds", 2, 24, 1.0)
+        x, p = traj.xs[-1][0, 0], traj.ps[-1][0, 0]
+        assert traj.total_iter == 232
+        assert (x.hi, x.lo) == (0.5959765676508779, 1.4459027610980176e-17)
+        assert (p.hi, p.lo) == (-0.6609997864311419, -1.865305179074385e-17)
+
+    @pytest.mark.parametrize("x0,p0", [
+        (np.zeros((1, 1), np.int64), np.zeros((1, 1), np.int64)),
+        (np.zeros((1, 1), np.float32), np.zeros((1, 1), np.float32)),
+        (np.zeros((1, 1)), DDOUBLE.asarray([[0.0]])),
+        (DDOUBLE.asarray([[0.0]]), np.zeros((1, 1))),
+        ([[0.0]], [[0.0]]),
+    ], ids=["int64", "float32", "float64-object", "object-float64", "list"])
+    def test_arrays_of_another_dtype_refused(self, x0, p0):
+        # an int64 state would fail at the first SE product, a float32 one
+        # run under float64's tolerance, and mixed arrays mix precisions
+        with pytest.raises(ValueError, match="^line: x0 has dtype .*, p0 .*: need both float64 or both object$"):
+            HamiltonianProblem(name="line", x0=x0, p0=p0, first_rhs=free_rhs)
+
+    @pytest.mark.parametrize("prec", [NATIVE, DDOUBLE], ids=["double", "ddouble"])
+    def test_precision_is_no_argument(self, prec):
+        # it could only contradict the arrays
+        with pytest.raises(TypeError):
+            HamiltonianProblem(name="line", x0=prec.asarray([[0.0]]), p0=prec.asarray([[0.0]]), first_rhs=free_rhs,
+                               precision=prec)
+
     @pytest.mark.parametrize("maps", [
         dict(first_rhs=lambda X, P: (P.copy(), -X)),
         dict(force=lambda X: -X, velocity=lambda P: P.copy()),
