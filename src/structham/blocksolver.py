@@ -262,11 +262,7 @@ def init_block(state: BlockState, config: SolverConfig = SolverConfig()) -> None
         except DivergenceError:
             state.newton = None
             return _predict(state)
-        twin.newton = None
-        if all_finite(twin.DS):
-            twin.sweeps = twin.Z.size  # one sweep per probe
-            twin.newton = _newton_matrix(twin)
-        newton = twin.newton
+        newton = twin.newton = _newton_matrix(twin) if all_finite(twin.DS) else None
         try:
             _sweep(twin, max(tol, NATIVE.default_tol), config.max_iter)
         except (DivergenceError, NonConvergenceError):
@@ -319,7 +315,8 @@ _SLOW_RUN, _SLOW_RATE, _SLOW_FLOOR = 3, 0.1, 1e3
 
 def _newton_matrix(state: BlockState):
     """M^-1 for M = I - G' at the float64 block ``state``; None when M is
-    singular or not finite.
+    singular or not finite.  Its probes, one per unknown, each add one
+    sweep of R node evaluations to ``state.sweeps``.
 
     Column j of G' is (G(Z + h_j e_j) - G(Z)) / h_j: C applied to the change
     of the node derivatives, SE being linear.  The operands are
@@ -329,6 +326,7 @@ def _newton_matrix(state: BlockState):
     if state.newton_ops is None:
         state.newton_ops = _NewtonOperands(state)
     w, Z = state.newton_ops, state.Z
+    state.sweeps += Z.size
     h = w.h  # h_j = (z_j + step max(|z_j|, 1)) - z_j, exact: probe j is z + h_j e_j
     np.abs(Z, out=h)
     np.maximum(h, 1.0, out=h)
@@ -495,7 +493,7 @@ def _sweep(state: BlockState, tol: float, max_iter: int) -> None:
     diff = prev_diff = math.inf
     for _ in range(max_iter):
         if slow == _SLOW_RUN:
-            slow, state.sweeps = None, state.sweeps + Z.size
+            slow = None
             state.newton = newton = _newton_matrix(state)
             diff = math.inf  # the first corrected change need not halve the plain one
         Z_new = se_update(state)

@@ -12,8 +12,8 @@ import json
 import sys
 
 from .blocksolver import DivergenceError, NonConvergenceError
-from .harness import STRUCTURAL_SCHEMES, SV_SCHEMES, RunConfig, SweepResult, _report_row, run, sweep
-from .numerics import PRECISIONS
+from .harness import QUANTITIES, STRUCTURAL_SCHEMES, SV_SCHEMES, RunConfig, SweepResult, _report_row, run, sweep
+from .numerics import DDOUBLE, NATIVE, PRECISIONS
 from .problems import PROBLEM_NAMES, SingularityError
 from .secoeff import ConfigurationError, Formulation, coeff_table, dump_coeff_csv
 
@@ -30,7 +30,8 @@ def _add_run_args(p, with_n=True):
         p.add_argument("--N", type=int, required=True, help="number of time steps")
     p.add_argument("--T", type=float, required=True, help="final time")
     p.add_argument("--tol", type=float, default=None,
-                   help="fixed-point tolerance (default 1e-14 double / 1e-30 ddouble)")
+                   help=f"fixed-point tolerance (default {NATIVE.default_tol:g} {NATIVE.name} / "
+                        f"{DDOUBLE.default_tol:g} {DDOUBLE.name})")
     p.add_argument("--precision", choices=sorted(PRECISIONS), default="double")
     p.add_argument("--project-lrl", action="store_true",
                    help="project onto the LRL invariant manifold (kepler only)")
@@ -62,16 +63,14 @@ def _output(path):
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args).validated()
+    config = _config_from_args(args)
     args.record = vars(config)
     report = run(config)
     parts = [f"problem={config.problem}", f"scheme={config.scheme}"]
     if config.R is not None:
         parts.append(f"R={config.R}")
     parts += [f"N={config.N}", f"T={config.T}", f"dt={report.dt:.5e}"]
-    for q in ("x", "H", "L", "A"):
-        if q in report.errors:
-            parts.append(f"e{q}={report.errors[q]:.5e}")
+    parts += [f"e{q}={report.errors[q]:.5e}" for q in QUANTITIES if q in report.errors]
     parts += [
         f"total_iter={report.total_iter}",
         f"nb_iter_avg={report.nb_iter_avg:.5e}",
@@ -88,7 +87,7 @@ def _cmd_sweep(args) -> int:
     Ns = [int(v) for v in args.Ns.split(",") if v.strip()]
     if not Ns:
         raise ConfigurationError(f"--Ns {args.Ns!r} lists no step count")
-    config = _config_from_args(args, N=Ns[0]).validated()
+    config = _config_from_args(args, N=Ns[0])
     args.record = {key: value for key, value in vars(config).items() if key != "N"} | {"Ns": Ns}
     text = sweep(config, Ns).to_csv()
     with _output(args.out) as fh:
@@ -97,7 +96,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_drift(args) -> int:
-    config = _config_from_args(args).validated()
+    config = _config_from_args(args)
     args.record = vars(config) | {"quantity": args.quantity, "samples": args.samples}
     series = run(config, (args.quantity,), args.samples).drift[args.quantity]
     lines = ["t,deviation"] + [f"{t:.5e},{dev:.5e}" for t, dev in series]
@@ -134,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_drift = sub.add_parser("drift", help="invariant deviation over time", allow_abbrev=False)
     _add_run_args(p_drift)
-    p_drift.add_argument("--quantity", default="H", choices=["H", "L", "A"])
+    p_drift.add_argument("--quantity", default="H", choices=QUANTITIES[1:])  # the invariants
     p_drift.add_argument("--samples", type=int, default=200, help="evenly spaced nodes sampled (at least 1)")
     p_drift.set_defaults(func=_cmd_drift)
 

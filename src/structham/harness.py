@@ -51,15 +51,16 @@ SV_SCHEMES = ("sv2", "sv4", "sv6", "sv8")
 NOISE_ULPS = 8  # roundoff per step, in units of u, below which a sweep prints no order
 CHUNK = 256  # accepted nodes per evaluation of the metrics
 
-CSV_COLUMNS = [
-    "problem", "scheme", "R", "precision", "N", "dt",
-    "ex", "ordx", "eH", "ordH", "eL", "ordL", "eA", "ordA",
-    "total_iter", "nb_iter_avg", "nb_call_avg", "status",
-]
+QUANTITIES = ("x", "H", "L", "A")  # position error, then the invariants, in report order
+CSV_COLUMNS = ["problem", "scheme", "R", "precision", "N", "dt"]
+CSV_COLUMNS += [name for q in QUANTITIES for name in ("e" + q, "ord" + q)]
+CSV_COLUMNS += ["total_iter", "nb_iter_avg", "nb_call_avg", "status"]
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's configuration, checked when made: a bad field is a ConfigurationError."""
+
     problem: str
     scheme: str
     N: int
@@ -68,9 +69,9 @@ class RunConfig:
     tol: float | None = None
     precision: str = "double"
     project_lrl: bool = False
-    max_iter: int = 200
+    max_iter: int = SolverConfig.max_iter
 
-    def validated(self) -> "RunConfig":
+    def __post_init__(self):
         if self.problem not in PROBLEM_NAMES:
             raise ConfigurationError(f"unknown problem {self.problem!r}")
         if self.scheme not in STRUCTURAL_SCHEMES + SV_SCHEMES:
@@ -88,7 +89,6 @@ class RunConfig:
         if self.project_lrl and self.scheme in SV_SCHEMES:
             raise ConfigurationError(f"LRL projection applies to the structural schemes only, not {self.scheme}")
         SolverConfig(tol=self.tol, max_iter=self.max_iter)  # checks tol and max_iter
-        return self
 
 
 @dataclass
@@ -116,8 +116,7 @@ class _ChunkedMetrics:
         self.done = 0  # nodes of earlier chunks: node j of this one has index done + j
         # position references, used without an exact solution; by time, so
         # that the last hit is the last node's, as node by node
-        refs = [r for r in problem.reference_values if r.quantity == "x"]
-        self.refs = [] if problem.exact_solution else sorted(refs, key=lambda r: r.t)
+        self.refs = [] if problem.exact_solution else sorted(problem.reference_values, key=lambda r: r.t)
         self.ref_tol = 1e-9 * max(1.0, T)
         self.x_err = None  # max position error, or the error at the last reference time
         self.x_scale = 0.0  # max |X| over the nodes so far
@@ -167,7 +166,6 @@ def run(config: RunConfig, drift_quantities=(), drift_samples: int = 200) -> Err
     name that is not an invariant of the problem, or ``drift_samples`` below
     1, is a ConfigurationError raised before integrating.
     """
-    config = config.validated()
     problem = build_problem(config.problem, PRECISIONS[config.precision])
     names = [inv.name for inv in problem.invariants]
     for quantity in drift_quantities:
@@ -254,9 +252,7 @@ def _report_row(config, report) -> dict:
         "status": "ok",
     }
     if report is not None:
-        for q in ("x", "H", "L", "A"):
-            if q in report.errors:
-                row["e" + q] = report.errors[q]
+        row |= {"e" + q: report.errors[q] for q in QUANTITIES if q in report.errors}
         row["total_iter"] = report.total_iter
         row["nb_iter_avg"] = report.nb_iter_avg
         row["nb_call_avg"] = report.nb_call_avg
@@ -280,7 +276,7 @@ def sweep(base: RunConfig, Ns) -> SweepResult:
     rows = []
     prev = None  # (dt, errors) of last successful row
     for N in Ns:
-        config = replace(base, N=N).validated()
+        config = replace(base, N=N)
         try:
             report = run(config)
         except (NonConvergenceError, DivergenceError, SingularityError) as err:
@@ -294,7 +290,7 @@ def sweep(base: RunConfig, Ns) -> SweepResult:
         noise = {q: e <= floor * report.scales[q] for q, e in report.errors.items()}
         if prev is not None:
             pdt, perrs, pnoise = prev
-            for q in ("x", "H", "L", "A"):
+            for q in QUANTITIES:
                 if q in report.errors and q in perrs and not (noise[q] and pnoise[q]):
                     row["ord" + q] = convergence_order(perrs[q], report.errors[q], pdt, dt)
         prev = (dt, dict(report.errors), noise)

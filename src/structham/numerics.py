@@ -294,7 +294,7 @@ class DoubleDouble:
         if self._hi < 0.0:
             raise ValueError("sqrt of negative double-double")
         if self._hi == 0.0 and self._lo == 0.0:
-            return DoubleDouble(0.0)
+            return self  # a signed zero, as math.sqrt(-0.0) is -0.0
         y = DoubleDouble(math.sqrt(self._hi))
         # one dd Newton step lifts the 53-bit seed to full precision
         return (y + self / y) * 0.5

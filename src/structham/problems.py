@@ -4,7 +4,7 @@ Every problem supplies the Hamiltonian, its physical equations as one map
 ``derivatives``: the first-order right-hand side D (dX/dt = grad_P H,
 dP/dt = -grad_X H) and its analytic time derivative S (the second-order
 right-hand side used by ZDS), the conserved quantities to monitor, and,
-where available, a closed-form solution or reference endpoint values.  S is
+where available, a closed-form solution or reference endpoint positions.  S is
 hand-coded per problem; a finite-difference test suite cross-checks them all.
 
 States are body-space matrices of shape (I, K): K bodies in dimension I,
@@ -22,8 +22,10 @@ reduce over the last axes and let numpy broadcast; for H = |p|^2/2 +
 sum x^4/4::
 
     hamiltonian = lambda X, P: (0.5 * (P * P) + 0.25 * (X * X * X * X)).sum(axis=(-2, -1))
-    first_rhs = lambda X, P: (P.copy(), -(X * X * X))
-    second_rhs = lambda X, P, DX, DP: (DP.copy(), -(3 * X * X * DX))
+
+    def derivatives(X, P, levels):
+        D = P.copy(), -(X * X * X)
+        return (D, (D[1].copy(), -(3 * X * X * D[0]))) if levels == 2 else (D,)
 
 The maps are pure functions of the values passed in, and return arrays that
 the caller owns.  A separable problem, H = T(P) + V(X), also has ``velocity``
@@ -78,8 +80,7 @@ class InvariantSpec(NamedTuple):
 
 class ReferenceValue(NamedTuple):
     t: float
-    quantity: str  # 'x' or 'p'
-    value: object
+    value: object  # the position at t
 
 
 @dataclass
@@ -327,7 +328,6 @@ def make_two_spring(
 # ---------------------------------------------------------------------------
 
 _PENDULUM_REF_X = -0.2633498226088722
-_PENDULUM_REF_P = -0.7189111241830892
 
 
 @_twinned
@@ -335,7 +335,7 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, *, precision=NATIVE
     """Planar pendulum, H = p^2/(2 m l^2) + m g l (1 - cos x).
 
     For the standard setup (m = g = l = 1, x0 = pi/4, p0 = 0) the problem
-    carries double-precision reference values of x and p at t = 100.
+    carries a double-precision reference value of x at t = 100.
     """
     if not all(float(v) > 0 for v in (m, g, length)):
         raise ValueError("pendulum parameters must be positive")
@@ -367,10 +367,7 @@ def make_pendulum(m=1.0, g=1.0, length=1.0, x0=None, p0=0.0, *, precision=NATIVE
 
     refs = ()
     if default_x0 and float(m_) == 1.0 and float(g_) == 1.0 and float(l_) == 1.0 and float(p0_) == 0.0:
-        refs = (
-            ReferenceValue(100.0, "x", _PENDULUM_REF_X),
-            ReferenceValue(100.0, "p", _PENDULUM_REF_P),
-        )
+        refs = (ReferenceValue(100.0, _PENDULUM_REF_X),)
 
     return HamiltonianProblem(
         name="pendulum",

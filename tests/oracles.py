@@ -11,7 +11,6 @@ from structham.blocksolver import (
     GROWTH_LIMIT,
     DivergenceError,
     NonConvergenceError,
-    _newton_matrix,
     init_block,
     pe_update,
 )
@@ -290,7 +289,7 @@ def reference_solve_block(state, config, se=None):
             if problem.precision is NATIVE and newton is None and slow is not None:
                 slow = slow + 1 if diff > 0.1 * prev_diff and diff > 1e3 * tol else 0
                 if slow == 3 and sweep < config.max_iter:
-                    newton, slow = _newton_matrix(state), None
+                    newton, slow = reference_newton_matrix(state), None
                     had = had or newton is not None
                     state.sweeps += Z.size
                     diff = math.inf

@@ -1067,6 +1067,14 @@ class TestNewtonWorkspace:
         assert all(_same_inverse(got, kept) for got, kept in inverses)
         assert any(got is not None for got, _ in inverses)
 
+    @pytest.mark.parametrize("twin", [False, True], ids=["float64", "twin"])
+    def test_build_counts_its_probes(self, twin):
+        # one sweep of R node evaluations per probe, added by the build itself
+        state = self._float64_state("pendulum", "zds", 2, twin)
+        before = state.sweeps
+        blocksolver._newton_matrix(state)
+        assert state.sweeps == before + state.Z.size == before + 4  # 2 R I K probes
+
     def test_second_build_leaves_the_first_inverse(self):
         state = self._float64_state("em_challenging", "zds", 2, twin=False)
         first = blocksolver._newton_matrix(state)

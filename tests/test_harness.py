@@ -1,5 +1,6 @@
 """Harness and CLI tests: runs, sweeps, drift series, CSV, exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -49,7 +50,7 @@ def per_node_metrics(config, quantity=None, picks=()):
 
 class TestRunConfig:
     def test_valid(self):
-        RunConfig(problem="kepler", scheme="zds", N=100, T=1.0, R=2).validated()
+        RunConfig(problem="kepler", scheme="zds", N=100, T=1.0, R=2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -71,8 +72,12 @@ class TestRunConfig:
         ],
     )
     def test_invalid(self, kwargs):
+        # a RunConfig checks itself when made, and again when replaced (each sweep row)
         with pytest.raises(ConfigurationError):
-            RunConfig(**kwargs).validated()
+            RunConfig(**kwargs)
+        base = RunConfig(problem="kepler", scheme="sv2", N=100, T=1.0)  # every other field its default
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(base, **kwargs)
 
 
 class TestRun:
@@ -160,7 +165,7 @@ class TestSweep:
         assert "ordx" not in rows[1] and "ordH" not in rows[1]
 
     def test_single_row_no_orders(self):
-        result = sweep(RunConfig(problem="mass_spring", scheme="zds", N=0, T=10.0, R=1), [60])
+        result = sweep(RunConfig(problem="mass_spring", scheme="zds", N=60, T=10.0, R=1), [60])
         assert "ordx" not in result.rows[0]
 
     def test_orders_recomputable_from_csv(self):

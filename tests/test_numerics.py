@@ -403,6 +403,12 @@ class TestNonFinite:
         assert math.isnan(float(DoubleDouble(math.inf) - DoubleDouble(math.inf)))
         assert math.isnan(float(DoubleDouble(math.inf) * 0))
 
+    def test_sqrt_keeps_the_sign_of_zero(self):
+        # as math.sqrt(-0.0) is -0.0, on a scalar and through numpy's object sqrt
+        for zero in (0.0, -0.0):
+            assert words(DoubleDouble(zero).sqrt()) == words((math.sqrt(zero), 0.0))
+        assert words(np.sqrt(DDOUBLE.asarray([[-0.0]]))[0, 0]) == words((-0.0, 0.0))
+
     @pytest.mark.parametrize("rows", [[[1e308, -2.0]], [[-1e308, 3.0]], [[math.inf]], [[-math.inf, 1.0]]])
     def test_max_abs_matches_float64(self, rows):
         # the double-double transforms meet inf - inf on the way, so numpy

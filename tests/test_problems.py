@@ -313,9 +313,14 @@ class TestTwoSpring:
 class TestPendulum:
     def test_reference_values_attached(self):
         prob = make_pendulum()
-        assert any(r.quantity == "x" and r.t == 100.0 for r in prob.reference_values)
+        assert any(r.t == 100.0 for r in prob.reference_values)
         custom = make_pendulum(x0=0.3)
         assert custom.reference_values == ()
+
+    def test_one_position_reference(self):
+        # a reference value is the position at its time: the pendulum has one, at t = 100
+        (ref,) = make_pendulum().reference_values
+        assert ref == (100.0, -0.2633498226088722) and ref._fields == ("t", "value")
 
     def test_equilibrium_is_fixed_point(self):
         prob = make_pendulum(x0=0.0, p0=0.0)
